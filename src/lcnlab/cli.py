@@ -11,8 +11,9 @@ descent against it.
 Conventions: tables and grids are CSV, reports are JSON; floats carry 17
 significant digits; randomized commands take ``--seed`` and are reproducible
 independently of ``--threads`` (work is seeded per index and aggregated by
-index).  Exit codes: 0 on success, 2 on configuration errors, 3 when the case
-study finds discrepancies.
+index).  Exit codes: 0 on success, 2 on bad input (configuration errors,
+non-finite filters, roots the solver cannot certify), 3 when the case study
+finds discrepancies.
 """
 
 from __future__ import annotations
@@ -22,24 +23,25 @@ import csv
 import io
 import json
 import math
-import multiprocessing
 import os
 import sys
 
 import numpy as np
 
-from .critlab import _partitions_of, crit_on_stratum, ed_bound, real_type_splits
+from .critlab import _attainable_strata, crit_on_stratum, ed_bound
 from .dynamics import balancedness_matrix, recover_scales, squared_norm_gaps
 from .funcspace import is_filling, reduce_architecture, region, region_of_rrmp
 from .optim import (
     QuadraticObjective,
     TrainConfig,
+    _fan_out,
     gd_train,
     run_distinct_experiment,
     run_pattern_experiment,
 )
 from .poly_core import Architecture, as_filter, end_to_end
 from .rootlab import (
+    RootFindingError,
     Rrmp,
     all_rrmps,
     classify_rrmp,
@@ -255,12 +257,7 @@ def _cmd_critpoints(args) -> int:
         arch = _arch(args)
         if arch.filter_size != len(u):
             raise ConfigError("architecture and target sizes disagree")
-        degree = len(u) - 1
-        lambdas = [
-            lam for lam in _partitions_of(degree)
-            if lam != (1,) * degree and any(
-                is_compatible(r, arch) for r in real_type_splits(lam))
-        ]
+        lambdas = _attainable_strata(arch)
     else:
         raise ConfigError("need either --lambda or --ks")
     strata = []
@@ -546,20 +543,13 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                     f"stratum {lam}: rational point {rat} not recovered")
         refs.extend((p.w, p.pattern) for p in rep.points)
 
-    if workers is None:
-        workers = min(multiprocessing.cpu_count(), 8)
     for arch_idx, ks in enumerate(_STUDY_ARCHS):
         arch = Architecture(ks)
         jobs = [(ks, seed, arch_idx, r) for r in range(runs)]
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_study_worker, jobs, chunksize=4)
-        else:
-            results = [_study_worker(j) for j in jobs]
         counts = {}
         n_converged = n_capped = 0
         worst = 0.0
-        for converged, diverged, w, loss in results:
+        for converged, diverged, w, loss in _fan_out(_study_worker, jobs, workers, chunksize=4):
             if diverged:
                 discrepancies.append(f"k={ks}: a run diverged")
                 continue
@@ -758,7 +748,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .optim import QuadraticObjective
 from .poly_core import Architecture, as_filter, poly_mul
-from .rootlab import INFINITY, ProjRoot, Rrmp, classify_rrmp, is_compatible
+from .rootlab import INFINITY, ProjRoot, Rrmp, _partitions, classify_rrmp, is_compatible
 
 __all__ = [
     "CritPoint",
@@ -472,33 +472,27 @@ def critical_points_for_target(
     n_starts: int = 200,
     seed: int = 0,
 ) -> list[StratumReport]:
-    """Search every non-trivial stratum whose patterns the architecture attains."""
+    """Search every non-trivial stratum whose patterns the architecture attains.
+
+    Raises ValueError when ``u`` does not have the architecture's filter size.
+    """
     u = as_filter(u)
+    if u.shape[0] != arch.filter_size:
+        raise ValueError(
+            f"target has size {u.shape[0]} but {arch.ks} composes to {arch.filter_size}")
     if objective is None:
         objective = QuadraticObjective.euclidean(u)
-    degree = u.shape[0] - 1
-    reports = []
-    for lam in _partitions_of(degree):
-        if len(lam) == degree:  # trivial stratum: dense filters, not a constraint
-            continue
-        if not any(is_compatible(split, arch) for split in real_type_splits(lam)):
-            continue
-        reports.append(crit_on_stratum(objective, lam, n_starts=n_starts, seed=seed))
-    return reports
+    return [crit_on_stratum(objective, lam, n_starts=n_starts, seed=seed)
+            for lam in _attainable_strata(arch)]
 
 
-def _partitions_of(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def gen(rest: int, cap: int, acc: tuple[int, ...]) -> None:
-        if rest == 0:
-            out.append(acc)
-            return
-        for part in range(min(rest, cap), 0, -1):
-            gen(rest - part, part, acc + (part,))
-
-    gen(n, n, ())
-    return out
+def _attainable_strata(arch: Architecture) -> list[tuple[int, ...]]:
+    """Multiplicity partitions of the filter degree, skipping the trivial
+    all-ones one, with a real type the architecture can realize."""
+    degree = arch.filter_size - 1
+    return [lam for lam in _partitions(degree)
+            if len(lam) < degree
+            and any(is_compatible(split, arch) for split in real_type_splits(lam))]
 
 
 def match_critical_point(
@@ -748,13 +742,7 @@ def ed_bound(arch: Architecture, *, metric: str = "generic") -> int:
     its ED degree.
     """
     degree = arch.filter_size - 1
-    total = 1
-    for lam in _partitions_of(degree):
-        if len(lam) == degree:
-            continue
-        if any(is_compatible(split, arch) for split in real_type_splits(lam)):
-            total += ed_degree(lam, degree, metric=metric)
-    return total
+    return 1 + sum(ed_degree(lam, degree, metric=metric) for lam in _attainable_strata(arch))
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,7 @@ import numpy as np
 
 from .dynamics import jacobian_mu, stack_theta, unstack_theta
 from .poly_core import Architecture, as_filter, compose_filters, end_to_end
-from .rootlab import (
-    ROOT_TOL,
-    Rrmp,
-    classify_roots,
-    classify_rrmp,
-    cluster_roots,
-    find_roots,
-)
+from .rootlab import ROOT_TOL, Rrmp, _root_structure, classify_rrmp, find_roots
 
 
 class SpaceRegion(enum.Enum):
@@ -117,39 +110,6 @@ def is_filling(arch: Architecture) -> bool:
 # --- explicit factorization (unit strides) -----------------------------------
 
 
-def _atoms_from_roots(roots, tol):
-    """Turn clustered roots into linear/quadratic factor atoms.
-
-    Returns (real_atoms, pair_atoms): real roots give (1, -r) — or (0, 1) at
-    infinity — and conjugate pairs give (1, -2 Re z, |z|^2).
-    """
-    real_atoms, complex_reps = [], []
-    for cluster in cluster_roots(roots, tol):
-        if cluster[0].infinite:
-            real_atoms += [np.array([0.0, 1.0])] * len(cluster)
-            continue
-        mean = np.mean([r.value for r in cluster])
-        if abs(mean.imag) <= tol * abs(mean):
-            real_atoms += [np.array([1.0, -mean.real])] * len(cluster)
-        else:
-            complex_reps.append((mean, len(cluster)))
-
-    pair_atoms = []
-    used = [False] * len(complex_reps)
-    for i, (z, m) in enumerate(complex_reps):
-        if used[i]:
-            continue
-        for j in range(i + 1, len(complex_reps)):
-            zj, mj = complex_reps[j]
-            if not used[j] and mj == m and abs(zj - z.conjugate()) <= max(tol, 1e-6) * max(1.0, abs(z)):
-                used[i] = used[j] = True
-                pair_atoms += [np.array([1.0, -2 * z.real, abs(z) ** 2])] * m
-                break
-        else:
-            raise ValueError("conjugate pairing failed; filter is not real?")
-    return real_atoms, pair_atoms
-
-
 def _pack_atoms(real_atoms, pair_atoms, caps):
     """Distribute size-1 and size-2 atoms to exactly fill the capacities.
 
@@ -200,15 +160,20 @@ def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0,
     if scale == 0:
         return [np.zeros(k) for k in red.ks]
 
-    roots = find_roots(w, seed=seed)
-    rrmp = classify_roots(roots, tol)
+    reals, pairs = _root_structure(find_roots(w, seed=seed), tol)
+    rrmp = Rrmp(tuple(m for _, m in reals), tuple(m for _, m in pairs))
     if not membership(rrmp, red):
         raise ValueError(
             f"pattern {rrmp} has {rrmp.n_real} real roots but {red.ks} needs "
             f"at least {red.n_even}"
         )
 
-    real_atoms, pair_atoms = _atoms_from_roots(roots, tol)
+    # real roots give linear atoms (1, -r), or (0, 1) at infinity; conjugate
+    # pairs give quadratic atoms (1, -2 Re z, |z|^2)
+    real_atoms = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
+                  for r, m in reals for _ in range(m)]
+    pair_atoms = [np.array([1.0, -2 * z.value.real, abs(z.value) ** 2])
+                  for z, m in pairs for _ in range(m)]
     bins = _pack_atoms(real_atoms, pair_atoms, red.bin_sizes)
     theta = []
     for atoms in bins:
@@ -233,20 +198,15 @@ def _polish_factors(theta, w, arch, max_iters: int = 60):
     """Gauss-Newton on the composition residual."""
     target = as_filter(w)
     scale = max(np.max(np.abs(target)), 1e-300)
-    best = [f.copy() for f in theta]
-    best_res = np.inf
     for _ in range(max_iters):
-        prod, _ = end_to_end(best, arch)
+        prod, _ = end_to_end(theta, arch)
         r = target - prod
-        res = np.max(np.abs(r))
-        if res < best_res:
-            best_res = res
-        if res <= 1e-14 * scale:
+        if np.max(np.abs(r)) <= 1e-14 * scale:
             break
-        J = jacobian_mu(best, arch)
+        J = jacobian_mu(theta, arch)
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        best = unstack_theta(stack_theta(best) + step, arch)
-    return best
+        theta = unstack_theta(stack_theta(theta) + step, arch)
+    return theta
 
 
 # --- the worked strided family: sizes (3, 2), first stride 2 -----------------

@@ -25,7 +25,7 @@ import numpy as np
 from .dynamics import jacobian_mu
 from .funcspace import SpaceRegion, region_of_rrmp
 from .poly_core import Architecture, as_filter, end_to_end, toeplitz_matrix
-from .rootlab import ROOT_TOL, Rrmp, classify_rrmp, classify_rrmp_pooled
+from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
 def unconstrained_opt(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -247,10 +247,12 @@ class TrainRun:
     loss_history: np.ndarray = None
 
 
-def _pooled_or_none(filters, tol):
+def _classified(classify, coeffs, tol):
+    """``classify(coeffs, tol=tol)``, or None for zero or non-finite filters
+    and roots the solver cannot certify."""
     try:
-        return classify_rrmp_pooled(filters, tol=tol)
-    except Exception:
+        return classify(coeffs, tol=tol)
+    except (ValueError, RootFindingError):
         return None
 
 
@@ -265,7 +267,7 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     final point (None where a zero filter makes them undefined).
     """
     theta = [as_filter(w).copy() for w in theta0]
-    init_rrmp = _pooled_or_none(theta, classify_tol)
+    init_rrmp = _classified(classify_rrmp_pooled, theta, classify_tol)
     history = [] if record_history else None
     loss = np.inf
     grad_sq = np.inf
@@ -287,7 +289,7 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
         theta = [w - config.step * g for w, g in zip(theta, grads)]
 
     w, _ = end_to_end(theta, arch)
-    run = TrainRun(
+    return TrainRun(
         theta=theta,
         w=w,
         loss=float(loss),
@@ -296,21 +298,25 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
         converged=converged,
         diverged=diverged,
         init_rrmp=init_rrmp,
-        target_rrmp=_rrmp_or_none(obj.target, classify_tol),
-        solution_rrmp=_pooled_or_none(theta, classify_tol),
+        target_rrmp=_classified(classify_rrmp, obj.target, classify_tol),
+        solution_rrmp=_classified(classify_rrmp_pooled, theta, classify_tol),
         loss_history=np.array(history) if record_history else None,
     )
-    return run
-
-
-def _rrmp_or_none(w, tol):
-    try:
-        return classify_rrmp(w, tol=tol)
-    except Exception:
-        return None
 
 
 # --- experiment drivers ------------------------------------------------------
+
+
+def _fan_out(fn, jobs, workers, chunksize):
+    """[fn(job) for job in jobs], spread over ``workers`` processes when that
+    is more than one (None: the CPU count, at most 8).  Results keep the job
+    order, so they do not depend on the worker count."""
+    if workers is None:
+        workers = min(multiprocessing.cpu_count(), 8)
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(fn, jobs, chunksize=chunksize)
 
 
 @dataclass
@@ -404,14 +410,7 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
         raise ValueError("need at least one dataset and one sample")
     table = PatternTable(arch)
     jobs = [(arch, seed, i, config, n_samples) for i in range(n_datasets)]
-    if workers is None:
-        workers = min(multiprocessing.cpu_count(), 8)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_pattern_worker, jobs, chunksize=16)
-    else:
-        results = [_pattern_worker(j) for j in jobs]
-    for res in results:
+    for res in _fan_out(_pattern_worker, jobs, workers, chunksize=16):
         if res is None:
             table.discard()
         else:
@@ -489,14 +488,7 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
     under the Euclidean and the derivative-weighted coefficient metrics."""
     table = DistinctTable(arch)
     jobs = [(arch, seed, i, n_inits, config) for i in range(n_targets)]
-    if workers is None:
-        workers = min(multiprocessing.cpu_count(), 8)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_distinct_worker, jobs, chunksize=4)
-    else:
-        results = [_distinct_worker(j) for j in jobs]
-    for counts in results:
+    for counts in _fan_out(_distinct_worker, jobs, workers, chunksize=4):
         for metric, n in counts.items():
             table.add(metric, n)
     return table

@@ -8,7 +8,9 @@ of complex-conjugate pairs — drives everything in the function-space and
 critical-point analysis, so this module owns:
 
 * a simultaneous-iteration root finder (Aberth-Ehrlich) with Newton polish,
-* tolerance-based clustering and pattern classification,
+* the root structure of a filter: tolerance-based clusters split into real
+  roots and conjugate pairs with their multiplicities, which both pattern
+  classification and explicit factorization read,
 * exact sign-chart classification via closed-form discriminants (degree <= 4),
 * the bins-with-colored-balls compatibility test between a pattern and an
   architecture.
@@ -124,11 +126,23 @@ def _aberth(core: np.ndarray, rng: np.random.Generator,
         if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
             break
 
-    for _ in range(polish_steps):
+    return _newton_polish(a, z, polish_steps)
+
+
+def _newton_polish(poly: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` plain Newton steps on every root estimate in ``z``."""
+    deriv = np.polyder(poly)
+    for _ in range(steps):
         dp = np.polyval(deriv, z)
         mask = np.abs(dp) > 0
-        z = np.where(mask, z - np.polyval(a, z) / np.where(mask, dp, 1.0), z)
+        z = np.where(mask, z - np.polyval(poly, z) / np.where(mask, dp, 1.0), z)
     return z
+
+
+def _require_finite(w: np.ndarray):
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"filter {w} has non-finite entries at positions {bad.tolist()}")
 
 
 def find_roots(coeffs, seed: int = 0) -> list:
@@ -137,9 +151,11 @@ def find_roots(coeffs, seed: int = 0) -> list:
     Leading zero coefficients become roots at infinity, trailing zeros roots
     at 0; the remaining core is solved numerically (seeded, deterministic).
     Residuals are certified against the largest coefficient; on failure the
-    companion-matrix fallback is tried before giving up.
+    companion-matrix fallback is tried before giving up.  Non-finite entries
+    raise ValueError before any solver runs.
     """
     w = as_filter(coeffs)
+    _require_finite(w)
     scale = np.max(np.abs(w))
     if scale == 0:
         raise ValueError("the zero filter has no root data")
@@ -162,12 +178,7 @@ def find_roots(coeffs, seed: int = 0) -> list:
         finite = [ProjRoot.finite(zi) for zi in z]
         if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
                for r in finite):
-            z = np.roots(core)
-            deriv = np.polyder(core)
-            for _ in range(5):
-                dp = np.polyval(deriv, z)
-                mask = np.abs(dp) > 0
-                z = np.where(mask, z - np.polyval(core, z) / np.where(mask, dp, 1.0), z)
+            z = _newton_polish(core, np.roots(core), 5)
             finite = [ProjRoot.finite(zi) for zi in z]
             bad = max(_homogeneous_residual(core, r) for r in finite)
             if bad > _RESIDUAL_BOUND * np.max(np.abs(core)):
@@ -264,23 +275,23 @@ class Rrmp:
         return self.label
 
 
-def classify_roots(roots, tol: float = ROOT_TOL) -> Rrmp:
-    """Pattern of a multiset of projective roots after clustering.
+def _root_structure(roots, tol: float = ROOT_TOL):
+    """Clustered roots as ``(reals, pairs)``, lists of (root, multiplicity).
 
     A cluster is real when its mean is (infinity counts as real); the
     remaining clusters are paired with their conjugates, which must match
-    exactly for a real polynomial.
+    exactly for a real polynomial, and each pair is represented by its first
+    cluster's mean.  Raises RootFindingError when a cluster has no mate.
     """
-    clusters = cluster_roots(roots, tol)
-    rho, complex_clusters = [], []
-    for c in clusters:
+    reals, complex_clusters = [], []
+    for c in cluster_roots(roots, tol):
         rep = _cluster_rep(c)
         if rep.is_real(tol):
-            rho.append(len(c))
+            reals.append((rep, len(c)))
         else:
             complex_clusters.append((rep, len(c)))
 
-    gamma = []
+    pairs = []
     used = [False] * len(complex_clusters)
     for i, (rep, size) in enumerate(complex_clusters):
         if used[i]:
@@ -298,8 +309,14 @@ def classify_roots(roots, tol: float = ROOT_TOL) -> Rrmp:
                 f"conjugate pairing failed near {rep.value}; is the input real?"
             )
         used[i] = used[mate] = True
-        gamma.append(size)
-    return Rrmp(tuple(rho), tuple(gamma))
+        pairs.append((rep, size))
+    return reals, pairs
+
+
+def classify_roots(roots, tol: float = ROOT_TOL) -> Rrmp:
+    """Pattern of a multiset of projective roots after clustering."""
+    reals, pairs = _root_structure(roots, tol)
+    return Rrmp(tuple(m for _, m in reals), tuple(m for _, m in pairs))
 
 
 def classify_rrmp(coeffs, tol: float = ROOT_TOL, seed: int = 0) -> Rrmp:
@@ -369,6 +386,24 @@ def _quartic_scales(p, q, r):
     return s_delta, s_dprime
 
 
+def _disc_and_scale(c: np.ndarray):
+    """(discriminant, largest of its monomials) of a degree-2..4 form; a
+    quartic is depressed first."""
+    deg = len(c) - 1
+    if deg == 2:
+        a, b, cc = c
+        return disc_quadratic(c), max(b * b, abs(4 * a * cc))
+    if deg == 3:
+        a, b, cc, d = c
+        scale = max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
+                    abs(27 * a * a * d * d), abs(18 * a * b * cc * d))
+        return disc_cubic(c), scale
+    if deg == 4:
+        _, _, p, q, r = depress_quartic(c)
+        return disc_quartic_depressed(p, q, r)[0], _quartic_scales(p, q, r)[0]
+    raise ValueError(f"discriminant charts cover degrees 2..4 only, got degree {deg}")
+
+
 def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
     """Pattern of a degree-2..4 form from discriminant sign charts alone.
 
@@ -376,13 +411,12 @@ def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
     treated as exact zeros; the leading coefficient must be nonzero.
     """
     c = as_filter(coeffs)
+    _require_finite(c)
     deg = len(c) - 1
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; dehomogenize first")
     if deg == 2:
-        a, b, cc = c
-        disc = disc_quadratic(c)
-        s = _sgn(disc, max(b * b, abs(4 * a * cc)), band)
+        s = _sgn(*_disc_and_scale(c), band)
         if s > 0:
             return Rrmp((1, 1), ())
         if s == 0:
@@ -390,10 +424,7 @@ def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
         return Rrmp((), (1,))
     if deg == 3:
         a, b, cc, d = c
-        disc = disc_cubic(c)
-        scale = max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
-                    abs(27 * a * a * d * d), abs(18 * a * b * cc * d))
-        s = _sgn(disc, scale, band)
+        s = _sgn(*_disc_and_scale(c), band)
         if s > 0:
             return Rrmp((1, 1, 1), ())
         if s < 0:
@@ -442,26 +473,8 @@ def _discriminant_margin(coeffs) -> float:
     Used to decide whether an input sits inside the numerical boundary band
     where chart-based and clustering-based classification may differ.
     """
-    c = as_filter(coeffs)
-    deg = len(c) - 1
-    if deg == 2:
-        a, b, cc = c
-        scale = max(b * b, abs(4 * a * cc))
-        value = disc_quadratic(c)
-    elif deg == 3:
-        a, b, cc, d = c
-        scale = max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
-                    abs(27 * a * a * d * d), abs(18 * a * b * cc * d))
-        value = disc_cubic(c)
-    elif deg == 4:
-        _, _, p, q, r = depress_quartic(c)
-        value, _ = disc_quartic_depressed(p, q, r)
-        scale, _ = _quartic_scales(p, q, r)
-    else:
-        raise ValueError(f"margin defined for degrees 2..4 only, got {deg}")
-    if scale == 0:
-        return 0.0
-    return abs(value) / scale
+    value, scale = _disc_and_scale(as_filter(coeffs))
+    return abs(value) / scale if scale else 0.0
 
 
 def discriminant(coeffs) -> float:
@@ -547,17 +560,14 @@ def all_rrmps(degree: int) -> list:
 
 
 def _partitions(n: int):
-    """All integer partitions of n as sorted-ascending tuples (n=0 gives ())."""
-    if n == 0:
-        yield ()
-        return
+    """Integer partitions of n as descending tuples, (n,) first, (1,) * n last."""
 
-    def gen(n, max_part):
-        if n == 0:
+    def gen(rest, cap):
+        if rest == 0:
             yield ()
             return
-        for first in range(min(n, max_part), 0, -1):
-            for rest in gen(n - first, first):
-                yield rest + (first,)
+        for first in range(min(rest, cap), 0, -1):
+            for tail in gen(rest - first, first):
+                yield (first,) + tail
 
     yield from gen(n, n)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from lcnlab.cli import landscape_grid, main
+from lcnlab.critlab import _attainable_strata
 from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
 from lcnlab.poly_core import Architecture, end_to_end
+from lcnlab.rootlab import RootFindingError
 
 
 def run_json(argv, tmp_path):
@@ -49,6 +51,24 @@ def test_classify_size_mismatch_exits_2(capsys):
     assert "size" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("w", ["nan,1,1", "inf,1,1"])
+def test_classify_non_finite_filter_exits_2(w, capsys):
+    assert main(["classify", "--ks", "2,2", "--w", w]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_root_finding_error_exits_2(monkeypatch, capsys):
+    import lcnlab.cli
+
+    def fail(*args, **kwargs):
+        raise RootFindingError("no certified roots")
+
+    monkeypatch.setattr(lcnlab.cli, "classify_rrmp", fail)
+    assert main(["classify", "--ks", "2,2", "--w", "1,0,2"]) == 2
+    assert "error: no certified roots" in capsys.readouterr().err
+
+
 def test_train_reaches_boundary_and_is_deterministic(tmp_path):
     argv = ["train", "--ks", "2,2", "--target", "1,0.5,2", "--seed", "3",
             "--max-steps", "200000", "--grad-tol", "1e-18"]
@@ -80,6 +100,13 @@ def test_critpoints_architecture_mode_filters_strata(tmp_path):
     # of the nontrivial partitions of 4 only (2,1,1) has a real form this
     # architecture can realize
     assert [s["lambda"] for s in rep["strata"]] == [[2, 1, 1]]
+
+
+def test_critpoints_architecture_mode_uses_attainable_strata(tmp_path):
+    rep = run_json(["critpoints", "--target", "1,0.5,-2,0.3", "--ks", "2,2,2",
+                    "--starts", "2"], tmp_path)
+    assert [tuple(s["lambda"]) for s in rep["strata"]] == _attainable_strata(
+        Architecture((2, 2, 2))) == [(3,), (2, 1)]
 
 
 def test_critpoints_bad_partition_exits_2(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from lcnlab.critlab import (
     _Chart,
+    _attainable_strata,
     caustic_value,
     cone_critical_points,
     cone_lambda_polynomial,
@@ -121,6 +122,30 @@ def test_critical_points_for_target_respects_architecture():
     # quadruple root would need four layers
     reports = critical_points_for_target(U_STAR, Architecture((3, 2, 2)), n_starts=60, seed=1)
     assert sorted(r.lam for r in reports) == [(2, 1, 1), (2, 2), (3, 1)]
+
+
+def test_attainable_strata_pinned():
+    assert _attainable_strata(Architecture((2, 2))) == [(2,)]
+    assert _attainable_strata(Architecture((3, 2))) == [(2, 1)]
+    assert _attainable_strata(Architecture((2, 2, 2))) == [(3,), (2, 1)]
+    assert _attainable_strata(Architecture((4, 2))) == [(2, 1, 1)]
+
+
+def test_critical_points_for_target_and_ed_bound_use_attainable_strata():
+    for ks, u in (((2, 2, 2), [1.0, 0.5, -2.0, 0.3]), ((4, 2), U_STAR)):
+        arch = Architecture(ks)
+        strata = _attainable_strata(arch)
+        reports = critical_points_for_target(np.array(u), arch, n_starts=2, seed=0)
+        assert [r.lam for r in reports] == strata
+        degree = arch.filter_size - 1
+        for metric in ("generic", "special"):
+            assert ed_bound(arch, metric=metric) == 1 + sum(
+                ed_degree(lam, degree, metric=metric) for lam in strata)
+
+
+def test_critical_points_for_target_rejects_size_mismatch():
+    with pytest.raises(ValueError, match="size"):
+        critical_points_for_target(U_STAR, Architecture((2, 2)))
 
 
 def test_match_critical_point():

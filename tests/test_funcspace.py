@@ -13,7 +13,7 @@ from lcnlab.funcspace import (
     stride2_membership,
 )
 from lcnlab.poly_core import Architecture, compose_filters, end_to_end
-from lcnlab.rootlab import Rrmp, all_rrmps, is_compatible
+from lcnlab.rootlab import Rrmp, all_rrmps, classify_rrmp, classify_rrmp_pooled, is_compatible
 
 
 REGION_TABLE = {
@@ -132,6 +132,23 @@ def test_factor_into_infinity_root():
     back = factor_into([0.0, 1.0, 2.0], arch)
     w2, _ = end_to_end(back, arch)
     assert np.allclose(w2, [0.0, 1.0, 2.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("small, large", [(1e-2, 3.0), (0.3, 1e2), (0.5, 2.0)])
+def test_factor_into_agrees_with_classify_on_conjugate_pairs(small, large):
+    # one conjugate pair inside and one outside the unit circle: the pairing
+    # tolerance is relative to the modulus on both sides of 1
+    pair = lambda r, phi: np.array([1.0, -2 * r * np.cos(phi), r * r])
+    quads = np.convolve(pair(small, 1.1), pair(large, 2.3))
+    cases = [(quads, (3, 3)), (np.convolve(quads, [1.0, -0.7]), (4, 3)),
+             (np.convolve(np.convolve(pair(small, 0.4), [1.0, 1.5]), [1.0, -0.2]),
+              (3, 2, 2))]
+    for w, ks in cases:
+        label = classify_rrmp(w).label
+        theta = factor_into(w, Architecture(ks))
+        assert classify_rrmp_pooled(theta).label == label
+        prod, _ = end_to_end(theta, Architecture(ks))
+        assert np.allclose(prod, w, rtol=0, atol=1e-10 * np.max(np.abs(w)))
 
 
 def test_factor_into_rejects_exterior():

@@ -192,6 +192,21 @@ def test_gd_train_respects_max_steps():
     assert not run.converged and run.steps == 3
 
 
+def test_gd_train_diverging_runs_return_a_run():
+    arch = Architecture((2, 2))
+    obj = QuadraticObjective.euclidean([1.0, 0.0, -1.0])
+    config = TrainConfig(step=1.0, max_steps=1000, diverge_loss=np.inf)
+    with np.errstate(all="ignore"):
+        run = gd_train(obj, arch, [np.array([2.0, 1.0]), np.array([3.0, -1.0])], config)
+        # a non-finite layer has no root pattern: both of its labels are None
+        bad = gd_train(obj, arch, [np.array([np.inf, 1.0]), np.array([3.0, -1.0])], config)
+    assert run.diverged and not run.converged
+    assert run.solution_rrmp.label == "11|0"
+    assert bad.diverged and bad.steps == 0
+    assert bad.init_rrmp is None and bad.solution_rrmp is None
+    assert bad.target_rrmp.label == "11|0"
+
+
 def test_count_distinct_filters_rule():
     w = np.array([1.0, 2.0, 3.0])
     assert count_distinct_filters([w, w + 1e-6, w + 1.0]) == 2

@@ -20,7 +20,10 @@ from lcnlab.rootlab import (
     is_compatible,
     rrmp_classify_by_signs,
     same_root,
+    _partitions,
 )
+from lcnlab.dynamics import mu_rank
+from lcnlab.funcspace import factor_into, region
 from lcnlab.poly_core import Architecture
 
 
@@ -304,3 +307,28 @@ def test_discriminant_handles_infinite_and_repeated_roots():
     assert discriminant(double) == pytest.approx(0.0, abs=1e-12)
     assert discriminant([3.0]) == 1.0
     assert discriminant([1.0, 2.0]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_filters_raise_value_error(bad):
+    w = np.array([1.0, bad, 2.0])
+    for classify in (find_roots, classify_rrmp, rrmp_classify_by_signs):
+        with pytest.raises(ValueError, match=r"non-finite entries at positions \[1\]"):
+            classify(w)
+    arch = Architecture((2, 2))
+    theta = [np.array([bad, 1.0]), np.array([1.0, 2.0])]
+    for call in (lambda: classify_rrmp_pooled(theta), lambda: mu_rank(theta, arch),
+                 lambda: region(w, arch), lambda: factor_into(w, arch)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_partitions_count_and_order():
+    # partition numbers p(0..8)
+    assert [len(list(_partitions(n))) for n in range(9)] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    assert list(_partitions(0)) == [()]
+    for n in range(1, 9):
+        parts = list(_partitions(n))
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
+        assert parts == sorted(parts, reverse=True)  # (n,) first, (1,)*n last
+        assert len(set(parts)) == len(parts)
