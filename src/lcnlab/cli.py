@@ -30,7 +30,7 @@ import numpy as np
 
 from .critlab import _attainable_strata, crit_on_stratum, ed_bound
 from .dynamics import balancedness_matrix, recover_scales, squared_norm_gaps
-from .funcspace import is_filling, reduce_architecture, region, region_of_rrmp
+from .funcspace import is_filling, reduce_architecture, region_of_rrmp
 from .optim import (
     QuadraticObjective,
     TrainConfig,
@@ -205,7 +205,7 @@ def _cmd_classify(args) -> int:
     try:
         out["filling"] = is_filling(arch)
         out["e"] = reduce_architecture(arch).n_even
-        out["region"] = region(w, arch, seed=args.seed).name.lower()
+        out["region"] = region_of_rrmp(rrmp, arch).name.lower()
     except ValueError:
         out["filling"] = None
         out["e"] = None

@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .optim import QuadraticObjective
-from .poly_core import Architecture, as_filter, poly_mul
-from .rootlab import INFINITY, ProjRoot, Rrmp, _partitions, classify_rrmp, is_compatible
+from .optim import QuadraticObjective, loss_and_gradient, network_loss
+from .poly_core import Architecture, as_filter, end_to_end, poly_mul
+from .rootlab import ProjRoot, Rrmp, _partitions, classify_rrmp, is_compatible
 
 __all__ = [
     "CritPoint",
@@ -168,25 +168,6 @@ class _Chart:
                 cols.append(sigma * m * poly_mul(comp, np.array([0.0, 0.0, 1.0])))
         return np.column_stack(cols)
 
-    def structural_roots(self, params: np.ndarray) -> list[tuple[ProjRoot, int]]:
-        """Roots with multiplicities read off the chart, no root finding."""
-        _, fs, mults = self.factors(params)
-        out: list[tuple[ProjRoot, int]] = []
-        for f, m in zip(fs, mults):
-            if f.shape[0] == 2:
-                cos_phi, sin_phi = f
-                if abs(cos_phi) <= 1e-9 * abs(sin_phi):
-                    out.append((INFINITY, m))
-                else:
-                    out.append((ProjRoot(complex(-sin_phi / cos_phi)), m))
-            else:
-                _, b, c = f
-                disc = b * b - 4.0 * c
-                root = complex(-b / 2.0, math.sqrt(max(-disc, 0.0)) / 2.0)
-                out.append((ProjRoot(root), m))
-                out.append((ProjRoot(root.conjugate()), m))
-        return out
-
     def is_interior(self, params: np.ndarray) -> bool:
         """True when the chart point sits on the open stratum it names.
 
@@ -286,31 +267,36 @@ def _chart_gradient(chart: _Chart, objective: QuadraticObjective, params: np.nda
     return chart.jacobian(params).T @ objective.grad(w)
 
 
+def _fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of ``fun`` at ``x``, column by column."""
+    n = x.shape[0]
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        xm = x.copy()
+        xm[j] -= h
+        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return jac
+
+
 def _newton_on_gradient(
     fun: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     *,
     scale: float,
     max_iters: int = 80,
-    fd_step: float = 1e-6,
 ) -> np.ndarray | None:
     """Solve fun(x) = 0 by damped Newton with a finite-difference Jacobian."""
     x = np.array(x0, dtype=float)
-    n = x.shape[0]
     for _ in range(max_iters):
         g = fun(x)
         if not np.all(np.isfinite(g)):
             return None
         if np.linalg.norm(g) <= _GRAD_TOL * scale:
             return x
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = fd_step * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+        jac = _fd_jacobian(fun, x)
         try:
             step = np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
@@ -327,12 +313,11 @@ def _newton_on_gradient(
     return None
 
 
-def _classify_hessian(
-    fun_value: Callable[[np.ndarray], float], x: np.ndarray, fd_step: float = 1e-5
-) -> str:
+def _classify_hessian(fun_value: Callable[[np.ndarray], float], x: np.ndarray) -> str:
+    """Inertia of the second-difference Hessian of ``fun_value`` at ``x``."""
     n = x.shape[0]
     hess = np.empty((n, n))
-    steps = [fd_step * (1.0 + abs(x[i])) for i in range(n)]
+    steps = [1e-5 * (1.0 + abs(x[i])) for i in range(n)]
     f0 = fun_value(x)
     for i in range(n):
         for j in range(i, n):
@@ -356,7 +341,13 @@ def _classify_hessian(
                 hess[i, j] = hess[j, i] = (
                     fun_value(xpp) - fun_value(xpm) - fun_value(xmp) + fun_value(xmm)
                 ) / (4.0 * steps[i] * steps[j])
-    eigs = np.linalg.eigvalsh(hess)
+    return _inertia(np.linalg.eigvalsh(hess))
+
+
+def _inertia(eigs: np.ndarray) -> str:
+    """MIN, MAX or SADDLE by the signs of Hessian eigenvalues, DEGENERATE when
+    one is within _EIG_BAND times the spectral radius of zero.  A NaN
+    eigenvalue gives SADDLE, never MIN."""
     band = _EIG_BAND * max(np.max(np.abs(eigs)), 1e-300)
     if np.any(np.abs(eigs) <= band):
         return "DEGENERATE"
@@ -378,7 +369,6 @@ def crit_on_stratum(
     *,
     n_starts: int = 200,
     seed: int = 0,
-    dedup_tol: float = 1e-7,
 ) -> StratumReport:
     """Find real critical points of ``objective`` restricted to one stratum.
 
@@ -423,7 +413,7 @@ def crit_on_stratum(
             if not chart.is_interior(params):
                 continue
             w = chart.point(params)
-            if not any(_same_filter(w, w_prev, dedup_tol) for w_prev, _ in kept):
+            if not any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _ in kept):
                 kept.append((w, params))
         for w, params in kept:
             points.append(
@@ -517,28 +507,6 @@ def match_critical_point(
 # ---------------------------------------------------------------------------
 
 _CONE_J = np.array([[0.0, 0.0, 1.0], [0.0, -0.5, 0.0], [1.0, 0.0, 0.0]])
-
-
-def _poly_det3(m: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a 3x3 matrix of polynomials (coefficient arrays)."""
-
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.convolve(a, b)
-
-    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        n = max(a.shape[0], b.shape[0])
-        out = np.zeros(n)
-        out[n - a.shape[0] :] += a
-        out[n - b.shape[0] :] += b
-        return out
-
-    def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return add(a, -b)
-
-    t0 = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    t1 = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
-    t2 = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    return add(sub(t0, t1), t2)
 
 
 def cone_lambda_polynomial(
@@ -791,31 +759,17 @@ def find_spurious_minimum(
     if arch.depth != 2 or not arch.is_stride_one:
         raise ValueError("the chart search supports two stride-one layers")
     k1, k2 = arch.ks
+    objective = QuadraticObjective.euclidean(u)
 
     def theta_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.concatenate(([1.0], x[: k1 - 1])), x[k1 - 1 :]
 
-    def value(x: np.ndarray) -> float:
-        w1, w2 = theta_of(x)
-        return float(np.sum((np.convolve(w1, w2) - u) ** 2))
-
     def grad(x: np.ndarray) -> np.ndarray:
-        w1, w2 = theta_of(x)
-        r = 2.0 * (np.convolve(w1, w2) - u)
-        g1 = np.correlate(r, w2, mode="valid")  # d/d w1, then drop the pinned entry
-        g2 = np.correlate(r, w1, mode="valid")
-        return np.concatenate((g1[1:], g2))
+        _, (g1, g2) = loss_and_gradient(theta_of(x), arch, objective)
+        return np.concatenate((g1[1:], g2))  # drop the pinned entry
 
     def hessian_eigs(x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        hess = np.empty((n, n))
-        for j in range(n):
-            h = 1e-6 * (1.0 + abs(x[j]))
-            xp = x.copy()
-            xp[j] += h
-            xm = x.copy()
-            xm[j] -= h
-            hess[:, j] = (grad(xp) - grad(xm)) / (2.0 * h)
+        hess = _fd_jacobian(grad, x)
         return np.linalg.eigvalsh(0.5 * (hess + hess.T))
 
     rng = np.random.default_rng(seed)
@@ -826,19 +780,19 @@ def find_spurious_minimum(
         x = _newton_on_gradient(grad, x0, scale=scale)
         if x is None:
             continue
-        loss = value(x)
+        theta = theta_of(x)
+        loss = network_loss(theta, arch, objective)
         if loss <= loss_floor:
             continue
         eigs = hessian_eigs(x)
-        if np.min(eigs) <= _EIG_BAND * float(np.max(np.abs(eigs))):
-            continue  # saddle or degenerate
-        w1, w2 = theta_of(x)
-        w = np.convolve(w1, w2)
+        if _inertia(eigs) != "MIN":
+            continue
+        w, _ = end_to_end(theta, arch)
         if any(_same_filter(w, c.w, 1e-6) for c in candidates):
             continue
         candidates.append(
             SpuriousMinimum(
-                theta=(w1, w2),
+                theta=theta,
                 chart=x,
                 w=w,
                 loss=loss,

@@ -143,14 +143,13 @@ def _pack_atoms(real_atoms, pair_atoms, caps):
     return bins
 
 
-def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0,
-                polish: bool = True) -> list:
+def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0) -> list:
     """Layer filters for a unit-stride architecture composing to ``w``.
 
     Raises ValueError when the filter is outside the architecture's function
-    space.  The factor layout comes from clustered roots; a Gauss-Newton
-    polish then drives the composition error down to solver precision
-    (without it, clustered double roots would leave ~sqrt(eps) residue).
+    space.  The factor layout comes from the roots clustered at ``tol``; a
+    Gauss-Newton polish on the composition residual then always follows,
+    because clustered double roots alone leave ~sqrt(eps) residue.
     """
     red = _require_unit_strides(arch)
     w = as_filter(w)
@@ -186,8 +185,7 @@ def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0,
     prod, _ = end_to_end(theta, red)
     c = float(np.dot(prod, w) / np.dot(prod, prod))
     theta[0] = theta[0] * c
-    if polish:
-        theta = _polish_factors(theta, w, red)
+    theta = _polish_factors(theta, w, red)
 
     # re-inflate to the original depth (dropped layers were scalars)
     full = list(theta) + [np.ones(1) for _ in range(arch.depth - red.depth)]

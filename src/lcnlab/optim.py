@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import jacobian_mu
-from .funcspace import SpaceRegion, region_of_rrmp
 from .poly_core import Architecture, as_filter, end_to_end, toeplitz_matrix
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
@@ -244,39 +243,36 @@ class TrainRun:
     solution_rrmp: Rrmp = None
     target_rrmp: Rrmp = None
     init_rrmp: Rrmp = None
-    loss_history: np.ndarray = None
 
 
-def _classified(classify, coeffs, tol):
-    """``classify(coeffs, tol=tol)``, or None for zero or non-finite filters
-    and roots the solver cannot certify."""
+def _classified(classify, coeffs):
+    """``classify(coeffs)``, or None for zero or non-finite filters and roots
+    the solver cannot certify."""
     try:
-        return classify(coeffs, tol=tol)
+        return classify(coeffs)
     except (ValueError, RootFindingError):
         return None
 
 
 def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
-             config: TrainConfig = TrainConfig(), classify_tol: float = ROOT_TOL,
-             record_history: bool = False) -> TrainRun:
+             config: TrainConfig = TrainConfig()) -> TrainRun:
     """Plain gradient descent on obj(end_to_end(theta)).
 
     Stops when the squared gradient norm drops below the tolerance; flags
     divergence when the loss explodes or turns non-finite.  The returned run
-    carries pooled root-pattern classifications of the initialization and the
-    final point (None where a zero filter makes them undefined).
+    carries the root pattern of the target and the pooled root patterns of
+    the initialization and the final layers, all at ``ROOT_TOL``; each is
+    None when its filter is zero or non-finite or its roots cannot be
+    certified.
     """
     theta = [as_filter(w).copy() for w in theta0]
-    init_rrmp = _classified(classify_rrmp_pooled, theta, classify_tol)
-    history = [] if record_history else None
+    init_rrmp = _classified(classify_rrmp_pooled, theta)
     loss = np.inf
     grad_sq = np.inf
     converged = diverged = False
     steps = 0
     for steps in range(config.max_steps + 1):
         loss, grads = loss_and_gradient(theta, arch, obj)
-        if record_history:
-            history.append(loss)
         if not np.isfinite(loss) or loss > config.diverge_loss:
             diverged = True
             break
@@ -298,9 +294,8 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
         converged=converged,
         diverged=diverged,
         init_rrmp=init_rrmp,
-        target_rrmp=_classified(classify_rrmp, obj.target, classify_tol),
-        solution_rrmp=_classified(classify_rrmp_pooled, theta, classify_tol),
-        loss_history=np.array(history) if record_history else None,
+        target_rrmp=_classified(classify_rrmp, obj.target),
+        solution_rrmp=_classified(classify_rrmp_pooled, theta),
     )
 
 
@@ -492,8 +487,3 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
         for metric, n in counts.items():
             table.add(metric, n)
     return table
-
-
-def region_of_target(u, arch: Architecture, tol: float = ROOT_TOL) -> SpaceRegion:
-    """Convenience: interior/boundary/exterior of a target filter."""
-    return region_of_rrmp(classify_rrmp(u, tol=tol), arch)

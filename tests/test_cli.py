@@ -46,6 +46,22 @@ def test_classify_exterior_quadratic(tmp_path):
                    "region": "exterior"}
 
 
+def test_classify_roots_the_filter_once(monkeypatch, tmp_path):
+    import lcnlab.rootlab
+
+    calls = []
+    find_roots = lcnlab.rootlab.find_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return find_roots(*args, **kwargs)
+
+    monkeypatch.setattr(lcnlab.rootlab, "find_roots", counting)
+    out = run_json(["classify", "--ks", "2,2", "--w", "1,-3,2"], tmp_path)
+    assert out == {"rrmp": "11|0", "filling": False, "e": 2, "region": "interior"}
+    assert len(calls) == 1
+
+
 def test_classify_size_mismatch_exits_2(capsys):
     assert main(["classify", "--ks", "2,2", "--w", "1,0,2,5"]) == 2
     assert "size" in capsys.readouterr().err

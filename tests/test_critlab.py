@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lcnlab.critlab import (
+    _EIG_BAND,
     _Chart,
     _attainable_strata,
+    _inertia,
     caustic_value,
     cone_critical_points,
     cone_lambda_polynomial,
@@ -265,3 +267,38 @@ def test_find_spurious_minimum_matches_exact_point():
 def test_find_spurious_minimum_rejects_mismatched_sizes():
     with pytest.raises(ValueError):
         find_spurious_minimum(np.ones(4), Architecture((2, 2)))
+
+
+def _old_strict_minimum(eigs):
+    """The rule find_spurious_minimum applied before it called _inertia."""
+    return not np.min(eigs) <= _EIG_BAND * float(np.max(np.abs(eigs)))
+
+
+@pytest.mark.parametrize("eigs", [
+    [0.0, 0.0, 0.0],  # all zero
+    [0.5 * _EIG_BAND, 1.0, 2.0],  # one eigenvalue inside the band
+    [_EIG_BAND, 1.0],  # on the band edge
+    [2.0 * _EIG_BAND, 1.0, 3.0],  # one just outside
+    [-1.0, 2.0, 3.0],  # mixed signs
+    [-1.0, -2.0],
+    [1.0, np.inf],
+    [-np.inf, 1.0],
+    [np.inf, np.inf],
+])
+def test_inertia_min_matches_the_old_strict_minimum_rule(eigs):
+    eigs = np.array(eigs)
+    assert (_inertia(eigs) == "MIN") == _old_strict_minimum(eigs)
+
+
+def test_inertia_min_matches_the_old_rule_on_random_spectra():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        eigs = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        assert (_inertia(eigs) == "MIN") == _old_strict_minimum(eigs)
+
+
+def test_inertia_rejects_a_nan_eigenvalue():
+    eigs = np.array([1.0, np.nan, 2.0])
+    assert _old_strict_minimum(eigs)  # the old rule let NaN through as a minimum
+    assert _inertia(eigs) != "MIN"
