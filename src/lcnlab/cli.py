@@ -65,11 +65,12 @@ def _parse_floats(text: str) -> np.ndarray:
     if os.path.isfile(text):
         with open(text) as fh:
             data = json.load(fh)
-        return np.asarray(data, dtype=float)
+        return _finite(np.asarray(data, dtype=float), text)
     try:
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        vec = np.array([float(p) for p in text.split(",") if p.strip() != ""])
     except ValueError as exc:
         raise ConfigError(f"cannot parse vector {text!r}: {exc}") from None
+    return _finite(vec, text)
 
 
 def _parse_theta(text: str) -> list:
@@ -77,8 +78,14 @@ def _parse_theta(text: str) -> list:
     if os.path.isfile(text):
         with open(text) as fh:
             data = json.load(fh)
-        return [np.asarray(layer, dtype=float) for layer in data]
+        return [_finite(np.asarray(layer, dtype=float), text) for layer in data]
     return [_parse_floats(part) for part in text.split(";") if part.strip()]
+
+
+def _finite(vec: np.ndarray, text: str) -> np.ndarray:
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"vector {text!r} has non-finite entries")
+    return vec
 
 
 def _parse_ints(text: str) -> tuple:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import Architecture, as_filter, end_to_end, poly_mul
+from .poly_core import Architecture, _complements, _product, as_filter, end_to_end, poly_mul
 from .rootlab import ProjRoot, Rrmp, _partitions, classify_rrmp, is_compatible
 
 __all__ = [
@@ -135,28 +135,17 @@ class _Chart:
 
     def point(self, params: np.ndarray) -> np.ndarray:
         sigma, fs, mults = self.factors(params)
-        w = np.array([sigma])
-        for f, m in zip(fs, mults):
-            for _ in range(m):
-                w = poly_mul(w, f)
-        return w
+        return _product([np.array([sigma])] + [f for f, m in zip(fs, mults) for _ in range(m)])
 
     def jacobian(self, params: np.ndarray) -> np.ndarray:
         """d(point)/d(params), computed factor by factor via complements."""
         sigma, fs, mults = self.factors(params)
-        prod = np.array([1.0])
-        for f, m in zip(fs, mults):
-            for _ in range(m):
-                prod = poly_mul(prod, f)
+        prod, comps = _complements([f for f, m in zip(fs, mults) for _ in range(m)])
         cols = [prod]  # d/d sigma
-        idx = 1
+        idx, first = 1, 0
         for slot, m in enumerate(mults):
-            # product with one copy of factor `slot` removed
-            comp = np.array([1.0])
-            for j, (f, mj) in enumerate(zip(fs, mults)):
-                reps = mj - 1 if j == slot else mj
-                for _ in range(reps):
-                    comp = poly_mul(comp, f)
+            comp = comps[first]  # product with the first copy of factor `slot` removed
+            first += m
             if slot < len(self.rho):
                 phi = params[idx]
                 idx += 1
@@ -441,17 +430,11 @@ def expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float)
     """
     if len(roots) != len(pattern.rho) + len(pattern.gamma):
         raise ValueError("need one root per real part and one per conjugate pair")
-    w = np.array([sigma])
-    for m, r in zip(pattern.rho, roots):
-        factor = np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
-        for _ in range(m):
-            w = poly_mul(w, factor)
-    for m, r in zip(pattern.gamma, roots[len(pattern.rho) :]):
-        z = r.value
-        factor = np.array([1.0, -2.0 * z.real, abs(z) ** 2])
-        for _ in range(m):
-            w = poly_mul(w, factor)
-    return w
+    factors = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
+               for m, r in zip(pattern.rho, roots) for _ in range(m)]
+    factors += [np.array([1.0, -2.0 * r.value.real, abs(r.value) ** 2])
+                for m, r in zip(pattern.gamma, roots[len(pattern.rho) :]) for _ in range(m)]
+    return _product([np.array([sigma])] + factors)
 
 
 def critical_points_for_target(

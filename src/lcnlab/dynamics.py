@@ -7,8 +7,9 @@ filter and factor directions, the exact layer scales the flow converges to;
 ``recover_scales`` solves that one-dimensional polynomial problem.
 
 The differential of the parameterization (filters -> composed filter) is
-assembled column-by-column; its Gram matrix is the tangent kernel and its
-rank drops exactly where factors share roots.
+read off the complements of the layers: column (l, j) is the product of
+every other layer, shifted by j times layer l's span.  Its Gram matrix is
+the tangent kernel and its rank drops exactly where factors share roots.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Architecture, as_filter, end_to_end
+from .poly_core import Architecture, _complements, _layers, as_filter
 from .rootlab import cluster_roots, find_roots
 
 
@@ -50,21 +51,17 @@ def unstack_theta(vec, arch: Architecture) -> list:
 def jacobian_mu(theta, arch: Architecture) -> np.ndarray:
     """Differential of the end-to-end map, shape (filter_size, n_params).
 
-    Column (l, j) is the composed filter with layer l replaced by the j-th
-    unit filter; for unit strides this gives the familiar banded blocks built
-    from the convolution of all other layers.
+    Column (l, j) is C_l, the product of every layer but l (each upsampled
+    by its span span_i = prod(strides[:i])), placed at row offset
+    j * span_l; for unit strides these are the familiar banded blocks.
     """
-    k = arch.filter_size
-    J = np.zeros((k, sum(arch.ks)))
+    fs, spans = _layers(theta, arch)
+    _, comps = _complements(fs)
+    J = np.zeros((arch.filter_size, sum(arch.ks)))
     col = 0
-    for l in range(arch.depth):
-        basis = np.zeros(arch.ks[l])
-        probe = [as_filter(w) for w in theta]
-        for j in range(arch.ks[l]):
-            basis[:] = 0.0
-            basis[j] = 1.0
-            probe[l] = basis
-            J[:, col], _ = end_to_end(probe, arch)
+    for c, span, k in zip(comps, spans, arch.ks):
+        for j in range(k):
+            J[j * span : j * span + len(c), col] = c
             col += 1
     return J
 
@@ -159,9 +156,7 @@ def recover_scales(q_filters, gaps) -> list:
     offsets = np.concatenate([[0.0], np.cumsum(gaps)])
     target = float(np.prod(q_norms_sq))
     # prod_i (b + offsets_i) - target as coefficients in b
-    poly = np.array([1.0])
-    for off in offsets:
-        poly = np.convolve(poly, [1.0, off])
+    poly = np.poly(-offsets)
     poly[-1] -= target
 
     solutions = []

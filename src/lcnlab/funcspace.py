@@ -20,7 +20,7 @@ import enum
 import numpy as np
 
 from .dynamics import jacobian_mu, stack_theta, unstack_theta
-from .poly_core import Architecture, as_filter, compose_filters, end_to_end
+from .poly_core import Architecture, _product, as_filter, compose_filters, end_to_end
 from .rootlab import ROOT_TOL, Rrmp, _root_structure, classify_rrmp, find_roots
 
 
@@ -174,12 +174,7 @@ def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0) -> 
     pair_atoms = [np.array([1.0, -2 * z.value.real, abs(z.value) ** 2])
                   for z, m in pairs for _ in range(m)]
     bins = _pack_atoms(real_atoms, pair_atoms, red.bin_sizes)
-    theta = []
-    for atoms in bins:
-        f = np.array([1.0])
-        for a in atoms:
-            f = np.convolve(f, a)
-        theta.append(f)
+    theta = [_product([np.ones(1)] + atoms) for atoms in bins]
 
     # match the overall scale in least squares, then polish multiplicatively
     prod, _ = end_to_end(theta, red)

@@ -4,9 +4,9 @@ gradient-descent experiment drivers.
 A square regression loss on the network's input/output matrices collapses to
 a quadratic form on the end-to-end filter: the data covariance folds along
 the filter's sliding placements (``tau``).  Training operates directly on
-the layer filters; gradients flow through the composition either via
-cross-correlation with the product of the other layers (unit strides, fast)
-or via the full differential (any strides).
+the layer filters; the gradient of a layer is the cross-correlation of the
+loss gradient with the product of the other (upsampled) layers, read at the
+layer's span, for any strides.
 
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import jacobian_mu
-from .poly_core import Architecture, as_filter, end_to_end, toeplitz_matrix
+from .poly_core import (Architecture, _complements, _layers, as_filter, end_to_end,
+                        toeplitz_matrix)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -150,35 +150,16 @@ def network_loss(theta, arch: Architecture, obj: QuadraticObjective) -> float:
 def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     """(loss, per-layer gradients) sharing a single composition pass.
 
-    With unit strides, the gradient of layer i is the cross-correlation of the
-    loss gradient with the composition of all other layers; general strides
-    fall back to the transposed differential.
+    With C_l the product of every layer but l (each upsampled by its span
+    span_i = prod(strides[:i])) and g the loss gradient at the end-to-end
+    filter, the gradient of layer l is ``correlate(g, C_l, "valid")`` read at
+    every span_l-th entry.  Raises ValueError when ``theta`` does not match
+    ``arch``.
     """
-    if arch.is_stride_one:
-        filters = [as_filter(f) for f in theta]
-        prefix = [np.array([1.0])]
-        for f in filters[:-1]:
-            prefix.append(np.convolve(prefix[-1], f))
-        suffix = [np.array([1.0])]
-        for f in reversed(filters[1:]):
-            suffix.append(np.convolve(suffix[-1], f))
-        suffix.reverse()
-        w = np.convolve(prefix[-1], filters[-1])
-        g = obj.grad(w)
-        grads = []
-        for i in range(arch.depth):
-            other = np.convolve(prefix[i], suffix[i])
-            grads.append(np.correlate(g, other, mode="valid"))
-        return obj.value(w), grads
-    w, _ = end_to_end(theta, arch)
+    fs, spans = _layers(theta, arch)
+    w, comps = _complements(fs)
     g = obj.grad(w)
-    J = jacobian_mu(theta, arch)
-    flat = J.T @ g
-    grads, pos = [], 0
-    for k in arch.ks:
-        grads.append(flat[pos : pos + k])
-        pos += k
-    return obj.value(w), grads
+    return obj.value(w), [np.correlate(g, c, "valid")[::s] for c, s in zip(comps, spans)]
 
 
 def network_gradient(theta, arch: Architecture, obj: QuadraticObjective) -> list:
@@ -229,6 +210,12 @@ class TrainConfig:
     max_steps: int = 15000
     grad_sq_tol: float = 1e-14
     diverge_loss: float = 1e12
+
+    def __post_init__(self):
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
 
 
 @dataclass

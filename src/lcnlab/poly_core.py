@@ -10,6 +10,10 @@ i.e. the stored coefficient at index j multiplies x^{k-1-j} y^j.  Composition
 of layers then becomes polynomial multiplication (with a power substitution
 when strides are involved), which is what makes the sparse matrix algebra
 tractable.
+
+Every composition in the package goes through ``_layers`` (check filters
+against an architecture, upsample layer i by span_i = prod(strides[:i])),
+``_product`` and ``_complements`` (each filter's product of all the others).
 """
 
 from __future__ import annotations
@@ -131,26 +135,53 @@ def compose_filters(outer, stride: int, inner) -> np.ndarray:
     return np.convolve(upsample(outer, stride), as_filter(inner))
 
 
+def _layers(theta, arch: Architecture):
+    """(filters, spans): layer i upsampled by span_i = prod(strides[:i]), a
+    span-one layer not copied.  Raises ValueError unless ``theta`` holds one
+    filter of size ``ks[i]`` per layer."""
+    if len(theta) != arch.depth:
+        raise ValueError(f"expected {arch.depth} filters, got {len(theta)}")
+    fs, spans, span = [], [], 1
+    for w, k, s in zip(theta, arch.ks, arch.strides):
+        w = as_filter(w)
+        if len(w) != k:
+            sizes = tuple(len(np.atleast_1d(v)) for v in theta)
+            raise ValueError(f"filter sizes {sizes} do not match {arch.ks}")
+        fs.append(w if span == 1 else upsample(w, span))
+        spans.append(span)
+        span *= s
+    return fs, spans
+
+
+def _product(fs):
+    """Product of a nonempty list of filters, multiplied left to right with
+    the accumulated operand first.  A single filter is returned as is."""
+    acc = fs[0]
+    for f in fs[1:]:
+        acc = np.convolve(acc, f)
+    return acc
+
+
+def _complements(fs):
+    """(product, complements): complement i is the product of every filter
+    but ``fs[i]``, built on the shared prefix products in ``_product``'s
+    order (the empty product is [1])."""
+    comps = [_product(fs[1:]) if len(fs) > 1 else np.ones(1)]
+    prefix = fs[0]
+    for i in range(1, len(fs)):
+        comps.append(_product([prefix] + fs[i + 1 :]))
+        prefix = np.convolve(prefix, fs[i])
+    return prefix, comps
+
+
 def end_to_end(theta, arch: Architecture):
     """End-to-end filter and stride of the full network.
 
     ``theta`` is the list of per-layer filters, first layer first.
     """
-    if len(theta) != arch.depth:
-        raise ValueError(f"expected {arch.depth} filters, got {len(theta)}")
-    for w, k in zip(theta, arch.ks):
-        if len(as_filter(w)) != k:
-            raise ValueError(f"filter sizes {_sizes(theta)} do not match {arch.ks}")
-    u = as_filter(theta[0]).copy()  # never alias caller memory
-    span = arch.strides[0]
-    for i in range(1, arch.depth):
-        u = compose_filters(theta[i], span, u)
-        span *= arch.strides[i]
-    return u, span
-
-
-def _sizes(theta):
-    return tuple(len(np.atleast_1d(w)) for w in theta)
+    fs, _ = _layers(theta, arch)
+    u = _product(fs)
+    return (u.copy() if arch.depth == 1 else u), arch.stride  # never alias caller memory
 
 
 def pi(w) -> np.ndarray:
@@ -178,12 +209,7 @@ def network_poly(theta, arch: Architecture) -> np.ndarray:
     Equals ``pi(end_to_end(theta, arch)[0])`` — the multiplicativity that the
     matrix algebra below realizes.
     """
-    p = pi(theta[0])
-    span = arch.strides[0]
-    for i in range(1, arch.depth):
-        p = poly_mul(pi_s(theta[i], span), p)
-        span *= arch.strides[i]
-    return p
+    return end_to_end(theta, arch)[0]
 
 
 def toeplitz_matrix(w, d_in: int, stride: int = 1) -> np.ndarray:

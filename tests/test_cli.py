@@ -74,6 +74,35 @@ def test_classify_non_finite_filter_exits_2(w, capsys):
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--ks", "2,2", "--target", "nan,1,1"],
+    ["critpoints", "--target", "nan,0,5,0,2", "--lambda", "2,2"],
+    ["landscape", "--ks", "2,2", "--target", "inf,1,1"],
+    ["invariants", "--theta", "nan,1;1,1"],
+], ids=lambda argv: argv[0])
+def test_non_finite_vector_exits_2_before_any_solver(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "non-finite" in err
+
+
+def test_non_finite_json_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("[NaN, 1, 1]")
+    theta = tmp_path / "theta.json"
+    theta.write_text("[[1, 2], [Infinity, 1]]")
+    assert main(["train", "--ks", "2,2", "--target", str(target)]) == 2
+    assert main(["invariants", "--theta", str(theta)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("non-finite") == 2
+
+
+@pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"], ["--max-steps", "-1"]])
+def test_train_rejects_bad_descent_settings(flags, capsys):
+    assert main(["train", "--ks", "2,2", "--target", "1,1,1"] + flags) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_root_finding_error_exits_2(monkeypatch, capsys):
     import lcnlab.cli
 

@@ -38,19 +38,21 @@ def test_real_type_splits():
 
 
 def test_chart_jacobian_matches_finite_differences():
-    chart = _Chart(rho=(2, 1), gamma=(1,))
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        params = chart.initial_params(rng, 2.0)
-        J = chart.jacobian(params)
-        h = 1e-7
-        for p in range(chart.n_params):
-            bumped = params.copy()
-            bumped[p] += h
-            up = chart.point(bumped)
-            bumped[p] -= 2 * h
-            dn = chart.point(bumped)
-            assert np.allclose(J[:, p], (up - dn) / (2 * h), atol=1e-5)
+    for chart in (_Chart(rho=(2, 1), gamma=(1,)), _Chart(rho=(), gamma=(1,)),
+                  _Chart(rho=(3, 1), gamma=()), _Chart(rho=(2, 2), gamma=()),
+                  _Chart(rho=(4,), gamma=())):
+        for _ in range(10):
+            params = chart.initial_params(rng, 2.0)
+            J = chart.jacobian(params)
+            h = 1e-7
+            for p in range(chart.n_params):
+                bumped = params.copy()
+                bumped[p] += h
+                up = chart.point(bumped)
+                bumped[p] -= 2 * h
+                dn = chart.point(bumped)
+                assert np.allclose(J[:, p], (up - dn) / (2 * h), atol=1e-5)
 
 
 def test_expand_stratum_point_rebuilds_rational_critical_point():

@@ -52,6 +52,31 @@ def test_jacobian_matches_finite_differences():
             assert np.allclose(J[:, p], fd, atol=1e-6)
 
 
+def probe_jacobian(theta, arch):
+    """The differential column by column: column (l, j) is the composed
+    filter with layer l replaced by the j-th unit filter."""
+    cols = []
+    for l, k in enumerate(arch.ks):
+        for j in range(k):
+            probe = [np.asarray(w, dtype=float) for w in theta]
+            probe[l] = np.eye(k)[j]
+            cols.append(end_to_end(probe, arch)[0])
+    return np.column_stack(cols)
+
+
+def test_jacobian_matches_column_probe():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        depth = int(rng.integers(1, 5))
+        ks = tuple(int(rng.integers(1, 5)) for _ in range(depth))
+        strides = tuple(int(rng.integers(1, 4)) for _ in range(depth))
+        arch = Architecture(ks, strides)
+        theta = arch.random_theta(rng)
+        J, ref = jacobian_mu(theta, arch), probe_jacobian(theta, arch)
+        assert J.shape == ref.shape
+        assert np.max(np.abs(J - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_jacobian_blocks_for_quadratic_times_linear():
     a, b, c, d, e = 2.0, 3.0, 5.0, 7.0, 11.0
     arch = Architecture((3, 2))

@@ -17,8 +17,8 @@ from lcnlab.optim import (
     tau,
     unconstrained_opt,
 )
-from lcnlab.poly_core import Architecture, end_to_end, toeplitz_matrix
-from lcnlab.dynamics import stack_theta, unstack_theta
+from lcnlab.poly_core import Architecture, end_to_end, network_poly, toeplitz_matrix
+from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
 
 def test_unconstrained_opt_is_least_squares():
@@ -118,6 +118,37 @@ def test_network_gradient_matches_finite_differences():
             assert abs(gflat[p] - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
+def test_strided_gradient_is_the_transposed_differential():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        depth = int(rng.integers(1, 5))
+        ks = tuple(int(rng.integers(1, 5)) for _ in range(depth))
+        strides = tuple(int(rng.integers(1, 4)) for _ in range(depth))
+        arch = Architecture(ks, strides)
+        obj = QuadraticObjective.bombieri(rng.standard_normal(arch.filter_size))
+        theta = arch.random_theta(rng)
+        loss, grads = loss_and_gradient(theta, arch, obj)
+        w, _ = end_to_end(theta, arch)
+        ref = jacobian_mu(theta, arch).T @ obj.grad(w)
+        assert loss == obj.value(w)
+        assert [len(g) for g in grads] == list(ks)
+        assert np.max(np.abs(stack_theta(grads) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("theta, ks", [
+    ([[1.0, 2.0, 3.0], [1.0]], (2, 2)),  # sizes (3, 1) compose to the right size
+    ([[1.0, 2.0], [1.0, 2.0], [3.0]], (2, 2)),  # one layer too many
+    ([[1.0, 2.0]], (2, 2)),  # one layer too few
+])
+def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks):
+    arch = Architecture(ks)
+    obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0])
+    for fn in (end_to_end, network_poly, jacobian_mu,
+               lambda theta, arch: loss_and_gradient(theta, arch, obj)):
+        with pytest.raises(ValueError):
+            fn(theta, arch)
+
+
 def test_gradient_via_matrices_agrees():
     rng = np.random.default_rng(6)
     for ks, strides in [((2, 2), None), ((3, 2), (2, 1)), ((2, 2, 2), None),
@@ -205,6 +236,14 @@ def test_gd_train_diverging_runs_return_a_run():
     assert bad.diverged and bad.steps == 0
     assert bad.init_rrmp is None and bad.solution_rrmp is None
     assert bad.target_rrmp.label == "11|0"
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 0.0}, {"step": -0.1}, {"step": np.nan}, {"step": np.inf}, {"max_steps": -1},
+])
+def test_train_config_rejects_bad_settings(kwargs):
+    with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
 
 
 def test_count_distinct_filters_rule():

@@ -82,6 +82,13 @@ def test_end_to_end_size_and_stride():
     assert stride == 2 == arch.stride
 
 
+def test_depth_one_end_to_end_does_not_alias_the_layer():
+    theta = [np.array([1.0, 2.0, 3.0])]
+    w, _ = end_to_end(theta, Architecture((3,)))
+    assert np.array_equal(w, theta[0])
+    assert not np.shares_memory(w, theta[0])
+
+
 def test_pi_is_identity_on_coefficients():
     w = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(pi(w), w)
