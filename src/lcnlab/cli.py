@@ -39,7 +39,7 @@ from .optim import (
     run_distinct_experiment,
     run_pattern_experiment,
 )
-from .poly_core import Architecture, as_filter, end_to_end
+from .poly_core import Architecture, _nearest, _same_filter, end_to_end
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -411,6 +411,8 @@ def landscape_grid(arch: Architecture, objective: QuadraticObjective,
         raise ValueError("landscape grids are defined for unit strides")
     if not 2 <= n <= 512:
         raise ValueError(f"grid size must be between 2 and 512, got {n}")
+    if not (math.isfinite(span) and span > 0):
+        raise ValueError(f"span must be finite and positive, got {span}")
     theta0, dir1, dir2 = plane
     for part in (theta0, dir1, dir2):
         if len(part) != arch.depth or any(
@@ -496,20 +498,6 @@ def _study_worker(job):
     return run.converged, run.diverged, run.w, run.loss
 
 
-def _match(w, refs, tol=1e-4):
-    """Index of the reference filter within tol of w (max-norm), or None."""
-    w = as_filter(w)
-    best, best_dist = None, np.inf
-    for i, (ref, _) in enumerate(refs):
-        dist = float(np.max(np.abs(w - ref)))
-        if dist < best_dist:
-            best, best_dist = i, dist
-    scale = 1.0 + float(np.max(np.abs(refs[best][0])))
-    if best_dist <= tol * scale:
-        return best, best_dist
-    return None, best_dist
-
-
 def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                    workers: int = None) -> dict:
     """Re-derive the critical-point catalogue of u = [2, 0, 5, 0, 2] and
@@ -544,8 +532,9 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                 f"stratum {lam}: found {rep.n_real} real critical points, "
                 f"expected {expected}")
         for rat in _STUDY_RATIONAL[lam]:
-            dists = [float(np.max(np.abs(p.w - np.array(rat)))) for p in rep.points]
-            if not dists or min(dists) > 1e-6:
+            point = np.array(rat)
+            idx, _ = _nearest(point, [p.w for p in rep.points])
+            if idx is None or not _same_filter(point, rep.points[idx].w, 1e-6):
                 discrepancies.append(
                     f"stratum {lam}: rational point {rat} not recovered")
         refs.extend((p.w, p.pattern) for p in rep.points)
@@ -564,8 +553,8 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                 n_capped += 1
                 continue
             n_converged += 1
-            idx, dist = _match(w, refs)
-            if idx is None:
+            idx, dist = _nearest(w, [ref for ref, _ in refs])
+            if not _same_filter(w, refs[idx][0], 1e-4):
                 discrepancies.append(
                     f"k={ks}: limit {np.round(w, 6).tolist()} matches no "
                     f"catalogued critical point (distance {dist:.3g})")
@@ -612,7 +601,7 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
         discrepancies.append(
             "descent from the fixed initialization did not select the "
             f"positive fiber scale (second layer {run.theta[1]!r})")
-    if run.converged and np.max(np.abs(run.w - [2, 0, 5, 0, 0])) > 1e-4:
+    if run.converged and not _same_filter(run.w, np.array([2.0, 0, 5, 0, 0]), 1e-4):
         discrepancies.append(
             f"descent from the fixed initialization reached {run.w!r}")
     return report

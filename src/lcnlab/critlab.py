@@ -26,8 +26,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import Architecture, _complements, _product, as_filter, end_to_end, poly_mul
-from .rootlab import ProjRoot, Rrmp, _partitions, classify_rrmp, is_compatible
+from .poly_core import (Architecture, _complements, _nearest, _product, _same_filter, as_filter,
+                        end_to_end, poly_mul)
+from .rootlab import (ProjRoot, Rrmp, _partitions, _root_factors, all_rrmps, classify_rrmp,
+                      is_compatible)
 
 __all__ = [
     "CritPoint",
@@ -71,26 +73,11 @@ def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
     example yields the patterns ``112|0`` (all roots real) and ``2|1`` (the
     two simple roots fused into a conjugate pair).
     """
-    parts = sorted(lam, reverse=True)
+    parts = tuple(sorted(lam, reverse=True))
     if any(p <= 0 for p in parts):
         raise ValueError("partition parts must be positive")
-    found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-
-    def recurse(remaining: tuple[int, ...], rho: tuple[int, ...], gamma: tuple[int, ...]) -> None:
-        if not remaining:
-            found.add((tuple(sorted(rho)), tuple(sorted(gamma))))
-            return
-        head, rest = remaining[0], remaining[1:]
-        recurse(rest, rho + (head,), gamma)
-        for i, other in enumerate(rest):
-            if other == head:
-                recurse(rest[:i] + rest[i + 1 :], rho, gamma + (head,))
-                break  # equal parts are interchangeable; one pairing suffices
-    recurse(tuple(parts), (), ())
-    return sorted(
-        (Rrmp(rho=r, gamma=g) for r, g in found),
-        key=lambda p: (len(p.gamma), p.label),
-    )
+    return sorted((p for p in all_rrmps(sum(parts)) if p.partition() == parts),
+                  key=lambda p: (len(p.gamma), p.label))
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +95,6 @@ class _Chart:
     @property
     def n_params(self) -> int:
         return 1 + len(self.rho) + 2 * len(self.gamma)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.rho) + 2 * sum(self.gamma)
-
-    def pattern(self) -> Rrmp:
-        return Rrmp(rho=tuple(sorted(self.rho)), gamma=tuple(sorted(self.gamma)))
 
     def factors(self, params: np.ndarray) -> tuple[float, list[np.ndarray], list[int]]:
         sigma = float(params[0])
@@ -347,11 +327,6 @@ def _inertia(eigs: np.ndarray) -> str:
     return "SADDLE"
 
 
-def _same_filter(w1: np.ndarray, w2: np.ndarray, tol: float) -> bool:
-    scale = max(float(np.max(np.abs(w1))), float(np.max(np.abs(w2))), 1.0)
-    return bool(np.all(np.abs(w1 - w2) <= tol * scale))
-
-
 def crit_on_stratum(
     objective: QuadraticObjective,
     lam: Sequence[int],
@@ -409,7 +384,7 @@ def crit_on_stratum(
                 CritPoint(
                     w=w,
                     lam=lam,
-                    pattern=chart.pattern(),
+                    pattern=split,
                     loss=float(objective.value(w)),
                     grad_norm=float(
                         np.linalg.norm(_chart_gradient(chart, objective, params))
@@ -430,11 +405,10 @@ def expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float)
     """
     if len(roots) != len(pattern.rho) + len(pattern.gamma):
         raise ValueError("need one root per real part and one per conjugate pair")
-    factors = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
-               for m, r in zip(pattern.rho, roots) for _ in range(m)]
-    factors += [np.array([1.0, -2.0 * r.value.real, abs(r.value) ** 2])
-                for m, r in zip(pattern.gamma, roots[len(pattern.rho) :]) for _ in range(m)]
-    return _product([np.array([sigma])] + factors)
+    n_real = len(pattern.rho)
+    linear, quadratic = _root_factors(list(zip(roots[:n_real], pattern.rho)),
+                                      list(zip(roots[n_real:], pattern.gamma)))
+    return _product([np.array([sigma])] + linear + quadratic)
 
 
 def critical_points_for_target(
@@ -471,18 +445,15 @@ def _attainable_strata(arch: Architecture) -> list[tuple[int, ...]]:
 def match_critical_point(
     w: np.ndarray, reports: Sequence[StratumReport], tol: float = 1e-4
 ) -> CritPoint | None:
-    """Identify a numerically obtained filter with a catalogued critical point."""
+    """The catalogued critical point nearest to ``w`` (max-norm, same size),
+    when the two are the same filter under ``poly_core._same_filter`` at
+    ``tol``; otherwise None."""
     w = as_filter(w)
-    best: tuple[float, CritPoint] | None = None
-    for report in reports:
-        for point in report.points:
-            if point.w.shape != w.shape:
-                continue
-            err = float(np.max(np.abs(point.w - w)))
-            if err <= tol * max(1.0, float(np.max(np.abs(point.w)))):
-                if best is None or err < best[0]:
-                    best = (err, point)
-    return None if best is None else best[1]
+    points = [p for report in reports for p in report.points]
+    idx, _ = _nearest(w, [p.w for p in points])
+    if idx is None or not _same_filter(w, points[idx].w, tol):
+        return None
+    return points[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import jacobian_mu, stack_theta, unstack_theta
 from .poly_core import Architecture, _product, as_filter, compose_filters, end_to_end
-from .rootlab import ROOT_TOL, Rrmp, _root_structure, classify_rrmp, find_roots
+from .rootlab import ROOT_TOL, Rrmp, _root_factors, _root_structure, classify_rrmp, find_roots
 
 
 class SpaceRegion(enum.Enum):
@@ -167,13 +167,7 @@ def factor_into(w, arch: Architecture, tol: float = ROOT_TOL, seed: int = 0) -> 
             f"at least {red.n_even}"
         )
 
-    # real roots give linear atoms (1, -r), or (0, 1) at infinity; conjugate
-    # pairs give quadratic atoms (1, -2 Re z, |z|^2)
-    real_atoms = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
-                  for r, m in reals for _ in range(m)]
-    pair_atoms = [np.array([1.0, -2 * z.value.real, abs(z.value) ** 2])
-                  for z, m in pairs for _ in range(m)]
-    bins = _pack_atoms(real_atoms, pair_atoms, red.bin_sizes)
+    bins = _pack_atoms(*_root_factors(reals, pairs), red.bin_sizes)
     theta = [_product([np.ones(1)] + atoms) for atoms in bins]
 
     # match the overall scale in least squares, then polish multiplicatively

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _layers, as_filter, end_to_end,
-                        toeplitz_matrix)
+from .poly_core import (Architecture, _complements, _layers, _same_filter, as_filter,
+                        end_to_end, toeplitz_matrix)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -216,6 +216,8 @@ class TrainConfig:
             raise ValueError(f"step must be finite and positive, got {self.step}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        if not self.grad_sq_tol >= 0:
+            raise ValueError(f"grad_sq_tol must be non-negative, got {self.grad_sq_tol}")
 
 
 @dataclass
@@ -322,12 +324,10 @@ class PatternTable:
     n_discarded: int = 0
     cells: dict = field(default_factory=dict)  # (target, init, solution) -> cell
     target_counts: dict = field(default_factory=dict)
-    init_counts: dict = field(default_factory=dict)
 
     def add(self, target: str, init: str, solution: str, loss: float):
         self.n_runs += 1
         self.target_counts[target] = self.target_counts.get(target, 0) + 1
-        self.init_counts[init] = self.init_counts.get(init, 0) + 1
         cell = self.cells.setdefault((target, init, solution), PatternCell())
         cell.count += 1
         cell.loss_sum += loss
@@ -405,19 +405,12 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
 
 
 def count_distinct_filters(filters, tol: float = ROOT_TOL) -> int:
-    """Number of distinct end-to-end filters under the entrywise rule.
-
-    Two filters are the same when every entry differs by at most tol times
-    the per-entry scale, where the scale is the largest magnitude of that
-    entry across the whole list (floored at one).
-    """
-    if not filters:
-        return 0
-    stack = np.array([as_filter(w) for w in filters])
-    scale = np.maximum(np.max(np.abs(stack), axis=0), 1.0)
+    """Number of distinct filters: each filter starts a new group unless it is
+    the same as the first filter of an earlier group under the shared rule
+    ``poly_core._same_filter`` at ``tol``."""
     reps = []
-    for w in stack:
-        if not any(np.all(np.abs(w - r) <= tol * scale) for r in reps):
+    for w in map(as_filter, filters):
+        if not any(_same_filter(w, r, tol) for r in reps):
             reps.append(w)
     return len(reps)
 
@@ -468,6 +461,8 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
                             workers: int = None) -> DistinctTable:
     """How many distinct minima gradient descent finds per random target,
     under the Euclidean and the derivative-weighted coefficient metrics."""
+    if n_targets < 1 or n_inits < 1:
+        raise ValueError("need at least one target and one initialization")
     table = DistinctTable(arch)
     jobs = [(arch, seed, i, n_inits, config) for i in range(n_targets)]
     for counts in _fan_out(_distinct_worker, jobs, workers, chunksize=4):

@@ -14,6 +14,9 @@ tractable.
 Every composition in the package goes through ``_layers`` (check filters
 against an architecture, upsample layer i by span_i = prod(strides[:i])),
 ``_product`` and ``_complements`` (each filter's product of all the others).
+Every test of whether two filters are the same goes through ``_same_filter``
+(max-norm distance within tol times the larger max-norm, floored at one), and
+every nearest-reference lookup through ``_nearest``.
 """
 
 from __future__ import annotations
@@ -174,6 +177,24 @@ def _complements(fs):
     return prefix, comps
 
 
+def _same_filter(a, b, tol: float) -> bool:
+    """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1)."""
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
+    return bool(np.all(np.abs(a - b) <= tol * scale))
+
+
+def _nearest(w, refs):
+    """(index, max-norm distance) of the first closest reference of the same
+    shape as ``w``, or (None, inf) when there is none."""
+    best, best_dist = None, np.inf
+    for i, ref in enumerate(refs):
+        if ref.shape == w.shape:
+            dist = float(np.max(np.abs(w - ref)))
+            if dist < best_dist:
+                best, best_dist = i, dist
+    return best, best_dist
+
+
 def end_to_end(theta, arch: Architecture):
     """End-to-end filter and stride of the full network.
 
@@ -274,16 +295,6 @@ def compose_tensor_filters(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         window = tuple(slice(i, i + n) for i, n in zip(idx, inner.shape))
         out[window] += outer[idx] * inner
     return out
-
-
-def pi_tensor(w: np.ndarray) -> np.ndarray:
-    """Multi-homogeneous coefficient array of a D-dimensional filter.
-
-    Index (i_1, ..., i_D) carries x_a^{k^a-1-i_a} y_a^{i_a} on each axis, the
-    same descending convention as the 1-D map, so this is a copy; products of
-    these arrays (tensor convolution) match composed filters.
-    """
-    return np.asarray(w, dtype=float).copy()
 
 
 def materialize_conv_tensor(w: np.ndarray, in_shape) -> np.ndarray:

@@ -313,6 +313,17 @@ def _root_structure(roots, tol: float = ROOT_TOL):
     return reals, pairs
 
 
+def _root_factors(reals, pairs):
+    """Factor lists ``(linear, quadratic)`` of a root structure, each factor
+    repeated by its multiplicity: a real root r gives (1, -r), infinity
+    (0, 1), and a conjugate pair z gives (1, -2 Re z, |z|^2)."""
+    linear = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
+              for r, m in reals for _ in range(m)]
+    quadratic = [np.array([1.0, -2.0 * z.value.real, abs(z.value) ** 2])
+                 for z, m in pairs for _ in range(m)]
+    return linear, quadratic
+
+
 def classify_roots(roots, tol: float = ROOT_TOL) -> Rrmp:
     """Pattern of a multiset of projective roots after clustering."""
     reals, pairs = _root_structure(roots, tol)

@@ -97,10 +97,17 @@ def test_non_finite_json_file_exits_2(tmp_path, capsys):
     assert out == "" and err.count("non-finite") == 2
 
 
-@pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"], ["--max-steps", "-1"]])
+@pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"], ["--max-steps", "-1"],
+                                   ["--grad-tol", "nan"], ["--grad-tol", "-1"]])
 def test_train_rejects_bad_descent_settings(flags, capsys):
     assert main(["train", "--ks", "2,2", "--target", "1,1,1"] + flags) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_distinct_rejects_zero_inits(capsys):
+    assert main(["experiment", "distinct", "--ks", "2,2", "--n", "1", "--inits", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "at least one" in err
 
 
 def test_root_finding_error_exits_2(monkeypatch, capsys):
@@ -245,7 +252,11 @@ def test_landscape_cli_rejects_bad_grids(tmp_path, capsys):
                  "--n", "600"]) == 2
     assert main(["landscape", "--ks", "2,2", "--strides", "1,2",
                  "--target", "1,0,2"]) == 2
-    capsys.readouterr()
+    for span in ("nan", "inf", "0", "-1"):
+        assert main(["landscape", "--ks", "2,2", "--target", "1,0,2",
+                     "--n", "3", "--range", span]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("span must be finite and positive") == 4
     out = tmp_path / "g.csv"
     assert main(["landscape", "--ks", "2,2", "--target", "1,0,2",
                  "--n", "4", "--seed", "2", "--out", str(out)]) == 0

@@ -1,8 +1,13 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from lcnlab.critlab import (
     _EIG_BAND,
+    CritPoint,
+    StratumReport,
     _Chart,
     _attainable_strata,
     _inertia,
@@ -19,9 +24,10 @@ from lcnlab.critlab import (
     match_critical_point,
     real_type_splits,
 )
-from lcnlab.optim import QuadraticObjective
-from lcnlab.poly_core import Architecture
-from lcnlab.rootlab import INFINITY, ProjRoot, Rrmp
+from lcnlab.funcspace import factor_into
+from lcnlab.optim import QuadraticObjective, count_distinct_filters
+from lcnlab.poly_core import Architecture, _nearest, _same_filter, end_to_end
+from lcnlab.rootlab import INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled
 
 # The palindromic quartic target used throughout: every stratum of its loss
 # has known critical points, several of them rational.
@@ -157,6 +163,22 @@ def test_match_critical_point():
     hit = match_critical_point(np.array([2.0, 1e-6, 5.0, -1e-6, 1e-6]), reports)
     assert hit is not None and np.allclose(hit.w, [2.0, 0.0, 5.0, 0.0, 0.0], atol=1e-9)
     assert match_critical_point(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), reports) is None
+
+
+@pytest.mark.parametrize("a", [np.array([3.0, -1.0, 2.0]), np.array([0.1, 0.2, -0.3])])
+@pytest.mark.parametrize("factor, same", [(0.9, True), (1.1, False)])
+def test_shared_filter_rule_at_the_boundary(a, factor, same):
+    tol = 1e-4
+    scale = max(float(np.max(np.abs(a))), 1.0)
+    b = a + np.array([0.0, factor * tol * scale, 0.0])  # moves a non-maximal entry
+    assert _same_filter(a, b, tol) is same
+    assert _same_filter(b, a, tol) is same
+    assert count_distinct_filters([a, b], tol) == (1 if same else 2)
+    point = CritPoint(w=a, lam=(1, 1), pattern=Rrmp((1, 1)), loss=0.0, grad_norm=0.0, kind="MIN")
+    hit = match_critical_point(b, [StratumReport(lam=(1, 1), points=(point,))], tol)
+    assert (hit is point) is same
+    idx, dist = _nearest(b, [np.zeros(4), a + 1.0, a])
+    assert idx == 2 and dist == pytest.approx(factor * tol * scale)
 
 
 def test_cone_lambda_polynomial_identity_gram():
@@ -304,3 +326,36 @@ def test_inertia_rejects_a_nan_eigenvalue():
     eigs = np.array([1.0, np.nan, 2.0])
     assert _old_strict_minimum(eigs)  # the old rule let NaN through as a minimum
     assert _inertia(eigs) != "MIN"
+
+
+def test_real_type_splits_are_the_all_rrmps_patterns_of_the_partition():
+    key = lambda p: (len(p.gamma), p.label)
+    for degree in range(1, 9):
+        for lam in _partitions(degree):
+            splits = real_type_splits(lam)
+            assert splits == sorted((p for p in all_rrmps(degree) if p.partition() == lam), key=key)
+            # independently: each part value v of count c gives j conjugate
+            # pairs of multiplicity v and c - 2j real roots, for j <= c // 2
+            counts = sorted(Counter(lam).items())
+            choices = [range(c // 2 + 1) for _, c in counts]
+            expected = {Rrmp(rho=sum(((v,) * (c - 2 * j) for (v, c), j in zip(counts, js)), ()),
+                             gamma=sum(((v,) * j for (v, _), j in zip(counts, js)), ()))
+                        for js in itertools.product(*choices)}
+            assert set(splits) == expected and len(splits) == len(expected)
+            assert real_type_splits(lam[::-1]) == splits
+
+
+@pytest.mark.parametrize("pattern, roots, ks", [
+    (Rrmp(rho=(1, 2), gamma=(1,)), [INFINITY, ProjRoot(complex(0.5)), ProjRoot(1.0 + 2.0j)],
+     (3, 2, 3)),
+    (Rrmp(rho=(1,), gamma=(1, 2)), [ProjRoot(complex(-2.0)), ProjRoot(0.3 + 0.4j),
+                                    ProjRoot(-1.0 + 1.5j)], (4, 3, 3)),
+], ids=["infinity", "conjugate-pairs"])
+def test_expand_stratum_point_round_trips_through_factor_into(pattern, roots, ks):
+    arch = Architecture(ks)
+    w = expand_stratum_point(pattern, roots, 1.5)
+    assert len(w) == arch.filter_size
+    theta = factor_into(w, arch)
+    prod, _ = end_to_end(theta, arch)
+    assert np.allclose(prod, w, rtol=0, atol=1e-10 * np.max(np.abs(w)))
+    assert classify_rrmp_pooled(theta) == pattern

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and the
-modules import each other along a fixed, acyclic layering.
+"""Every name a library module imports is used in that module, the modules
+import each other along a fixed, acyclic layering, and every module-level
+function or class is exported or used somewhere in src/, tests/ or bench/.
 
 No linter ships with the project, so this parses each module of the package
 with the standard ``ast`` module.  ``__init__`` is exempt from the unused
@@ -90,3 +91,61 @@ def test_import_graph_matches_the_layering_and_has_no_cycle():
     for module in graph:
         visit(module, [])
     assert graph == LAYERING
+
+
+# --- module-level definitions that nothing uses --------------------------------
+
+REPO = PACKAGE.parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (REPO / d).rglob("*.py"))
+
+
+def _references(tree, skip=()):
+    """Names a module reads, imports or reaches as attributes, outside the
+    line spans in ``skip``."""
+    out = set()
+    for node in ast.walk(tree):
+        if any(lo <= getattr(node, "lineno", 0) <= hi for lo, hi in skip):
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str],
+                             exported: set[str]) -> list[str]:
+    """``module.name`` for each module-level function or class of ``modules``
+    that is not in ``exported`` and that no source (``others`` and the
+    modules themselves) refers to outside the definition's own lines."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    whole = {name: _references(tree) for name, tree in trees.items()}
+    outside = [_references(ast.parse(source)) for source in others]
+    dead = []
+    for name, tree in trees.items():
+        used = set().union(*outside, *(refs for other, refs in whole.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if node.name not in exported | used | _references(tree, [(start, node.end_lineno)]):
+                dead.append(f"{name}.{node.name}")
+    return sorted(dead)
+
+
+def test_finds_an_unreferenced_definition():
+    modules = {"m": ("def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1)\n\n\n"
+                     "@staticmethod\ndef decorated():\n    pass\n\n\nclass Exported:\n    pass\n")}
+    others = ["from m import used\n\nused()\n"]
+    assert unreferenced_definitions(modules, others, {"Exported"}) == ["m.dead", "m.decorated"]
+
+
+def test_every_module_level_definition_is_used():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    modules = {p.stem: p.read_text() for p in MODULES}
+    others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
+    assert unreferenced_definitions(modules, others, exported) == []

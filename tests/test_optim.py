@@ -240,6 +240,7 @@ def test_gd_train_diverging_runs_return_a_run():
 
 @pytest.mark.parametrize("kwargs", [
     {"step": 0.0}, {"step": -0.1}, {"step": np.nan}, {"step": np.inf}, {"max_steps": -1},
+    {"grad_sq_tol": np.nan}, {"grad_sq_tol": -1e-14},
 ])
 def test_train_config_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError):
@@ -250,7 +251,7 @@ def test_count_distinct_filters_rule():
     w = np.array([1.0, 2.0, 3.0])
     assert count_distinct_filters([w, w + 1e-6, w + 1.0]) == 2
     assert count_distinct_filters([]) == 0
-    # per-entry scale comes from the largest entry across the list
+    # the scale is the larger max-norm of the two filters, floored at one
     big = np.array([1e6, 0.0, 0.0])
     assert count_distinct_filters([big, big + np.array([50.0, 0, 0])]) == 1
 
@@ -285,3 +286,9 @@ def test_distinct_experiment_smoke():
         assert sum(h.values()) == 6
         assert all(n >= 1 for n in h)
     assert table.mean("bombieri") <= table.mean("euclidean") + 1e-9
+
+
+@pytest.mark.parametrize("n_targets, n_inits", [(0, 5), (3, 0)])
+def test_distinct_experiment_rejects_empty_runs(n_targets, n_inits):
+    with pytest.raises(ValueError, match="at least one"):
+        run_distinct_experiment(Architecture((2, 2)), n_targets=n_targets, n_inits=n_inits)

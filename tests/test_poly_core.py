@@ -3,6 +3,7 @@ import pytest
 
 from lcnlab.poly_core import (
     Architecture,
+    _nearest,
     apply_conv_tensor,
     as_filter,
     circulant_matrix,
@@ -220,3 +221,9 @@ def test_as_filter_validates():
         as_filter(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         as_filter([])
+
+
+def test_nearest_skips_other_shapes_and_keeps_the_first_tie():
+    w = np.array([1.0, 2.0])
+    assert _nearest(w, [np.array([1.0]), np.array([1.0, 2.0, 3.0])]) == (None, np.inf)
+    assert _nearest(w, [w + 0.5, w - 0.5, np.zeros(3)]) == (0, 0.5)
