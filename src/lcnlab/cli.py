@@ -392,6 +392,9 @@ def _cmd_distinct(args) -> int:
             rows.append((metric, n_distinct, hist[n_distinct],
                          100.0 * hist[n_distinct] / total))
     _emit_csv(["metric", "n_distinct", "count", "share_pct"], rows, args.out)
+    print("no_converged_run: " + " ".join(
+        f"{metric}={table.histogram[metric].get(0, 0)}" for metric in sorted(table.histogram)),
+        file=sys.stderr)
     return 0
 
 
@@ -704,7 +707,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = esub.add_parser("distinct", parents=[common],
                         help="distinct minima per target, Euclidean vs "
-                             "derivative-weighted metric")
+                             "derivative-weighted metric (0: no run converged)")
     _add_arch_flags(q)
     q.add_argument("--n", type=int, default=100,
                    help="targets (default 100; 500 via --full)")

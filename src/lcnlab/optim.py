@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly_core import (Architecture, _complements, _layers, _same_filter, as_filter,
-                        end_to_end, toeplitz_matrix)
+                        end_to_end, toeplitz_matrix, upsample)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -156,10 +156,17 @@ def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     every span_l-th entry.  Raises ValueError when ``theta`` does not match
     ``arch``.
     """
-    fs, spans = _layers(theta, arch)
+    return _loss_and_grads(*_layers(theta, arch), obj)
+
+
+def _loss_and_grads(fs, spans, obj: QuadraticObjective):
+    """``loss_and_gradient`` on layers already checked and upsampled by
+    ``poly_core._layers``."""
     w, comps = _complements(fs)
     g = obj.grad(w)
-    return obj.value(w), [np.correlate(g, c, "valid")[::s] for c, s in zip(comps, spans)]
+    return obj.value(w), [np.correlate(g, c, "valid") if s == 1
+                          else np.correlate(g, c, "valid")[::s]
+                          for c, s in zip(comps, spans)]
 
 
 def network_gradient(theta, arch: Architecture, obj: QuadraticObjective) -> list:
@@ -243,6 +250,23 @@ def _classified(classify, coeffs):
         return None
 
 
+def _sq_norm(grads) -> float:
+    """Squared norm of a list of gradients, equal bit for bit to
+    ``float(sum(np.sum(g * g) for g in grads))``.  Below 8 entries numpy sums
+    left to right, so a Python loop gives the same bits faster; from 8 on it
+    sums pairwise, so longer layers keep numpy's reduction."""
+    total = 0.0
+    for g in grads:
+        if len(g) < 8:
+            s = 0.0
+            for x in g.tolist():
+                s += x * x
+            total += s
+        else:
+            total += float(np.sum(g * g))
+    return total
+
+
 def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
              config: TrainConfig = TrainConfig()) -> TrainRun:
     """Plain gradient descent on obj(end_to_end(theta)).
@@ -252,20 +276,24 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     carries the root pattern of the target and the pooled root patterns of
     the initialization and the final layers, all at ``ROOT_TOL``; each is
     None when its filter is zero or non-finite or its roots cannot be
-    certified.
+    certified.  Raises ValueError, before any step, when ``theta0`` does not
+    match ``arch``.
     """
     theta = [as_filter(w).copy() for w in theta0]
+    _, spans = _layers(theta, arch)
+    strided = any(s > 1 for s in spans)
     init_rrmp = _classified(classify_rrmp_pooled, theta)
     loss = np.inf
     grad_sq = np.inf
     converged = diverged = False
     steps = 0
     for steps in range(config.max_steps + 1):
-        loss, grads = loss_and_gradient(theta, arch, obj)
-        if not np.isfinite(loss) or loss > config.diverge_loss:
+        fs = [w if s == 1 else upsample(w, s) for w, s in zip(theta, spans)] if strided else theta
+        loss, grads = _loss_and_grads(fs, spans, obj)
+        if not math.isfinite(loss) or loss > config.diverge_loss:
             diverged = True
             break
-        grad_sq = float(sum(np.sum(g * g) for g in grads))
+        grad_sq = _sq_norm(grads)
         if grad_sq <= config.grad_sq_tol:
             converged = True
             break
@@ -435,7 +463,8 @@ def _distinct_worker(args):
 
 @dataclass
 class DistinctTable:
-    """Distribution of the number of distinct minima per metric."""
+    """Distribution of the number of distinct minima per metric.  A target
+    where no descent run converged is counted under 0."""
 
     arch: Architecture
     histogram: dict = field(default_factory=dict)  # metric -> {count: n_targets}
@@ -460,7 +489,11 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
                             config: TrainConfig = TrainConfig(),
                             workers: int = None) -> DistinctTable:
     """How many distinct minima gradient descent finds per random target,
-    under the Euclidean and the derivative-weighted coefficient metrics."""
+    under the Euclidean and the derivative-weighted coefficient metrics.
+
+    Only converged runs count, so 0 distinct minima means that no run for
+    that target converged within ``config.max_steps``.
+    """
     if n_targets < 1 or n_inits < 1:
         raise ValueError("need at least one target and one initialization")
     table = DistinctTable(arch)

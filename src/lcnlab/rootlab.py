@@ -174,17 +174,20 @@ def find_roots(coeffs, seed: int = 0) -> list:
     roots = [INFINITY] * n_inf + [ProjRoot.finite(0.0)] * n_zero
     if len(core) > 1:
         rng = np.random.default_rng(seed)
-        z = _aberth(core, rng)
-        finite = [ProjRoot.finite(zi) for zi in z]
-        if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
-               for r in finite):
-            z = _newton_polish(core, np.roots(core), 5)
+        # badly scaled cores overflow inside the iterations; the residual
+        # check below decides, so numpy's warnings would only be noise
+        with np.errstate(all="ignore"):
+            z = _aberth(core, rng)
             finite = [ProjRoot.finite(zi) for zi in z]
-            bad = max(_homogeneous_residual(core, r) for r in finite)
-            if bad > _RESIDUAL_BOUND * np.max(np.abs(core)):
-                raise RootFindingError(
-                    f"root residual {bad:.3e} exceeds bound for coefficients {w}"
-                )
+            if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
+                   for r in finite):
+                z = _newton_polish(core, np.roots(core), 5)
+                finite = [ProjRoot.finite(zi) for zi in z]
+                bad = max(_homogeneous_residual(core, r) for r in finite)
+                if bad > _RESIDUAL_BOUND * np.max(np.abs(core)):
+                    raise RootFindingError(
+                        f"root residual {bad:.3e} exceeds bound for coefficients {w}"
+                    )
         roots += finite
     return roots
 

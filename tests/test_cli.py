@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lcnlab
 from lcnlab.cli import landscape_grid, main
 from lcnlab.critlab import _attainable_strata
 from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
@@ -108,6 +112,28 @@ def test_distinct_rejects_zero_inits(capsys):
     assert main(["experiment", "distinct", "--ks", "2,2", "--n", "1", "--inits", "0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "at least one" in err
+
+
+def test_badly_scaled_filter_prints_only_the_error_line():
+    # in a fresh interpreter, so numpy's warnings reach stderr as a user sees them
+    src = os.path.dirname(os.path.dirname(lcnlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "lcnlab.cli", "classify", "--ks", "2,2",
+                           "--w", "1e-300,1,1"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_distinct_reports_targets_without_a_converged_run(capsys):
+    argv = ["experiment", "distinct", "--ks", "2,2", "--n", "3", "--inits", "2",
+            "--max-steps", "0", "--threads", "1"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["bombieri,0,3,100", "euclidean,0,3,100"]
+    assert err.splitlines() == ["no_converged_run: bombieri=3 euclidean=3"]
 
 
 def test_root_finding_error_exits_2(monkeypatch, capsys):

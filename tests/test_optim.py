@@ -4,6 +4,7 @@ import pytest
 from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
+    _sq_norm,
     bombieri_matrix,
     bombieri_weights,
     count_distinct_filters,
@@ -17,7 +18,8 @@ from lcnlab.optim import (
     tau,
     unconstrained_opt,
 )
-from lcnlab.poly_core import Architecture, end_to_end, network_poly, toeplitz_matrix
+from lcnlab.poly_core import Architecture, as_filter, end_to_end, network_poly, toeplitz_matrix
+from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
 from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
 
@@ -135,18 +137,33 @@ def test_strided_gradient_is_the_transposed_differential():
         assert np.max(np.abs(stack_theta(grads) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
+@pytest.fixture
+def grad_calls(monkeypatch):
+    calls = []
+    grad = QuadraticObjective.grad
+
+    def counting(self, w):
+        calls.append(1)
+        return grad(self, w)
+
+    monkeypatch.setattr(QuadraticObjective, "grad", counting)
+    return calls
+
+
 @pytest.mark.parametrize("theta, ks", [
     ([[1.0, 2.0, 3.0], [1.0]], (2, 2)),  # sizes (3, 1) compose to the right size
     ([[1.0, 2.0], [1.0, 2.0], [3.0]], (2, 2)),  # one layer too many
     ([[1.0, 2.0]], (2, 2)),  # one layer too few
 ])
-def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks):
+def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks, grad_calls):
     arch = Architecture(ks)
     obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0])
     for fn in (end_to_end, network_poly, jacobian_mu,
-               lambda theta, arch: loss_and_gradient(theta, arch, obj)):
+               lambda theta, arch: loss_and_gradient(theta, arch, obj),
+               lambda theta, arch: gd_train(obj, arch, theta)):
         with pytest.raises(ValueError):
             fn(theta, arch)
+    assert grad_calls == []  # gd_train checks theta0 before its first step
 
 
 def test_gradient_via_matrices_agrees():
@@ -238,6 +255,91 @@ def test_gd_train_diverging_runs_return_a_run():
     assert bad.target_rrmp.label == "11|0"
 
 
+def _label(classify, coeffs):
+    try:
+        return classify(coeffs).label
+    except (ValueError, RootFindingError):
+        return None
+
+
+def _reference_descent(obj, arch, theta0, config):
+    """The descent loop as it was before ``gd_train`` shared its core with
+    ``loss_and_gradient``: the checked public call every step and numpy's
+    squared norm.  Returns the fields of a run, floats as hex."""
+    theta = [as_filter(w).copy() for w in theta0]
+    init = _label(classify_rrmp_pooled, theta)
+    loss = grad_sq = np.inf
+    converged = diverged = False
+    steps = 0
+    for steps in range(config.max_steps + 1):
+        loss, grads = loss_and_gradient(theta, arch, obj)
+        if not np.isfinite(loss) or loss > config.diverge_loss:
+            diverged = True
+            break
+        grad_sq = float(sum(np.sum(g * g) for g in grads))
+        if grad_sq <= config.grad_sq_tol:
+            converged = True
+            break
+        if steps == config.max_steps:
+            break
+        theta = [w - config.step * g for w, g in zip(theta, grads)]
+    w, _ = end_to_end(theta, arch)
+    return ([t.tobytes() for t in theta], w.tobytes(), float(loss).hex(), grad_sq.hex(),
+            steps, converged, diverged, _label(classify_rrmp, obj.target), init,
+            _label(classify_rrmp_pooled, theta))
+
+
+def _run_fields(run):
+    labels = [r.label if r is not None else None
+              for r in (run.target_rrmp, run.init_rrmp, run.solution_rrmp)]
+    return ([t.tobytes() for t in run.theta], run.w.tobytes(), run.loss.hex(),
+            run.grad_sq.hex(), run.steps, run.converged, run.diverged, *labels)
+
+
+@pytest.mark.parametrize("ks, strides", [
+    ((2, 2), None), ((2, 2, 2), None), ((2, 3), None), ((3,), None), ((2, 2, 2, 2), None),
+    ((3, 2), (2, 1)), ((8, 2), None),
+])
+def test_gd_train_matches_the_reference_loop_byte_for_byte(ks, strides):
+    arch = Architecture(ks, strides)
+    rng = np.random.default_rng(12)
+    configs = {
+        "converged": TrainConfig(step=0.05, max_steps=20000, grad_sq_tol=1e-10),
+        "capped": TrainConfig(step=0.02, max_steps=50, grad_sq_tol=1e-12),
+        "diverged": TrainConfig(step=1.5, max_steps=1000),
+    }
+    for outcome, config in configs.items():
+        for metric in (QuadraticObjective.euclidean, QuadraticObjective.bombieri):
+            obj = metric(rng.standard_normal(arch.filter_size))
+            theta0 = [0.5 * w for w in arch.random_theta(rng)]
+            with np.errstate(all="ignore"):
+                run = gd_train(obj, arch, theta0, config)
+                ref = _reference_descent(obj, arch, theta0, config)
+            assert (run.converged, run.diverged) == (outcome == "converged", outcome == "diverged")
+            assert _run_fields(run) == ref
+
+
+def test_squared_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for n in range(1, 21):
+        for _ in range(200):
+            grads = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+                     for _ in range(int(rng.integers(1, 4)))]
+            assert _sq_norm(grads[:1]).hex() == float(np.sum(grads[0] * grads[0])).hex()
+            assert _sq_norm(grads).hex() == float(sum(np.sum(g * g) for g in grads)).hex()
+
+
+@pytest.mark.parametrize("max_steps", [20000, 40])
+def test_gd_train_evaluates_one_gradient_per_step(max_steps, grad_calls):
+    arch = Architecture((2, 2, 2))
+    rng = np.random.default_rng(14)
+    obj = QuadraticObjective.euclidean(rng.standard_normal(arch.filter_size))
+    run = gd_train(obj, arch, arch.random_theta(rng),
+                   TrainConfig(step=0.02, max_steps=max_steps, grad_sq_tol=1e-12))
+    assert not run.diverged and run.converged == (max_steps > 40)
+    assert len(grad_calls) == run.steps + 1
+
+
 @pytest.mark.parametrize("kwargs", [
     {"step": 0.0}, {"step": -0.1}, {"step": np.nan}, {"step": np.inf}, {"max_steps": -1},
     {"grad_sq_tol": np.nan}, {"grad_sq_tol": -1e-14},
@@ -286,6 +388,12 @@ def test_distinct_experiment_smoke():
         assert sum(h.values()) == 6
         assert all(n >= 1 for n in h)
     assert table.mean("bombieri") <= table.mean("euclidean") + 1e-9
+
+
+def test_distinct_experiment_counts_a_target_without_converged_runs_under_zero():
+    table = run_distinct_experiment(Architecture((2, 2)), n_targets=3, n_inits=2, seed=11,
+                                    config=TrainConfig(max_steps=0), workers=1)
+    assert table.histogram == {"euclidean": {0: 3}, "bombieri": {0: 3}}
 
 
 @pytest.mark.parametrize("n_targets, n_inits", [(0, 5), (3, 0)])
