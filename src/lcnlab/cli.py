@@ -77,9 +77,12 @@ def _parse_theta(text: str) -> list:
     """Per-layer filters: 'a,b,c;d,e' inline or a JSON file of lists."""
     if os.path.isfile(text):
         with open(text) as fh:
-            data = json.load(fh)
-        return [_finite(np.asarray(layer, dtype=float), text) for layer in data]
-    return [_parse_floats(part) for part in text.split(";") if part.strip()]
+            theta = [_finite(np.asarray(layer, dtype=float), text) for layer in json.load(fh)]
+    else:
+        theta = [_parse_floats(part) for part in text.split(";") if part.strip()]
+    if not theta:
+        raise ConfigError(f"no layer filters in {text!r}")
+    return theta
 
 
 def _finite(vec: np.ndarray, text: str) -> np.ndarray:
@@ -507,8 +510,11 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
     check gradient descent for four depth-2..4 architectures against it.
 
     Returns a JSON-ready report; any entry in ``report["discrepancies"]``
-    means a check failed (the CLI exits 3 in that case).
+    means a check failed (the CLI exits 3 in that case).  Raises ValueError
+    for fewer than one run.
     """
+    if runs < 1:
+        raise ValueError(f"need at least one descent run, got {runs}")
     u = _STUDY_TARGET.copy()
     obj = QuadraticObjective.euclidean(u)
     discrepancies = []

@@ -195,22 +195,14 @@ class CritPoint:
     grad_norm: float
     kind: str  # "MIN" | "MAX" | "SADDLE" | "DEGENERATE"
 
-    def is_rational(self, denominator_bound: int = 64, tol: float = 1e-9) -> bool:
-        """Heuristic check that every coordinate is a small-denominator rational."""
-        for x in self.w:
-            num_den = _as_small_rational(float(x), denominator_bound, tol)
-            if num_den is None:
+    def is_rational(self) -> bool:
+        """Heuristic check that every coordinate is within relative 1e-9 of a
+        rational with denominator at most 64."""
+        from fractions import Fraction  # imports decimal; only reports need it
+        for x in map(float, self.w):
+            if abs(float(Fraction(x).limit_denominator(64)) - x) > 1e-9 * max(1.0, abs(x)):
                 return False
         return True
-
-
-def _as_small_rational(x: float, max_den: int, tol: float) -> tuple[int, int] | None:
-    from fractions import Fraction
-
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) <= tol * max(1.0, abs(x)):
-        return frac.numerator, frac.denominator
-    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,11 +247,11 @@ def _newton_on_gradient(
     x0: np.ndarray,
     *,
     scale: float,
-    max_iters: int = 80,
 ) -> np.ndarray | None:
-    """Solve fun(x) = 0 by damped Newton with a finite-difference Jacobian."""
+    """Solve fun(x) = 0 by at most 80 damped Newton steps with a
+    finite-difference Jacobian."""
     x = np.array(x0, dtype=float)
-    for _ in range(max_iters):
+    for _ in range(80):
         g = fun(x)
         if not np.all(np.isfinite(g)):
             return None
@@ -340,12 +332,15 @@ def crit_on_stratum(
     of the partition, keeps converged points that genuinely lie on the open
     stratum, and deduplicates by coefficient vectors.  The Hessian of the
     chart function types each survivor (its inertia is chart independent at
-    a critical point).
+    a critical point).  Raises ValueError when ``lam`` does not sum to the
+    filter degree or ``n_starts`` is below one.
     """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     k = objective.matrix.shape[0]
     if sum(lam) != k - 1:
         raise ValueError(f"partition {lam} does not sum to the polynomial degree {k - 1}")
+    if n_starts < 1:
+        raise ValueError(f"need at least one start, got {n_starts}")
     rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
     mu_vec = objective.matrix @ objective.target
@@ -522,7 +517,7 @@ def _classify_cone_point(objective: QuadraticObjective, w: np.ndarray) -> str:
 
 
 def cone_critical_points(
-    u: np.ndarray, sigma: np.ndarray | None = None, *, root_tol: float = 1e-9
+    u: np.ndarray, sigma: np.ndarray | None = None
 ) -> list[CritPoint]:
     """All critical points of the loss on the quadratic cone, solved exactly.
 
@@ -560,7 +555,7 @@ def cone_critical_points(
         )
 
     for lam_root in np.roots(quartic):
-        if abs(lam_root.imag) > root_tol * (1.0 + abs(lam_root)):
+        if abs(lam_root.imag) > 1e-9 * (1.0 + abs(lam_root)):
             continue
         m = sigma - float(lam_root.real) * _CONE_J  # symmetric
         eigvals, eigvecs = np.linalg.eigh(m)
@@ -694,15 +689,14 @@ def find_spurious_minimum(
     *,
     n_starts: int = 400,
     seed: int = 0,
-    loss_floor: float = 1e-8,
 ) -> SpuriousMinimum:
     """Search filter space for a strict local minimum with non-zero loss.
 
     Works in the chart that pins the leading coordinate of the first filter
     to one (removing the rescaling symmetry of the parameterization), finds
     critical points of the end-to-end loss by multi-start Newton, and
-    returns the lowest strict local minimum whose loss exceeds
-    ``loss_floor``.  Raises ``ValueError`` when no such point is found --
+    returns the lowest strict local minimum whose loss exceeds 1e-8.
+    Raises ``ValueError`` when no such point is found --
     for many targets none exists.
     """
     u = as_filter(u)
@@ -736,7 +730,7 @@ def find_spurious_minimum(
             continue
         theta = theta_of(x)
         loss = network_loss(theta, arch, objective)
-        if loss <= loss_floor:
+        if loss <= 1e-8:
             continue
         eigs = hessian_eigs(x)
         if _inertia(eigs) != "MIN":

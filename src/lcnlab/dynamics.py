@@ -72,7 +72,7 @@ def ntk(theta, arch: Architecture) -> np.ndarray:
     return J @ J.T
 
 
-def mu_rank(theta, arch: Architecture, tol: float = 1e-4, seed: int = 0) -> int:
+def mu_rank(theta, arch: Architecture) -> int:
     """Rank of the differential from the root structure of the layers.
 
     Every projective root shared between layers costs rank: a root of total
@@ -85,9 +85,9 @@ def mu_rank(theta, arch: Architecture, tol: float = 1e-4, seed: int = 0) -> int:
         w = as_filter(w)
         if len(w) == 1:
             continue
-        for r in find_roots(w, seed=seed):
+        for r in find_roots(w):
             tagged.append((i, r))
-    clusters = cluster_roots([r for _, r in tagged], tol)
+    clusters = cluster_roots([r for _, r in tagged])
     # re-associate layer tags by identity of the ProjRoot objects
     drop = 0
     for cluster in clusters:

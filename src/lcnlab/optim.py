@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _layers, _same_filter, as_filter,
-                        end_to_end, toeplitz_matrix, upsample)
+from .poly_core import (Architecture, _complements, _layers, _placements, _same_filter,
+                        as_filter, end_to_end, network_matrices, upsample)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -48,14 +48,7 @@ def tau(M: np.ndarray, k: int, n_out: int, stride: int = 1,
     if M.shape != (d0, d0):
         raise ValueError("need a square matrix")
     out = np.zeros((k, k))
-    for m in range(n_out):
-        idx = (np.arange(k) + stride * m)
-        if circulant:
-            idx = idx % d0
-        elif idx[-1] >= d0:
-            raise ValueError(
-                f"placement {m} overruns dimension {d0} (k={k}, stride={stride})"
-            )
+    for idx in _placements(k, stride, d0, n_out, circulant):
         out += M[np.ix_(idx, idx)]
     return out
 
@@ -115,16 +108,9 @@ class QuadraticObjective:
         sliding-window matrices W, including the constant term."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        d0 = X.shape[0]
         k, s = arch.filter_size, arch.stride
-        if circulant:
-            if d0 % s:
-                raise ValueError("cyclic mode needs stride-divisible input size")
-            n_out = d0 // s
-        else:
-            n_out = (d0 - k) // s + 1
-            if (d0 - k) % s:
-                raise ValueError(f"input size {d0} incompatible with k={k}, s={s}")
+        placements = _placements(k, s, X.shape[0], cyclic=circulant)
+        n_out = len(placements)
         if Y.shape != (n_out, X.shape[1]):
             raise ValueError(f"output data must be {n_out} x {X.shape[1]}")
 
@@ -132,10 +118,7 @@ class QuadraticObjective:
         M = tau(Sigma, k, n_out, s, circulant)
         XY = X @ Y.T  # (d0, n_out)
         v = np.zeros(k)
-        for m in range(n_out):
-            idx = np.arange(k) + s * m
-            if circulant:
-                idx = idx % d0
+        for m, idx in enumerate(placements):
             v += XY[idx, m]
         u = np.linalg.solve(M, v)
         const = float(np.sum(Y * Y) - u @ M @ u)
@@ -183,27 +166,22 @@ def gradient_via_matrices(theta, arch: Architecture, X, Y) -> list:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d0 = X.shape[0]
-    mats = []
-    dims = arch.layer_dims(d0)
-    for i, w in enumerate(theta):
-        mats.append(toeplitz_matrix(w, dims[i], arch.strides[i]))
+    mats = network_matrices(theta, arch, X.shape[0])
 
     grads = []
     for l in range(arch.depth):
-        before = np.eye(d0)
+        before = np.eye(X.shape[0])
         for M in mats[:l]:
             before = M @ before
-        after = np.eye(dims[l + 1])
+        after = np.eye(mats[l].shape[0])
         for M in mats[l + 1 :]:
             after = M @ after
         full = after @ mats[l] @ before
         dL = 2.0 * (full @ X @ X.T - Y @ X.T)  # gradient wrt the full matrix
         Gmat = after.T @ dL @ before.T  # gradient wrt layer-l matrix
-        k, s = arch.ks[l], arch.strides[l]
-        g = np.zeros(k)
-        for m in range(Gmat.shape[0]):
-            g += Gmat[m, s * m : s * m + k]
+        g = np.zeros(arch.ks[l])
+        for m, idx in enumerate(_placements(arch.ks[l], arch.strides[l], Gmat.shape[1])):
+            g += Gmat[m, idx]
         grads.append(g)
     return grads
 

@@ -14,6 +14,9 @@ tractable.
 Every composition in the package goes through ``_layers`` (check filters
 against an architecture, upsample layer i by span_i = prod(strides[:i])),
 ``_product`` and ``_complements`` (each filter's product of all the others).
+``_placements`` is the one sliding-window placement rule behind every matrix
+realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
+its stride-one D-dimensional counterpart.
 Every test of whether two filters are the same goes through ``_same_filter``
 (max-norm distance within tol times the larger max-norm, floored at one), and
 every nearest-reference lookup through ``_nearest``.
@@ -63,12 +66,9 @@ class Architecture:
 
     @property
     def filter_size(self) -> int:
-        """Size of the end-to-end filter of the composed network."""
-        k, span = self.ks[0], 1
-        for i in range(1, len(self.ks)):
-            span *= self.strides[i - 1]
-            k += (self.ks[i] - 1) * span
-        return k
+        """Size of the end-to-end filter of the composed network: the input
+        length that one output reads."""
+        return self.min_input_size()
 
     @property
     def stride(self) -> int:
@@ -99,12 +99,7 @@ class Architecture:
         """
         dims = [int(d0)]
         for k, s in zip(self.ks, self.strides):
-            num = dims[-1] - k
-            if num < 0 or num % s != 0:
-                raise ValueError(
-                    f"input length {d0} incompatible with sizes {self.ks} strides {self.strides}"
-                )
-            dims.append(num // s + 1)
+            dims.append(len(_placements(k, s, dims[-1])))
         return tuple(dims)
 
     def min_input_size(self, d_out: int = 1) -> int:
@@ -233,38 +228,51 @@ def network_poly(theta, arch: Architecture) -> np.ndarray:
     return end_to_end(theta, arch)[0]
 
 
+def _placements(k: int, stride: int, d: int, n_out: int = None,
+                cyclic: bool = False) -> np.ndarray:
+    """Columns (n_out, k) of a size-k filter's placements on length d: row m
+    is m*stride ... m*stride + k - 1, mod d when ``cyclic``.  ``n_out``
+    defaults to the exact fit, (d - k)/stride + 1 or, cyclic, d/stride.
+    Raises ValueError for a stride below one, a cyclic filter longer than
+    d, an inexact fit and an overrun."""
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if cyclic and k > d:
+        raise ValueError(f"filter size {k} exceeds cyclic dimension {d}")
+    if n_out is None:
+        num = d if cyclic else d - k
+        if num < 0 or num % stride:
+            raise ValueError(f"length {d} does not fit filter size {k} at stride {stride}")
+        n_out = num // stride if cyclic else num // stride + 1
+    elif not cyclic and n_out > 0 and (n_out - 1) * stride + k > d:
+        raise ValueError(f"placement {n_out - 1} overruns dimension {d} (k={k}, stride={stride})")
+    idx = stride * np.arange(n_out)[:, None] + np.arange(k)
+    return idx % d if cyclic else idx
+
+
+def _window_matrix(w, d: int, stride: int, cyclic: bool) -> np.ndarray:
+    w = as_filter(w)
+    idx = _placements(len(w), stride, d, cyclic=cyclic)
+    T = np.zeros((len(idx), d))
+    # circulant entries are added onto zeros, so there a -0.0 tap reads 0.0
+    T[np.arange(len(idx))[:, None], idx] = 0.0 + w if cyclic else w
+    return T
+
+
 def toeplitz_matrix(w, d_in: int, stride: int = 1) -> np.ndarray:
     """Sliding-window matrix of a filter: entry (i, j) = w[j - i*stride].
 
-    Shape is (d_out, d_in) with d_out = (d_in - k)/stride + 1; raises when the
-    division is not exact.
+    Shape is (d_out, d_in) with d_out = (d_in - k)/stride + 1; raises
+    ValueError when the division is not exact or the stride is below one.
     """
-    w = as_filter(w)
-    k = len(w)
-    num = d_in - k
-    if num < 0 or num % stride != 0:
-        raise ValueError(f"d_in={d_in} incompatible with k={k}, stride={stride}")
-    d_out = num // stride + 1
-    T = np.zeros((d_out, d_in))
-    for i in range(d_out):
-        T[i, i * stride : i * stride + k] = w
-    return T
+    return _window_matrix(w, d_in, stride, cyclic=False)
 
 
 def circulant_matrix(w, d: int, stride: int = 1) -> np.ndarray:
     """Cyclic version of the filter matrix, (d/stride) x d: row r holds the
-    filter starting at column (r*stride) mod d."""
-    w = as_filter(w)
-    k = len(w)
-    if k > d:
-        raise ValueError(f"filter size {k} exceeds circulant dimension {d}")
-    if d % stride != 0:
-        raise ValueError(f"stride {stride} must divide the cyclic dimension {d}")
-    C = np.zeros((d // stride, d))
-    for r in range(d // stride):
-        for j in range(k):
-            C[r, (r * stride + j) % d] += w[j]
-    return C
+    filter starting at column (r*stride) mod d.  Raises ValueError when the
+    filter is longer than d or the stride is below one or does not divide d."""
+    return _window_matrix(w, d, stride, cyclic=True)
 
 
 def network_matrices(theta, arch: Architecture, d0: int) -> list:
@@ -297,6 +305,17 @@ def compose_tensor_filters(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tensor_windows(k_shape, in_shape):
+    """Output shape in_shape - k_shape + 1 and, per output index i, the input
+    window i ... i + k_shape - 1.  Raises ValueError for a different number
+    of axes or an input smaller than the filter."""
+    out_shape = tuple(d - k + 1 for d, k in zip(in_shape, k_shape))
+    if len(k_shape) != len(in_shape) or min(out_shape, default=1) < 1:
+        raise ValueError(f"input shape {in_shape} does not fit filter shape {k_shape}")
+    return out_shape, [(i, tuple(slice(a, a + n) for a, n in zip(i, k_shape)))
+                       for i in np.ndindex(out_shape)]
+
+
 def materialize_conv_tensor(w: np.ndarray, in_shape) -> np.ndarray:
     """Dense tensor of the linear map: T[i..., j...] = w[j - i] (stride one).
 
@@ -304,12 +323,9 @@ def materialize_conv_tensor(w: np.ndarray, in_shape) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     in_shape = tuple(int(d) for d in in_shape)
-    out_shape = tuple(d - k + 1 for d, k in zip(in_shape, w.shape))
-    if any(d < 1 for d in out_shape):
-        raise ValueError(f"input shape {in_shape} too small for filter {w.shape}")
+    out_shape, windows = _tensor_windows(w.shape, in_shape)
     T = np.zeros(out_shape + in_shape)
-    for i in np.ndindex(out_shape):
-        window = tuple(slice(a, a + n) for a, n in zip(i, w.shape))
+    for i, window in windows:
         T[i][window] = w
     return T
 
@@ -318,9 +334,8 @@ def apply_conv_tensor(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Apply the D-dimensional sliding-window map directly (cross-correlation)."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    out_shape = tuple(d - k + 1 for d, k in zip(x.shape, w.shape))
+    out_shape, windows = _tensor_windows(w.shape, x.shape)
     out = np.zeros(out_shape)
-    for i in np.ndindex(out_shape):
-        window = tuple(slice(a, a + n) for a, n in zip(i, w.shape))
+    for i, window in windows:
         out[i] = float(np.sum(w * x[window]))
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import as_filter
+from .poly_core import as_filter, toeplitz_matrix
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -90,13 +90,12 @@ def _homogeneous_residual(coeffs: np.ndarray, root: ProjRoot) -> float:
     return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
 
 
-def _aberth(core: np.ndarray, rng: np.random.Generator,
-            max_iters: int = 200, polish_steps: int = 5) -> np.ndarray:
+def _aberth(core: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """All complex roots of a polynomial with nonzero first/last coefficient.
 
     ``core`` is in descending order.  Starts from a randomly rotated circle,
-    runs the simultaneous Aberth-Ehrlich update, then a few plain Newton
-    steps per root.
+    runs at most 200 simultaneous Aberth-Ehrlich updates, then five plain
+    Newton steps per root.
     """
     a = core / core[0]
     m = len(a) - 1
@@ -110,7 +109,7 @@ def _aberth(core: np.ndarray, rng: np.random.Generator,
     angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
     z = radius * (0.7 + 0.1 * jitter) * np.exp(1j * angles)
 
-    for _ in range(max_iters):
+    for _ in range(200):
         p = np.polyval(a, z)
         dp = np.polyval(deriv, z)
         dp = np.where(dp == 0, 1e-300, dp)
@@ -126,13 +125,13 @@ def _aberth(core: np.ndarray, rng: np.random.Generator,
         if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
             break
 
-    return _newton_polish(a, z, polish_steps)
+    return _newton_polish(a, z)
 
 
-def _newton_polish(poly: np.ndarray, z: np.ndarray, steps: int) -> np.ndarray:
-    """``steps`` plain Newton steps on every root estimate in ``z``."""
+def _newton_polish(poly: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Five plain Newton steps on every root estimate in ``z``."""
     deriv = np.polyder(poly)
-    for _ in range(steps):
+    for _ in range(5):
         dp = np.polyval(deriv, z)
         mask = np.abs(dp) > 0
         z = np.where(mask, z - np.polyval(poly, z) / np.where(mask, dp, 1.0), z)
@@ -181,7 +180,7 @@ def find_roots(coeffs, seed: int = 0) -> list:
             finite = [ProjRoot.finite(zi) for zi in z]
             if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
                    for r in finite):
-                z = _newton_polish(core, np.roots(core), 5)
+                z = _newton_polish(core, np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
                 bad = max(_homogeneous_residual(core, r) for r in finite)
                 if bad > _RESIDUAL_BOUND * np.max(np.abs(core)):
@@ -278,7 +277,7 @@ class Rrmp:
         return self.label
 
 
-def _root_structure(roots, tol: float = ROOT_TOL):
+def _root_structure(roots):
     """Clustered roots as ``(reals, pairs)``, lists of (root, multiplicity).
 
     A cluster is real when its mean is (infinity counts as real); the
@@ -287,9 +286,9 @@ def _root_structure(roots, tol: float = ROOT_TOL):
     cluster's mean.  Raises RootFindingError when a cluster has no mate.
     """
     reals, complex_clusters = [], []
-    for c in cluster_roots(roots, tol):
+    for c in cluster_roots(roots):
         rep = _cluster_rep(c)
-        if rep.is_real(tol):
+        if rep.is_real():
             reals.append((rep, len(c)))
         else:
             complex_clusters.append((rep, len(c)))
@@ -304,7 +303,7 @@ def _root_structure(roots, tol: float = ROOT_TOL):
             if used[j]:
                 continue
             other, osize = complex_clusters[j]
-            if osize == size and same_root(other, rep.conjugate(), max(tol, 1e-6)):
+            if osize == size and same_root(other, rep.conjugate()):
                 mate = j
                 break
         if mate is None:
@@ -327,18 +326,18 @@ def _root_factors(reals, pairs):
     return linear, quadratic
 
 
-def classify_roots(roots, tol: float = ROOT_TOL) -> Rrmp:
+def classify_roots(roots) -> Rrmp:
     """Pattern of a multiset of projective roots after clustering."""
-    reals, pairs = _root_structure(roots, tol)
+    reals, pairs = _root_structure(roots)
     return Rrmp(tuple(m for _, m in reals), tuple(m for _, m in pairs))
 
 
-def classify_rrmp(coeffs, tol: float = ROOT_TOL, seed: int = 0) -> Rrmp:
+def classify_rrmp(coeffs, seed: int = 0) -> Rrmp:
     """Pattern of a single filter via numeric roots + clustering."""
-    return classify_roots(find_roots(coeffs, seed=seed), tol)
+    return classify_roots(find_roots(coeffs, seed=seed))
 
 
-def classify_rrmp_pooled(filters, tol: float = ROOT_TOL, seed: int = 0) -> Rrmp:
+def classify_rrmp_pooled(filters) -> Rrmp:
     """Pattern of a product of filters from the union of per-factor roots.
 
     Rooting each small factor separately keeps multiple roots that are split
@@ -346,28 +345,49 @@ def classify_rrmp_pooled(filters, tol: float = ROOT_TOL, seed: int = 0) -> Rrmp:
     """
     pooled = []
     for w in filters:
-        pooled.extend(find_roots(w, seed=seed))
-    return classify_roots(pooled, tol)
+        pooled.extend(find_roots(w))
+    return classify_roots(pooled)
 
 
 # --- closed-form sign charts (degree <= 4) ---------------------------------
 
 
-def _sgn(value: float, scale: float, band: float) -> int:
-    if abs(value) <= band * scale:
+def _sgn(value: float, scale: float) -> int:
+    if abs(value) <= ZERO_BAND * scale:
         return 0
     return 1 if value > 0 else -1
 
 
+def _signed_sum(terms):
+    """(value, scale) of a discriminant written once as a tuple of signed
+    monomials: the sum from the first term, left to right (x + (-y) is x - y
+    bit for bit), and the largest |monomial|, which the sign charts band."""
+    return sum(terms[1:], terms[0]), max(abs(t) for t in terms)
+
+
+def _quadratic_terms(c):
+    a, b, cc = c
+    return (b * b, -4 * a * cc)
+
+
+def _cubic_terms(c):
+    a, b, cc, d = c
+    return (b * b * cc * cc, -4 * a * cc**3, -4 * b**3 * d, -27 * a * a * d * d,
+            18 * a * b * cc * d)
+
+
+def _quartic_terms(p, q, r):
+    return ((256 * r**3, -128 * p * p * r * r, 144 * p * q * q * r, 16 * p**4 * r,
+             -27 * q**4, -4 * p**3 * q * q),
+            (8 * p * r, -9 * q * q, -2 * p**3))
+
+
 def disc_quadratic(c) -> float:
-    a, b, cc = as_filter(c)
-    return b * b - 4 * a * cc
+    return _signed_sum(_quadratic_terms(as_filter(c)))[0]
 
 
 def disc_cubic(c) -> float:
-    a, b, cc, d = as_filter(c)
-    return (b * b * cc * cc - 4 * a * cc**3 - 4 * b**3 * d
-            - 27 * a * a * d * d + 18 * a * b * cc * d)
+    return _signed_sum(_cubic_terms(as_filter(c)))[0]
 
 
 def depress_quartic(c) -> np.ndarray:
@@ -387,17 +407,8 @@ def depress_quartic(c) -> np.ndarray:
 
 def disc_quartic_depressed(p: float, q: float, r: float):
     """(delta, delta') of x^4 + p x^2 y^2 + q x y^3 + r y^4."""
-    delta = (256 * r**3 - 128 * p * p * r * r + 144 * p * q * q * r
-             + 16 * p**4 * r - 27 * q**4 - 4 * p**3 * q * q)
-    dprime = 8 * p * r - 9 * q * q - 2 * p**3
-    return delta, dprime
-
-
-def _quartic_scales(p, q, r):
-    s_delta = max(abs(256 * r**3), abs(128 * p * p * r * r), abs(144 * p * q * q * r),
-                  abs(16 * p**4 * r), abs(27 * q**4), abs(4 * p**3 * q * q))
-    s_dprime = max(abs(8 * p * r), abs(9 * q * q), abs(2 * p**3))
-    return s_delta, s_dprime
+    delta, dprime = _quartic_terms(p, q, r)
+    return _signed_sum(delta)[0], _signed_sum(dprime)[0]
 
 
 def _disc_and_scale(c: np.ndarray):
@@ -405,23 +416,20 @@ def _disc_and_scale(c: np.ndarray):
     quartic is depressed first."""
     deg = len(c) - 1
     if deg == 2:
-        a, b, cc = c
-        return disc_quadratic(c), max(b * b, abs(4 * a * cc))
-    if deg == 3:
-        a, b, cc, d = c
-        scale = max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
-                    abs(27 * a * a * d * d), abs(18 * a * b * cc * d))
-        return disc_cubic(c), scale
-    if deg == 4:
-        _, _, p, q, r = depress_quartic(c)
-        return disc_quartic_depressed(p, q, r)[0], _quartic_scales(p, q, r)[0]
-    raise ValueError(f"discriminant charts cover degrees 2..4 only, got degree {deg}")
+        terms = _quadratic_terms(c)
+    elif deg == 3:
+        terms = _cubic_terms(c)
+    elif deg == 4:
+        terms = _quartic_terms(*depress_quartic(c)[2:])[0]
+    else:
+        raise ValueError(f"discriminant charts cover degrees 2..4 only, got degree {deg}")
+    return _signed_sum(terms)
 
 
-def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
+def rrmp_classify_by_signs(coeffs) -> Rrmp:
     """Pattern of a degree-2..4 form from discriminant sign charts alone.
 
-    Values within ``band`` times the largest monomial of each formula are
+    Values within ``ZERO_BAND`` times the largest monomial of each formula are
     treated as exact zeros; the leading coefficient must be nonzero.
     """
     c = as_filter(coeffs)
@@ -430,7 +438,7 @@ def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; dehomogenize first")
     if deg == 2:
-        s = _sgn(*_disc_and_scale(c), band)
+        s = _sgn(*_disc_and_scale(c))
         if s > 0:
             return Rrmp((1, 1), ())
         if s == 0:
@@ -438,26 +446,25 @@ def rrmp_classify_by_signs(coeffs, band: float = ZERO_BAND) -> Rrmp:
         return Rrmp((), (1,))
     if deg == 3:
         a, b, cc, d = c
-        s = _sgn(*_disc_and_scale(c), band)
+        s = _sgn(*_disc_and_scale(c))
         if s > 0:
             return Rrmp((1, 1, 1), ())
         if s < 0:
             return Rrmp((1,), (1,))
-        t1 = _sgn(3 * a * cc - b * b, max(abs(3 * a * cc), b * b), band)
-        t2 = _sgn(9 * a * d - b * cc, max(abs(9 * a * d), abs(b * cc)), band)
-        t3 = _sgn(3 * b * d - cc * cc, max(abs(3 * b * d), cc * cc), band)
+        t1 = _sgn(*_signed_sum((3 * a * cc, -b * b)))
+        t2 = _sgn(*_signed_sum((9 * a * d, -b * cc)))
+        t3 = _sgn(*_signed_sum((3 * b * d, -cc * cc)))
         if t1 == t2 == t3 == 0:
             return Rrmp((3,), ())
         return Rrmp((1, 2), ())
     if deg == 4:
         _, _, p, q, r = depress_quartic(c)
-        delta, dprime = disc_quartic_depressed(p, q, r)
-        s_delta, s_dprime = _quartic_scales(p, q, r)
+        delta, dprime = _quartic_terms(p, q, r)
         coeff_scale = max(abs(p), abs(q), abs(r), 1.0)
-        sd = _sgn(delta, s_delta, band)
-        sdp = _sgn(dprime, s_dprime, band)
-        sp = _sgn(p, coeff_scale, band)
-        sq = _sgn(q, coeff_scale, band)
+        sd = _sgn(*_signed_sum(delta))
+        sdp = _sgn(*_signed_sum(dprime))
+        sp = _sgn(p, coeff_scale)
+        sq = _sgn(q, coeff_scale)
         if sd > 0:
             if sdp > 0 and sp == 0:
                 # banded-zero p is chart-ambiguous here; fall back to raw sign
@@ -510,10 +517,7 @@ def discriminant(coeffs) -> float:
     fx = (c * (n - j))[:-1]  # d/dx, degree n-1 in x
     fy = (c * j)[1:]         # d/dy
     m = 2 * (n - 1)
-    syl = np.zeros((m, m))
-    for i in range(n - 1):
-        syl[i, i:i + n] = fx
-        syl[n - 1 + i, i:i + n] = fy
+    syl = np.vstack((toeplitz_matrix(fx, m), toeplitz_matrix(fy, m)))
     det = float(np.linalg.det(syl))
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
     return sign * det / float(n) ** (n - 2)

@@ -283,6 +283,7 @@ def test_cone_multiplier_polynomial_and_landscape_regimes():
         assert np.max(np.abs(rem)) <= 1e-10
 
 
+@pytest.mark.desk
 def test_pattern_experiment_statistics_at_desk_scale():
     config = TrainConfig(step=0.01, max_steps=200_000, grad_sq_tol=1e-18)
     start = time.perf_counter()
@@ -304,6 +305,7 @@ def test_pattern_experiment_statistics_at_desk_scale():
     assert abs(s3 - 0.302) <= 0.07
 
 
+@pytest.mark.desk
 def test_distinct_minima_counts_by_coefficient_metric():
     table = run_distinct_experiment(Architecture((2, 2)), n_targets=100,
                                     n_inits=50, seed=0,

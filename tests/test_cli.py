@@ -108,6 +108,25 @@ def test_train_rejects_bad_descent_settings(flags, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--starts", "0"], "start"),
+    (["critpoints", "--target", "2,0,5,0,2", "--ks", "4,2", "--starts", "-3"], "start"),
+    (["case-study", "--runs", "-1"], "run"),
+    (["invariants", "--theta", ";"], "no layer filters"),
+    (["recover-scales", "--filters", ";", "--gaps", "1"], "no layer filters"),
+], ids=["critpoints-starts-0", "critpoints-starts-negative", "case-study-runs-negative",
+        "invariants-no-layers", "recover-scales-no-layers"])
+def test_bad_counts_exit_2(argv, message, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        pytest.fail("the case study searched a stratum before rejecting its run count")
+
+    if argv[0] == "case-study":
+        monkeypatch.setattr(lcnlab.cli, "crit_on_stratum", no_search)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and message in err
+
+
 def test_distinct_rejects_zero_inits(capsys):
     assert main(["experiment", "distinct", "--ks", "2,2", "--n", "1", "--inits", "0"]) == 2
     out, err = capsys.readouterr()

@@ -22,6 +22,8 @@ from lcnlab.poly_core import Architecture, as_filter, end_to_end, network_poly, 
 from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
 from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
+from test_poly_core import _layer_dims_loop, _same_bytes, _signed_zero_filter, _toeplitz_loop
+
 
 def test_unconstrained_opt_is_least_squares():
     rng = np.random.default_rng(1)
@@ -60,6 +62,20 @@ def test_tau_circulant_wraps():
     # overrun case: k=3, stride=2, n_out=2 on a 4x4 needs index 5
     with pytest.raises(ValueError):
         tau(M, k=3, n_out=2, stride=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda M: tau(M, k=3, n_out=2, stride=0), "stride"),
+    (lambda M: tau(M, k=3, n_out=2, stride=-1), "stride"),
+    # a cyclic filter longer than the signal would wrap onto itself; from_data
+    # used to fail in the solve (LinAlgError is a ValueError) or fit anyway
+    (lambda M: tau(M, k=5, n_out=2, circulant=True), "exceeds"),
+    (lambda M: QuadraticObjective.from_data(M, np.ones((4, 4)), Architecture((3, 3)),
+                                            circulant=True), "exceeds"),
+], ids=["stride-0", "stride-minus-1", "cyclic-k-over-d", "cyclic-from-data-k-over-d"])
+def test_bad_placements_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.eye(4))
 
 
 def test_bombieri_weights_values():
@@ -198,6 +214,95 @@ def test_gradient_via_matrices_agrees():
         g_filter = network_gradient(theta, arch, obj)
         assert all(np.allclose(a, b, atol=1e-9)
                    for a, b in zip(g_matrix, g_filter))
+
+
+# the loops these folds ran before they shared one placement rule
+
+
+def _tau_loop(M, k, n_out, stride, circulant):
+    out = np.zeros((k, k))
+    for m in range(n_out):
+        idx = np.arange(k) + stride * m
+        if circulant:
+            idx = idx % M.shape[0]
+        out += M[np.ix_(idx, idx)]
+    return out
+
+
+def _from_data_loop(X, Y, arch, circulant):
+    d0, k, s = X.shape[0], arch.filter_size, arch.stride
+    n_out = d0 // s if circulant else (d0 - k) // s + 1
+    M = _tau_loop(X @ X.T, k, n_out, s, circulant)
+    XY = X @ Y.T
+    v = np.zeros(k)
+    for m in range(n_out):
+        idx = np.arange(k) + s * m
+        if circulant:
+            idx = idx % d0
+        v += XY[idx, m]
+    u = np.linalg.solve(M, v)
+    return M, u, float(np.sum(Y * Y) - u @ M @ u)
+
+
+def _gradient_via_matrices_loop(theta, arch, X, Y):
+    d0 = X.shape[0]
+    dims = _layer_dims_loop(arch, d0)
+    mats = [_toeplitz_loop(w, dims[i], s) for i, (w, s) in enumerate(zip(theta, arch.strides))]
+    grads = []
+    for l in range(arch.depth):
+        before = np.eye(d0)
+        for M in mats[:l]:
+            before = M @ before
+        after = np.eye(dims[l + 1])
+        for M in mats[l + 1 :]:
+            after = M @ after
+        full = after @ mats[l] @ before
+        dL = 2.0 * (full @ X @ X.T - Y @ X.T)
+        Gmat = after.T @ dL @ before.T
+        k, s = arch.ks[l], arch.strides[l]
+        g = np.zeros(k)
+        for m in range(Gmat.shape[0]):
+            g += Gmat[m, s * m : s * m + k]
+        grads.append(g)
+    return grads
+
+
+def test_folds_match_the_reference_loops_byte_for_byte():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        depth = int(rng.integers(1, 4))
+        # every other net has size-1 filters only, so k = 1 with 8 or more
+        # placements, where a pairwise sum would differ from the loop
+        ks = (1,) * depth if trial % 2 else tuple(int(rng.integers(1, 5)) for _ in range(depth))
+        arch = Architecture(ks, tuple(int(rng.integers(1, 4)) for _ in range(depth)))
+        k, s = arch.filter_size, arch.stride
+        d_out = int(rng.integers(8, 13)) if k == 1 else int(rng.integers(1, 6))
+        d0 = arch.min_input_size(d_out)
+        n = int(rng.integers(1, 6))
+        X, Y = rng.standard_normal((d0, n)), rng.standard_normal((d_out, n))
+        theta = [_signed_zero_filter(rng, kl) for kl in arch.ks]
+        for got, want in zip(gradient_via_matrices(theta, arch, X, Y),
+                             _gradient_via_matrices_loop(theta, arch, X, Y)):
+            assert _same_bytes(got, want)
+        M = X @ X.T
+        n_fit = int(rng.integers(0, d_out + 1))
+        assert _same_bytes(tau(M, k, n_fit, s), _tau_loop(M, k, n_fit, s, False))
+
+        d_cyc = s * int(rng.integers(-(-k // s), -(-k // s) + 3))
+        Xc = rng.standard_normal((d_cyc, d_cyc + 3))
+        Yc = rng.standard_normal((d_cyc // s, d_cyc + 3))
+        n_wrap = int(rng.integers(0, 3 * d_cyc // s + 2))
+        Mc = rng.standard_normal((d_cyc, d_cyc))
+        assert _same_bytes(tau(Mc, k, n_wrap, s, circulant=True),
+                           _tau_loop(Mc, k, n_wrap, s, True))
+        for data, circulant in (((X, Y), False), ((Xc, Yc), True)):
+            try:
+                want = _from_data_loop(*data, arch, circulant)
+            except np.linalg.LinAlgError:
+                continue  # fewer samples than filter taps
+            obj = QuadraticObjective.from_data(*data, arch, circulant=circulant)
+            assert _same_bytes(obj.matrix, want[0]) and _same_bytes(obj.target, want[1])
+            assert obj.const.hex() == want[2].hex()
 
 
 def _full_matrix(theta, arch, d0):

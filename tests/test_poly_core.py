@@ -118,6 +118,20 @@ def test_toeplitz_requires_divisible_size():
         toeplitz_matrix([1.0, 2.0, 3.0], 6, stride=2)
 
 
+@pytest.mark.parametrize("realize, d, stride", [
+    (toeplitz_matrix, 2, 1),  # filter longer than the input
+    (toeplitz_matrix, 3, 0),
+    (toeplitz_matrix, 3, -1),
+    (circulant_matrix, 2, 1),  # a cyclic filter may not wrap onto itself
+    (circulant_matrix, 4, 3),
+    (circulant_matrix, 3, 0),
+    (circulant_matrix, 3, -1),
+])
+def test_window_matrices_reject_bad_placements(realize, d, stride):
+    with pytest.raises(ValueError):
+        realize([1.0, 2.0, 3.0], d, stride)
+
+
 def test_circulant_rows_shift_by_stride():
     a, b = 2.0, 7.0
     C = circulant_matrix([a, b], 3, stride=1)
@@ -205,6 +219,87 @@ def test_tensor_composition_matches_matrix_composition():
         direct = apply_conv_tensor(u, x)
         staged = apply_conv_tensor(w2, apply_conv_tensor(w1, x))
         assert np.allclose(direct, staged, atol=1e-10)
+
+
+@pytest.mark.parametrize("w_shape, x_shape", [((2, 2), (4,)), ((3,), (2,)), ((2, 3), (4, 2))])
+def test_tensor_maps_reject_mismatched_shapes(w_shape, x_shape):
+    with pytest.raises(ValueError):
+        apply_conv_tensor(np.ones(w_shape), np.ones(x_shape))
+    with pytest.raises(ValueError):
+        materialize_conv_tensor(np.ones(w_shape), x_shape)
+
+
+def _signed_zero_filter(rng, shape):
+    """Standard normal entries with about a third set to +0.0 or -0.0."""
+    w = rng.standard_normal(shape)
+    u = rng.random(shape)
+    w[u < 0.15] = 0.0
+    w[(u >= 0.15) & (u < 0.3)] = -0.0
+    return w
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# the loops these realizations ran before they shared one placement rule
+
+
+def _toeplitz_loop(w, d_in, stride):
+    k = len(w)
+    T = np.zeros(((d_in - k) // stride + 1, d_in))
+    for i in range(T.shape[0]):
+        T[i, i * stride : i * stride + k] = w
+    return T
+
+
+def _circulant_loop(w, d, stride):
+    C = np.zeros((d // stride, d))
+    for r in range(d // stride):
+        for j in range(len(w)):
+            C[r, (r * stride + j) % d] += w[j]
+    return C
+
+
+def _layer_dims_loop(arch, d0):
+    dims = [d0]
+    for k, s in zip(arch.ks, arch.strides):
+        dims.append((dims[-1] - k) // s + 1)
+    return tuple(dims)
+
+
+def _tensor_loops(w, x):
+    out_shape = tuple(d - k + 1 for d, k in zip(x.shape, w.shape))
+    T, out = np.zeros(out_shape + x.shape), np.zeros(out_shape)
+    for i in np.ndindex(out_shape):
+        window = tuple(slice(a, a + n) for a, n in zip(i, w.shape))
+        T[i][window] = w
+        out[i] = float(np.sum(w * x[window]))
+    return T, out
+
+
+def test_realizations_match_the_reference_loops_byte_for_byte():
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        k = int(rng.integers(1, 6))
+        s = int(rng.integers(1, 4))
+        n_out = int(rng.integers(8, 13)) if k == 1 else int(rng.integers(1, 6))
+        d = (n_out - 1) * s + k
+        w = _signed_zero_filter(rng, k)
+        assert _same_bytes(toeplitz_matrix(w, d, s), _toeplitz_loop(w, d, s))
+        d_cyc = d + (-d) % s
+        assert _same_bytes(circulant_matrix(w, d_cyc, s), _circulant_loop(w, d_cyc, s))
+
+        arch = random_arch(rng)
+        d0 = arch.min_input_size(int(rng.integers(1, 10)))
+        assert arch.layer_dims(d0) == _layer_dims_loop(arch, d0)
+
+        shape = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4))))
+        x = rng.standard_normal(tuple(a + int(rng.integers(0, 4)) for a in shape))
+        w = _signed_zero_filter(rng, shape)
+        T, out = _tensor_loops(w, x)
+        assert _same_bytes(materialize_conv_tensor(w, x.shape), T)
+        assert _same_bytes(apply_conv_tensor(w, x), out)
 
 
 def test_materialized_tensor_contracts_like_application():

@@ -144,6 +144,53 @@ def test_discriminant_values():
     assert np.allclose(p, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
 
 
+def _written_out(c):
+    """(discriminant, largest monomial) as each formula was spelled out
+    before the monomials were listed once; a quartic is depressed first."""
+    if len(c) == 3:
+        a, b, cc = c
+        return b * b - 4 * a * cc, max(b * b, abs(4 * a * cc))
+    if len(c) == 4:
+        a, b, cc, d = c
+        return (b * b * cc * cc - 4 * a * cc**3 - 4 * b**3 * d - 27 * a * a * d * d
+                + 18 * a * b * cc * d,
+                max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
+                    abs(27 * a * a * d * d), abs(18 * a * b * cc * d)))
+    _, _, p, q, r = depress_quartic(c)
+    return ((256 * r**3 - 128 * p * p * r * r + 144 * p * q * q * r + 16 * p**4 * r
+             - 27 * q**4 - 4 * p**3 * q * q),
+            max(abs(256 * r**3), abs(128 * p * p * r * r), abs(144 * p * q * q * r),
+                abs(16 * p**4 * r), abs(27 * q**4), abs(4 * p**3 * q * q)))
+
+
+def test_discriminants_match_the_written_out_formulas_bit_for_bit():
+    from lcnlab.rootlab import _disc_and_scale, disc_quartic_depressed
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    rng = np.random.default_rng(37)
+    for _ in range(3000):
+        c = rng.standard_normal(int(rng.integers(3, 6)))
+        if rng.random() < 0.5:
+            c = np.round(c * 2) / 2  # exact zeros of the discriminant
+        u = rng.random(len(c))
+        c[u < 0.2] = 0.0
+        c[u > 0.8] = -0.0
+        c[0] = c[0] or 1.0
+        value, scale = _written_out(c)
+        got = _disc_and_scale(c)
+        assert bits(got[0]) == bits(value) and bits(got[1]) == bits(scale)
+        public = {3: disc_quadratic, 4: disc_cubic}.get(len(c))
+        if public is not None:
+            assert bits(public(c)) == bits(value)
+        else:
+            _, _, p, q, r = depress_quartic(c)
+            dprime = 8 * p * r - 9 * q * q - 2 * p**3
+            got = disc_quartic_depressed(p, q, r)
+            assert bits(got[0]) == bits(value) and bits(got[1]) == bits(dprime)
+
+
 QUARTIC_CASES = [
     ([1.0, 0.0, -5.0, 0.0, 4.0], "1111|0"),   # (x^2-1)(x^2-4)
     ([1.0, 0.0, -1.0, 0.0, 0.0], "112|0"),    # x^2 (x^2 - 1)
