@@ -8,12 +8,12 @@ emission, and an end-to-end case study that re-derives the critical-point
 catalogue of the running example target [2, 0, 5, 0, 2] and checks gradient
 descent against it.
 
-Conventions: tables and grids are CSV, reports are JSON; floats carry 17
-significant digits; randomized commands take ``--seed`` and are reproducible
-independently of ``--threads`` (work is seeded per index and aggregated by
-index).  Exit codes: 0 on success, 2 on bad input (configuration errors,
-non-finite filters, roots the solver cannot certify), 3 when the case study
-finds discrepancies.
+Conventions: tables and grids are CSV, reports are JSON; CSV floats carry 17
+significant digits, JSON floats Python's shortest round-trip form; randomized
+commands take ``--seed`` and are reproducible independently of ``--threads``
+(work is seeded per index and aggregated by index).  Exit codes: 0 on
+success, 2 on bad input (configuration errors, non-finite filters, roots the
+solver cannot certify), 3 when the case study finds discrepancies.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ import sys
 
 import numpy as np
 
-from .critlab import _attainable_strata, crit_on_stratum, ed_bound
+from .critlab import (crit_on_stratum, critical_points_for_target, ed_bound,
+                      match_critical_point)
 from .dynamics import balancedness_matrix, recover_scales, squared_norm_gaps
 from .funcspace import is_filling, reduce_architecture, region_of_rrmp
 from .optim import (
@@ -101,38 +102,48 @@ def _parse_ints(text: str) -> tuple:
 def _arch(args) -> Architecture:
     ks = _parse_ints(args.ks)
     strides = _parse_ints(args.strides) if args.strides else None
-    try:
-        return Architecture(ks, strides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Architecture(ks, strides)
+
+
+def _parse_filter(text: str, arch: Architecture) -> np.ndarray:
+    """A filter (see ``_parse_floats``) of the architecture's end-to-end size."""
+    w = _parse_floats(text)
+    if len(w) != arch.filter_size:
+        raise ConfigError(
+            f"filter has size {len(w)} but the architecture composes to "
+            f"{arch.filter_size}")
+    return w
 
 
 def _objective(norm: str, u: np.ndarray) -> QuadraticObjective:
-    if norm == "euclidean":
-        return QuadraticObjective.euclidean(u)
     if norm == "bombieri":
         return QuadraticObjective.bombieri(u)
-    raise ConfigError(f"unknown norm {norm!r}")
+    return QuadraticObjective.euclidean(u)
 
 
-def _round17(obj):
-    """Round every float to 17 significant digits, recursively.
+def _space(arch: Architecture, rrmp: Rrmp = None) -> tuple:
+    """(filling, e, region of ``rrmp``) for the architecture.
 
-    The JSON writer then prints the shortest representation of exactly that
-    value, which keeps reports byte-stable across platforms.
+    Root counts describe the function space once the final stride and
+    trailing size-one layers are dropped; when an interior stride remains,
+    e and the region are None.  The region is None also without ``rrmp``.
     """
+    red = reduce_architecture(arch)
+    if not red.is_stride_one:
+        return is_filling(arch), None, None
+    region = None if rrmp is None else region_of_rrmp(rrmp, arch).name.lower()
+    return is_filling(arch), red.n_even, region
+
+
+def _plain(obj):
+    """numpy arrays and scalars as Python lists and numbers, recursively, so
+    that the JSON writer prints every float in shortest round-trip form."""
     if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round17(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_round17(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.17g}")
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     return obj
 
 
@@ -149,7 +160,7 @@ def _emit(text: str, out: str | None):
 
 
 def _emit_json(obj, out: str | None):
-    _emit(json.dumps(_round17(obj), indent=2) + "\n", out)
+    _emit(json.dumps(_plain(obj), indent=2) + "\n", out)
 
 
 def _emit_csv(header, rows, out: str | None):
@@ -173,18 +184,12 @@ def _cmd_analyze_arch(args) -> int:
         "filter_size": arch.filter_size,
         "stride": arch.stride,
     }
-    try:
-        red = reduce_architecture(arch)
-        info["reduced_ks"] = list(red.ks)
-        info["e"] = red.n_even
-        info["filling"] = is_filling(arch)
-    except ValueError:
-        # interior strides: the function space is not a polynomial-coefficient
-        # set of the kind the region machinery describes
-        info["e"] = None
-        info["filling"] = None
+    filling, e, _ = _space(arch)
+    info["reduced_ks"] = list(reduce_architecture(arch).ks)
+    info["e"] = e
+    info["filling"] = filling
     degree = arch.filter_size - 1
-    if arch.is_stride_one and degree <= 8:
+    if e is not None and degree <= 8:
         info["regions"] = {
             r.label: region_of_rrmp(r, arch).name.lower() for r in all_rrmps(degree)
         }
@@ -205,33 +210,16 @@ def _cmd_analyze_arch(args) -> int:
 
 def _cmd_classify(args) -> int:
     arch = _arch(args)
-    w = _parse_floats(args.w)
-    if len(w) != arch.filter_size:
-        raise ConfigError(
-            f"filter has size {len(w)} but the architecture composes to "
-            f"{arch.filter_size}")
-    rrmp = classify_rrmp(w, seed=args.seed)
-    out = {"rrmp": rrmp.label}
-    try:
-        out["filling"] = is_filling(arch)
-        out["e"] = reduce_architecture(arch).n_even
-        out["region"] = region_of_rrmp(rrmp, arch).name.lower()
-    except ValueError:
-        out["filling"] = None
-        out["e"] = None
-        out["region"] = None
-    _emit_json(out, args.out)
+    rrmp = classify_rrmp(_parse_filter(args.w, arch), seed=args.seed)
+    filling, e, region = _space(arch, rrmp)
+    _emit_json({"rrmp": rrmp.label, "filling": filling, "e": e, "region": region},
+               args.out)
     return 0
 
 
 def _cmd_train(args) -> int:
     arch = _arch(args)
-    u = _parse_floats(args.target)
-    if len(u) != arch.filter_size:
-        raise ConfigError(
-            f"target has size {len(u)} but the architecture composes to "
-            f"{arch.filter_size}")
-    obj = _objective(args.norm, u)
+    obj = _objective(args.norm, _parse_filter(args.target, arch))
     rng = np.random.default_rng(args.seed)
     theta0 = arch.random_theta(rng)
     config = TrainConfig(step=args.step, max_steps=args.max_steps,
@@ -246,7 +234,7 @@ def _cmd_train(args) -> int:
         "loss": run.loss,
         "grad_sq": run.grad_sq,
         "w": run.w,
-        "theta": [list(map(float, layer)) for layer in run.theta],
+        "theta": run.theta,
         "solution_rrmp": run.solution_rrmp.label if run.solution_rrmp else None,
         "target_rrmp": run.target_rrmp.label if run.target_rrmp else None,
         "init_rrmp": run.init_rrmp.label if run.init_rrmp else None,
@@ -258,26 +246,17 @@ def _cmd_critpoints(args) -> int:
     u = _parse_floats(args.target)
     obj = _objective(args.norm, u)
     if args.lam:
-        lambdas = [tuple(sorted(_parse_ints(args.lam), reverse=True))]
-        if sum(lambdas[0]) >= len(u):
-            raise ConfigError(
-                f"partition {lambdas[0]} uses too many roots for a filter of "
-                f"size {len(u)}")
+        reports = [crit_on_stratum(obj, _parse_ints(args.lam), n_starts=args.starts,
+                                   seed=args.seed)]
     elif args.ks:
-        arch = _arch(args)
-        if arch.filter_size != len(u):
-            raise ConfigError("architecture and target sizes disagree")
-        lambdas = _attainable_strata(arch)
+        reports = critical_points_for_target(u, _arch(args), objective=obj,
+                                             n_starts=args.starts, seed=args.seed)
     else:
         raise ConfigError("need either --lambda or --ks")
     strata = []
-    for lam in lambdas:
-        try:
-            rep = crit_on_stratum(obj, lam, n_starts=args.starts, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    for rep in reports:
         strata.append({
-            "lambda": list(lam),
+            "lambda": rep.lam,
             "n_real": rep.n_real,
             "points": [
                 {
@@ -304,11 +283,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_recover_scales(args) -> int:
     filters = _parse_theta(args.filters)
-    gaps = _parse_floats(args.gaps)
-    try:
-        profiles = recover_scales(filters, gaps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    profiles = recover_scales(filters, _parse_floats(args.gaps))
     _emit_json([
         {"kappa_abs": p.kappa_abs, "beta": p.beta, "residual": p.residual}
         for p in profiles
@@ -446,17 +421,11 @@ def _unit_directions(arch: Architecture, rng) -> list:
 
 def _cmd_landscape(args) -> int:
     arch = _arch(args)
-    u = _parse_floats(args.target)
-    if len(u) != arch.filter_size:
-        raise ConfigError("target size does not match the architecture")
-    obj = _objective(args.norm, u)
+    obj = _objective(args.norm, _parse_filter(args.target, arch))
     rng = np.random.default_rng(args.seed)
     plane = (arch.random_theta(rng), _unit_directions(arch, rng),
              _unit_directions(arch, rng))
-    try:
-        rows = landscape_grid(arch, obj, plane, n=args.n, span=args.range)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = landscape_grid(arch, obj, plane, n=args.n, span=args.range)
     _emit_csv(["s", "t", "logloss", "absdisc"], rows, args.out)
     return 0
 
@@ -541,9 +510,7 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                 f"stratum {lam}: found {rep.n_real} real critical points, "
                 f"expected {expected}")
         for rat in _STUDY_RATIONAL[lam]:
-            point = np.array(rat)
-            idx, _ = _nearest(point, [p.w for p in rep.points])
-            if idx is None or not _same_filter(point, rep.points[idx].w, 1e-6):
+            if match_critical_point(np.array(rat), [rep], tol=1e-6) is None:
                 discrepancies.append(
                     f"stratum {lam}: rational point {rat} not recovered")
         refs.extend((p.w, p.pattern) for p in rep.points)
@@ -574,7 +541,7 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                 discrepancies.append(
                     f"k={ks}: reached {np.round(w, 6).tolist()} with pattern "
                     f"{pattern.label} the architecture cannot realize")
-            key = json.dumps(_round17(refs[idx][0]))
+            key = json.dumps(_plain(refs[idx][0]))
             counts[key] = counts.get(key, 0) + 1
         report["gd"].append({
             "ks": list(ks),
@@ -633,6 +600,12 @@ def _add_arch_flags(p, required=True):
     p.add_argument("--strides", default=None, help="strides (default all 1)")
 
 
+def _add_target_flags(p):
+    p.add_argument("--target", required=True)
+    p.add_argument("--norm", choices=["euclidean", "bombieri"],
+                   default="euclidean")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -662,9 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common],
                        help="one gradient-descent run on a quadratic target")
     _add_arch_flags(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--norm", choices=["euclidean", "bombieri"],
-                   default="euclidean")
+    _add_target_flags(p)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--max-steps", type=int, default=15000)
     p.add_argument("--grad-tol", type=float, default=1e-14,
@@ -673,12 +644,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("critpoints", parents=[common],
                        help="critical points on root-multiplicity strata")
-    p.add_argument("--target", required=True)
+    _add_target_flags(p)
     p.add_argument("--lambda", dest="lam", default=None,
                    help="multiplicity partition, e.g. 2,1,1")
     _add_arch_flags(p, required=False)
-    p.add_argument("--norm", choices=["euclidean", "bombieri"],
-                   default="euclidean")
     p.add_argument("--starts", type=int, default=200)
     p.set_defaults(fn=_cmd_critpoints)
 
@@ -728,9 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("landscape", parents=[common],
                        help="loss/discriminant grid over a random 2-plane")
     _add_arch_flags(p)
-    p.add_argument("--target", required=True)
-    p.add_argument("--norm", choices=["euclidean", "bombieri"],
-                   default="euclidean")
+    _add_target_flags(p)
     p.add_argument("--n", type=int, default=65, help="grid points per axis")
     p.add_argument("--range", type=float, default=2.0,
                    help="half-width of the parameter square")

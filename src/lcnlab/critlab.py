@@ -416,7 +416,8 @@ def critical_points_for_target(
 ) -> list[StratumReport]:
     """Search every non-trivial stratum whose patterns the architecture attains.
 
-    Raises ValueError when ``u`` does not have the architecture's filter size.
+    Raises ValueError when ``u`` does not have the architecture's filter size
+    or the architecture keeps an interior stride.
     """
     u = as_filter(u)
     if u.shape[0] != arch.filter_size:
@@ -430,8 +431,17 @@ def critical_points_for_target(
 
 def _attainable_strata(arch: Architecture) -> list[tuple[int, ...]]:
     """Multiplicity partitions of the filter degree, skipping the trivial
-    all-ones one, with a real type the architecture can realize."""
+    all-ones one, with a real type the architecture can realize.
+
+    Raises ValueError when the layer degrees do not sum to the filter degree,
+    which is exactly when an interior stride remains: root multiplicities
+    then do not describe the function space.
+    """
     degree = arch.filter_size - 1
+    if sum(arch.bin_sizes) != degree:
+        raise ValueError(
+            f"{arch.ks} with strides {arch.strides} keeps an interior stride; "
+            "its function space has no root-multiplicity strata")
     return [lam for lam in _partitions(degree)
             if len(lam) < degree
             and any(is_compatible(split, arch) for split in real_type_splits(lam))]
@@ -656,7 +666,7 @@ def ed_bound(arch: Architecture, *, metric: str = "generic") -> int:
 
     One critical point comes from the dense stratum; each non-trivial
     multiplicity partition the architecture can realize contributes at most
-    its ED degree.
+    its ED degree.  Raises ValueError for an interior stride.
     """
     degree = arch.filter_size - 1
     return 1 + sum(ed_degree(lam, degree, metric=metric) for lam in _attainable_strata(arch))

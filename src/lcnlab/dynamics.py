@@ -184,23 +184,19 @@ def recover_scales(q_filters, gaps) -> list:
 
 
 def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
-                   method: str = "rk4", record_every: int = 0):
+                   method: str = "rk4"):
     """Integrate theta' = -grad_fn(theta) from theta0.
 
     grad_fn takes and returns a list of layer filters.  ``rk4`` keeps the
     conserved gaps to integrator precision; ``euler`` matches plain gradient
-    descent with learning rate ``step``.  Returns (theta_final, history)
-    where history holds (step_index, theta_copy) snapshots.
+    descent with learning rate ``step``.  Returns the final theta.
     """
     theta = [as_filter(w).copy() for w in theta0]
-    history = []
 
     def add(ws, scale, gs):
         return [w + scale * g for w, g in zip(ws, gs)]
 
-    for t in range(n_steps):
-        if record_every and t % record_every == 0:
-            history.append((t, [w.copy() for w in theta]))
+    for _ in range(n_steps):
         if method == "euler":
             g = grad_fn(theta)
             theta = add(theta, -step, g)
@@ -215,6 +211,4 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
             ]
         else:
             raise ValueError(f"unknown method {method!r}")
-    if record_every:
-        history.append((n_steps, [w.copy() for w in theta]))
-    return theta, history
+    return theta

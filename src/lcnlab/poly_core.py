@@ -234,7 +234,7 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
     is m*stride ... m*stride + k - 1, mod d when ``cyclic``.  ``n_out``
     defaults to the exact fit, (d - k)/stride + 1 or, cyclic, d/stride.
     Raises ValueError for a stride below one, a cyclic filter longer than
-    d, an inexact fit and an overrun."""
+    d, an inexact fit, a negative ``n_out`` and an overrun."""
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     if cyclic and k > d:
@@ -244,6 +244,8 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
         if num < 0 or num % stride:
             raise ValueError(f"length {d} does not fit filter size {k} at stride {stride}")
         n_out = num // stride if cyclic else num // stride + 1
+    elif n_out < 0:
+        raise ValueError(f"placement count must be nonnegative, got {n_out}")
     elif not cyclic and n_out > 0 and (n_out - 1) * stride + k > d:
         raise ValueError(f"placement {n_out - 1} overruns dimension {d} (k={k}, stride={stride})")
     idx = stride * np.arange(n_out)[:, None] + np.arange(k)
@@ -276,7 +278,12 @@ def circulant_matrix(w, d: int, stride: int = 1) -> np.ndarray:
 
 
 def network_matrices(theta, arch: Architecture, d0: int) -> list:
-    """Per-layer sliding-window matrices for input length d0 (first layer first)."""
+    """Per-layer sliding-window matrices for input length d0 (first layer first).
+
+    Raises ValueError unless ``theta`` holds one filter of size ``ks[i]`` per
+    layer, and when some layer does not divide evenly.
+    """
+    _layers(theta, arch)
     dims = arch.layer_dims(d0)
     return [
         toeplitz_matrix(w, dims[i], arch.strides[i]) for i, w in enumerate(theta)

@@ -181,7 +181,7 @@ def test_flow_integration_conserves_layer_norm_gaps():
         obj = QuadraticObjective.euclidean(u)
         theta0 = arch.random_theta(rng)
         grad_fn = lambda th: network_gradient(th, arch, obj)
-        theta, _ = integrate_flow(theta0, grad_fn, step=1e-4, n_steps=10_000)
+        theta = integrate_flow(theta0, grad_fn, step=1e-4, n_steps=10_000)
         norms0 = np.array([np.sum(w**2) for w in theta0])
         norms1 = np.array([np.sum(w**2) for w in theta])
         for i in range(len(ks)):

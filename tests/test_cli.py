@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import lcnlab
-from lcnlab.cli import landscape_grid, main
-from lcnlab.critlab import _attainable_strata
+from lcnlab.cli import _emit_json, landscape_grid, main
+from lcnlab.critlab import _attainable_strata, critical_points_for_target
 from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
 from lcnlab.poly_core import Architecture, end_to_end
 from lcnlab.rootlab import RootFindingError
@@ -39,9 +39,23 @@ def test_analyze_arch_strided(tmp_path):
     info = run_json(["analyze-arch", "--ks", "2,2", "--strides", "1,2"], tmp_path)
     assert info["filter_size"] == 3
     assert info["stride"] == 2
+    # a final stride only subsamples the output: the unit-stride table holds
+    assert info["regions"] == run_json(["analyze-arch", "--ks", "2,2"], tmp_path)["regions"]
     # interior strides are structural; the coefficient-space region table
     # does not apply
+    info = run_json(["analyze-arch", "--ks", "3,2", "--strides", "2,1"], tmp_path)
     assert info["regions"] is None
+
+
+def test_classify_agrees_with_analyze_arch_on_strides(tmp_path):
+    for ks, strides, w in (("2,2", "1,2", "1,-3,2"), ("3,2", "2,1", "1,2,3,4,5")):
+        info = run_json(["analyze-arch", "--ks", ks, "--strides", strides], tmp_path)
+        out = run_json(["classify", "--ks", ks, "--strides", strides, "--w", w], tmp_path)
+        assert (out["filling"], out["e"]) == (info["filling"], info["e"])
+        assert out["region"] == (info["regions"] or {}).get(out["rrmp"])
+    # the interior stride: not filling, and no root-count answers
+    assert (info["filling"], info["e"], info["compatible"], info["ed_bound"]) == (
+        False, None, None, None)
 
 
 def test_classify_exterior_quadratic(tmp_path):
@@ -114,8 +128,16 @@ def test_train_rejects_bad_descent_settings(flags, capsys):
     (["case-study", "--runs", "-1"], "run"),
     (["invariants", "--theta", ";"], "no layer filters"),
     (["recover-scales", "--filters", ";", "--gaps", "1"], "no layer filters"),
+    (["critpoints", "--target", "1,2,3,4,5", "--ks", "3,2", "--strides", "2,1"],
+     "interior stride"),
+    (["critpoints", "--target", "2,0,5,0,2", "--ks", "2,2"], "target has size 5"),
+    (["critpoints", "--target", "1,0,2", "--lambda", "3,2"], "does not sum"),
+    (["train", "--ks", "2,2", "--target", "1,0,2,5"], "filter has size 4"),
+    (["landscape", "--ks", "2,2", "--target", "1,0,2,5"], "filter has size 4"),
 ], ids=["critpoints-starts-0", "critpoints-starts-negative", "case-study-runs-negative",
-        "invariants-no-layers", "recover-scales-no-layers"])
+        "invariants-no-layers", "recover-scales-no-layers", "critpoints-interior-stride",
+        "critpoints-size-mismatch", "critpoints-oversized-lambda", "train-size-mismatch",
+        "landscape-size-mismatch"])
 def test_bad_counts_exit_2(argv, message, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         pytest.fail("the case study searched a stratum before rejecting its run count")
@@ -204,6 +226,15 @@ def test_critpoints_architecture_mode_uses_attainable_strata(tmp_path):
                     "--starts", "2"], tmp_path)
     assert [tuple(s["lambda"]) for s in rep["strata"]] == _attainable_strata(
         Architecture((2, 2, 2))) == [(3,), (2, 1)]
+
+
+def test_critpoints_architecture_mode_matches_the_library(tmp_path):
+    rep = run_json(["critpoints", "--target", "2,0,5,0,2", "--ks", "3,2,2",
+                    "--starts", "10", "--seed", "1"], tmp_path)
+    lib = critical_points_for_target(np.array([2.0, 0, 5, 0, 2]), Architecture((3, 2, 2)),
+                                     n_starts=10, seed=1)
+    assert [s["lambda"] for s in rep["strata"]] == [list(r.lam) for r in lib]
+    assert [len(s["points"]) for s in rep["strata"]] == [len(r.points) for r in lib]
 
 
 def test_critpoints_bad_partition_exits_2(capsys):
@@ -321,6 +352,29 @@ def test_case_study_smoke(tmp_path):
     for g in report["gd"]:
         assert g["n_converged"] == 2
         assert g["worst_match_distance"] < 1e-4
+
+
+def test_json_reports_write_numpy_values_as_python_ones(tmp_path):
+    out = tmp_path / "r.json"
+    _emit_json({"x": np.float64(0.1), "v": np.array([0.1, -0.0]), "yes": np.bool_(True),
+                "no": np.bool_(False), "n": np.int64(3)}, str(out))
+    assert json.loads(out.read_text()) == {"x": 0.1, "v": [0.1, -0.0], "yes": True,
+                                           "no": False, "n": 3}
+    text = out.read_text()
+    assert "0.1," in text and "0.10000000000000001" not in text
+    assert '"yes": true' in text and '"no": false' in text and "-0.0" in text
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze-arch"], ["classify"], ["train"], ["critpoints"], ["invariants"],
+    ["recover-scales"], ["experiment"], ["experiment", "rrmp-table"],
+    ["experiment", "distinct"], ["landscape"], ["case-study"],
+], ids=" ".join)
+def test_help_exits_0_for_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lcnlab")
 
 
 def test_unknown_subcommand_exits_2():

@@ -153,6 +153,17 @@ def test_critical_points_for_target_and_ed_bound_use_attainable_strata():
                 ed_degree(lam, degree, metric=metric) for lam in strata)
 
 
+def test_interior_strides_have_no_strata():
+    # the layer degrees of (3, 2) at strides (2, 1) sum to 3, the filter
+    # degree is 4; a final stride only subsamples and keeps the strata
+    interior = Architecture((3, 2), (2, 1))
+    with pytest.raises(ValueError, match="interior stride"):
+        ed_bound(interior)
+    with pytest.raises(ValueError, match="interior stride"):
+        critical_points_for_target(np.arange(1.0, 6.0), interior)
+    assert _attainable_strata(Architecture((2, 2), (1, 2))) == [(2,)]
+
+
 def test_critical_points_for_target_rejects_size_mismatch():
     with pytest.raises(ValueError, match="size"):
         critical_points_for_target(U_STAR, Architecture((2, 2)))

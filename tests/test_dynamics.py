@@ -163,7 +163,7 @@ def test_flow_conserves_gaps_rk4():
     def grad(theta):
         return network_gradient(theta, arch, obj)
 
-    theta, _ = integrate_flow(theta0, grad, step=1e-3, n_steps=2000, method="rk4")
+    theta = integrate_flow(theta0, grad, step=1e-3, n_steps=2000, method="rk4")
     drift = np.max(np.abs(squared_norm_gaps(theta) - gaps0))
     assert drift < 1e-9
     # the flow actually moved
@@ -179,7 +179,7 @@ def test_euler_flow_matches_gradient_descent_step():
     def grad(theta):
         return network_gradient(theta, arch, obj)
 
-    theta1, _ = integrate_flow(theta0, grad, step=0.01, n_steps=1, method="euler")
+    theta1 = integrate_flow(theta0, grad, step=0.01, n_steps=1, method="euler")
     manual = [w - 0.01 * g for w, g in zip(theta0, grad(theta0))]
     assert all(np.allclose(a, b) for a, b in zip(theta1, manual))
 

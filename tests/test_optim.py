@@ -18,7 +18,8 @@ from lcnlab.optim import (
     tau,
     unconstrained_opt,
 )
-from lcnlab.poly_core import Architecture, as_filter, end_to_end, network_poly, toeplitz_matrix
+from lcnlab.poly_core import (Architecture, as_filter, end_to_end, network_matrices, network_poly,
+                              toeplitz_matrix)
 from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
 from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
@@ -72,7 +73,9 @@ def test_tau_circulant_wraps():
     (lambda M: tau(M, k=5, n_out=2, circulant=True), "exceeds"),
     (lambda M: QuadraticObjective.from_data(M, np.ones((4, 4)), Architecture((3, 3)),
                                             circulant=True), "exceeds"),
-], ids=["stride-0", "stride-minus-1", "cyclic-k-over-d", "cyclic-from-data-k-over-d"])
+    (lambda M: tau(M, k=3, n_out=-1), "nonnegative"),
+], ids=["stride-0", "stride-minus-1", "cyclic-k-over-d", "cyclic-from-data-k-over-d",
+        "negative-n-out"])
 def test_bad_placements_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call(np.eye(4))
@@ -218,6 +221,16 @@ def test_gradient_via_matrices_agrees():
 
 # the loops these folds ran before they shared one placement rule
 
+
+
+def test_matrix_realizations_check_theta_against_the_architecture():
+    # one filter for a two-layer network: the composition routines' mismatch
+    # error, not a numpy broadcast error further down
+    theta, arch = [np.ones(2)], Architecture((2, 2))
+    with pytest.raises(ValueError, match="expected 2 filters"):
+        network_matrices(theta, arch, 5)
+    with pytest.raises(ValueError, match="expected 2 filters"):
+        gradient_via_matrices(theta, arch, np.eye(5), np.ones((3, 5)))
 
 def _tau_loop(M, k, n_out, stride, circulant):
     out = np.zeros((k, k))
