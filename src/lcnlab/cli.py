@@ -243,6 +243,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_critpoints(args) -> int:
+    if args.lam and args.ks:
+        raise ConfigError("pass either --lambda or --ks, not both")
     u = _parse_floats(args.target)
     obj = _objective(args.norm, u)
     if args.lam:
@@ -646,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="critical points on root-multiplicity strata")
     _add_target_flags(p)
     p.add_argument("--lambda", dest="lam", default=None,
-                   help="multiplicity partition, e.g. 2,1,1")
+                   help="multiplicity partition, e.g. 2,1,1 (not with --ks)")
     _add_arch_flags(p, required=False)
     p.add_argument("--starts", type=int, default=200)
     p.set_defaults(fn=_cmd_critpoints)

@@ -11,9 +11,10 @@ numerically:
 * where gradient descent in filter coordinates can get stuck even though the
   function-space picture is benign (``find_spurious_minimum``).
 
-For quadratics (filter size 3) the rank-one stratum admits an exact solver
-based on a polynomial eigenvalue problem (``cone_critical_points``), which we
-keep alongside the generic Newton search as an independent route.
+On the rank-one stratum lambda = (d) the critical points are the real roots
+of one binary form of degree 3d - 2, so they are found exactly; filter size 3,
+the quadratic cone, is ``cone_critical_points``.  ``crit_on_stratum`` keeps
+its Newton search on every stratum, this one included.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ import numpy as np
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
 from .poly_core import (Architecture, _complements, _nearest, _product, _same_filter, as_filter,
                         end_to_end, poly_mul)
-from .rootlab import (ProjRoot, Rrmp, _partitions, _root_factors, all_rrmps, classify_rrmp,
-                      is_compatible)
+from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
+                      _partitions, _root_factors, all_rrmps, classify_rrmp, cluster_roots,
+                      find_roots, is_compatible)
 
 __all__ = [
     "CritPoint",
@@ -58,6 +60,9 @@ _GRAD_TOL = 1e-11
 _EIG_BAND = 1e-6
 _DEDUP_TOL = 1e-7
 _COLLAPSE_TOL = 1e-4
+# A simple root of the rank-one critical form is real when its imaginary part
+# is this small relative to its modulus.
+_SIMPLE_REAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +467,7 @@ def match_critical_point(
 
 
 # ---------------------------------------------------------------------------
-# Exact solver on the quadratic cone (filter size 3, rank-one stratum)
+# Exact solver on the rank-one stratum; filter size 3 is the quadratic cone
 # ---------------------------------------------------------------------------
 
 _CONE_J = np.array([[0.0, 0.0, 1.0], [0.0, -0.5, 0.0], [1.0, 0.0, 0.0]])
@@ -508,22 +513,62 @@ def cone_lambda_polynomial(
     return quartic, a_pol, b_pol, c_pol
 
 
-def _cone_chart_value(objective: QuadraticObjective, sign: float, alpha: float, beta: float) -> float:
-    w = sign * np.array([alpha * alpha, 2.0 * alpha * beta, beta * beta])
-    return float(objective.value(w))
+def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
+    """Every real critical point of ``objective`` on the stratum lambda = (d),
+    sorted by loss.
 
+    A point is sigma * (a x + b y)^d.  With v its coefficient vector, N = v.Mu
+    and D = v.Mv are binary forms in (a, b), the optimal scale is N / D, and
+    the reduced loss const - N^2 / D is critical where N = 0 (the zero filter,
+    not on the stratum) or where P = 2 N' D - N D' vanishes.  P has degree
+    3d - 2 in t = b / a; a zero leading coefficient is the root at infinity,
+    the point y^d.  Roots within ROOT_TOL of the real line are clustered;
+    a cluster whose mean leaves P at rounding level is a repeated root, one
+    DEGENERATE point, else each member real to _SIMPLE_REAL_TOL is a point,
+    so real roots merge only for targets within about 1e-12 of the caustic.
+    Any other point is typed by the loss's Hessian in (log sigma, t), which
+    is diagonal there: the scale's 2 N^2 / D and the reduced loss's
+    -N P' / D^2, both quadratic in the target and linear in the Gram
+    matrix, in whichever chart, t or s = a / b, holds the root in [-1, 1].
+    ``grad_norm`` is 0: the points are roots, not Newton iterates.
+    """
+    u = objective.target
+    d = u.shape[0] - 1
+    powers = np.arange(d + 1)
+    binom = np.array([math.comb(d, j) for j in powers], dtype=float)
+    # N(1, t) and D(1, t), highest power first; reversed, N(s, 1) and D(s, 1)
+    n_t = (binom * (objective.matrix @ u))[::-1]
+    d_t = np.bincount(np.add.outer(powers, powers).ravel(),
+                      weights=(np.outer(binom, binom) * objective.matrix).ravel())[::-1]
+    charts = ((n_t, d_t), (n_t[::-1], d_t[::-1]))
+    # P per chart; the top terms of 2 N' D and N D' cancel, leaving degree 3d - 2
+    forms = [(2.0 * poly_mul(np.polyder(num), den) - poly_mul(num, np.polyder(den)))[1:]
+             for num, den in charts]
 
-def _classify_cone_point(objective: QuadraticObjective, w: np.ndarray) -> str:
-    sign = 1.0 if w[0] + w[2] >= 0 else -1.0
-    q = sign * w
-    alpha = math.sqrt(max(q[0], 0.0))
-    if alpha > 1e-12:
-        beta = q[1] / (2.0 * alpha)
-    else:
-        beta = math.sqrt(max(q[2], 0.0))
-    return _classify_hessian(
-        lambda p: _cone_chart_value(objective, sign, p[0], p[1]), np.array([alpha, beta])
-    )
+    roots: list[tuple[ProjRoot, bool]] = []
+    bound = ZERO_BAND * np.max(np.abs(forms[0]))
+    for cluster in cluster_roots([r for r in find_roots(forms[0]) if r.is_real()]):
+        rep = _cluster_rep(cluster)
+        if len(cluster) > 1 and _homogeneous_residual(forms[0], rep) <= bound:
+            roots.append((rep, True))
+        else:
+            roots += [(r, False) for r in cluster if r.is_real(_SIMPLE_REAL_TOL)]
+    points: list[CritPoint] = []
+    for root, repeated in roots:
+        flip = root.infinite or abs(root.value) > 1.0
+        x = 0.0 if root.infinite else (1.0 / root.value.real if flip else root.value.real)
+        num, den = charts[flip]
+        n_x, d_x = np.polyval(num, x), np.polyval(den, x)
+        if abs(n_x) <= 1e-12 * np.max(np.abs(num)):
+            continue  # sigma = 0 up to rounding: a multiple root of N
+        v = binom * x**powers
+        w = n_x / d_x * (v[::-1] if flip else v)
+        curvature = -n_x * np.polyval(np.polyder(forms[flip]), x) / d_x**2
+        kind = "DEGENERATE" if repeated else _inertia(np.array([2.0 * n_x**2 / d_x, curvature]))
+        points.append(CritPoint(w=w, lam=(d,), pattern=Rrmp(rho=(d,)), loss=objective.value(w),
+                                grad_norm=0.0, kind=kind))
+    points.sort(key=lambda p: p.loss)
+    return points
 
 
 def cone_critical_points(
@@ -532,74 +577,14 @@ def cone_critical_points(
     """All critical points of the loss on the quadratic cone, solved exactly.
 
     ``sigma`` is the Gram matrix of the data (identity for the plain
-    Euclidean distance); ``u`` is the unconstrained optimum.  One critical
-    point is produced per real root of the multiplier polynomial.
+    Euclidean distance); ``u`` is the unconstrained optimum.  The cone is the
+    rank-one stratum of size-3 filters: one point per real root of the
+    quartic ``_rank_one_points`` solves, a repeated root once, as DEGENERATE.
     """
     u = as_filter(u)
-    if sigma is None:
-        sigma = np.eye(3)
-    sigma = np.asarray(sigma, dtype=float)
-    v = sigma @ u  # row vector Y X^T in the normal-equation form
-    objective = QuadraticObjective(matrix=sigma, target=u)
-    quartic, *_ = cone_lambda_polynomial(sigma, v)
-    if float(np.max(np.abs(quartic))) < 1e-300:
-        raise ValueError("degenerate multiplier polynomial; target is too special")
-    points: list[CritPoint] = []
-
-    def push(w: np.ndarray) -> None:
-        disc = w[1] ** 2 - 4.0 * w[0] * w[2]
-        w_scale = max(float(np.max(np.abs(w))), 1.0)
-        if abs(disc) > 1e-6 * w_scale**2:
-            return  # numerical artifact, not on the cone
-        if any(_same_filter(w, p.w, _DEDUP_TOL) for p in points):
-            return
-        points.append(
-            CritPoint(
-                w=w,
-                lam=(2,),
-                pattern=Rrmp(rho=(2,), gamma=()),
-                loss=float(objective.value(w)),
-                grad_norm=0.0,
-                kind=_classify_cone_point(objective, w),
-            )
-        )
-
-    for lam_root in np.roots(quartic):
-        if abs(lam_root.imag) > 1e-9 * (1.0 + abs(lam_root)):
-            continue
-        m = sigma - float(lam_root.real) * _CONE_J  # symmetric
-        eigvals, eigvecs = np.linalg.eigh(m)
-        m_scale = float(np.max(np.abs(eigvals)))
-        if float(np.min(np.abs(eigvals))) > 1e-7 * m_scale:
-            push(np.linalg.solve(m, v))
-            continue
-        # Multiplier hits an eigenvalue of the pencil: solutions form a line
-        # w_p + t * n through the least-norm solution, and the cone equation
-        # picks out up to two points on it.  Happens on symmetry slices of
-        # the target, e.g. palindromic quadratics.
-        null_dirs = [eigvecs[:, i] for i in range(3) if abs(eigvals[i]) <= 1e-7 * m_scale]
-        if len(null_dirs) != 1:
-            continue
-        n = null_dirs[0]
-        if abs(n @ v) > 1e-8 * (np.linalg.norm(v) + 1.0):
-            continue  # inconsistent system: no finite critical point here
-        w_p = np.linalg.pinv(m, rcond=1e-9) @ v
-        # q(t) = (w_p + t n)^T J (w_p + t n), with disc = -4 w^T J w / ... = 0
-        qa = float(n @ _CONE_J @ n)
-        qb = 2.0 * float(n @ _CONE_J @ w_p)
-        qc = float(w_p @ _CONE_J @ w_p)
-        if abs(qa) < 1e-14:
-            ts = [-qc / qb] if abs(qb) > 1e-14 else []
-        else:
-            rad = qb * qb - 4.0 * qa * qc
-            if rad < 0.0:
-                ts = []
-            else:
-                ts = [(-qb + math.sqrt(rad)) / (2.0 * qa), (-qb - math.sqrt(rad)) / (2.0 * qa)]
-        for t in ts:
-            push(w_p + t * n)
-    points.sort(key=lambda p: p.loss)
-    return points
+    if u.shape[0] != 3:
+        raise ValueError(f"the cone solver works on filters of size 3, got {u.shape[0]}")
+    return _rank_one_points(QuadraticObjective(np.eye(3) if sigma is None else sigma, u))
 
 
 def caustic_value(u: np.ndarray) -> float:

@@ -65,7 +65,11 @@ def bombieri_matrix(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticObjective:
-    """loss(w) = (w - target)^T matrix (w - target) + const."""
+    """loss(w) = (w - target)^T matrix (w - target) + const.
+
+    Raises ValueError when the matrix does not match the target or a field
+    has a non-finite entry.
+    """
 
     matrix: np.ndarray
     target: np.ndarray
@@ -76,6 +80,9 @@ class QuadraticObjective:
         u = as_filter(self.target)
         if M.shape != (len(u), len(u)):
             raise ValueError(f"matrix shape {M.shape} does not match target {len(u)}")
+        for name, value in (("matrix", M), ("target", u), ("const", self.const)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"QuadraticObjective {name} has non-finite entries")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "target", u)
 

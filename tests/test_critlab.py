@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from lcnlab.critlab import (
     _Chart,
     _attainable_strata,
     _inertia,
+    _rank_one_points,
     caustic_value,
     cone_critical_points,
     cone_lambda_polynomial,
@@ -226,22 +228,107 @@ def test_cone_lambda_polynomial_rejects_bad_shape():
         cone_lambda_polynomial(np.eye(4), np.ones(4))
 
 
+def _assert_critical_on_cone(points, u):
+    for p in points:
+        disc = p.w[1] ** 2 - 4.0 * p.w[0] * p.w[2]
+        assert abs(disc) <= 1e-6 * max(1.0, np.max(np.abs(p.w)) ** 2)
+        # criticality: residual must be parallel to the cone normal J w
+        normal = np.array([p.w[2], -0.5 * p.w[1], p.w[0]])
+        resid = p.w - u
+        cross = resid - (resid @ normal) / (normal @ normal) * normal
+        assert np.linalg.norm(cross) <= 1e-6 * (1.0 + np.linalg.norm(resid))
+    losses = [p.loss for p in points]
+    assert losses == sorted(losses)
+
+
 def test_cone_critical_points_project_onto_cone():
     rng = np.random.default_rng(13)
     for _ in range(10):
         u = rng.standard_normal(3)
         points = cone_critical_points(u)
         assert points, "a projection onto the cone always exists"
-        for p in points:
-            disc = p.w[1] ** 2 - 4.0 * p.w[0] * p.w[2]
-            assert abs(disc) <= 1e-6 * max(1.0, np.max(np.abs(p.w)) ** 2)
-            # criticality: residual must be parallel to the cone normal J w
-            normal = np.array([p.w[2], -0.5 * p.w[1], p.w[0]])
-            resid = p.w - u
-            cross = resid - (resid @ normal) / (normal @ normal) * normal
-            assert np.linalg.norm(cross) <= 1e-6 * (1.0 + np.linalg.norm(resid))
-        losses = [p.loss for p in points]
-        assert losses == sorted(losses)
+        _assert_critical_on_cone(points, u)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-6, -1e-6])
+def test_cone_critical_points_on_and_next_to_the_caustic(offset):
+    # at u = (2, 1, 2) the caustic value is exactly 0 and (1, 2, 1) is a
+    # triple root of the critical form; moving u off it keeps one real root
+    # of the three, about offset^(1/3) away, and the saddle stays put
+    u = np.array([2.0, 1.0, 2.0 + offset])
+    points = cone_critical_points(u)
+    _assert_critical_on_cone(points, u)
+    assert len(points) == 2
+    near, saddle = points
+    assert np.max(np.abs(near.w - [1.0, 2.0, 1.0])) <= (1e-5 if offset == 0.0 else 2e-2)
+    assert saddle.kind == "SADDLE" and _same_filter(saddle.w, np.array([1.0, -2.0, 1.0]) / 3, 1e-5)
+    if offset == 0.0:
+        assert caustic_value(u) == 0.0 and near.kind == "DEGENERATE"
+
+
+@pytest.mark.parametrize("offset, kinds", [(-1e-9, ["MIN", "MIN", "SADDLE", "SADDLE"]),
+                                           (1e-9, ["MIN", "SADDLE"])])
+def test_cone_critical_points_next_to_a_fold_of_the_caustic(offset, kinds):
+    # (0.5, FOLD, 0.45) is on the caustic, where a minimum and a saddle meet
+    # in a double root; 1e-9 off it they are two real roots about 3e-5 apart,
+    # or a complex pair as close to the real line, and must stay two or none
+    u = np.array([0.5, 0.1414465844455028 + offset, 0.45])
+    points = cone_critical_points(u)
+    _assert_critical_on_cone(points, u)
+    assert sorted(p.kind for p in points) == kinds
+    assert (caustic_value(u) < 0) == (len(points) == 4)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e4])
+def test_cone_critical_points_do_not_depend_on_the_scale(scale):
+    # scaling the target scales every point; scaling the Gram matrix moves
+    # none (points tied in loss may swap places)
+    rng = np.random.default_rng(17)
+    for u in [np.array([0.5, 0.10, 0.5]), *rng.standard_normal((10, 3))]:
+        for sigma in (np.eye(3), np.diag([1.0, 0.5, 1.0])):
+            base = cone_critical_points(u, sigma)
+            for points, w_scale in ((cone_critical_points(scale * u, sigma), scale),
+                                    (cone_critical_points(u, scale * sigma), 1.0)):
+                assert len(points) == len(base)
+                for p in points:
+                    same = [q for q in base if _same_filter(p.w / w_scale, q.w, 1e-9)]
+                    assert len(same) == 1 and same[0].kind == p.kind
+
+
+def test_cone_lambda_polynomial_counts_the_cone_critical_points():
+    # each real multiplier root gives one critical point, except on the
+    # palindromic slice u1 = u3, where lam = -1 is a double root that gives none
+    rng = np.random.default_rng(19)
+    targets = [np.array([0.5, b, 0.45]) for b in (0.10, 0.35, 0.60)]
+    for u in targets + list(rng.standard_normal((20, 3))):
+        quartic, _, _, _ = cone_lambda_polynomial(np.eye(3), u)
+        n_real = sum(abs(r.imag) <= 1e-9 * (1.0 + abs(r)) for r in np.roots(quartic))
+        assert n_real == len(cone_critical_points(u))
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "bombieri"])
+def test_rank_one_points_contain_every_newton_point(metric):
+    # seeded targets off the caustic, where Newton's landings do not scatter
+    rng = np.random.default_rng(5)
+    ed_metric = "special" if metric == "bombieri" else "generic"
+    for d in (3, 4, 5):
+        for _ in range(8):
+            obj = getattr(QuadraticObjective, metric)(rng.standard_normal(d + 1))
+            exact = _rank_one_points(obj)
+            assert len(exact) <= ed_degree((d,), d, metric=ed_metric)
+            for p in crit_on_stratum(obj, (d,), n_starts=40).points:
+                same = [q for q in exact if _same_filter(p.w, q.w, 1e-6)]
+                assert len(same) == 1 and same[0].kind == p.kind
+
+
+@pytest.mark.parametrize("roots", [(0.3,), (-1.7,), (2.5,), (0.4, -1.2), (3.0, 0.5)])
+def test_rank_one_points_leave_out_the_zero_filter(roots):
+    # when N = v.u has a double root at r, P vanishes there with sigma = 0
+    n_up = np.poly([roots[0], *roots])[::-1]  # (t - r)^2 (t - s), lowest power first
+    d = len(n_up) - 1
+    u = 1.7 * n_up / np.array([math.comb(d, j) for j in range(d + 1)])
+    points = _rank_one_points(QuadraticObjective.euclidean(u))
+    assert points and all(np.max(np.abs(p.w)) > 1e-3 * np.max(np.abs(u)) for p in points)
 
 
 def test_cone_region_counts_across_sample_targets():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lcnlab.critlab import crit_on_stratum, find_spurious_minimum
 from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
@@ -113,6 +114,28 @@ def test_objective_gradient_consistency():
         e[i] = h
         fd = (obj.value(w + e) - obj.value(w - e)) / (2 * h)
         assert abs(g[i] - fd) < 1e-6
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: QuadraticObjective.euclidean([NAN, 0.0, 5.0, 0.0, 2.0]), "target"),
+    (lambda: QuadraticObjective.bombieri([1.0, np.inf, 1.0]), "target"),
+    (lambda: QuadraticObjective(np.full((3, 3), NAN), np.ones(3)), "matrix"),
+    (lambda: QuadraticObjective(np.eye(3), np.ones(3), const=-np.inf), "const"),
+    (lambda: QuadraticObjective.from_data(np.eye(3), np.full((2, 3), NAN), Architecture((2,))),
+     "target"),
+    (lambda: crit_on_stratum(QuadraticObjective.euclidean([NAN, 0.0, 5.0, 0.0, 2.0]), (4,)),
+     "target"),
+    (lambda: gd_train(QuadraticObjective.euclidean([NAN, 1.0, 1.0]), Architecture((2, 2)),
+                      [np.ones(2), np.ones(2)]), "target"),
+    (lambda: find_spurious_minimum(np.array([np.inf, 1.0, 0.1, 0.1])), "target"),
+], ids=["euclidean", "bombieri", "matrix", "const", "from-data", "crit-on-stratum", "gd-train",
+        "find-spurious-minimum"])
+def test_non_finite_objectives_are_rejected_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"QuadraticObjective {field} has non-finite"):
+        make()
 
 
 def test_network_gradient_matches_finite_differences():
