@@ -210,7 +210,7 @@ def _cmd_analyze_arch(args) -> int:
 
 def _cmd_classify(args) -> int:
     arch = _arch(args)
-    rrmp = classify_rrmp(_parse_filter(args.w, arch), seed=args.seed)
+    rrmp = classify_rrmp(_parse_filter(args.w, arch))
     filling, e, region = _space(arch, rrmp)
     _emit_json({"rrmp": rrmp.label, "filling": filling, "e": e, "region": region},
                args.out)

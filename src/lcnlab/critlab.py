@@ -399,9 +399,9 @@ def crit_on_stratum(
 def expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float) -> np.ndarray:
     """Assemble the coefficient vector for given roots and multiplicities.
 
-    Convenience used in tests and by the CLI to write down stratum points
-    exactly: real roots are listed first (matching ``pattern.rho``), then one
-    representative per conjugate pair (matching ``pattern.gamma``).
+    Writes down a stratum point exactly from its roots: real roots are
+    listed first (matching ``pattern.rho``), then one representative per
+    conjugate pair (matching ``pattern.gamma``).
     """
     if len(roots) != len(pattern.rho) + len(pattern.gamma):
         raise ValueError("need one root per real part and one per conjugate pair")
@@ -520,7 +520,8 @@ def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
     A point is sigma * (a x + b y)^d.  With v its coefficient vector, N = v.Mu
     and D = v.Mv are binary forms in (a, b), the optimal scale is N / D, and
     the reduced loss const - N^2 / D is critical where N = 0 (the zero filter,
-    not on the stratum) or where P = 2 N' D - N D' vanishes.  P has degree
+    not on the stratum) or where P = 2 N' D - N D' vanishes.  A zero target
+    makes N vanish everywhere, so it has no point.  P has degree
     3d - 2 in t = b / a; a zero leading coefficient is the root at infinity,
     the point y^d.  Roots within ROOT_TOL of the real line are clustered;
     a cluster whose mean leaves P at rounding level is a repeated root, one
@@ -533,6 +534,8 @@ def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
     ``grad_norm`` is 0: the points are roots, not Newton iterates.
     """
     u = objective.target
+    if not u.any():
+        return []
     d = u.shape[0] - 1
     powers = np.arange(d + 1)
     binom = np.array([math.comb(d, j) for j in powers], dtype=float)

@@ -14,6 +14,8 @@ the tangent kernel and its rank drops exactly where factors share roots.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,15 +127,7 @@ class FiberScales:
 
 def scale_sign_patterns(depth: int) -> list:
     """All +-1 patterns with product +1 (the fiber's 2^(L-1) components)."""
-    out = []
-    for bits in range(2 ** (depth - 1)):
-        pat = [1] * depth
-        for i in range(depth - 1):
-            if (bits >> i) & 1:
-                pat[i] = -1
-        pat[-1] = int(np.prod(pat[:-1]))  # force product +1
-        out.append(tuple(pat))
-    return sorted(set(out))
+    return sorted(p + (math.prod(p),) for p in itertools.product((-1, 1), repeat=depth - 1))
 
 
 def recover_scales(q_filters, gaps) -> list:

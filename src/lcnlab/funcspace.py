@@ -7,10 +7,11 @@ layers.  This module implements that membership test, the interior/boundary/
 exterior trichotomy, the "does the architecture fill everything" decision,
 and explicit factorization of a member filter into layer filters.
 
-Strided architectures other than the worked two-layer stride-two family are
-genuinely different (their function spaces are cut out by polynomial
-equations, not just root-sign conditions); the dedicated ``stride2_*``
-functions handle that family exactly.
+An architecture that keeps an interior stride has a function space cut out
+by polynomial equations, not by root counts.  Only the worked family of
+sizes (3, 2) with strides (2, 1) is covered: ``stride2_membership`` tests its
+cubic equation and inequality on the filter scaled to max|u| = 1, and
+``stride2_factor`` inverts the composition in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .dynamics import jacobian_mu, stack_theta, unstack_theta
 from .poly_core import Architecture, _product, as_filter, compose_filters, end_to_end
-from .rootlab import Rrmp, _root_factors, _root_structure, classify_rrmp, find_roots
+from .rootlab import (Rrmp, _require_finite, _root_factors, _root_structure, classify_rrmp,
+                      find_roots)
 
 
 class SpaceRegion(enum.Enum):
@@ -199,62 +201,60 @@ def _polish_factors(theta, w, arch):
 # --- the worked strided family: sizes (3, 2), first stride 2 -----------------
 
 
-def stride2_membership(u) -> bool:
-    """Is a size-5 filter realizable as a stride-2 pair of sizes (3, 2)?
+def _unit(u):
+    """(u / max|u|, max|u|) for a finite size-5 filter; zero stays zero."""
+    u = as_filter(u)
+    if len(u) != 5:
+        raise ValueError(f"need a size-5 filter, got size {len(u)}")
+    _require_finite(u)
+    scale = float(np.max(np.abs(u)))
+    return (u / scale if scale else u), scale
 
-    The image is cut out by one cubic equation and one inequality; both are
-    tested at tolerance 1e-9 relative to the largest coefficient.
+
+def _cubic(u) -> float:
+    A, B, C, D, E = u
+    return A * D * D + B * B * E - B * C * D
+
+
+def stride2_membership(u) -> bool:
+    """Is a size-5 filter (A, B, C, D, E) realizable as a stride-2 pair of
+    sizes (3, 2)?  Tests A D^2 + B^2 E - B C D = 0 and C^2 - 4 A E >= 0 at
+    tolerance 1e-9 on u / max|u|, so the answer does not depend on the scale.
+    Raises ValueError for a size other than 5 or a non-finite entry.
     """
-    A, B, C, D, E = as_filter(u)
-    scale = max(np.max(np.abs([A, B, C, D, E])), 1.0)
-    eq = A * D * D + B * B * E - B * C * D
-    ineq = C * C - 4 * A * E
-    return abs(eq) <= 1e-9 * scale**3 and ineq >= -1e-9 * scale**2
+    un = _unit(u)[0]
+    A, _, C, _, E = un
+    return abs(_cubic(un)) <= 1e-9 and C * C - 4 * A * E >= -1e-9
 
 
 def stride2_factor(u):
     """Layer filters ((a, b, c), (d, e)) composing at stride 2 to ``u``.
 
-    Inverts (ad, bd, ae+cd, be, ce) case by case on which of the outer
-    coefficients vanish; raises ValueError off the variety.
+    u = (ad, bd, ae + cd, be, ce), so (a, c) solve a least-squares system once
+    (b, d, e) are fixed.  On u / max|u|, with m = max(|B|, |D|), that system
+    misses by about |cubic| / m^2 for b = 1, (d, e) = (B, D), and by about m
+    for b = 0, where (d, e) is a factor of A s^2 + C st + E t^2 at one
+    projective root: (0, 1) at infinity, (1, -Re r) at r, so a complex pair
+    within tolerance is a double real root.  So b = 1 exactly when
+    m^3 > |cubic|; the outer filter carries max|u|.  The zero filter gives
+    ((0, 0, 0), (1, 0)).  Raises ValueError where ``stride2_membership`` is
+    False or the composition misses u by more than 1e-3 max|u|.
     """
-    u = as_filter(u)
-    if len(u) != 5:
-        raise ValueError(f"need a size-5 filter, got {len(u)}")
-    if not stride2_membership(u):
+    un, scale = _unit(u)
+    if not stride2_membership(un):
         raise ValueError("filter is not realizable by the (3, 2) stride-2 network")
-    A, B, C, D, E = u
-    scale = max(np.max(np.abs(u)), 1.0)
-    band = 1e-12 * scale
-
-    if abs(E) <= band:
-        if abs(D) <= band:
-            w1, w2 = np.array([A, B, C]), np.array([1.0, 0.0])
-        else:
-            w1, w2 = np.array([C / D, 1.0, 0.0]), np.array([B, D])
+    if scale == 0:
+        return np.zeros(3), np.array([1.0, 0.0])
+    A, B, C, D, E = un
+    b = float(max(abs(B), abs(D)) ** 3 > abs(_cubic(un)))
+    if b:
+        d, e = B, D
     else:
-        An, Bn, Cn, Dn = A / E, B / E, C / E, D / E
-        if abs(Dn) > band / abs(E):
-            d = Bn / Dn if abs(Bn) > band / abs(E) else 0.0
-            a = An * Dn / Bn if abs(Bn) > band / abs(E) else Cn
-        else:
-            if abs(An) <= band / abs(E):
-                a, d = Cn, 0.0
-            else:
-                disc = Cn * Cn - 4 * An
-                if disc < 0:
-                    disc = 0.0
-                d = (Cn + np.sqrt(disc)) / 2
-                if d == 0:
-                    d = (Cn - np.sqrt(disc)) / 2
-                a = An / d
-        w1 = np.array([a, Dn, 1.0])
-        w2 = np.array([d * E, E])
-
-    # one Newton-style correction pass via exact re-derivation is overkill;
-    # verify and return
-    check = compose_filters(w2, 2, w1)
-    if np.max(np.abs(check - u)) > 1e-3 * scale:
+        r = find_roots([A, C, E])[0]
+        d, e = (0.0, 1.0) if r.infinite else (1.0, -r.value.real)
+    (a, c), *_ = np.linalg.lstsq([[d, 0.0], [e, d], [0.0, e]], [A, C, E], rcond=None)
+    w1, w2 = np.array([a, b, c]), np.array([d, e])
+    if np.max(np.abs(compose_filters(w2, 2, w1) - un)) > 1e-3:
         raise ValueError("factorization residual too large; input near the "
                          "variety's singular locus?")
-    return w1, w2
+    return w1, scale * w2

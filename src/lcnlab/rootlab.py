@@ -90,18 +90,19 @@ def _homogeneous_residual(coeffs: np.ndarray, root: ProjRoot) -> float:
     return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
 
 
-def _aberth(core: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _aberth(core: np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial with nonzero first/last coefficient.
 
-    ``core`` is in descending order.  Starts from a randomly rotated circle,
-    runs at most 200 simultaneous Aberth-Ehrlich updates, then five plain
-    Newton steps per root.
+    ``core`` is in descending order.  Starts from a circle rotated by a fixed
+    seed, runs at most 200 simultaneous Aberth-Ehrlich updates, then five
+    plain Newton steps per root.
     """
     a = core / core[0]
     m = len(a) - 1
     if m == 1:
         return np.array([-a[1]], dtype=complex)
 
+    rng = np.random.default_rng(0)
     deriv = np.polyder(a)
     radius = 1.0 + np.max(np.abs(a[1:]))
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -144,11 +145,11 @@ def _require_finite(w: np.ndarray):
         raise ValueError(f"filter {w} has non-finite entries at positions {bad.tolist()}")
 
 
-def find_roots(coeffs, seed: int = 0) -> list:
+def find_roots(coeffs) -> list:
     """All k-1 projective roots of a size-k filter, with multiplicity.
 
     Leading zero coefficients become roots at infinity, trailing zeros roots
-    at 0; the remaining core is solved numerically (seeded, deterministic).
+    at 0; the remaining core is solved numerically (deterministic).
     Residuals are certified against the largest coefficient; on failure the
     companion-matrix fallback is tried before giving up.  Non-finite entries
     raise ValueError before any solver runs.
@@ -172,11 +173,10 @@ def find_roots(coeffs, seed: int = 0) -> list:
 
     roots = [INFINITY] * n_inf + [ProjRoot.finite(0.0)] * n_zero
     if len(core) > 1:
-        rng = np.random.default_rng(seed)
         # badly scaled cores overflow inside the iterations; the residual
         # check below decides, so numpy's warnings would only be noise
         with np.errstate(all="ignore"):
-            z = _aberth(core, rng)
+            z = _aberth(core)
             finite = [ProjRoot.finite(zi) for zi in z]
             if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
                    for r in finite):
@@ -332,9 +332,9 @@ def classify_roots(roots) -> Rrmp:
     return Rrmp(tuple(m for _, m in reals), tuple(m for _, m in pairs))
 
 
-def classify_rrmp(coeffs, seed: int = 0) -> Rrmp:
+def classify_rrmp(coeffs) -> Rrmp:
     """Pattern of a single filter via numeric roots + clustering."""
-    return classify_roots(find_roots(coeffs, seed=seed))
+    return classify_roots(find_roots(coeffs))
 
 
 def classify_rrmp_pooled(filters) -> Rrmp:

@@ -295,6 +295,12 @@ def test_cone_critical_points_do_not_depend_on_the_scale(scale):
                     assert len(same) == 1 and same[0].kind == p.kind
 
 
+def test_cone_zero_target_has_no_critical_point():
+    # the loss sigma^2 D has no critical point with sigma != 0
+    assert cone_critical_points(np.zeros(3)) == []
+    assert cone_region_counts(np.zeros(3)) == (0, 0)
+
+
 def test_cone_lambda_polynomial_counts_the_cone_critical_points():
     # each real multiplier root gives one critical point, except on the
     # palindromic slice u1 = u3, where lam = -1 is a double root that gives none

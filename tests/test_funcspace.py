@@ -207,6 +207,7 @@ def test_stride2_factor_round_trip():
     ([1.0, 0.0, 3.0], [0.0, 1.0]),     # outer leading zero
     ([0.0, 2.0, 3.0], [1.0, 1.0]),     # inner leading zero
     ([1.0, 0.0, 2.0], [2.0, 5.0]),     # no middle inner coefficient
+    ([1.0, 0.0, 0.5 + 1e-10], [2.0, 1.0]),  # b = 0 and a near-double root
 ])
 def test_stride2_factor_degenerate_cases(w1, w2):
     u = compose_filters(np.array(w2), 2, np.array(w1))
@@ -218,3 +219,37 @@ def test_stride2_factor_degenerate_cases(w1, w2):
 def test_stride2_factor_rejects_non_member():
     with pytest.raises(ValueError):
         stride2_factor([1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("scale", [10.0**p for p in range(-200, 201, 50)])
+def test_stride2_is_scale_free(scale):
+    # seeded members with zero taps, each layer scaled, round-trip to 1e-8 of
+    # max|u| at every scale; a near-double b = 0 member among them; the
+    # non-members stay non-members
+    rng = np.random.default_rng(35)
+    cases = [(np.array([1.0, 0.0, 0.5 + 1e-10]), np.array([1e-13, 0.5e-13]))]
+    for _ in range(100):
+        w1, w2 = rng.standard_normal(3), rng.standard_normal(2)
+        w1[rng.random(3) < 0.3] = 0.0
+        w2[rng.random(2) < 0.3] = 0.0
+        cases.append((w1, w2))
+    for w1, w2 in cases:
+        split = 10.0 ** rng.uniform(-50, 50)
+        u = compose_filters(w2 * split, 2, w1 * (scale / split))
+        if not u.any():
+            continue
+        assert stride2_membership(u)
+        f1, f2 = stride2_factor(u)
+        back = compose_filters(f2, 2, f1)
+        assert np.max(np.abs(back - u)) <= 1e-8 * np.max(np.abs(u))
+    for u in ([1.0, 0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0]):
+        assert not stride2_membership(scale * np.array(u))
+
+
+@pytest.mark.parametrize("u, message", [([np.inf, 1.0, 1.0, 1.0, 1.0], "non-finite"),
+                                        ([1.0, 1.0, np.nan, 1.0, 1.0], "non-finite"),
+                                        ([1.0, 2.0, 1.0, 0.0], "size 4")])
+def test_stride2_rejects_non_finite_and_wrong_size(u, message):
+    for stride2 in (stride2_membership, stride2_factor):
+        with pytest.raises(ValueError, match=message):
+            stride2(u)

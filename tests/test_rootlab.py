@@ -59,8 +59,8 @@ def test_zero_filter_rejected():
 
 def test_find_roots_is_deterministic():
     w = np.random.default_rng(0).standard_normal(7)
-    r1 = find_roots(w, seed=3)
-    r2 = find_roots(w, seed=3)
+    r1 = find_roots(w)
+    r2 = find_roots(w)
     assert all(a.value == b.value and a.infinite == b.infinite
                for a, b in zip(r1, r2))
 
