@@ -6,7 +6,9 @@ a quadratic form on the end-to-end filter: the data covariance folds along
 the filter's sliding placements (``tau``).  Training operates directly on
 the layer filters; the gradient of a layer is the cross-correlation of the
 loss gradient with the product of the other (upsampled) layers, read at the
-layer's span, for any strides.
+layer's span, for any strides.  One scalar core, ``_gradients``, computes it
+on Python float lists with numpy's bits; gradient descent runs its steps
+there and evaluates ``obj.value`` once per run.
 
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _layers, _placements, _same_filter,
-                        as_filter, end_to_end, network_matrices, upsample)
+from .poly_core import (Architecture, _complements, _correlate_list, _layers, _mul_list,
+                        _placements, _same_filter, as_filter, end_to_end, network_matrices,
+                        upsample)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -146,17 +149,18 @@ def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     every span_l-th entry.  Raises ValueError when ``theta`` does not match
     ``arch``.
     """
-    return _loss_and_grads(*_layers(theta, arch), obj)
+    fs, spans = _layers(theta, arch)
+    w, _, grads = _gradients([f.tolist() for f in fs], spans, obj)
+    return obj.value(np.array(w)), [np.array(g) for g in grads]
 
 
-def _loss_and_grads(fs, spans, obj: QuadraticObjective):
-    """``loss_and_gradient`` on layers already checked and upsampled by
-    ``poly_core._layers``."""
-    w, comps = _complements(fs)
-    g = obj.grad(w)
-    return obj.value(w), [np.correlate(g, c, "valid") if s == 1
-                          else np.correlate(g, c, "valid")[::s]
-                          for c, s in zip(comps, spans)]
+def _gradients(fs, spans, obj: QuadraticObjective):
+    """(end-to-end filter, its loss gradient, layer gradients) as float lists,
+    with numpy's bits, for float-list layers upsampled as by ``_layers``."""
+    w, comps = _complements(fs, _mul_list)
+    g = obj.grad(np.array(w)).tolist()
+    return w, g, [_correlate_list(g, c) if s == 1 else _correlate_list(g, c)[::s]
+                  for c, s in zip(comps, spans)]
 
 
 def network_gradient(theta, arch: Architecture, obj: QuadraticObjective) -> list:
@@ -237,18 +241,18 @@ def _classified(classify, coeffs):
 
 def _sq_norm(grads) -> float:
     """Squared norm of a list of gradients, equal bit for bit to
-    ``float(sum(np.sum(g * g) for g in grads))``.  Below 8 entries numpy sums
-    left to right, so a Python loop gives the same bits faster; from 8 on it
-    sums pairwise, so longer layers keep numpy's reduction."""
+    ``float(sum(np.sum(np.square(g)) for g in grads))``.  Below 8
+    entries numpy sums left to right, so a Python loop gives the same bits
+    faster; from 8 on it sums pairwise, so longer layers keep its reduction."""
     total = 0.0
     for g in grads:
         if len(g) < 8:
             s = 0.0
-            for x in g.tolist():
+            for x in g:
                 s += x * x
             total += s
         else:
-            total += float(np.sum(g * g))
+            total += float(np.sum(np.square(g)))
     return total
 
 
@@ -257,24 +261,32 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     """Plain gradient descent on obj(end_to_end(theta)).
 
     Stops when the squared gradient norm drops below the tolerance; flags
-    divergence when the loss explodes or turns non-finite.  The returned run
-    carries the root pattern of the target and the pooled root patterns of
-    the initialization and the final layers, all at ``ROOT_TOL``; each is
-    None when its filter is zero or non-finite or its roots cannot be
-    certified.  Raises ValueError, before any step, when ``theta0`` does not
-    match ``arch``.
+    divergence when the loss explodes or turns non-finite.  Steps run on
+    float lists with one ``obj.grad`` call each and test the loss as
+    (w - target).g / 2 + const; ``obj.value`` runs once, for the returned
+    loss at the final filter.  The returned run carries the root pattern of
+    the target and the pooled root patterns of the initialization and the
+    final layers, all at ``ROOT_TOL``; each is None when its filter is zero
+    or non-finite or its roots cannot be certified.  Raises ValueError,
+    before any step, when ``theta0`` does not match ``arch``.
     """
-    theta = [as_filter(w).copy() for w in theta0]
+    theta = [as_filter(w) for w in theta0]
     _, spans = _layers(theta, arch)
     strided = any(s > 1 for s in spans)
     init_rrmp = _classified(classify_rrmp_pooled, theta)
-    loss = np.inf
+    target, const, step = obj.target.tolist(), obj.const, config.step
+    theta = [w.tolist() for w in theta]
     grad_sq = np.inf
     converged = diverged = False
     steps = 0
     for steps in range(config.max_steps + 1):
-        fs = [w if s == 1 else upsample(w, s) for w, s in zip(theta, spans)] if strided else theta
-        loss, grads = _loss_and_grads(fs, spans, obj)
+        fs = [upsample(t, s).tolist() for t, s in zip(theta, spans)] if strided else theta
+        w, g, grads = _gradients(fs, spans, obj)
+        half = 0.0
+        for x, u, y in zip(w, target, g):
+            half += (x - u) * y
+        # within a few ulps of obj.value(w), which would cost a second call
+        loss = 0.5 * half + const
         if not math.isfinite(loss) or loss > config.diverge_loss:
             diverged = True
             break
@@ -284,13 +296,14 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
             break
         if steps == config.max_steps:
             break
-        theta = [w - config.step * g for w, g in zip(theta, grads)]
+        theta = [[x - step * y for x, y in zip(t, gt)] for t, gt in zip(theta, grads)]
 
+    theta = [np.array(t) for t in theta]
     w, _ = end_to_end(theta, arch)
     return TrainRun(
         theta=theta,
         w=w,
-        loss=float(loss),
+        loss=float(obj.value(w)),
         grad_sq=grad_sq,
         steps=steps,
         converged=converged,

@@ -13,7 +13,8 @@ tractable.
 
 Every composition in the package goes through ``_layers`` (check filters
 against an architecture, upsample layer i by span_i = prod(strides[:i])),
-``_product`` and ``_complements`` (each filter's product of all the others).
+``_product`` and ``_complements`` (each filter's product of all the others),
+on arrays or, with ``_mul_list``, on float lists, which give numpy's bits.
 ``_placements`` is the one sliding-window placement rule behind every matrix
 realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.
@@ -151,25 +152,60 @@ def _layers(theta, arch: Architecture):
     return fs, spans
 
 
-def _product(fs):
+def _product(fs, mul=np.convolve):
     """Product of a nonempty list of filters, multiplied left to right with
     the accumulated operand first.  A single filter is returned as is."""
     acc = fs[0]
     for f in fs[1:]:
-        acc = np.convolve(acc, f)
+        acc = mul(acc, f)
     return acc
 
 
-def _complements(fs):
+def _complements(fs, mul=np.convolve):
     """(product, complements): complement i is the product of every filter
     but ``fs[i]``, built on the shared prefix products in ``_product``'s
-    order (the empty product is [1])."""
-    comps = [_product(fs[1:]) if len(fs) > 1 else np.ones(1)]
+    order (the empty product is [1], made by ``mul``)."""
+    comps = [_product(fs[1:], mul) if len(fs) > 1 else mul([1.0], [1.0])]
     prefix = fs[0]
     for i in range(1, len(fs)):
-        comps.append(_product([prefix] + fs[i + 1 :]))
-        prefix = np.convolve(prefix, fs[i])
+        comps.append(_product([prefix] + fs[i + 1 :], mul))
+        prefix = mul(prefix, fs[i])
     return prefix, comps
+
+
+# numpy 2.4 sums each output of np.convolve and np.correlate as 0.0 + p0 + p1 + ... over
+# the longer operand's ascending index (the first's on a tie), but its BLAS dot fuses
+# multiply-adds: in a product's edge windows once the shorter operand has 3 entries, and
+# for kernels of 12 or more taps.  The float-list helpers leave those cases to numpy.
+
+
+def _mul_list(a, b) -> list:
+    """``np.convolve(a, b).tolist()`` on float lists; Python sums 2-entry shorter operands."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) != 2:
+        return np.convolve(a, b).tolist()
+    b0, b1 = b
+    x = a[0]
+    out = [0.0 + x * b0]
+    for y in a[1:]:
+        out.append(0.0 + x * b1 + y * b0)
+        x = y
+    out.append(0.0 + x * b1)
+    return out
+
+
+def _correlate_list(g, c) -> list:
+    """``np.correlate(g, c, "valid").tolist()`` on float lists, len(c) <= len(g)."""
+    if len(c) > 11:
+        return np.correlate(g, c, "valid").tolist()
+    out = []
+    for i in range(len(g) - len(c) + 1):
+        s = 0.0
+        for x, y in zip(g[i:], c):
+            s += x * y
+        out.append(s)
+    return out
 
 
 def _same_filter(a, b, tol: float) -> bool:

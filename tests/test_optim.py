@@ -19,12 +19,13 @@ from lcnlab.optim import (
     tau,
     unconstrained_opt,
 )
-from lcnlab.poly_core import (Architecture, as_filter, end_to_end, network_matrices, network_poly,
-                              toeplitz_matrix)
+from lcnlab.poly_core import (Architecture, _complements, _layers, as_filter, end_to_end,
+                              network_matrices, network_poly, toeplitz_matrix)
 from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
 from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
-from test_poly_core import _layer_dims_loop, _same_bytes, _signed_zero_filter, _toeplitz_loop
+from test_poly_core import (_layer_dims_loop, _same_bytes, _signed_zero_filter, _toeplitz_loop,
+                            random_arch)
 
 
 def test_unconstrained_opt_is_least_squares():
@@ -403,17 +404,39 @@ def _label(classify, coeffs):
         return None
 
 
+def _array_loss_and_gradient(theta, arch, obj):
+    """``loss_and_gradient`` on numpy arrays, as it was before the float-list
+    core: np.convolve products, ``obj.value`` and np.correlate."""
+    fs, spans = _layers(theta, arch)
+    w, comps = _complements(fs)
+    g = obj.grad(w)
+    return obj.value(w), [np.correlate(g, c, "valid")[::s] for c, s in zip(comps, spans)]
+
+
+def test_loss_and_gradient_matches_the_array_formula_byte_for_byte():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        arch = random_arch(rng)
+        obj = QuadraticObjective(bombieri_matrix(arch.filter_size),
+                                 _signed_zero_filter(rng, arch.filter_size))
+        theta = [_signed_zero_filter(rng, k) for k in arch.ks]
+        loss, grads = loss_and_gradient(theta, arch, obj)
+        ref_loss, ref_grads = _array_loss_and_gradient(theta, arch, obj)
+        assert loss.hex() == ref_loss.hex()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+
 def _reference_descent(obj, arch, theta0, config):
-    """The descent loop as it was before ``gd_train`` shared its core with
-    ``loss_and_gradient``: the checked public call every step and numpy's
-    squared norm.  Returns the fields of a run, floats as hex."""
+    """The descent loop as it was before ``gd_train`` ran on float lists: the
+    array formula and ``obj.value`` every step and numpy's squared norm.
+    Returns the fields of a run, floats as hex."""
     theta = [as_filter(w).copy() for w in theta0]
     init = _label(classify_rrmp_pooled, theta)
     loss = grad_sq = np.inf
     converged = diverged = False
     steps = 0
     for steps in range(config.max_steps + 1):
-        loss, grads = loss_and_gradient(theta, arch, obj)
+        loss, grads = _array_loss_and_gradient(theta, arch, obj)
         if not np.isfinite(loss) or loss > config.diverge_loss:
             diverged = True
             break
@@ -440,12 +463,14 @@ def _run_fields(run):
 @pytest.mark.parametrize("ks, strides", [
     ((2, 2), None), ((2, 2, 2), None), ((2, 3), None), ((3,), None), ((2, 2, 2, 2), None),
     ((3, 2), (2, 1)), ((8, 2), None),
+    # products with a 3-entry shorter operand and a 12-tap correlation take numpy's route
+    ((3, 3), None), ((2, 2, 3), None), ((12, 2), None), ((2, 2), (2, 1)),
 ])
 def test_gd_train_matches_the_reference_loop_byte_for_byte(ks, strides):
     arch = Architecture(ks, strides)
     rng = np.random.default_rng(12)
     configs = {
-        "converged": TrainConfig(step=0.05, max_steps=20000, grad_sq_tol=1e-10),
+        "converged": TrainConfig(step=0.05, max_steps=50000, grad_sq_tol=1e-10),
         "capped": TrainConfig(step=0.02, max_steps=50, grad_sq_tol=1e-12),
         "diverged": TrainConfig(step=1.5, max_steps=1000),
     }
@@ -458,6 +483,15 @@ def test_gd_train_matches_the_reference_loop_byte_for_byte(ks, strides):
                 ref = _reference_descent(obj, arch, theta0, config)
             assert (run.converged, run.diverged) == (outcome == "converged", outcome == "diverged")
             assert _run_fields(run) == ref
+    # one start with exact +0.0 and -0.0 taps in every layer
+    theta0 = [_signed_zero_filter(rng, k) for k in ks]
+    for i, w in enumerate(theta0):
+        w[i % len(w)] = -0.0 if i % 2 else 0.0
+    obj = QuadraticObjective.euclidean(rng.standard_normal(arch.filter_size))
+    with np.errstate(all="ignore"):
+        run = gd_train(obj, arch, theta0, configs["converged"])
+        ref = _reference_descent(obj, arch, theta0, configs["converged"])
+    assert _run_fields(run) == ref
 
 
 def test_squared_norm_matches_numpy_bit_for_bit():

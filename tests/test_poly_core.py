@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from lcnlab.poly_core import (
     Architecture,
+    _correlate_list,
+    _mul_list,
     _nearest,
     apply_conv_tensor,
     as_filter,
@@ -322,3 +326,37 @@ def test_nearest_skips_other_shapes_and_keeps_the_first_tie():
     w = np.array([1.0, 2.0])
     assert _nearest(w, [np.array([1.0]), np.array([1.0, 2.0, 3.0])]) == (None, np.inf)
     assert _nearest(w, [w + 0.5, w - 0.5, np.zeros(3)]) == (0, 0.5)
+
+
+def _same_floats(got, ref):
+    """Equal by ``.hex()`` and sign bit; two NaNs count as equal whatever
+    their sign bits, which numpy's vector loop sets by output position."""
+    return len(got) == len(ref) and all(
+        (math.isnan(a) and math.isnan(b))
+        or (a.hex() == b.hex() and math.copysign(1.0, a) == math.copysign(1.0, b))
+        for a, b in zip(got, ref))
+
+
+def _edge_filter(rng, n):
+    """Signed zeros, magnitudes over six decades and, now and then, inf,
+    -inf or NaN taps."""
+    w = _signed_zero_filter(rng, n) * 10.0 ** rng.integers(-3, 4, size=n)
+    u = rng.random(n)
+    w[u > 0.95] = rng.choice([np.inf, -np.inf, np.nan], size=int(np.sum(u > 0.95)))
+    return w
+
+
+def test_list_helpers_match_numpy_bit_for_bit():
+    # shorter operands of 1-4 and kernels of 1-13 taps cover both sides of
+    # numpy's switches to the BLAS dot (3 entries, 12 taps)
+    rng = np.random.default_rng(31)
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            a, b = _edge_filter(rng, n + int(rng.integers(0, 6))), _edge_filter(rng, n)
+            for x, y in ((a, b), (b, a)):
+                assert _same_floats(_mul_list(x.tolist(), y.tolist()), np.convolve(x, y).tolist())
+            c = _edge_filter(rng, int(rng.integers(1, 14)))
+            g = _edge_filter(rng, len(c) + int(rng.integers(0, 6)))
+            assert _same_floats(_correlate_list(g.tolist(), c.tolist()),
+                                np.correlate(g, c, "valid").tolist())
