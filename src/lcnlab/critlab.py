@@ -15,6 +15,10 @@ On the rank-one stratum lambda = (d) the critical points are the real roots
 of one binary form of degree 3d - 2, so they are found exactly; filter size 3,
 the quadratic cone, is ``cone_critical_points``.  ``crit_on_stratum`` keeps
 its Newton search on every stratum, this one included.
+
+Stratum charts compose on float lists through ``poly_core._mul_list``, which
+gives numpy's bits, and each Newton probe takes the optimal scale, the point
+and the Jacobian from one factor pass (``_Chart.scaled``).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import (Architecture, _complements, _nearest, _product, _same_filter, as_filter,
-                        end_to_end, poly_mul)
+from .poly_core import (Architecture, _complements, _mul_list, _nearest, _product, _same_filter,
+                        as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
                       _partitions, _root_factors, all_rrmps, classify_rrmp, cluster_roots,
                       find_roots, is_compatible)
@@ -90,9 +94,19 @@ def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
 # ---------------------------------------------------------------------------
 
 
+def _copies(slots: list[tuple[list[float], int]]) -> list[list[float]]:
+    """Each factor repeated by its multiplicity, in slot order."""
+    return [f for f, m in slots for _ in range(m)]
+
+
 @dataclasses.dataclass(frozen=True)
 class _Chart:
-    """Local parameterization of one real type within a stratum."""
+    """Local parameterization of one real type within a stratum.
+
+    Params are the scale sigma followed by the shape: one angle per real
+    root slot, then (b, c) per conjugate-pair slot.  Points compose on float
+    lists through ``poly_core._mul_list``, which gives ``np.convolve``'s bits.
+    """
 
     rho: tuple[int, ...]
     gamma: tuple[int, ...]
@@ -101,46 +115,56 @@ class _Chart:
     def n_params(self) -> int:
         return 1 + len(self.rho) + 2 * len(self.gamma)
 
-    def factors(self, params: np.ndarray) -> tuple[float, list[np.ndarray], list[int]]:
-        sigma = float(params[0])
-        fs: list[np.ndarray] = []
-        mults: list[int] = []
-        idx = 1
-        for m in self.rho:
-            phi = params[idx]
-            idx += 1
-            fs.append(np.array([math.cos(phi), math.sin(phi)]))
-            mults.append(m)
-        for m in self.gamma:
-            b, c = params[idx], params[idx + 1]
-            idx += 2
-            fs.append(np.array([1.0, b, c]))
-            mults.append(m)
-        return sigma, fs, mults
+    def factors(self, shape: list[float]) -> list[tuple[list[float], int]]:
+        """(factor, multiplicity) per slot as float lists, real roots first:
+        (cos phi, sin phi), then (1, b, c)."""
+        n = len(self.rho)
+        slots = [([math.cos(phi), math.sin(phi)], m) for m, phi in zip(self.rho, shape)]
+        slots += [([1.0, b, c], m) for m, b, c in zip(self.gamma, shape[n::2], shape[n + 1::2])]
+        return slots
 
     def point(self, params: np.ndarray) -> np.ndarray:
-        sigma, fs, mults = self.factors(params)
-        return _product([np.array([sigma])] + [f for f, m in zip(fs, mults) for _ in range(m)])
+        sigma, *shape = params.tolist()
+        return np.array(_product([[sigma]] + _copies(self.factors(shape)), _mul_list))
 
     def jacobian(self, params: np.ndarray) -> np.ndarray:
         """d(point)/d(params), computed factor by factor via complements."""
-        sigma, fs, mults = self.factors(params)
-        prod, comps = _complements([f for f, m in zip(fs, mults) for _ in range(m)])
-        cols = [prod]  # d/d sigma
-        idx, first = 1, 0
-        for slot, m in enumerate(mults):
-            comp = comps[first]  # product with the first copy of factor `slot` removed
+        sigma, *shape = params.tolist()
+        slots = self.factors(shape)
+        return self._jacobian(sigma, slots, *_complements(_copies(slots), _mul_list))
+
+    def scaled(self, shape: np.ndarray, matrix: np.ndarray,
+               mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(sigma, point, jacobian) at the loss-optimal scale for ``shape``.
+
+        The loss is quadratic in the scale, so along the ray of the unit-scale
+        point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with
+        mu = M u.  ``monic`` is the product that the Jacobian's complements
+        build anyway, so one factor pass gives all three.
+        """
+        slots = self.factors(shape.tolist())
+        copies = _copies(slots)
+        monic, comps = _complements(copies, _mul_list)
+        arr = np.array(monic)
+        sigma = float(arr @ mu) / float(arr @ matrix @ arr)
+        w = np.array(_product([[sigma]] + copies, _mul_list))
+        return sigma, w, self._jacobian(sigma, slots, monic, comps)
+
+    @staticmethod
+    def _jacobian(sigma: float, slots: list[tuple[list[float], int]], prod: list[float],
+                  comps: list[list[float]]) -> np.ndarray:
+        """Columns d/d sigma = ``prod``, then sigma * m * comp * d(factor) per
+        slot, with comp the product without the slot's first copy, laid out
+        C-ordered (k, n_params) as ``np.column_stack`` lays them out."""
+        cols = [prod]
+        first = 0
+        for f, m in slots:
+            comp = comps[first]
             first += m
-            if slot < len(self.rho):
-                phi = params[idx]
-                idx += 1
-                dfac = np.array([-math.sin(phi), math.cos(phi)])
-                cols.append(sigma * m * poly_mul(comp, dfac))
-            else:
-                idx += 2
-                cols.append(sigma * m * poly_mul(comp, np.array([0.0, 1.0, 0.0])))
-                cols.append(sigma * m * poly_mul(comp, np.array([0.0, 0.0, 1.0])))
-        return np.column_stack(cols)
+            scale = sigma * m
+            dfacs = [[-f[1], f[0]]] if len(f) == 2 else [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            cols += [[scale * x for x in _mul_list(comp, d)] for d in dfacs]
+        return np.array(list(zip(*cols)))
 
     def is_interior(self, params: np.ndarray) -> bool:
         """True when the chart point sits on the open stratum it names.
@@ -151,13 +175,13 @@ class _Chart:
         angle, so clusters at zero or infinity are caught) and by relative
         distance.
         """
-        sigma, fs, _ = self.factors(params)
+        sigma, *shape = params.tolist()
         if abs(sigma) < 1e-10:
             return False
         angles: list[float] = []
         pairs: list[complex] = []
-        for f in fs:
-            if f.shape[0] == 2:
+        for f, _ in self.factors(shape):
+            if len(f) == 2:
                 angles.append(math.atan2(f[1], f[0]) % math.pi)
             else:
                 _, b, c = f
@@ -226,11 +250,6 @@ class StratumReport:
 # ---------------------------------------------------------------------------
 # Newton search over one stratum
 # ---------------------------------------------------------------------------
-
-
-def _chart_gradient(chart: _Chart, objective: QuadraticObjective, params: np.ndarray) -> np.ndarray:
-    w = chart.point(params)
-    return chart.jacobian(params).T @ objective.grad(w)
 
 
 def _fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -358,37 +377,31 @@ def crit_on_stratum(
         # carries the optimal scale for its root configuration.  Solving for
         # it in closed form removes the flat sigma = 0 manifold that would
         # otherwise swallow most Newton starts.
-        def full_params(shape: np.ndarray) -> np.ndarray:
-            monic = chart.point(np.concatenate(([1.0], shape)))
-            sigma = float(monic @ mu_vec) / float(monic @ objective.matrix @ monic)
-            return np.concatenate(([sigma], shape))
-
         def shape_grad(shape: np.ndarray) -> np.ndarray:
-            return _chart_gradient(chart, objective, full_params(shape))[1:]
+            _, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
+            return (jac.T @ objective.grad(w))[1:]
 
         value = lambda p, ch=chart: objective.value(ch.point(p))
-        kept: list[tuple[np.ndarray, np.ndarray]] = []
+        kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(n_starts):
             start = chart.initial_params(rng, 1.0)[1:]
             shape = _newton_on_gradient(shape_grad, start, scale=grad_scale)
             if shape is None:
                 continue
-            params = full_params(shape)
+            sigma, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
+            params = np.concatenate(([sigma], shape))
             if not chart.is_interior(params):
                 continue
-            w = chart.point(params)
-            if not any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _ in kept):
-                kept.append((w, params))
-        for w, params in kept:
+            if not any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _, _ in kept):
+                kept.append((w, params, jac))
+        for w, params, jac in kept:
             points.append(
                 CritPoint(
                     w=w,
                     lam=lam,
                     pattern=split,
                     loss=float(objective.value(w)),
-                    grad_norm=float(
-                        np.linalg.norm(_chart_gradient(chart, objective, params))
-                    ),
+                    grad_norm=float(np.linalg.norm(jac.T @ objective.grad(w))),
                     kind=_classify_hessian(value, params),
                 )
             )

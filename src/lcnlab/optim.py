@@ -214,6 +214,8 @@ class TrainConfig:
             raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
         if not self.grad_sq_tol >= 0:
             raise ValueError(f"grad_sq_tol must be non-negative, got {self.grad_sq_tol}")
+        if not self.diverge_loss > 0:
+            raise ValueError(f"diverge_loss must be positive, got {self.diverge_loss}")
 
 
 @dataclass

@@ -180,10 +180,14 @@ def _complements(fs, mul=np.convolve):
 
 
 def _mul_list(a, b) -> list:
-    """``np.convolve(a, b).tolist()`` on float lists; Python sums 2-entry shorter operands."""
+    """``np.convolve(a, b).tolist()`` on float lists; Python sums shorter operands of 1 or
+    2 entries."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) != 2:
+        if len(b) == 1:
+            b0 = b[0]
+            return [0.0 + x * b0 for x in a]
         return np.convolve(a, b).tolist()
     b0, b1 = b
     x = a[0]

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lcnlab import critlab
 from lcnlab.critlab import (
     _EIG_BAND,
     CritPoint,
@@ -61,6 +62,99 @@ def test_chart_jacobian_matches_finite_differences():
                 bumped[p] -= 2 * h
                 dn = chart.point(bumped)
                 assert np.allclose(J[:, p], (up - dn) / (2 * h), atol=1e-5)
+
+
+def _convolve_all(fs):
+    """np.convolve left to right, accumulated operand first; [1] for no filter."""
+    acc = np.array([1.0]) if not fs else fs[0]
+    for f in fs[1:]:
+        acc = np.convolve(acc, f)
+    return acc
+
+
+def _array_chart(chart, params, objective):
+    """A chart's point, Jacobian and optimal scale composed on arrays with
+    np.convolve and np.column_stack, independently of ``_Chart``."""
+    sigma, shape = float(params[0]), params[1:]
+    n = len(chart.rho)
+    slots = [(np.array([math.cos(phi), math.sin(phi)]), m) for m, phi in zip(chart.rho, shape)]
+    slots += [(np.array([1.0, b, c]), m)
+              for m, b, c in zip(chart.gamma, shape[n::2], shape[n + 1::2])]
+    copies = [f for f, m in slots for _ in range(m)]
+    point = _convolve_all([np.array([sigma])] + copies)
+    cols, first = [_convolve_all(copies)], 0
+    for f, m in slots:
+        comp = _convolve_all(copies[:first] + copies[first + 1:])
+        first += m
+        dfacs = ([np.array([-f[1], f[0]])] if len(f) == 2
+                 else [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+        cols += [sigma * m * np.convolve(comp, d) for d in dfacs]
+    jac = np.column_stack(cols)
+    monic = _convolve_all([np.array([1.0])] + copies)
+    scale = float(monic @ (objective.matrix @ objective.target)) / float(
+        monic @ objective.matrix @ monic)
+    return point, jac, scale
+
+
+def test_chart_probe_matches_the_array_composition_bit_for_bit():
+    rng = np.random.default_rng(8)
+    charts = [_Chart(rho=(2, 1), gamma=(1,)), _Chart(rho=(), gamma=(1,)),
+              _Chart(rho=(3, 1), gamma=()), _Chart(rho=(2, 2), gamma=()),
+              _Chart(rho=(4,), gamma=())]
+    charts += [_Chart(rho=s.rho, gamma=s.gamma)
+               for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)) for s in real_type_splits(lam)]
+    assert {"2|1", "0|2"} <= {Rrmp(rho=c.rho, gamma=c.gamma).label for c in charts}
+    for chart in charts:
+        k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
+        gram = rng.standard_normal((k, k))
+        for objective in (QuadraticObjective.euclidean(rng.standard_normal(k)),
+                          QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k))):
+            mu = objective.matrix @ objective.target
+            draws = [chart.initial_params(rng, 2.0) for _ in range(6)]
+            for j in range(1, chart.n_params):  # a -0.0 angle, b or c in each slot
+                draws.append(draws[0].copy())
+                draws[-1][j] = -0.0
+            for params in draws:
+                point, jac, scale = _array_chart(chart, params, objective)
+                assert chart.point(params).tobytes() == point.tobytes()
+                got = chart.jacobian(params)
+                assert got.strides == jac.strides and got.tobytes() == jac.tobytes()
+                # the probe: optimal scale, point, Jacobian and J^T g in one pass
+                sigma, w, jac_w = chart.scaled(params[1:], objective.matrix, mu)
+                at_scale = np.concatenate(([scale], params[1:]))
+                point, jac, _ = _array_chart(chart, at_scale, objective)
+                assert sigma.hex() == scale.hex()
+                assert w.tobytes() == point.tobytes()
+                assert jac_w.strides == jac.strides and jac_w.tobytes() == jac.tobytes()
+                assert ((jac_w.T @ objective.grad(w)).tobytes()
+                        == (jac.T @ objective.grad(point)).tobytes())
+
+
+def test_crit_on_stratum_evaluates_one_gradient_per_newton_probe(monkeypatch):
+    calls = {"grad": 0, "probe": 0}
+    grad = QuadraticObjective.grad
+
+    def counted_grad(self, w):
+        calls["grad"] += 1
+        return grad(self, w)
+
+    newton = critlab._newton_on_gradient
+
+    def counted_newton(fun, x0, **kwargs):
+        def probe(x):
+            calls["probe"] += 1
+            return fun(x)
+        return newton(probe, x0, **kwargs)
+
+    monkeypatch.setattr(QuadraticObjective, "grad", counted_grad)
+    monkeypatch.setattr(critlab, "_newton_on_gradient", counted_newton)
+    for objective in (QuadraticObjective.euclidean(U_STAR), QuadraticObjective.bombieri(U_STAR)):
+        for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
+            calls.update(grad=0, probe=0)
+            report = crit_on_stratum(objective, lam, n_starts=10, seed=3)
+            assert calls["probe"] > 0
+            # one more for the gradient scale at w = 0, and one per point for its grad_norm
+            assert calls["grad"] == calls["probe"] + 1 + report.n_real
 
 
 def test_expand_stratum_point_rebuilds_rational_critical_point():

@@ -518,9 +518,10 @@ def test_gd_train_evaluates_one_gradient_per_step(max_steps, grad_calls):
 @pytest.mark.parametrize("kwargs", [
     {"step": 0.0}, {"step": -0.1}, {"step": np.nan}, {"step": np.inf}, {"max_steps": -1},
     {"grad_sq_tol": np.nan}, {"grad_sq_tol": -1e-14},
+    {"diverge_loss": np.nan}, {"diverge_loss": 0.0}, {"diverge_loss": -1.0},
 ])
 def test_train_config_rejects_bad_settings(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         TrainConfig(**kwargs)
 
 
