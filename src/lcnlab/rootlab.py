@@ -7,7 +7,9 @@ roots at infinity).  The multiplicity pattern of the *real* locus — written
 of complex-conjugate pairs — drives everything in the function-space and
 critical-point analysis, so this module owns:
 
-* a simultaneous-iteration root finder (Aberth-Ehrlich) with Newton polish,
+* a simultaneous-iteration root finder (Aberth-Ehrlich) with Newton polish;
+  its seeded start circle is fixed per degree and scaled to the
+  coefficients, and one Horner pass gives p and p' together,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
@@ -23,6 +25,7 @@ should classify from it instead of re-rooting the product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,52 +93,90 @@ def _homogeneous_residual(coeffs: np.ndarray, root: ProjRoot) -> float:
     return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
 
 
+@functools.lru_cache(maxsize=32)
+def _start_circle(m: int):
+    """Radial weights, unit phases and flat diagonal indices for m roots.
+
+    The seeded circle depends on m alone, so every call shares these arrays,
+    which are read-only.
+    """
+    rng = np.random.default_rng(0)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    jitter = rng.uniform(-0.05, 0.05, size=m)
+    angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
+    arrays = (0.7 + 0.1 * jitter, np.exp(1j * angles), np.arange(m) * (m + 1))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
+def _horner_rows(poly: np.ndarray) -> np.ndarray:
+    """Rows of one Horner pass over ``[z, z]`` that gives p(z) and p'(z).
+
+    Row j holds poly[j] in its first m columns and coefficient j - 1 of
+    p' = ``np.polyder(poly)`` in the other m, with 0.0 in row 0: the p' half
+    starts one step late on exact zeros, as ``np.polyval`` on p' would.
+    """
+    m = len(poly) - 1
+    rows = np.zeros((m + 1, 2 * m))
+    rows[:, :m] = poly[:, None]
+    rows[1:, m:] = (poly[:-1] * np.arange(m, 0, -1))[:, None]
+    return rows
+
+
+def _values(rows: np.ndarray, z: np.ndarray):
+    """p(z) and p'(z) from the ``_horner_rows`` of p."""
+    zz = np.concatenate((z, z))
+    y = np.zeros(len(zz), zz.dtype)
+    for c in rows:
+        y = y * zz + c
+    m = len(z)
+    return y[:m], y[m:]
+
+
 def _aberth(core: np.ndarray) -> np.ndarray:
     """All complex roots of a polynomial with nonzero first/last coefficient.
 
-    ``core`` is in descending order.  Starts from a circle rotated by a fixed
-    seed, runs at most 200 simultaneous Aberth-Ehrlich updates, then five
-    plain Newton steps per root.
+    ``core`` is in descending order.  Starts from a seeded circle that is
+    fixed per degree (only its radius follows the coefficients), runs at
+    most 200 simultaneous Aberth-Ehrlich updates with p and p' taken from
+    one Horner pass, then five plain Newton steps per root.
     """
     a = core / core[0]
     m = len(a) - 1
     if m == 1:
         return np.array([-a[1]], dtype=complex)
 
-    rng = np.random.default_rng(0)
-    deriv = np.polyder(a)
-    radius = 1.0 + np.max(np.abs(a[1:]))
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    jitter = rng.uniform(-0.05, 0.05, size=m)
-    angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
-    z = radius * (0.7 + 0.1 * jitter) * np.exp(1j * angles)
+    weights, phases, diagonal = _start_circle(m)
+    rows = _horner_rows(a)
+    radius = 1.0 + np.abs(a[1:]).max()
+    z = radius * weights * phases
 
     for _ in range(200):
-        p = np.polyval(a, z)
-        dp = np.polyval(deriv, z)
-        dp = np.where(dp == 0, 1e-300, dp)
+        p, dp = _values(rows, z)
+        dp[dp == 0] = 1e-300
         newton = p / dp
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff.put(diagonal, 1.0)
         inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
+        inv.put(diagonal, 0.0)
         denom = 1.0 - newton * inv.sum(axis=1)
-        denom = np.where(denom == 0, 1e-300, denom)
+        denom[denom == 0] = 1e-300
         step = newton / denom
         z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
+        if (np.abs(step) / (1.0 + np.abs(z))).max() < 1e-14:
             break
 
-    return _newton_polish(a, z)
+    return _newton_polish(rows, z)
 
 
-def _newton_polish(poly: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Five plain Newton steps on every root estimate in ``z``."""
-    deriv = np.polyder(poly)
+def _newton_polish(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Five plain Newton steps on every root estimate in ``z``, for the
+    polynomial with these ``_horner_rows``."""
     for _ in range(5):
-        dp = np.polyval(deriv, z)
+        p, dp = _values(rows, z)
         mask = np.abs(dp) > 0
-        z = np.where(mask, z - np.polyval(poly, z) / np.where(mask, dp, 1.0), z)
+        z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
     return z
 
 
@@ -178,12 +219,12 @@ def find_roots(coeffs) -> list:
         with np.errstate(all="ignore"):
             z = _aberth(core)
             finite = [ProjRoot.finite(zi) for zi in z]
-            if any(_homogeneous_residual(core, r) > _RESIDUAL_BOUND * np.max(np.abs(core))
-                   for r in finite):
-                z = _newton_polish(core, np.roots(core))
+            bound = _RESIDUAL_BOUND * np.max(np.abs(core))
+            if any(_homogeneous_residual(core, r) > bound for r in finite):
+                z = _newton_polish(_horner_rows(core), np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
                 bad = max(_homogeneous_residual(core, r) for r in finite)
-                if bad > _RESIDUAL_BOUND * np.max(np.abs(core)):
+                if bad > bound:
                     raise RootFindingError(
                         f"root residual {bad:.3e} exceeds bound for coefficients {w}"
                     )

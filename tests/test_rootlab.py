@@ -1,6 +1,10 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from lcnlab import rootlab
 from lcnlab.rootlab import (
     INFINITY,
     ProjRoot,
@@ -21,6 +25,7 @@ from lcnlab.rootlab import (
     rrmp_classify_by_signs,
     same_root,
     _partitions,
+    _start_circle,
 )
 from lcnlab.dynamics import mu_rank
 from lcnlab.funcspace import factor_into, region
@@ -379,3 +384,187 @@ def test_partitions_count_and_order():
         assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in parts)
         assert parts == sorted(parts, reverse=True)  # (n,) first, (1,)*n last
         assert len(set(parts)) == len(parts)
+
+
+# -- the root finder, pinned bit for bit ---------------------------------------
+#
+# Test-local copies of the solver written with np.polyval, np.polyder,
+# np.fill_diagonal and a fresh default_rng(0) per call.  The library takes p
+# and p' from one Horner pass and caches its start circle per degree; it must
+# give these bits.  ``stats`` counts the runs that hit the iteration cap and
+# the companion-matrix fallbacks, so the test can show it reaches both.
+
+
+def _reference_aberth(core, stats):
+    a = core / core[0]
+    m = len(a) - 1
+    if m == 1:
+        return np.array([-a[1]], dtype=complex)
+
+    rng = np.random.default_rng(0)
+    deriv = np.polyder(a)
+    radius = 1.0 + np.max(np.abs(a[1:]))
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    jitter = rng.uniform(-0.05, 0.05, size=m)
+    angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
+    z = radius * (0.7 + 0.1 * jitter) * np.exp(1j * angles)
+
+    for _ in range(200):
+        p = np.polyval(a, z)
+        dp = np.polyval(deriv, z)
+        dp = np.where(dp == 0, 1e-300, dp)
+        newton = p / dp
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        denom = 1.0 - newton * inv.sum(axis=1)
+        denom = np.where(denom == 0, 1e-300, denom)
+        step = newton / denom
+        z = z - step
+        if np.max(np.abs(step) / (1.0 + np.abs(z))) < 1e-14:
+            break
+    else:
+        stats["capped"] += 1
+
+    return _reference_polish(a, z)
+
+
+def _reference_polish(poly, z):
+    deriv = np.polyder(poly)
+    for _ in range(5):
+        dp = np.polyval(deriv, z)
+        mask = np.abs(dp) > 0
+        z = np.where(mask, z - np.polyval(poly, z) / np.where(mask, dp, 1.0), z)
+    return z
+
+
+def _reference_find_roots(coeffs, stats):
+    w = np.asarray(coeffs, dtype=float)
+    k = len(w)
+    n_inf = 0
+    while w[n_inf] == 0:
+        n_inf += 1
+    n_zero = 0
+    while w[k - 1 - n_zero] == 0:
+        n_zero += 1
+    core = w[n_inf : k - n_zero]
+
+    roots = [INFINITY] * n_inf + [ProjRoot.finite(0.0)] * n_zero
+    if len(core) > 1:
+        with np.errstate(all="ignore"):
+            z = _reference_aberth(core, stats)
+            finite = [ProjRoot.finite(zi) for zi in z]
+            bound = rootlab._RESIDUAL_BOUND * np.max(np.abs(core))
+            if any(rootlab._homogeneous_residual(core, r) > bound for r in finite):
+                stats["fallback"] += 1
+                z = _reference_polish(core, np.roots(core))
+                finite = [ProjRoot.finite(zi) for zi in z]
+                bad = max(rootlab._homogeneous_residual(core, r) for r in finite)
+                if bad > bound:
+                    raise RootFindingError(
+                        f"root residual {bad:.3e} exceeds bound for coefficients {w}"
+                    )
+        roots += finite
+    return roots
+
+
+def _bits(roots):
+    """Each root as the hex of its real and imaginary parts; NaN as 'nan'."""
+    return [("inf",) if r.infinite else
+            tuple("nan" if math.isnan(x) else x.hex() for x in (r.value.real, r.value.imag))
+            for r in roots]
+
+
+def _outcome(find, w):
+    try:
+        return _bits(find(w))
+    except RootFindingError as exc:
+        return str(exc)
+
+
+def _root_finder_inputs(rounds):
+    """Seeded filters, drawn in interleaved degree order so that the start
+    circle of one degree is reused after others were cached."""
+    rng = np.random.default_rng(2_026_1018)
+    filters = []
+    for _ in range(rounds):
+        for d in (1, 5, 2, 8, 3, 7, 4, 6):
+            filters.append(rng.standard_normal(d + 1))
+            # magnitudes across 300 orders: iterates overflow to inf and NaN
+            filters.append(rng.choice([-1.0, 1.0], d + 1) * 10.0 ** rng.uniform(-150, 150, d + 1))
+            # roots at scales 1e-50..1e50, short of overflowing the coefficients
+            scale = 10.0 ** (rng.uniform(-50, 50) * min(1.0, 6 / d))
+            roots = [rng.standard_normal(d) * scale]
+            m = int(rng.integers(1, d + 1))  # a root of multiplicity m
+            roots.append([rng.standard_normal()] * m + list(rng.standard_normal(d - m)))
+            pair = complex(*rng.standard_normal(2))  # repeated conjugate pairs
+            roots.append([pair, pair.conjugate()] * (d // 2) + list(rng.standard_normal(d % 2)))
+            # a leading coefficient other than 1, so the fallback's polish
+            # on the filter itself differs from one on its monic form
+            filters += [np.real(np.poly(r)) * rng.standard_normal() for r in roots]
+            w = rng.standard_normal(d + 1)  # roots at infinity and at 0
+            w[: int(rng.integers(0, 3))] = 0.0
+            w[d + 1 - int(rng.integers(0, 3)):] = 0.0
+            if np.any(w):
+                filters.append(w)
+    return filters
+
+
+def test_find_roots_matches_the_reference_solver_bit_for_bit():
+    stats = Counter()
+    for w in _root_finder_inputs(rounds=10):
+        expected = _outcome(lambda c: _reference_find_roots(c, stats), w)
+        assert _outcome(find_roots, w) == expected, w
+    # the inputs reach the iteration cap and the companion fallback
+    assert stats["capped"] > 0 and stats["fallback"] > 0, stats
+
+
+def test_newton_polish_matches_the_reference_on_non_finite_estimates():
+    # the companion fallback polishes np.roots' output, which can be a real
+    # array holding inf; there the leading zero step of p' decides the mask
+    rng = np.random.default_rng(11)
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e-300]
+
+    def joined(re, im):
+        z = re.astype(complex)
+        z.imag = im
+        return z
+
+    for d in range(1, 7):
+        poly = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-5, 5)
+        for z in (rng.choice(special, d), rng.standard_normal(d),
+                  joined(rng.choice(special, d), rng.choice(special + [1.0], d)),
+                  joined(rng.standard_normal(d), rng.choice(special, d))):
+            with np.errstate(all="ignore"):
+                got = rootlab._newton_polish(rootlab._horner_rows(poly), z)
+                expected = _reference_polish(poly, z)
+            assert got.dtype == expected.dtype
+            assert _bits(map(ProjRoot.finite, got)) == _bits(map(ProjRoot.finite, expected)), (poly, z)
+
+
+@pytest.mark.parametrize("w", [[1e-300, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1e-200],
+                               [1.0, -4.0, 6.0, -4.0, 1.0], [1.0, -4.5, 6.75, -3.375]])
+def test_inputs_that_fail_classification_keep_their_roots_and_message(w):
+    expected = _reference_find_roots(w, Counter())
+    got = find_roots(w)
+    assert _bits(got) == _bits(expected)
+    if w[0] == 1e-300:
+        assert _bits(got) == [("nan", "nan")] * 2
+    with pytest.raises(RootFindingError) as ref:
+        classify_roots(expected)
+    with pytest.raises(RootFindingError, match="conjugate pairing failed") as err:
+        classify_rrmp(w)
+    assert str(err.value) == str(ref.value)
+
+
+def test_start_circle_is_read_only_and_shared_across_degrees():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(5)
+    before = _bits(find_roots(w))
+    for d in (2, 7, 3, 9, 4):
+        find_roots(rng.standard_normal(d + 1))
+    assert _bits(find_roots(w)) == before
+    for array in _start_circle(4):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
