@@ -19,6 +19,12 @@ its Newton search on every stratum, this one included.
 Stratum charts compose on float lists through ``poly_core._mul_list``, which
 gives numpy's bits, and each Newton probe takes the optimal scale, the point
 and the Jacobian from one factor pass (``_Chart.scaled``).
+
+Both routes type a point by one rule: the inertia of the loss Hessian in
+(log sigma, shape), which at a critical point splits into the scale's
+curvature and the Hessian of the shape at the optimal scale.  The Newton
+route reads the latter off the central-difference Jacobian of its last step;
+``_fd_jacobian`` is the only finite-difference routine here.
 """
 
 from __future__ import annotations
@@ -271,16 +277,22 @@ def _newton_on_gradient(
     x0: np.ndarray,
     *,
     scale: float,
-) -> np.ndarray | None:
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Solve fun(x) = 0 by at most 80 damped Newton steps with a
-    finite-difference Jacobian."""
+    finite-difference Jacobian.
+
+    Returns (x, jac): the root, or None when the iteration fails, and the
+    Jacobian of the last step, or None when the start already meets the
+    tolerance and no step was taken.
+    """
     x = np.array(x0, dtype=float)
+    jac = None
     for _ in range(80):
         g = fun(x)
         if not np.all(np.isfinite(g)):
-            return None
+            return None, None
         if np.linalg.norm(g) <= _GRAD_TOL * scale:
-            return x
+            return x, jac
         jac = _fd_jacobian(fun, x)
         try:
             step = np.linalg.solve(jac, g)
@@ -291,42 +303,11 @@ def _newton_on_gradient(
             step *= 10.0 / norm
         x = x - step
         if not np.all(np.isfinite(x)):
-            return None
+            return None, None
     g = fun(x)
     if np.all(np.isfinite(g)) and np.linalg.norm(g) <= _GRAD_TOL * scale:
-        return x
-    return None
-
-
-def _classify_hessian(fun_value: Callable[[np.ndarray], float], x: np.ndarray) -> str:
-    """Inertia of the second-difference Hessian of ``fun_value`` at ``x``."""
-    n = x.shape[0]
-    hess = np.empty((n, n))
-    steps = [1e-5 * (1.0 + abs(x[i])) for i in range(n)]
-    f0 = fun_value(x)
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                xp = x.copy()
-                xp[i] += steps[i]
-                xm = x.copy()
-                xm[i] -= steps[i]
-                hess[i, i] = (fun_value(xp) - 2.0 * f0 + fun_value(xm)) / steps[i] ** 2
-            else:
-                xpp = x.copy()
-                xpp[[i, j]] += [steps[i], steps[j]]
-                xpm = x.copy()
-                xpm[i] += steps[i]
-                xpm[j] -= steps[j]
-                xmp = x.copy()
-                xmp[i] -= steps[i]
-                xmp[j] += steps[j]
-                xmm = x.copy()
-                xmm[[i, j]] -= [steps[i], steps[j]]
-                hess[i, j] = hess[j, i] = (
-                    fun_value(xpp) - fun_value(xpm) - fun_value(xmp) + fun_value(xmm)
-                ) / (4.0 * steps[i] * steps[j])
-    return _inertia(np.linalg.eigvalsh(hess))
+        return x, jac
+    return None, None
 
 
 def _inertia(eigs: np.ndarray) -> str:
@@ -354,10 +335,13 @@ def crit_on_stratum(
 
     Runs a seeded multi-start Newton search in the chart of every real type
     of the partition, keeps converged points that genuinely lie on the open
-    stratum, and deduplicates by coefficient vectors.  The Hessian of the
-    chart function types each survivor (its inertia is chart independent at
-    a critical point).  Raises ValueError when ``lam`` does not sum to the
-    filter degree or ``n_starts`` is below one.
+    stratum, and deduplicates by coefficient vectors.  Newton solves for the
+    shape at the loss-optimal scale, so at a critical point the Hessian in
+    (log sigma, shape) splits into the scale's curvature 2 w.M.w and the
+    Hessian of that shape profile, which is the Jacobian of Newton's last
+    step.  The inertia of the two types each survivor, as ``_rank_one_points``
+    types the rank-one stratum.  Raises ValueError when ``lam`` does not sum
+    to the filter degree or ``n_starts`` is below one.
     """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     k = objective.matrix.shape[0]
@@ -381,20 +365,22 @@ def crit_on_stratum(
             _, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
             return (jac.T @ objective.grad(w))[1:]
 
-        value = lambda p, ch=chart: objective.value(ch.point(p))
         kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(n_starts):
             start = chart.initial_params(rng, 1.0)[1:]
-            shape = _newton_on_gradient(shape_grad, start, scale=grad_scale)
+            shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
             if shape is None:
                 continue
             sigma, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
-            params = np.concatenate(([sigma], shape))
-            if not chart.is_interior(params):
+            if not chart.is_interior(np.concatenate(([sigma], shape))):
                 continue
-            if not any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _, _ in kept):
-                kept.append((w, params, jac))
-        for w, params, jac in kept:
+            if any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _, _ in kept):
+                continue
+            if hess is None:  # the start met the tolerance: Newton took no step
+                hess = _fd_jacobian(shape_grad, shape)
+            kept.append((w, jac, hess))
+        for w, jac, hess in kept:
+            curvature = [2.0 * float(w @ objective.matrix @ w)]
             points.append(
                 CritPoint(
                     w=w,
@@ -402,7 +388,8 @@ def crit_on_stratum(
                     pattern=split,
                     loss=float(objective.value(w)),
                     grad_norm=float(np.linalg.norm(jac.T @ objective.grad(w))),
-                    kind=_classify_hessian(value, params),
+                    kind=_inertia(np.concatenate(
+                        (curvature, np.linalg.eigvalsh(0.5 * (hess + hess.T))))),
                 )
             )
     points.sort(key=lambda p: p.loss)
@@ -736,7 +723,7 @@ def find_spurious_minimum(
     candidates: list[SpuriousMinimum] = []
     for _ in range(n_starts):
         x0 = rng.standard_normal(k1 - 1 + k2) * scale
-        x = _newton_on_gradient(grad, x0, scale=scale)
+        x, _ = _newton_on_gradient(grad, x0, scale=scale)
         if x is None:
             continue
         theta = theta_of(x)

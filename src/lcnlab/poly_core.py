@@ -346,8 +346,7 @@ def compose_tensor_filters(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     if outer.ndim != inner.ndim:
         raise ValueError("filters must share the number of axes")
     out = np.zeros(tuple(a + b - 1 for a, b in zip(outer.shape, inner.shape)))
-    for idx in np.ndindex(outer.shape):
-        window = tuple(slice(i, i + n) for i, n in zip(idx, inner.shape))
+    for idx, window in _tensor_windows(inner.shape, out.shape)[1]:
         out[window] += outer[idx] * inner
     return out
 

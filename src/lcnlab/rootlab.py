@@ -223,8 +223,9 @@ def find_roots(coeffs) -> list:
             if any(_homogeneous_residual(core, r) > bound for r in finite):
                 z = _newton_polish(_horner_rows(core), np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
-                bad = max(_homogeneous_residual(core, r) for r in finite)
-                if bad > bound:
+                # np.max keeps a NaN residual, which Python's max drops
+                bad = np.max([_homogeneous_residual(core, r) for r in finite])
+                if not bad <= bound:
                     raise RootFindingError(
                         f"root residual {bad:.3e} exceeds bound for coefficients {w}"
                     )
@@ -599,11 +600,9 @@ def is_compatible(rrmp: Rrmp, arch) -> bool:
     return place(0, tuple(bins))
 
 
-def compatible_rrmps(arch, degree: int = None) -> list:
-    """All patterns of the given degree compatible with the architecture."""
-    if degree is None:
-        degree = arch.filter_size - 1
-    return [r for r in all_rrmps(degree) if is_compatible(r, arch)]
+def compatible_rrmps(arch) -> list:
+    """All patterns of the filter degree compatible with the architecture."""
+    return [r for r in all_rrmps(arch.filter_size - 1) if is_compatible(r, arch)]
 
 
 def all_rrmps(degree: int) -> list:

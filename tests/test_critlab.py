@@ -157,6 +157,64 @@ def test_crit_on_stratum_evaluates_one_gradient_per_newton_probe(monkeypatch):
             assert calls["grad"] == calls["probe"] + 1 + report.n_real
 
 
+def test_newton_returns_the_jacobian_of_its_last_step(monkeypatch):
+    jacobians = []
+    fd_jacobian = critlab._fd_jacobian
+
+    def recorded(fun, x):
+        jacobians.append(fd_jacobian(fun, x))
+        return jacobians[-1]
+
+    monkeypatch.setattr(critlab, "_fd_jacobian", recorded)
+
+    def fun(x):
+        return np.array([x[0] ** 3 - 1.0, x[1] + x[0] * x[1] - 4.0, math.sinh(x[2])])
+
+    x, jac = critlab._newton_on_gradient(fun, np.array([2.0, 1.0, 0.5]), scale=1.0)
+    assert np.allclose(x, [1.0, 2.0, 0.0]) and len(jacobians) > 1
+    assert jac is jacobians[-1]
+    # a start that already meets the tolerance takes no step
+    n_jacobians = len(jacobians)
+    again, jac = critlab._newton_on_gradient(fun, x, scale=1.0)
+    assert again.tobytes() == x.tobytes() and jac is None
+    assert len(jacobians) == n_jacobians
+    nan = critlab._newton_on_gradient(lambda x: np.full(3, np.nan), np.zeros(3), scale=1.0)
+    assert nan == (None, None)
+
+
+def test_crit_on_stratum_types_the_caustic_landings_as_degenerate():
+    # (2, 1, 2) lies on the caustic: (x + y)^2 is a degenerate critical point
+    # of the cone, where Newton's landings scatter by about 1e-4
+    report = crit_on_stratum(QuadraticObjective.euclidean(np.array([2.0, 1.0, 2.0])), (2,),
+                             n_starts=200)
+    near, far = [], []
+    for p in report.points:
+        (near if _same_filter(p.w, np.array([1.0, 2.0, 1.0]), 1e-3) else far).append(p)
+    assert len(near) > 1 and all(p.kind == "DEGENERATE" for p in near)
+    assert len(far) == 1 and np.allclose(far[0].w, [1 / 3, -2 / 3, 1 / 3], atol=1e-9)
+    assert far[0].kind == "SADDLE"
+    assert sorted(p.kind for p in cone_critical_points(np.array([2.0, 1.0, 2.0]))) == [
+        "DEGENERATE", "SADDLE"]
+
+
+@pytest.mark.parametrize("metric, row", [("euclidean", 0), ("bombieri", 1)])
+def test_crit_on_stratum_kinds_do_not_depend_on_the_target_scale(metric, row):
+    # scaling the target by c >= 1 scales every point by c; below 1 the
+    # |grad(0)| + 1 convergence scale is not scale-free and Newton lands elsewhere
+    matched = 0
+    for u in np.random.default_rng(3).standard_normal((2, 4, 5))[row]:
+        for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
+            base = crit_on_stratum(getattr(QuadraticObjective, metric)(u), lam, n_starts=20)
+            scaled = crit_on_stratum(getattr(QuadraticObjective, metric)(100.0 * u), lam,
+                                     n_starts=20)
+            for p in scaled.points:
+                for q in base.points:
+                    if _same_filter(p.w / 100.0, q.w, 1e-6):
+                        matched += 1
+                        assert p.kind == q.kind, (u, lam, p.w)
+    assert matched > 20
+
+
 def test_expand_stratum_point_rebuilds_rational_critical_point():
     # (1/5)(x+y)^2 (x^2+7xy+y^2) has the double root -1 and two simple real
     # roots; its coefficient vector is one of the catalogued critical points.

@@ -306,6 +306,25 @@ def test_realizations_match_the_reference_loops_byte_for_byte():
         assert _same_bytes(apply_conv_tensor(w, x), out)
 
 
+def _compose_tensor_loop(outer, inner):
+    out = np.zeros(tuple(a + b - 1 for a, b in zip(outer.shape, inner.shape)))
+    for idx in np.ndindex(outer.shape):
+        window = tuple(slice(i, i + n) for i, n in zip(idx, inner.shape))
+        out[window] += outer[idx] * inner
+    return out
+
+
+def test_tensor_composition_matches_the_reference_loop_byte_for_byte():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        ndim = int(rng.integers(1, 4))
+        outer, inner = (_signed_zero_filter(rng, tuple(int(rng.integers(1, 5)) for _ in range(ndim)))
+                        for _ in range(2))
+        assert _same_bytes(compose_tensor_filters(outer, inner), _compose_tensor_loop(outer, inner))
+    with pytest.raises(ValueError, match="filters must share the number of axes"):
+        compose_tensor_filters(np.ones((2, 2)), np.ones(2))
+
+
 def test_materialized_tensor_contracts_like_application():
     rng = np.random.default_rng(19)
     w = rng.standard_normal((2, 3))

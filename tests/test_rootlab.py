@@ -543,6 +543,17 @@ def test_newton_polish_matches_the_reference_on_non_finite_estimates():
             assert _bits(map(ProjRoot.finite, got)) == _bits(map(ProjRoot.finite, expected)), (poly, z)
 
 
+def test_a_nan_residual_after_the_companion_fallback_raises():
+    # the fallback's polish sends np.roots' two zero roots to inf, whose
+    # residuals are NaN; a NaN after a finite residual must still fail
+    w = [7.734157413842388e52, 3.3242570171478316e114, -3.340982948573189e110,
+         -2.2797019726048847e-114, -2.352062777877014e-40]
+    with pytest.raises(RootFindingError, match="root residual nan exceeds bound"):
+        find_roots(w)
+    with pytest.raises(RootFindingError, match="root residual nan exceeds bound"):
+        classify_rrmp(w)
+
+
 @pytest.mark.parametrize("w", [[1e-300, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1e-200],
                                [1.0, -4.0, 6.0, -4.0, 1.0], [1.0, -4.5, 6.75, -3.375]])
 def test_inputs_that_fail_classification_keep_their_roots_and_message(w):
