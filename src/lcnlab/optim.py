@@ -6,9 +6,11 @@ a quadratic form on the end-to-end filter: the data covariance folds along
 the filter's sliding placements (``tau``).  Training operates directly on
 the layer filters; the gradient of a layer is the cross-correlation of the
 loss gradient with the product of the other (upsampled) layers, read at the
-layer's span, for any strides.  One scalar core, ``_gradients``, computes it
-on Python float lists with numpy's bits; gradient descent runs its steps
-there and evaluates ``obj.value`` once per run.
+layer's span, for any strides.  One kernel per architecture computes it:
+``_descent_kernel`` writes the gradient and the whole descent loop once as
+straight-line Python on float locals, with numpy's bits.
+``loss_and_gradient`` and gradient descent both run it, and descent
+evaluates ``obj.value`` once per run.
 
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
@@ -18,15 +20,18 @@ distinct minima under the Euclidean versus the derivative-weighted
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import multiprocessing
+import operator
+import textwrap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .poly_core import (Architecture, _complements, _correlate_list, _layers, _mul_list,
-                        _placements, _same_filter, as_filter, end_to_end, network_matrices,
-                        upsample)
+                        _placements, _same_filter, as_filter, end_to_end, network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -149,18 +154,10 @@ def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     every span_l-th entry.  Raises ValueError when ``theta`` does not match
     ``arch``.
     """
-    fs, spans = _layers(theta, arch)
-    w, _, grads = _gradients([f.tolist() for f in fs], spans, obj)
+    _layers(theta, arch)  # checks theta against arch
+    gradients = _descent_kernel(arch.ks, arch.strides)[1]
+    w, grads = gradients([as_filter(t).tolist() for t in theta], obj.grad)
     return obj.value(np.array(w)), [np.array(g) for g in grads]
-
-
-def _gradients(fs, spans, obj: QuadraticObjective):
-    """(end-to-end filter, its loss gradient, layer gradients) as float lists,
-    with numpy's bits, for float-list layers upsampled as by ``_layers``."""
-    w, comps = _complements(fs, _mul_list)
-    g = obj.grad(np.array(w)).tolist()
-    return w, g, [_correlate_list(g, c) if s == 1 else _correlate_list(g, c)[::s]
-                  for c, s in zip(comps, spans)]
 
 
 def network_gradient(theta, arch: Architecture, obj: QuadraticObjective) -> list:
@@ -210,8 +207,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
-        if self.max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {self.max_steps}")
+        try:
+            max_steps = operator.index(self.max_steps)
+        except TypeError:
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
+        object.__setattr__(self, "max_steps", max_steps)
         if not self.grad_sq_tol >= 0:
             raise ValueError(f"grad_sq_tol must be non-negative, got {self.grad_sq_tol}")
         if not self.diverge_loss > 0:
@@ -241,21 +243,129 @@ def _classified(classify, coeffs):
         return None
 
 
-def _sq_norm(grads) -> float:
-    """Squared norm of a list of gradients, equal bit for bit to
-    ``float(sum(np.sum(np.square(g)) for g in grads))``.  Below 8
-    entries numpy sums left to right, so a Python loop gives the same bits
-    faster; from 8 on it sums pairwise, so longer layers keep its reduction."""
-    total = 0.0
-    for g in grads:
-        if len(g) < 8:
-            s = 0.0
-            for x in g:
-                s += x * x
-            total += s
+# The descent loop of one architecture is written out as straight-line Python on local
+# floats, with the float-list helpers' arithmetic and so with numpy's bits: products in
+# ``_complements``' order, 1- and 2-entry shorter operands and kernels of up to 11 taps
+# summed as 0.0 + p0 + p1 + ..., ``_mul_list`` and ``_correlate_list`` for the cases numpy
+# fuses.  Upsampled zeros stay literal 0.0 factors, since inf * 0.0 must still give NaN.
+
+_KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_inf": math.inf, "_mul_list": _mul_list,
+                   "_correlate_list": _correlate_list, "_sum": np.sum, "_square": np.square}
+
+
+def _sum_source(terms) -> str:
+    return " + ".join(["0.0", *terms])
+
+
+def _list_source(items) -> str:
+    return f"[{', '.join(items)}]"
+
+
+def _sq_norm_source(grads) -> str:
+    """Source of the squared norm of layer gradients given as lists of names, equal bit
+    for bit to ``float(sum(np.sum(np.square(g)) for g in grads))``.  Below 8 entries
+    numpy sums left to right, so the sum is written out; from 8 on it sums pairwise, so
+    longer layers keep its reduction."""
+    return _sum_source(f"float(_sum(_square({_list_source(g)})))" if len(g) >= 8
+                       else f"({_sum_source(f'{x}*{x}' for x in g)})" for g in grads)
+
+
+def _gradient_source(ks, strides):
+    """(lines, taps, w, g, grads): straight-line source of one gradient evaluation,
+    with the layer taps, the end-to-end filter, the loss gradient ``grad`` returns at
+    it (its one call, on a float list) and the layer gradients as lists of names."""
+    lines, fresh = [], itertools.count()
+
+    def assign(exprs):
+        names = [f"v{next(fresh)}" for _ in exprs]
+        lines.extend(f"{n} = {e}" for n, e in zip(names, exprs))
+        return names
+
+    def unpack(call, n):
+        names = [f"v{next(fresh)}" for _ in range(n)]
+        lines.append(f"{_list_source(names)} = {call}")
+        return names
+
+    def mul(a, b):  # _mul_list
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 2:
+            return unpack(f"_mul_list({_list_source(a)}, {_list_source(b)})", len(a) + len(b) - 1)
+        if len(b) == 1:
+            return assign([f"0.0 + {x}*{b[0]}" for x in a])
+        b0, b1 = b
+        return assign([f"0.0 + {a[0]}*{b0}"]
+                      + [f"0.0 + {x}*{b1} + {y}*{b0}" for x, y in zip(a, a[1:])]
+                      + [f"0.0 + {a[-1]}*{b1}"])
+
+    taps = [[f"t{l}_{j}" for j in range(k)] for l, k in enumerate(ks)]
+    spans = list(itertools.accumulate((1,) + tuple(strides[:-1]), operator.mul))
+    fs = []
+    for t, s in zip(taps, spans):
+        f = ["0.0"] * ((len(t) - 1) * s + 1)
+        f[::s] = t
+        fs.append(f)
+    w, comps = _complements(fs, mul)
+    g = unpack(f"grad({_list_source(w)}).tolist()", len(w))
+    grads = []
+    for c, s in zip(comps, spans):
+        outputs = range(0, len(g) - len(c) + 1, s)
+        if len(c) > 11:
+            every = f"[::{s}]" if s > 1 else ""
+            call = f"_correlate_list({_list_source(g)}, {_list_source(c)}){every}"
+            grads.append(unpack(call, len(outputs)))
         else:
-            total += float(np.sum(np.square(g)))
-    return total
+            grads.append(assign([_sum_source(f"{g[i + j]}*{x}" for j, x in enumerate(c))
+                                 for i in outputs]))
+    return lines, taps, w, g, grads
+
+
+@functools.lru_cache(maxsize=256)
+def _descent_kernel(ks: tuple, strides: tuple):
+    """(descend, gradients) for one architecture, compiled once from straight-line source.
+
+    ``descend(theta, target, const, grad, step, max_steps, tol, diverge)`` runs
+    ``gd_train``'s loop on float-list layers and returns (theta, grad_sq, steps,
+    converged, diverged); ``gradients(theta, grad)`` returns the end-to-end filter and
+    the layer gradients as float lists.  Each evaluation calls ``grad`` once.  The
+    source depends only on ``ks`` and ``strides``; ``grad`` comes in with every call.
+    """
+    lines, taps, w, g, grads = _gradient_source(ks, strides)
+    layers = _list_source(map(_list_source, taps))
+    body = "\n".join(lines)
+    update = "\n".join(f"{x} = {x} - step*{y}" for t, d in zip(taps, grads)
+                       for x, y in zip(t, d))
+    half = _sum_source(f"({x} - u{i})*{y}" for i, (x, y) in enumerate(zip(w, g)))
+    source = f"""
+def descend(theta, target, const, grad, step, max_steps, tol, diverge):
+    {layers} = theta
+    {_list_source(f"u{i}" for i in range(len(w)))} = target
+    grad_sq = _inf
+    converged = diverged = False
+    for steps in range(max_steps + 1):
+{textwrap.indent(body, " " * 8)}
+        loss = 0.5 * ({half}) + const
+        if not _isfinite(loss) or loss > diverge:
+            diverged = True
+            break
+        grad_sq = {_sq_norm_source(grads)}
+        if grad_sq <= tol:
+            converged = True
+            break
+        if steps == max_steps:
+            break
+{textwrap.indent(update, " " * 8)}
+    return {layers}, grad_sq, steps, converged, diverged
+
+
+def gradients(theta, grad):
+    {layers} = theta
+{textwrap.indent(body, " " * 4)}
+    return {_list_source(w)}, {_list_source(map(_list_source, grads))}
+"""
+    namespace = dict(_KERNEL_GLOBALS)
+    exec(compile(source, f"<descent kernel {ks} {strides}>", "exec"), namespace)
+    return namespace["descend"], namespace["gradients"]
 
 
 def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
@@ -263,43 +373,25 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     """Plain gradient descent on obj(end_to_end(theta)).
 
     Stops when the squared gradient norm drops below the tolerance; flags
-    divergence when the loss explodes or turns non-finite.  Steps run on
-    float lists with one ``obj.grad`` call each and test the loss as
-    (w - target).g / 2 + const; ``obj.value`` runs once, for the returned
-    loss at the final filter.  The returned run carries the root pattern of
-    the target and the pooled root patterns of the initialization and the
-    final layers, all at ``ROOT_TOL``; each is None when its filter is zero
-    or non-finite or its roots cannot be certified.  Raises ValueError,
-    before any step, when ``theta0`` does not match ``arch``.
+    divergence when the loss explodes or turns non-finite.  The steps run in
+    the architecture's compiled kernel (``_descent_kernel``) on float lists,
+    with one ``obj.grad`` call each, and test the loss as (w - target).g / 2
+    + const; ``obj.value`` runs once, for the returned loss at the final
+    filter.  The returned run carries the root pattern of the target and the
+    pooled root patterns of the initialization and the final layers, all at
+    ``ROOT_TOL``; each is None when its filter is zero or non-finite or its
+    roots cannot be certified.  Raises ValueError, before any step, when
+    ``theta0`` or the objective's size does not match ``arch``.
     """
     theta = [as_filter(w) for w in theta0]
-    _, spans = _layers(theta, arch)
-    strided = any(s > 1 for s in spans)
+    _layers(theta, arch)
+    if obj.k != arch.filter_size:
+        raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
     init_rrmp = _classified(classify_rrmp_pooled, theta)
-    target, const, step = obj.target.tolist(), obj.const, config.step
-    theta = [w.tolist() for w in theta]
-    grad_sq = np.inf
-    converged = diverged = False
-    steps = 0
-    for steps in range(config.max_steps + 1):
-        fs = [upsample(t, s).tolist() for t, s in zip(theta, spans)] if strided else theta
-        w, g, grads = _gradients(fs, spans, obj)
-        half = 0.0
-        for x, u, y in zip(w, target, g):
-            half += (x - u) * y
-        # within a few ulps of obj.value(w), which would cost a second call
-        loss = 0.5 * half + const
-        if not math.isfinite(loss) or loss > config.diverge_loss:
-            diverged = True
-            break
-        grad_sq = _sq_norm(grads)
-        if grad_sq <= config.grad_sq_tol:
-            converged = True
-            break
-        if steps == config.max_steps:
-            break
-        theta = [[x - step * y for x, y in zip(t, gt)] for t, gt in zip(theta, grads)]
-
+    descend = _descent_kernel(arch.ks, arch.strides)[0]
+    theta, grad_sq, steps, converged, diverged = descend(
+        [w.tolist() for w in theta], obj.target.tolist(), obj.const, obj.grad, config.step,
+        config.max_steps, config.grad_sq_tol, config.diverge_loss)
     theta = [np.array(t) for t in theta]
     w, _ = end_to_end(theta, arch)
     return TrainRun(

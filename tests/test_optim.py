@@ -5,7 +5,9 @@ from lcnlab.critlab import crit_on_stratum, find_spurious_minimum
 from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
-    _sq_norm,
+    _KERNEL_GLOBALS,
+    _descent_kernel,
+    _sq_norm_source,
     bombieri_matrix,
     bombieri_weights,
     count_distinct_filters,
@@ -207,6 +209,13 @@ def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks, grad_
         with pytest.raises(ValueError):
             fn(theta, arch)
     assert grad_calls == []  # gd_train checks theta0 before its first step
+
+
+def test_gd_train_rejects_an_objective_of_another_size(grad_calls):
+    obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
+        gd_train(obj, Architecture((2, 2)), [np.ones(2), np.ones(2)])
+    assert grad_calls == []
 
 
 def test_gradient_via_matrices_agrees():
@@ -494,6 +503,89 @@ def test_gd_train_matches_the_reference_loop_byte_for_byte(ks, strides):
     assert _run_fields(run) == ref
 
 
+def _numpy_routes(arch):
+    """The numpy cases of the float-list arithmetic that a descent step on ``arch``
+    takes: a product with a shorter operand of 3 or more entries, a squared norm of a
+    layer of 8 or more entries and a correlation with 12 or more taps."""
+    fs, _ = _layers([np.ones(k) for k in arch.ks], arch)
+    shorter = [0]
+
+    def mul(a, b):
+        shorter.append(min(len(a), len(b)))
+        return np.convolve(a, b)
+
+    _, comps = _complements(fs, mul)
+    return {route for route, taken in (("product", max(shorter) >= 3), ("norm", max(arch.ks) >= 8),
+                                       ("correlation", max(map(len, comps)) >= 12)) if taken}
+
+
+def test_gd_train_matches_the_reference_loop_on_random_architectures():
+    rng = np.random.default_rng(16)
+    outcomes, routes = set(), set()
+    for i in range(24):
+        arch = random_arch(rng, max_k=(5, 13)[i % 2])  # every other one up to 13 taps
+        routes |= _numpy_routes(arch)
+        metric = (QuadraticObjective.euclidean, QuadraticObjective.bombieri)[int(rng.integers(2))]
+        obj = metric(end_to_end([rng.standard_normal(k) / np.sqrt(k) for k in arch.ks], arch)[0])
+        theta0 = [_signed_zero_filter(rng, k) / np.sqrt(k) for k in arch.ks]
+        with_inf = [w.copy() for w in theta0]
+        with_inf[int(rng.integers(arch.depth))][0] = np.inf
+        with np.errstate(all="ignore"):
+            g0 = float(sum(np.sum(g * g) for g in loss_and_gradient(theta0, arch, obj)[1]))
+            converging = TrainConfig(step=0.1 / (1 + g0), max_steps=200, grad_sq_tol=0.1 * g0)
+            for theta, config in ((theta0, converging), (with_inf, converging),
+                                  (theta0, TrainConfig(step=1e-3 / (1 + g0), max_steps=10,
+                                                       grad_sq_tol=0.0)),
+                                  (theta0, TrainConfig(step=10.0, max_steps=200, diverge_loss=1e6))):
+                run = gd_train(obj, arch, theta, config)
+                ref = _reference_descent(obj, arch, theta, config)
+                assert _run_fields(run) == ref, (arch, config)
+                outcomes.add("converged" if run.converged else "diverged" if run.diverged
+                             else "capped")
+    assert outcomes == {"converged", "capped", "diverged"}
+    assert routes == {"product", "norm", "correlation"}
+
+
+def test_one_descent_kernel_per_architecture():
+    _descent_kernel.cache_clear()
+    arch = Architecture((3, 2), (2, 1))
+    rng = np.random.default_rng(17)
+    for metric in (QuadraticObjective.euclidean, QuadraticObjective.bombieri):
+        obj = metric(rng.standard_normal(arch.filter_size))
+        for config in (TrainConfig(max_steps=5), TrainConfig(step=0.02, max_steps=3)):
+            gd_train(obj, arch, arch.random_theta(rng), config)
+    info = _descent_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    kernel = _descent_kernel(arch.ks, arch.strides)
+    other = Architecture((3, 2), (1, 1))
+    gd_train(QuadraticObjective.euclidean(rng.standard_normal(other.filter_size)), other,
+             other.random_theta(rng), TrainConfig(max_steps=5))
+    assert _descent_kernel.cache_info().misses == 2
+    assert _descent_kernel(other.ks, other.strides) is not kernel
+
+
+def test_descent_kernel_multiplies_upsampled_zeros():
+    """inf * 0.0 is NaN, so a strided layer's zeros still meet every factor."""
+    arch = Architecture((2, 2), (2, 1))
+    theta = [np.array([np.inf, 2.0]), np.array([3.0, 4.0])]
+    g = np.array([1.0, np.inf, 1.0, 1.0])
+    gradients = _descent_kernel(arch.ks, arch.strides)[1]
+    w, grads = gradients([t.tolist() for t in theta], lambda w: g)
+    fs, spans = _layers(theta, arch)
+    ref_w, comps = _complements(fs)
+    ref_grads = [np.correlate(g, c, "valid")[::s] for c, s in zip(comps, spans)]
+    assert np.array_equal(w, ref_w, equal_nan=True) and np.isnan(w[1])
+    assert all(np.array_equal(d, r, equal_nan=True) for d, r in zip(grads, ref_grads))
+    assert np.isnan(grads[0][0])
+
+
+def _sq_norm(grads):
+    """The descent kernel's squared norm of a list of layers, run from its source."""
+    names = [[f"x{l}_{j}" for j in range(len(g))] for l, g in enumerate(grads)]
+    values = {n: float(x) for layer, g in zip(names, grads) for n, x in zip(layer, g)}
+    return eval(_sq_norm_source(names), {**_KERNEL_GLOBALS, **values})
+
+
 def test_squared_norm_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(13)
     for n in range(1, 21):
@@ -519,6 +611,7 @@ def test_gd_train_evaluates_one_gradient_per_step(max_steps, grad_calls):
     {"step": 0.0}, {"step": -0.1}, {"step": np.nan}, {"step": np.inf}, {"max_steps": -1},
     {"grad_sq_tol": np.nan}, {"grad_sq_tol": -1e-14},
     {"diverge_loss": np.nan}, {"diverge_loss": 0.0}, {"diverge_loss": -1.0},
+    {"max_steps": 10.5}, {"max_steps": np.nan}, {"max_steps": np.inf},
 ])
 def test_train_config_rejects_bad_settings(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
