@@ -16,9 +16,9 @@ of one binary form of degree 3d - 2, so they are found exactly; filter size 3,
 the quadratic cone, is ``cone_critical_points``.  ``crit_on_stratum`` keeps
 its Newton search on every stratum, this one included.
 
-Stratum charts compose on float lists through ``poly_core._mul_list``, which
-gives numpy's bits, and each Newton probe takes the optimal scale, the point
-and the Jacobian from one factor pass (``_Chart.scaled``).
+Each Newton probe takes the optimal scale, the point and the Jacobian from one
+factor pass (``_Chart.scaled``), which runs as straight-line float code that
+``_probe_kernel`` compiles once per real type, with numpy's bits.
 
 Both routes type a point by one rule: the inertia of the loss Hessian in
 (log sigma, shape), which at a critical point splits into the scale's
@@ -30,15 +30,17 @@ route reads the latter off the central-difference Jacobian of its last step;
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
+import textwrap
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import (Architecture, _complements, _mul_list, _nearest, _product, _same_filter,
-                        as_filter, end_to_end, poly_mul)
+from .poly_core import (Architecture, _complements, _Emitter, _list_source, _mul_list, _nearest,
+                        _product, _same_filter, as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
                       _partitions, _root_factors, all_rrmps, classify_rrmp, cluster_roots,
                       find_roots, is_compatible)
@@ -100,9 +102,47 @@ def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
 # ---------------------------------------------------------------------------
 
 
-def _copies(slots: list[tuple[list[float], int]]) -> list[list[float]]:
-    """Each factor repeated by its multiplicity, in slot order."""
-    return [f for f, m in slots for _ in range(m)]
+def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
+    """Source of ``probe(shape, matrix, mu)``, ``_Chart.scaled`` written out for one
+    real type: the factors from one cos and sin per real slot, the unit-scale product
+    and the first-copy complements in ``_complements``' order, the optimal scale on
+    arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian rows,
+    all through ``poly_core._Emitter``."""
+    em = _Emitter()
+    n = len(rho)
+    shape = [f"p{i}" for i in range(n + 2 * len(gamma))]
+    slots = [(em.assign([f"_cos({phi})", f"_sin({phi})"]), m) for m, phi in zip(rho, shape)]
+    slots += [(["1.0", b, c], m) for m, b, c in zip(gamma, shape[n::2], shape[n + 1::2])]
+    copies = [f for f, m in slots for _ in range(m)]
+    firsts = list(itertools.accumulate([0] + [m for _, m in slots[:-1]]))
+    monic, comps = _complements(copies, em.mul, firsts)
+    em.lines += [f"arr = _array({_list_source(monic)})",
+                 "sigma = float(arr @ mu) / float(arr @ matrix @ arr)"]
+    point = _product([["sigma"]] + copies, em.mul)
+    cols = [monic]
+    for (f, m), first in zip(slots, firsts):
+        scale = em.assign([f"sigma*{m}"])[0]
+        dfacs = ([em.assign([f"-{f[1]}"]) + f[:1]] if len(f) == 2
+                 else [["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"]])
+        cols += [[f"{scale}*{x}" for x in em.mul(comps[first], d)] for d in dfacs]
+    rows = _list_source(map(_list_source, zip(*cols)))
+    body = textwrap.indent("\n".join(em.lines), " " * 4)
+    return f"""
+def probe(shape, matrix, mu):
+    {_list_source(shape)} = shape
+{body}
+    return sigma, _array({_list_source(point)}), _array({rows})
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
+    """``probe(shape, matrix, mu)`` for the chart of one real type, compiled once from
+    ``_probe_source``: ``_Chart.scaled`` on a float-list shape, with its bits.  The
+    source depends only on ``rho`` and ``gamma``."""
+    namespace = {"_cos": math.cos, "_sin": math.sin, "_array": np.array, "_mul_list": _mul_list}
+    exec(compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>", "exec"), namespace)
+    return namespace["probe"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +150,8 @@ class _Chart:
     """Local parameterization of one real type within a stratum.
 
     Params are the scale sigma followed by the shape: one angle per real
-    root slot, then (b, c) per conjugate-pair slot.  Points compose on float
-    lists through ``poly_core._mul_list``, which gives ``np.convolve``'s bits.
+    root slot, then (b, c) per conjugate-pair slot.  A Newton probe runs the
+    real type's compiled ``_probe_kernel``, which gives ``np.convolve``'s bits.
     """
 
     rho: tuple[int, ...]
@@ -129,48 +169,18 @@ class _Chart:
         slots += [([1.0, b, c], m) for m, b, c in zip(self.gamma, shape[n::2], shape[n + 1::2])]
         return slots
 
-    def point(self, params: np.ndarray) -> np.ndarray:
-        sigma, *shape = params.tolist()
-        return np.array(_product([[sigma]] + _copies(self.factors(shape)), _mul_list))
-
-    def jacobian(self, params: np.ndarray) -> np.ndarray:
-        """d(point)/d(params), computed factor by factor via complements."""
-        sigma, *shape = params.tolist()
-        slots = self.factors(shape)
-        return self._jacobian(sigma, slots, *_complements(_copies(slots), _mul_list))
-
     def scaled(self, shape: np.ndarray, matrix: np.ndarray,
                mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """(sigma, point, jacobian) at the loss-optimal scale for ``shape``.
 
         The loss is quadratic in the scale, so along the ray of the unit-scale
         point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with
-        mu = M u.  ``monic`` is the product that the Jacobian's complements
-        build anyway, so one factor pass gives all three.
+        mu = M u.  The Jacobian's columns, laid out C-ordered (k, n_params), are
+        d/d sigma = ``monic``, then sigma * m * comp * d(factor) per slot, with
+        comp the product without the slot's first copy; ``monic`` and the comps
+        come from one factor pass.
         """
-        slots = self.factors(shape.tolist())
-        copies = _copies(slots)
-        monic, comps = _complements(copies, _mul_list)
-        arr = np.array(monic)
-        sigma = float(arr @ mu) / float(arr @ matrix @ arr)
-        w = np.array(_product([[sigma]] + copies, _mul_list))
-        return sigma, w, self._jacobian(sigma, slots, monic, comps)
-
-    @staticmethod
-    def _jacobian(sigma: float, slots: list[tuple[list[float], int]], prod: list[float],
-                  comps: list[list[float]]) -> np.ndarray:
-        """Columns d/d sigma = ``prod``, then sigma * m * comp * d(factor) per
-        slot, with comp the product without the slot's first copy, laid out
-        C-ordered (k, n_params) as ``np.column_stack`` lays them out."""
-        cols = [prod]
-        first = 0
-        for f, m in slots:
-            comp = comps[first]
-            first += m
-            scale = sigma * m
-            dfacs = [[-f[1], f[0]]] if len(f) == 2 else [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-            cols += [[scale * x for x in _mul_list(comp, d)] for d in dfacs]
-        return np.array(list(zip(*cols)))
+        return _probe_kernel(self.rho, self.gamma)(shape.tolist(), matrix, mu)
 
     def is_interior(self, params: np.ndarray) -> bool:
         """True when the chart point sits on the open stratum it names.

@@ -30,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _correlate_list, _layers, _mul_list,
-                        _placements, _same_filter, as_filter, end_to_end, network_matrices)
+from .poly_core import (Architecture, _complements, _Emitter, _layers, _list_source, _mul_list,
+                        _placements, _same_filter, _sum_source, as_filter, end_to_end,
+                        network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -151,11 +152,10 @@ def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     With C_l the product of every layer but l (each upsampled by its span
     span_i = prod(strides[:i])) and g the loss gradient at the end-to-end
     filter, the gradient of layer l is ``correlate(g, C_l, "valid")`` read at
-    every span_l-th entry.  Raises ValueError when ``theta`` does not match
-    ``arch``.
+    every span_l-th entry.  Raises ValueError, before any ``obj.grad`` call,
+    when ``theta`` or the objective's size does not match ``arch``.
     """
-    _layers(theta, arch)  # checks theta against arch
-    gradients = _descent_kernel(arch.ks, arch.strides)[1]
+    gradients = _checked_kernel(theta, arch, obj)[1]
     w, grads = gradients([as_filter(t).tolist() for t in theta], obj.grad)
     return obj.value(np.array(w)), [np.array(g) for g in grads]
 
@@ -245,20 +245,12 @@ def _classified(classify, coeffs):
 
 # The descent loop of one architecture is written out as straight-line Python on local
 # floats, with the float-list helpers' arithmetic and so with numpy's bits: products in
-# ``_complements``' order, 1- and 2-entry shorter operands and kernels of up to 11 taps
-# summed as 0.0 + p0 + p1 + ..., ``_mul_list`` and ``_correlate_list`` for the cases numpy
-# fuses.  Upsampled zeros stay literal 0.0 factors, since inf * 0.0 must still give NaN.
+# ``_complements``' order through ``poly_core._Emitter``, kernels of up to 11 taps summed
+# as 0.0 + p0 + p1 + ..., and np.correlate for the longer kernels numpy fuses.  Upsampled
+# zeros stay literal 0.0 factors, since inf * 0.0 must still give NaN.
 
 _KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_inf": math.inf, "_mul_list": _mul_list,
-                   "_correlate_list": _correlate_list, "_sum": np.sum, "_square": np.square}
-
-
-def _sum_source(terms) -> str:
-    return " + ".join(["0.0", *terms])
-
-
-def _list_source(items) -> str:
-    return f"[{', '.join(items)}]"
+                   "_correlate": np.correlate, "_sum": np.sum, "_square": np.square}
 
 
 def _sq_norm_source(grads) -> str:
@@ -273,56 +265,35 @@ def _sq_norm_source(grads) -> str:
 def _gradient_source(ks, strides):
     """(lines, taps, w, g, grads): straight-line source of one gradient evaluation,
     with the layer taps, the end-to-end filter, the loss gradient ``grad`` returns at
-    it (its one call, on a float list) and the layer gradients as lists of names."""
-    lines, fresh = [], itertools.count()
-
-    def assign(exprs):
-        names = [f"v{next(fresh)}" for _ in exprs]
-        lines.extend(f"{n} = {e}" for n, e in zip(names, exprs))
-        return names
-
-    def unpack(call, n):
-        names = [f"v{next(fresh)}" for _ in range(n)]
-        lines.append(f"{_list_source(names)} = {call}")
-        return names
-
-    def mul(a, b):  # _mul_list
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) > 2:
-            return unpack(f"_mul_list({_list_source(a)}, {_list_source(b)})", len(a) + len(b) - 1)
-        if len(b) == 1:
-            return assign([f"0.0 + {x}*{b[0]}" for x in a])
-        b0, b1 = b
-        return assign([f"0.0 + {a[0]}*{b0}"]
-                      + [f"0.0 + {x}*{b1} + {y}*{b0}" for x, y in zip(a, a[1:])]
-                      + [f"0.0 + {a[-1]}*{b1}"])
-
+    it (its one call, on a float list) and the layer gradients as lists of names.
+    ``strides`` are those of every layer but the last."""
+    em = _Emitter()
     taps = [[f"t{l}_{j}" for j in range(k)] for l, k in enumerate(ks)]
-    spans = list(itertools.accumulate((1,) + tuple(strides[:-1]), operator.mul))
+    spans = list(itertools.accumulate((1,) + tuple(strides), operator.mul))
     fs = []
     for t, s in zip(taps, spans):
         f = ["0.0"] * ((len(t) - 1) * s + 1)
         f[::s] = t
         fs.append(f)
-    w, comps = _complements(fs, mul)
-    g = unpack(f"grad({_list_source(w)}).tolist()", len(w))
+    w, comps = _complements(fs, em.mul)
+    g = em.unpack(f"grad({_list_source(w)}).tolist()", len(w))
     grads = []
     for c, s in zip(comps, spans):
         outputs = range(0, len(g) - len(c) + 1, s)
         if len(c) > 11:
             every = f"[::{s}]" if s > 1 else ""
-            call = f"_correlate_list({_list_source(g)}, {_list_source(c)}){every}"
-            grads.append(unpack(call, len(outputs)))
+            call = f"_correlate({_list_source(g)}, {_list_source(c)}, 'valid'){every}.tolist()"
+            grads.append(em.unpack(call, len(outputs)))
         else:
-            grads.append(assign([_sum_source(f"{g[i + j]}*{x}" for j, x in enumerate(c))
-                                 for i in outputs]))
-    return lines, taps, w, g, grads
+            grads.append(em.assign([_sum_source(f"{g[i + j]}*{x}" for j, x in enumerate(c))
+                                    for i in outputs]))
+    return em.lines, taps, w, g, grads
 
 
 @functools.lru_cache(maxsize=256)
 def _descent_kernel(ks: tuple, strides: tuple):
-    """(descend, gradients) for one architecture, compiled once from straight-line source.
+    """(descend, gradients) for the layer sizes ``ks`` and the strides of every layer but
+    the last, which never enters the source, compiled once from straight-line source.
 
     ``descend(theta, target, const, grad, step, max_steps, tol, diverge)`` runs
     ``gd_train``'s loop on float-list layers and returns (theta, grad_sq, steps,
@@ -368,6 +339,15 @@ def gradients(theta, grad):
     return namespace["descend"], namespace["gradients"]
 
 
+def _checked_kernel(theta, arch: Architecture, obj: QuadraticObjective):
+    """``_descent_kernel`` of ``arch``, after raising ValueError when ``theta`` or the
+    objective's size does not match it."""
+    _layers(theta, arch)
+    if obj.k != arch.filter_size:
+        raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
+    return _descent_kernel(arch.ks, arch.strides[:-1])
+
+
 def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
              config: TrainConfig = TrainConfig()) -> TrainRun:
     """Plain gradient descent on obj(end_to_end(theta)).
@@ -384,11 +364,8 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     ``theta0`` or the objective's size does not match ``arch``.
     """
     theta = [as_filter(w) for w in theta0]
-    _layers(theta, arch)
-    if obj.k != arch.filter_size:
-        raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
+    descend = _checked_kernel(theta, arch, obj)[0]
     init_rrmp = _classified(classify_rrmp_pooled, theta)
-    descend = _descent_kernel(arch.ks, arch.strides)[0]
     theta, grad_sq, steps, converged, diverged = descend(
         [w.tolist() for w in theta], obj.target.tolist(), obj.const, obj.grad, config.step,
         config.max_steps, config.grad_sq_tol, config.diverge_loss)

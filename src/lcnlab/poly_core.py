@@ -14,7 +14,9 @@ tractable.
 Every composition in the package goes through ``_layers`` (check filters
 against an architecture, upsample layer i by span_i = prod(strides[:i])),
 ``_product`` and ``_complements`` (each filter's product of all the others),
-on arrays or, with ``_mul_list``, on float lists, which give numpy's bits.
+on arrays or, with ``_mul_list``, on float lists, which give numpy's bits;
+``_Emitter`` writes the same products as straight-line source for the kernels
+that ``optim`` and ``critlab`` compile.
 ``_placements`` is the one sliding-window placement rule behind every matrix
 realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.
@@ -26,6 +28,8 @@ every nearest-reference lookup through ``_nearest``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
+
 import numpy as np
 
 
@@ -161,14 +165,20 @@ def _product(fs, mul=np.convolve):
     return acc
 
 
-def _complements(fs, mul=np.convolve):
+def _complements(fs, mul=np.convolve, wanted=None):
     """(product, complements): complement i is the product of every filter
     but ``fs[i]``, built on the shared prefix products in ``_product``'s
-    order (the empty product is [1], made by ``mul``)."""
-    comps = [_product(fs[1:], mul) if len(fs) > 1 else mul([1.0], [1.0])]
+    order (the empty product is [1], made by ``mul``).  With ``wanted``, only
+    the complements of those indices are built and the others are None."""
+    if wanted is None:
+        wanted = range(len(fs))
+    comps = [None] * len(fs)
+    if 0 in wanted:
+        comps[0] = _product(fs[1:], mul) if len(fs) > 1 else mul([1.0], [1.0])
     prefix = fs[0]
     for i in range(1, len(fs)):
-        comps.append(_product([prefix] + fs[i + 1 :], mul))
+        if i in wanted:
+            comps[i] = _product([prefix] + fs[i + 1 :], mul)
         prefix = mul(prefix, fs[i])
     return prefix, comps
 
@@ -176,7 +186,7 @@ def _complements(fs, mul=np.convolve):
 # numpy 2.4 sums each output of np.convolve and np.correlate as 0.0 + p0 + p1 + ... over
 # the longer operand's ascending index (the first's on a tie), but its BLAS dot fuses
 # multiply-adds: in a product's edge windows once the shorter operand has 3 entries, and
-# for kernels of 12 or more taps.  The float-list helpers leave those cases to numpy.
+# for kernels of 12 or more taps.  Where every product is exact, fusing changes no bit.
 
 
 def _mul_list(a, b) -> list:
@@ -199,17 +209,51 @@ def _mul_list(a, b) -> list:
     return out
 
 
-def _correlate_list(g, c) -> list:
-    """``np.correlate(g, c, "valid").tolist()`` on float lists, len(c) <= len(g)."""
-    if len(c) > 11:
-        return np.correlate(g, c, "valid").tolist()
-    out = []
-    for i in range(len(g) - len(c) + 1):
-        s = 0.0
-        for x, y in zip(g[i:], c):
-            s += x * y
-        out.append(s)
-    return out
+def _sum_source(terms) -> str:
+    return " + ".join(["0.0", *terms])
+
+
+def _list_source(items) -> str:
+    return f"[{', '.join(items)}]"
+
+
+class _Emitter:
+    """Straight-line Python source on float locals, one assignment per line.
+
+    Entries are local names or literals; ``mul`` gives ``_mul_list``'s bits.  Generated
+    code that runs ``lines`` needs ``_mul_list`` among its globals.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self._fresh = itertools.count()
+
+    def assign(self, exprs) -> list:
+        """Fresh locals holding ``exprs``."""
+        names = [f"v{next(self._fresh)}" for _ in exprs]
+        self.lines.extend(f"{n} = {e}" for n, e in zip(names, exprs))
+        return names
+
+    def unpack(self, call, n) -> list:
+        """Fresh locals holding the ``n`` entries of the list that ``call`` returns."""
+        names = [f"v{next(self._fresh)}" for _ in range(n)]
+        self.lines.append(f"{_list_source(names)} = {call}")
+        return names
+
+    def mul(self, a, b) -> list:
+        """Locals holding ``_mul_list(a, b)``.  The sums are written out in numpy's order
+        when the shorter operand has at most 2 entries, or only literal 0.0 and 1.0
+        entries, whose products are exact, so that numpy's fused sums give the same bits;
+        otherwise the source calls ``_mul_list``.  Literal 0.0 factors stay, since
+        inf * 0.0 must still give NaN."""
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 2 and not all(x in ("0.0", "1.0") for x in b):
+            return self.unpack(f"_mul_list({_list_source(a)}, {_list_source(b)})",
+                               len(a) + len(b) - 1)
+        return self.assign([_sum_source(f"{a[i]}*{b[m - i]}"
+                                        for i in range(max(0, m - len(b) + 1), min(m + 1, len(a))))
+                            for m in range(len(a) + len(b) - 1)])
 
 
 def _same_filter(a, b, tol: float) -> bool:

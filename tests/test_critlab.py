@@ -51,16 +51,18 @@ def test_chart_jacobian_matches_finite_differences():
     for chart in (_Chart(rho=(2, 1), gamma=(1,)), _Chart(rho=(), gamma=(1,)),
                   _Chart(rho=(3, 1), gamma=()), _Chart(rho=(2, 2), gamma=()),
                   _Chart(rho=(4,), gamma=())):
+        k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
+        objective = QuadraticObjective.euclidean(np.ones(k))  # only the scale reads it
         for _ in range(10):
             params = chart.initial_params(rng, 2.0)
-            J = chart.jacobian(params)
+            J = _array_chart(chart, params, objective)[1]
             h = 1e-7
             for p in range(chart.n_params):
                 bumped = params.copy()
                 bumped[p] += h
-                up = chart.point(bumped)
+                up = _array_chart(chart, bumped, objective)[0]
                 bumped[p] -= 2 * h
-                dn = chart.point(bumped)
+                dn = _array_chart(chart, bumped, objective)[0]
                 assert np.allclose(J[:, p], (up - dn) / (2 * h), atol=1e-5)
 
 
@@ -115,10 +117,7 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
                 draws.append(draws[0].copy())
                 draws[-1][j] = -0.0
             for params in draws:
-                point, jac, scale = _array_chart(chart, params, objective)
-                assert chart.point(params).tobytes() == point.tobytes()
-                got = chart.jacobian(params)
-                assert got.strides == jac.strides and got.tobytes() == jac.tobytes()
+                scale = _array_chart(chart, params, objective)[2]
                 # the probe: optimal scale, point, Jacobian and J^T g in one pass
                 sigma, w, jac_w = chart.scaled(params[1:], objective.matrix, mu)
                 at_scale = np.concatenate(([scale], params[1:]))
@@ -128,6 +127,60 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
                 assert jac_w.strides == jac.strides and jac_w.tobytes() == jac.tobytes()
                 assert ((jac_w.T @ objective.grad(w)).tobytes()
                         == (jac.T @ objective.grad(point)).tobytes())
+
+
+def _same_up_to_nan_signs(got, ref):
+    """NaN at the same entries and equal bytes everywhere else."""
+    nan = np.isnan(ref)
+    return (got.shape == ref.shape and got.strides == ref.strides
+            and np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == ref[~nan].tobytes())
+
+
+def test_probe_kernel_matches_the_array_composition_at_the_edges():
+    # a NaN's sign bit may differ, as in the float-list helpers: such a probe reaches no
+    # answer, since _newton_on_gradient drops a non-finite gradient
+    rng = np.random.default_rng(41)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 1e-310]
+    seen = Counter()
+    with np.errstate(all="ignore"):
+        for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
+            for split in real_type_splits(lam):
+                chart = _Chart(rho=split.rho, gamma=split.gamma)
+                k = 1 + sum(lam)
+                objective = QuadraticObjective.euclidean(rng.standard_normal(k))
+                mu = objective.matrix @ objective.target
+                for _ in range(12):
+                    params = chart.initial_params(rng, 2.0)
+                    hit = rng.random(chart.n_params) < 0.3
+                    params[hit] = rng.choice(edges, size=int(np.sum(hit)))
+                    try:
+                        scale = _array_chart(chart, params, objective)[2]
+                    except ValueError as exc:  # the cos and sin of an infinite angle
+                        with pytest.raises(type(exc)):
+                            chart.scaled(params[1:], objective.matrix, mu)
+                        seen[type(exc).__name__] += 1
+                        continue
+                    sigma, w, jac = chart.scaled(params[1:], objective.matrix, mu)
+                    point, ref_jac, _ = _array_chart(
+                        chart, np.concatenate(([scale], params[1:])), objective)
+                    assert sigma.hex() == scale.hex() or math.isnan(sigma) and math.isnan(scale)
+                    assert _same_up_to_nan_signs(w, point)
+                    assert _same_up_to_nan_signs(jac, ref_jac)
+                    seen["finite" if np.all(np.isfinite(jac)) else "non-finite"] += 1
+    assert set(seen) == {"finite", "non-finite", "ValueError"}
+
+
+def test_one_probe_kernel_per_real_type():
+    critlab._probe_kernel.cache_clear()
+    for objective in (QuadraticObjective.euclidean(U_STAR), QuadraticObjective.bombieri(U_STAR)):
+        crit_on_stratum(objective, (2, 2), n_starts=3, seed=1)
+    info = critlab._probe_kernel.cache_info()
+    assert info.misses == 2 and info.hits > 0  # the real types 22|0 and 0|2
+    kernel = critlab._probe_kernel((2, 2), ())
+    assert critlab._probe_kernel((), (2,)) is not kernel
+    crit_on_stratum(QuadraticObjective.euclidean(U_STAR), (3, 1), n_starts=3, seed=1)
+    assert critlab._probe_kernel.cache_info().misses == 3
+    assert critlab._probe_kernel((2, 2), ()) is kernel
 
 
 def test_crit_on_stratum_evaluates_one_gradient_per_newton_probe(monkeypatch):

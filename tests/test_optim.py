@@ -218,6 +218,14 @@ def test_gd_train_rejects_an_objective_of_another_size(grad_calls):
     assert grad_calls == []
 
 
+def test_gradients_reject_an_objective_of_another_size(grad_calls):
+    obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0, 4.0])
+    for fn in (loss_and_gradient, network_gradient):
+        with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
+            fn([np.ones(2), np.ones(2)], Architecture((2, 2)), obj)
+    assert grad_calls == []
+
+
 def test_gradient_via_matrices_agrees():
     rng = np.random.default_rng(6)
     for ks, strides in [((2, 2), None), ((3, 2), (2, 1)), ((2, 2, 2), None),
@@ -556,12 +564,18 @@ def test_one_descent_kernel_per_architecture():
             gd_train(obj, arch, arch.random_theta(rng), config)
     info = _descent_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 3)
-    kernel = _descent_kernel(arch.ks, arch.strides)
+    kernel = _descent_kernel(arch.ks, arch.strides[:-1])
+    # the last layer's stride never enters the source, so it does not key the kernel
+    same = Architecture((3, 2), (2, 2))
+    loss_and_gradient(same.random_theta(rng),
+                      same, QuadraticObjective.euclidean(rng.standard_normal(same.filter_size)))
+    assert _descent_kernel.cache_info().misses == 1
+    assert _descent_kernel(same.ks, same.strides[:-1]) is kernel
     other = Architecture((3, 2), (1, 1))
     gd_train(QuadraticObjective.euclidean(rng.standard_normal(other.filter_size)), other,
              other.random_theta(rng), TrainConfig(max_steps=5))
     assert _descent_kernel.cache_info().misses == 2
-    assert _descent_kernel(other.ks, other.strides) is not kernel
+    assert _descent_kernel(other.ks, other.strides[:-1]) is not kernel
 
 
 def test_descent_kernel_multiplies_upsampled_zeros():
@@ -569,7 +583,7 @@ def test_descent_kernel_multiplies_upsampled_zeros():
     arch = Architecture((2, 2), (2, 1))
     theta = [np.array([np.inf, 2.0]), np.array([3.0, 4.0])]
     g = np.array([1.0, np.inf, 1.0, 1.0])
-    gradients = _descent_kernel(arch.ks, arch.strides)[1]
+    gradients = _descent_kernel(arch.ks, arch.strides[:-1])[1]
     w, grads = gradients([t.tolist() for t in theta], lambda w: g)
     fs, spans = _layers(theta, arch)
     ref_w, comps = _complements(fs)

@@ -5,7 +5,7 @@ import pytest
 
 from lcnlab.poly_core import (
     Architecture,
-    _correlate_list,
+    _Emitter,
     _mul_list,
     _nearest,
     apply_conv_tensor,
@@ -365,6 +365,21 @@ def _edge_filter(rng, n):
     return w
 
 
+def _correlate_list(g, c):
+    """np.correlate(g, c, "valid") on float lists, len(c) <= len(g): kernels of up to 11
+    taps summed as 0.0 + g_i*c_0 + g_{i+1}*c_1 + ..., numpy's order, which the descent
+    kernel writes out; longer kernels are left to numpy."""
+    if len(c) > 11:
+        return np.correlate(g, c, "valid").tolist()
+    out = []
+    for i in range(len(g) - len(c) + 1):
+        s = 0.0
+        for x, y in zip(g[i:], c):
+            s += x * y
+        out.append(s)
+    return out
+
+
 def test_list_helpers_match_numpy_bit_for_bit():
     # shorter operands of 1-4 and kernels of 1-13 taps cover both sides of
     # numpy's switches to the BLAS dot (3 entries, 12 taps)
@@ -379,3 +394,29 @@ def test_list_helpers_match_numpy_bit_for_bit():
             g = _edge_filter(rng, len(c) + int(rng.integers(0, 6)))
             assert _same_floats(_correlate_list(g.tolist(), c.tolist()),
                                 np.correlate(g, c, "valid").tolist())
+
+
+def _emitted_product(a, b):
+    """Run ``_Emitter.mul`` on local names holding ``a`` and on the literals of ``b``
+    (0.0 and 1.0 only): (entries, whether the source calls ``_mul_list``)."""
+    em = _Emitter()
+    names = [f"a{i}" for i in range(len(a))]
+    literals = [repr(x) for x in b]
+    out = em.mul(names, literals) if len(a) >= len(b) else em.mul(literals, names)
+    namespace = {"_mul_list": _mul_list, **dict(zip(names, a))}
+    exec("\n".join(em.lines), namespace)
+    return [namespace[n] for n in out], any("_mul_list" in line for line in em.lines)
+
+
+def test_emitted_products_with_a_zero_one_operand_match_numpy_bit_for_bit():
+    # every product with a 0.0 or 1.0 factor is exact, so numpy's fused sums and the
+    # written-out ones agree; inf and NaN entries must still meet the 0.0 factors
+    rng = np.random.default_rng(37)
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            a = _edge_filter(rng, int(rng.integers(1, 9)))
+            b = rng.integers(0, 2, size=int(rng.integers(1, 9))).astype(float)
+            got, calls = _emitted_product(a.tolist(), b.tolist())
+            ref = np.convolve(a, b) if len(a) >= len(b) else np.convolve(b, a)
+            assert _same_floats(got, ref.tolist())
+            assert calls == (len(a) < len(b) and len(a) > 2)
