@@ -17,8 +17,10 @@ the quadratic cone, is ``cone_critical_points``.  ``crit_on_stratum`` keeps
 its Newton search on every stratum, this one included.
 
 Each Newton probe takes the optimal scale, the point and the Jacobian from one
-factor pass (``_Chart.scaled``), which runs as straight-line float code that
-``_probe_kernel`` compiles once per real type, with numpy's bits.
+factor pass, which runs as straight-line float code that ``_probe_kernel``
+compiles once per real type, with numpy's bits.  The Newton
+iterates and the central differences are float lists too; numpy keeps only
+the BLAS products, the Jacobian array and the linear solves.
 
 Both routes type a point by one rule: the inertia of the loss Hessian in
 (log sigma, shape), which at a critical point splits into the scale's
@@ -72,6 +74,10 @@ _GRAD_TOL = 1e-11
 _EIG_BAND = 1e-6
 _DEDUP_TOL = 1e-7
 _COLLAPSE_TOL = 1e-4
+# A Newton landing is the zero filter, which lies on no stratum, when its max-norm
+# is at most this share of the target's.  At unit targets such landings sit about
+# 1e-10 from zero, since Newton stops at _GRAD_TOL.
+_ZERO_TOL = 1e-5
 # A simple root of the rank-one critical form is real when its imaginary part
 # is this small relative to its modulus.
 _SIMPLE_REAL_TOL = 1e-9
@@ -103,10 +109,9 @@ def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
 
 
 def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
-    """Source of ``probe(shape, matrix, mu)``, ``_Chart.scaled`` written out for one
-    real type: the factors from one cos and sin per real slot, the unit-scale product
-    and the first-copy complements in ``_complements``' order, the optimal scale on
-    arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian rows,
+    """Source of ``probe(shape, matrix, mu)`` for one real type: the factors from one
+    cos and sin per real slot, the unit-scale product and the first-copy complements
+    in ``_complements``' order, the optimal scale on arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian rows,
     all through ``poly_core._Emitter``."""
     em = _Emitter()
     n = len(rho)
@@ -117,7 +122,7 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
     firsts = list(itertools.accumulate([0] + [m for _, m in slots[:-1]]))
     monic, comps = _complements(copies, em.mul, firsts)
     em.lines += [f"arr = _array({_list_source(monic)})",
-                 "sigma = float(arr @ mu) / float(arr @ matrix @ arr)"]
+                 "sigma = float(arr.dot(mu)) / float(arr.dot(matrix).dot(arr))"]
     point = _product([["sigma"]] + copies, em.mul)
     cols = [monic]
     for (f, m), first in zip(slots, firsts):
@@ -138,8 +143,15 @@ def probe(shape, matrix, mu):
 @functools.lru_cache(maxsize=256)
 def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
     """``probe(shape, matrix, mu)`` for the chart of one real type, compiled once from
-    ``_probe_source``: ``_Chart.scaled`` on a float-list shape, with its bits.  The
-    source depends only on ``rho`` and ``gamma``."""
+    ``_probe_source``, which depends only on ``rho`` and ``gamma``.
+
+    On a float-list shape it returns (sigma, point, jacobian) at the loss-optimal
+    scale.  The loss is quadratic in the scale, so along the ray of the unit-scale
+    point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with mu = M u.
+    The Jacobian's columns, laid out C-ordered (k, n_params), are d/d sigma =
+    ``monic``, then sigma * m * comp * d(factor) per slot, with comp the product
+    without the slot's first copy; ``monic`` and the comps come from one factor pass.
+    """
     namespace = {"_cos": math.cos, "_sin": math.sin, "_array": np.array, "_mul_list": _mul_list}
     exec(compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>", "exec"), namespace)
     return namespace["probe"]
@@ -169,31 +181,15 @@ class _Chart:
         slots += [([1.0, b, c], m) for m, b, c in zip(self.gamma, shape[n::2], shape[n + 1::2])]
         return slots
 
-    def scaled(self, shape: np.ndarray, matrix: np.ndarray,
-               mu: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """(sigma, point, jacobian) at the loss-optimal scale for ``shape``.
+    def is_interior(self, shape: list[float]) -> bool:
+        """True when the roots of ``shape`` have the real type the chart names.
 
-        The loss is quadratic in the scale, so along the ray of the unit-scale
-        point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with
-        mu = M u.  The Jacobian's columns, laid out C-ordered (k, n_params), are
-        d/d sigma = ``monic``, then sigma * m * comp * d(factor) per slot, with
-        comp the product without the slot's first copy; ``monic`` and the comps
-        come from one factor pass.
+        Rejects reducible quadratic factors and coinciding roots -- both
+        belong to smaller strata and would otherwise be double counted.  Root
+        collisions are measured both projectively (by angle, so clusters at
+        zero or infinity are caught) and by relative distance.  A collapsed
+        scale is the caller's test, against the target.
         """
-        return _probe_kernel(self.rho, self.gamma)(shape.tolist(), matrix, mu)
-
-    def is_interior(self, params: np.ndarray) -> bool:
-        """True when the chart point sits on the open stratum it names.
-
-        Rejects collapsed scale, reducible quadratic factors and coinciding
-        roots -- all of which belong to smaller strata and would otherwise be
-        double counted.  Root collisions are measured both projectively (by
-        angle, so clusters at zero or infinity are caught) and by relative
-        distance.
-        """
-        sigma, *shape = params.tolist()
-        if abs(sigma) < 1e-10:
-            return False
         angles: list[float] = []
         pairs: list[complex] = []
         for f, _ in self.factors(shape):
@@ -268,56 +264,54 @@ class StratumReport:
 # ---------------------------------------------------------------------------
 
 
-def _fd_jacobian(fun: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of ``fun`` at ``x``, column by column."""
-    n = x.shape[0]
-    jac = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return jac
+def _fd_jacobian(fun: Callable[[list], Sequence[float]], x: list[float]) -> np.ndarray:
+    """Central-difference Jacobian of ``fun`` at the float list ``x``, column by
+    column in float arithmetic, laid out C-ordered."""
+    cols = []
+    for j, xj in enumerate(x):
+        h = 1e-6 * (1.0 + abs(xj))
+        up = fun(x[:j] + [xj + h] + x[j + 1:])
+        down = fun(x[:j] + [xj - h] + x[j + 1:])
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(up, down)])
+    return np.array(list(zip(*cols)))
 
 
 def _newton_on_gradient(
-    fun: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[list], Sequence[float]],
     x0: np.ndarray,
     *,
     scale: float,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Solve fun(x) = 0 by at most 80 damped Newton steps with a
-    finite-difference Jacobian.
+    finite-difference Jacobian.  ``fun`` takes the iterate as a float list.
 
     Returns (x, jac): the root, or None when the iteration fails, and the
     Jacobian of the last step, or None when the start already meets the
-    tolerance and no step was taken.
+    tolerance and no step was taken.  Norms are sqrt(v.v), the formula of
+    ``np.linalg.norm``; the linear algebra alone runs in numpy.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float).tolist()
     jac = None
-    for _ in range(80):
+    for steps in range(81):
         g = fun(x)
-        if not np.all(np.isfinite(g)):
+        if not all(map(math.isfinite, g)):
             return None, None
-        if np.linalg.norm(g) <= _GRAD_TOL * scale:
-            return x, jac
+        g = np.array(g)
+        if math.sqrt(g.dot(g)) <= _GRAD_TOL * scale:
+            return np.array(x), jac
+        if steps == 80:
+            return None, None
         jac = _fd_jacobian(fun, x)
         try:
             step = np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, g, rcond=None)
-        norm = np.linalg.norm(step)
+        norm = math.sqrt(step.dot(step))
         if norm > 10.0:
             step *= 10.0 / norm
-        x = x - step
-        if not np.all(np.isfinite(x)):
+        x = [a - b for a, b in zip(x, step.tolist())]
+        if not all(map(math.isfinite, x)):
             return None, None
-    g = fun(x)
-    if np.all(np.isfinite(g)) and np.linalg.norm(g) <= _GRAD_TOL * scale:
-        return x, jac
-    return None, None
 
 
 def _inertia(eigs: np.ndarray) -> str:
@@ -361,6 +355,7 @@ def crit_on_stratum(
         raise ValueError(f"need at least one start, got {n_starts}")
     rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
+    u_max = float(np.max(np.abs(objective.target)))
     mu_vec = objective.matrix @ objective.target
 
     points: list[CritPoint] = []
@@ -371,9 +366,11 @@ def crit_on_stratum(
         # carries the optimal scale for its root configuration.  Solving for
         # it in closed form removes the flat sigma = 0 manifold that would
         # otherwise swallow most Newton starts.
-        def shape_grad(shape: np.ndarray) -> np.ndarray:
-            _, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
-            return (jac.T @ objective.grad(w))[1:]
+        probe = _probe_kernel(chart.rho, chart.gamma)
+
+        def shape_grad(shape: list[float]) -> list[float]:
+            _, w, jac = probe(shape, objective.matrix, mu_vec)
+            return jac.T.dot(objective.grad(w))[1:].tolist()
 
         kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(n_starts):
@@ -381,13 +378,15 @@ def crit_on_stratum(
             shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
             if shape is None:
                 continue
-            sigma, w, jac = chart.scaled(shape, objective.matrix, mu_vec)
-            if not chart.is_interior(np.concatenate(([sigma], shape))):
+            _, w, jac = probe(shape.tolist(), objective.matrix, mu_vec)
+            # sigma = 0 is the zero filter, on no stratum.  Newton lands next to it
+            # where w.M.u vanishes, so a landing that small against the target is dropped.
+            if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not chart.is_interior(shape.tolist()):
                 continue
             if any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _, _ in kept):
                 continue
             if hess is None:  # the start met the tolerance: Newton took no step
-                hess = _fd_jacobian(shape_grad, shape)
+                hess = _fd_jacobian(shape_grad, shape.tolist())
             kept.append((w, jac, hess))
         for w, jac, hess in kept:
             curvature = [2.0 * float(w @ objective.matrix @ w)]
@@ -717,15 +716,15 @@ def find_spurious_minimum(
     k1, k2 = arch.ks
     objective = QuadraticObjective.euclidean(u)
 
-    def theta_of(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def theta_of(x: Sequence[float]) -> tuple[np.ndarray, Sequence[float]]:
         return np.concatenate(([1.0], x[: k1 - 1])), x[k1 - 1 :]
 
-    def grad(x: np.ndarray) -> np.ndarray:
+    def grad(x: Sequence[float]) -> np.ndarray:
         _, (g1, g2) = loss_and_gradient(theta_of(x), arch, objective)
         return np.concatenate((g1[1:], g2))  # drop the pinned entry
 
     def hessian_eigs(x: np.ndarray) -> np.ndarray:
-        hess = _fd_jacobian(grad, x)
+        hess = _fd_jacobian(grad, x.tolist())
         return np.linalg.eigvalsh(0.5 * (hess + hess.T))
 
     rng = np.random.default_rng(seed)

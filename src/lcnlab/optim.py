@@ -104,8 +104,11 @@ class QuadraticObjective:
         return float(r @ self.matrix @ r) + self.const
 
     def grad(self, w) -> np.ndarray:
+        # grad runs once per Newton probe and descent step: ndarray.dot reaches the BLAS
+        # kernel of @ without its dispatch and gives its bits, except on one entry, where
+        # @ sums 0.0 + m*r (a -0.0 product gives 0.0) and .dot does not
         r = as_filter(w) - self.target
-        return 2.0 * (self.matrix @ r)
+        return 2.0 * (self.matrix @ r if len(r) == 1 else self.matrix.dot(r))
 
     @staticmethod
     def euclidean(target) -> "QuadraticObjective":

@@ -191,14 +191,15 @@ def _complements(fs, mul=np.convolve, wanted=None):
 
 def _mul_list(a, b) -> list:
     """``np.convolve(a, b).tolist()`` on float lists; Python sums shorter operands of 1 or
-    2 entries."""
+    2 entries, and longer ones go to ``np.correlate(a, b[::-1], "full")``, the C loop
+    that ``np.convolve`` wraps, without its two ``np.array`` conversions."""
     if len(a) < len(b):
         a, b = b, a
     if len(b) != 2:
         if len(b) == 1:
             b0 = b[0]
             return [0.0 + x * b0 for x in a]
-        return np.convolve(a, b).tolist()
+        return np.correlate(a, b[::-1], "full").tolist()
     b0, b1 = b
     x = a[0]
     out = [0.0 + x * b0]
@@ -221,17 +222,25 @@ class _Emitter:
     """Straight-line Python source on float locals, one assignment per line.
 
     Entries are local names or literals; ``mul`` gives ``_mul_list``'s bits.  Generated
-    code that runs ``lines`` needs ``_mul_list`` among its globals.
+    code that runs ``lines`` needs ``_mul_list`` among its globals, and must not rebind
+    a name that an earlier assignment reads.
     """
 
     def __init__(self):
         self.lines = []
         self._fresh = itertools.count()
+        self._held = {}  # expression -> the local already holding it
 
     def assign(self, exprs) -> list:
-        """Fresh locals holding ``exprs``."""
-        names = [f"v{next(self._fresh)}" for _ in exprs]
-        self.lines.extend(f"{n} = {e}" for n, e in zip(names, exprs))
+        """Locals holding ``exprs``: an expression assigned before keeps its local, the
+        others get fresh ones.  A repeated product of copies of one factor is so written
+        once."""
+        names = []
+        for e in exprs:
+            if e not in self._held:
+                self._held[e] = f"v{next(self._fresh)}"
+                self.lines.append(f"{self._held[e]} = {e}")
+            names.append(self._held[e])
         return names
 
     def unpack(self, call, n) -> list:

@@ -28,9 +28,12 @@ from lcnlab.critlab import (
     real_type_splits,
 )
 from lcnlab.funcspace import factor_into
-from lcnlab.optim import QuadraticObjective, count_distinct_filters
+from lcnlab.optim import (QuadraticObjective, _gradient_source, count_distinct_filters,
+                          loss_and_gradient)
 from lcnlab.poly_core import Architecture, _nearest, _same_filter, end_to_end
 from lcnlab.rootlab import INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled
+
+from test_poly_core import random_arch
 
 # The palindromic quartic target used throughout: every stratum of its loss
 # has known critical points, several of them rational.
@@ -108,6 +111,7 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
     assert {"2|1", "0|2"} <= {Rrmp(rho=c.rho, gamma=c.gamma).label for c in charts}
     for chart in charts:
         k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
+        probe = critlab._probe_kernel(chart.rho, chart.gamma)
         gram = rng.standard_normal((k, k))
         for objective in (QuadraticObjective.euclidean(rng.standard_normal(k)),
                           QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k))):
@@ -119,7 +123,7 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
             for params in draws:
                 scale = _array_chart(chart, params, objective)[2]
                 # the probe: optimal scale, point, Jacobian and J^T g in one pass
-                sigma, w, jac_w = chart.scaled(params[1:], objective.matrix, mu)
+                sigma, w, jac_w = probe(params[1:].tolist(), objective.matrix, mu)
                 at_scale = np.concatenate(([scale], params[1:]))
                 point, jac, _ = _array_chart(chart, at_scale, objective)
                 assert sigma.hex() == scale.hex()
@@ -146,6 +150,7 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
         for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
             for split in real_type_splits(lam):
                 chart = _Chart(rho=split.rho, gamma=split.gamma)
+                probe = critlab._probe_kernel(chart.rho, chart.gamma)
                 k = 1 + sum(lam)
                 objective = QuadraticObjective.euclidean(rng.standard_normal(k))
                 mu = objective.matrix @ objective.target
@@ -157,10 +162,10 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
                         scale = _array_chart(chart, params, objective)[2]
                     except ValueError as exc:  # the cos and sin of an infinite angle
                         with pytest.raises(type(exc)):
-                            chart.scaled(params[1:], objective.matrix, mu)
+                            probe(params[1:].tolist(), objective.matrix, mu)
                         seen[type(exc).__name__] += 1
                         continue
-                    sigma, w, jac = chart.scaled(params[1:], objective.matrix, mu)
+                    sigma, w, jac = probe(params[1:].tolist(), objective.matrix, mu)
                     point, ref_jac, _ = _array_chart(
                         chart, np.concatenate(([scale], params[1:])), objective)
                     assert sigma.hex() == scale.hex() or math.isnan(sigma) and math.isnan(scale)
@@ -233,6 +238,159 @@ def test_newton_returns_the_jacobian_of_its_last_step(monkeypatch):
     assert len(jacobians) == n_jacobians
     nan = critlab._newton_on_gradient(lambda x: np.full(3, np.nan), np.zeros(3), scale=1.0)
     assert nan == (None, None)
+
+
+def _array_fd_jacobian(fun, x):
+    """``_fd_jacobian`` as it was on arrays, before the float-list routine."""
+    n = x.shape[0]
+    jac = np.empty((n, n))
+    for j in range(n):
+        h = 1e-6 * (1.0 + abs(x[j]))
+        xp = x.copy()
+        xp[j] += h
+        xm = x.copy()
+        xm[j] -= h
+        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
+    return jac
+
+
+def _array_newton(fun, x0, *, scale):
+    """``_newton_on_gradient`` as it was on arrays, before the float-list routine."""
+    x = np.array(x0, dtype=float)
+    jac = None
+    for _ in range(80):
+        g = fun(x)
+        if not np.all(np.isfinite(g)):
+            return None, None
+        if np.linalg.norm(g) <= critlab._GRAD_TOL * scale:
+            return x, jac
+        jac = _array_fd_jacobian(fun, x)
+        try:
+            step = np.linalg.solve(jac, g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, g, rcond=None)
+        norm = np.linalg.norm(step)
+        if norm > 10.0:
+            step *= 10.0 / norm
+        x = x - step
+        if not np.all(np.isfinite(x)):
+            return None, None
+    g = fun(x)
+    if np.all(np.isfinite(g)) and np.linalg.norm(g) <= critlab._GRAD_TOL * scale:
+        return x, jac
+    return None, None
+
+
+def _same_array(got, ref):
+    return (got is None and ref is None) or (
+        got is not None and ref is not None and got.strides == ref.strides
+        and got.tobytes() == ref.tobytes())
+
+
+def _compare_newtons(by_list, by_array, starts, scale):
+    """Run both Newton routines from each start, recording every point each one
+    probes; assert equal bytes throughout and return the outcomes."""
+    outcomes = Counter()
+    for start in starts:
+        probed = {"list": [], "array": []}
+
+        def recorded(fun, key):
+            def f(x):
+                probed[key].append(np.array(x, dtype=float).tobytes())
+                return fun(x)
+            return f
+
+        x, jac = critlab._newton_on_gradient(recorded(by_list, "list"), start, scale=scale)
+        ref_x, ref_jac = _array_newton(recorded(by_array, "array"), start, scale=scale)
+        assert probed["list"] == probed["array"]
+        assert _same_array(x, ref_x) and _same_array(jac, ref_jac)
+        if np.all(np.isfinite(start)):
+            assert _same_array(critlab._fd_jacobian(by_list, start.tolist()),
+                               _array_fd_jacobian(by_array, start))
+        outcomes["failed" if x is None else "no step" if jac is None else "landed"] += 1
+        if x is not None and jac is not None:
+            again = _compare_newtons(by_list, by_array, [x], scale)  # meets the tolerance
+            assert again == Counter({"no step": 1})
+            outcomes += again
+    return outcomes
+
+
+def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
+    rng = np.random.default_rng(43)
+    outcomes = Counter()
+    for lam in (lam for degree in range(2, 6) for lam in _partitions(degree)):
+        for split in real_type_splits(lam):
+            chart = _Chart(rho=split.rho, gamma=split.gamma)
+            k = 1 + sum(lam)
+            gram = rng.standard_normal((k, k))
+            for objective in (QuadraticObjective.bombieri(rng.standard_normal(k)),
+                              QuadraticObjective(gram @ gram.T + np.eye(k),
+                                                 rng.standard_normal(k))):
+                mu = objective.matrix @ objective.target
+                probe = critlab._probe_kernel(chart.rho, chart.gamma)
+
+                def by_list(shape):  # crit_on_stratum's shape gradient
+                    _, w, jac = probe(shape, objective.matrix, mu)
+                    return jac.T.dot(objective.grad(w))[1:].tolist()
+
+                def by_array(shape):
+                    _, w, jac = probe(shape.tolist(), objective.matrix, mu)
+                    return (jac.T @ objective.grad(w))[1:]
+
+                starts = [chart.initial_params(rng, 1.0)[1:] for _ in range(3)]
+                starts.append(np.full(chart.n_params - 1, np.nan))
+                scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
+                outcomes += _compare_newtons(by_list, by_array, starts, scale)
+    # find_spurious_minimum's gradient in its chart, the first filter's lead pinned to 1
+    for u in ([1.0, 0.0, -0.3, 0.4], [2.0, -1.0, 0.5, 1.0], [0.3, 1.0, 1.0, 0.2, -0.5]):
+        u = np.array(u)
+        arch = Architecture(ks=(2, len(u) - 1))
+        objective = QuadraticObjective.euclidean(u)
+
+        def grad(x):
+            _, (g1, g2) = loss_and_gradient((np.concatenate(([1.0], x[:1])), x[1:]), arch,
+                                            objective)
+            return np.concatenate((g1[1:], g2))
+
+        scale = float(np.linalg.norm(u)) + 1.0
+        starts = [rng.standard_normal(len(u)) * scale for _ in range(6)]
+        outcomes += _compare_newtons(grad, grad, starts, scale)
+    assert set(outcomes) == {"landed", "no step", "failed"} and min(outcomes.values()) > 50
+
+
+def test_crit_on_stratum_drops_landings_next_to_the_zero_filter():
+    # on this Bombieri target Newton also lands within 1e-10 of the zero filter, where
+    # w.M.u vanishes: no stratum holds the zero filter, and the test is free of scale
+    u = np.array([0.6061457288054009, 0.5141360357068666, 0.1063379638618435])
+    for c in (1.0, 0.1, 1e3):
+        objective = QuadraticObjective.bombieri(c * u)
+        exact = _rank_one_points(objective)
+        report = crit_on_stratum(objective, (2,), n_starts=20)
+        assert report.n_real > 0
+        for p in report.points:
+            assert np.max(np.abs(p.w)) > 1e-3 * c
+            assert any(_same_filter(p.w, q.w, 1e-8) and p.kind == q.kind for q in exact)
+
+
+def test_no_compiled_source_repeats_an_assigned_expression():
+    # a slot of multiplicity m repeats its factor m times, so the prefix products and
+    # the first complement share their leading products; each is written once
+    def assigned(lines):
+        return [line.split(" = ", 1)[1] for line in map(str.strip, lines)
+                if line.startswith("v") and " = " in line]
+
+    checked = 0
+    for lam in (lam for degree in range(1, 7) for lam in _partitions(degree)):
+        for split in real_type_splits(lam):
+            exprs = assigned(critlab._probe_source(split.rho, split.gamma).splitlines())
+            assert len(exprs) == len(set(exprs)), split.label
+            checked += max(split.rho + split.gamma) > 1
+    assert checked > 20
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        arch = random_arch(rng, max_depth=4, max_k=6)
+        exprs = assigned(_gradient_source(arch.ks, arch.strides[:-1])[0])
+        assert len(exprs) == len(set(exprs)), arch
 
 
 def test_crit_on_stratum_types_the_caustic_landings_as_degenerate():

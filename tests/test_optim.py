@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,58 @@ def test_objective_gradient_consistency():
 
 
 NAN = float("nan")
+
+
+def _edge_entries(rng, shape):
+    """Magnitudes over six decades, with now and then a signed zero, an infinity, a NaN
+    or a subnormal."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    hit = rng.random(shape) < 0.1
+    x[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310], size=np.sum(hit))
+    return x
+
+
+def test_dot_gives_the_bytes_of_matmul_from_two_entries_on():
+    # the hot paths' products: M r and r M r in the objective (M C-ordered or transposed),
+    # the probe's monic.mu and monic.M.monic, and J^T g with J C-ordered
+    rng = np.random.default_rng(19)
+    with np.errstate(all="ignore"):
+        for _ in range(2000):
+            k, n = (int(x) for x in rng.integers(2, 13, size=2))
+            M, r, s = _edge_entries(rng, (k, k)), _edge_entries(rng, k), _edge_entries(rng, k)
+            for m in (M, M.T):
+                assert m.dot(r).tobytes() == (m @ r).tobytes()
+                assert r.dot(m).dot(s).tobytes() == (r @ m @ s).tobytes()
+            assert r.dot(s).tobytes() == (r @ s).tobytes()
+            jac = _edge_entries(rng, (k, n))
+            assert jac.T.dot(r).tobytes() == (jac.T @ r).tobytes()
+
+
+def test_a_one_entry_objective_keeps_the_matmul_bytes():
+    # on one entry @ sums 0.0 + m*r and .dot gives m*r, so a zero's sign can differ
+    M = np.array([[-2.0]])
+    assert np.copysign(1.0, (M @ np.array([0.0]))[0]) == 1.0
+    assert np.copysign(1.0, M.dot(np.array([0.0]))[0]) == -1.0
+    arch = Architecture((1, 1))
+    rng = np.random.default_rng(23)
+    entries = [0.0, -0.0, 5e-324, -2.0, float(rng.standard_normal())]
+    thetas = [[np.array([0.0]), np.array([1.0])], [np.array([-0.0]), np.array([2.0])],
+              arch.random_theta(rng)]
+    by_dot = 0  # cases where .dot would give other bytes
+    for m, u, const in itertools.product(entries, entries, (0.0, -0.0, 1.5)):
+        obj = QuadraticObjective(np.array([[m]]), np.array([u]), const)
+        for theta in thetas:
+            r = end_to_end(theta, arch)[0] - obj.target
+            g = 2.0 * (obj.matrix @ r)
+            ref_loss = float(r @ obj.matrix @ r) + const
+            assert obj.grad(r + obj.target).tobytes() == g.tobytes()
+            loss, grads = loss_and_gradient(theta, arch, obj)
+            assert loss.hex() == ref_loss.hex()
+            ref_grads = [np.correlate(g, theta[1], "valid"), np.correlate(g, theta[0], "valid")]
+            assert [d.tobytes() for d in grads] == [d.tobytes() for d in ref_grads]
+            by_dot += (obj.matrix.dot(r).tobytes() != (obj.matrix @ r).tobytes()
+                       or (float(r.dot(obj.matrix).dot(r)) + const).hex() != ref_loss.hex())
+    assert by_dot > 0
 
 
 @pytest.mark.parametrize("make, field", [

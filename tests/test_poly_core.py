@@ -396,6 +396,22 @@ def test_list_helpers_match_numpy_bit_for_bit():
                                 np.correlate(g, c, "valid").tolist())
 
 
+def test_long_products_give_the_bytes_of_convolve_nan_signs_included():
+    # from a 3-entry shorter operand on _mul_list calls np.correlate(a, b[::-1], "full"),
+    # the C loop that np.convolve wraps, so every bit agrees, a NaN's sign too
+    rng = np.random.default_rng(47)
+    nan_signs = set()
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            n = int(rng.integers(3, 13))
+            a, b = _edge_filter(rng, n + int(rng.integers(0, 8))), _edge_filter(rng, n)
+            for x, y in ((a, b), (b, a)):
+                ref = np.convolve(x, y)
+                assert np.array(_mul_list(x.tolist(), y.tolist())).tobytes() == ref.tobytes()
+                nan_signs |= set(np.signbit(ref[np.isnan(ref)]).tolist())
+    assert nan_signs == {False, True}
+
+
 def _emitted_product(a, b):
     """Run ``_Emitter.mul`` on local names holding ``a`` and on the literals of ``b``
     (0.0 and 1.0 only): (entries, whether the source calls ``_mul_list``)."""
