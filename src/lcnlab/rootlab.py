@@ -9,7 +9,10 @@ critical-point analysis, so this module owns:
 
 * a simultaneous-iteration root finder (Aberth-Ehrlich) with Newton polish;
   its seeded start circle is fixed per degree and scaled to the
-  coefficients, and one Horner pass gives p and p' together,
+  coefficients, one Horner pass gives p and p' together, and the loop stops
+  once an iterate repeats; on arrays of a few entries it pre-casts its
+  operands and takes its yes/no decisions on Python floats, while every
+  value that reaches a root comes from the same numpy kernel,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
@@ -95,36 +98,43 @@ def _homogeneous_residual(coeffs: np.ndarray, root: ProjRoot) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _start_circle(m: int):
-    """Radial weights, unit phases and flat diagonal indices for m roots.
+    """Radial weights, unit phases and flat diagonal indices for m roots,
+    then complex ones of shapes (m,) and (m, m) for the update's ``1 - ...``
+    and ``1 / diff``.
 
     The seeded circle depends on m alone, so every call shares these arrays,
-    which are read-only.
+    which are read-only.  A complex one is the operand numpy makes of the
+    scalar 1.0 itself, so the pre-cast ones keep the bits of the scalar
+    forms.
     """
     rng = np.random.default_rng(0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     jitter = rng.uniform(-0.05, 0.05, size=m)
     angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
-    arrays = (0.7 + 0.1 * jitter, np.exp(1j * angles), np.arange(m) * (m + 1))
+    arrays = (0.7 + 0.1 * jitter, np.exp(1j * angles), np.arange(m) * (m + 1),
+              np.ones(m, complex), np.ones((m, m), complex))
     for x in arrays:
         x.flags.writeable = False
     return arrays
 
 
-def _horner_rows(poly: np.ndarray) -> np.ndarray:
+def _horner_rows(poly: np.ndarray) -> tuple:
     """Rows of one Horner pass over ``[z, z]`` that gives p(z) and p'(z).
 
-    Row j holds poly[j] in its first m columns and coefficient j - 1 of
+    Row j holds poly[j] in its first m entries and coefficient j - 1 of
     p' = ``np.polyder(poly)`` in the other m, with 0.0 in row 0: the p' half
     starts one step late on exact zeros, as ``np.polyval`` on p' would.
+    The rows are float, so real estimates stay real; ``_aberth`` casts them
+    to complex once, which is the operand numpy would build on every step.
     """
     m = len(poly) - 1
     rows = np.zeros((m + 1, 2 * m))
     rows[:, :m] = poly[:, None]
     rows[1:, m:] = (poly[:-1] * np.arange(m, 0, -1))[:, None]
-    return rows
+    return tuple(rows)
 
 
-def _values(rows: np.ndarray, z: np.ndarray):
+def _values(rows, z: np.ndarray):
     """p(z) and p'(z) from the ``_horner_rows`` of p."""
     zz = np.concatenate((z, z))
     y = np.zeros(len(zz), zz.dtype)
@@ -141,40 +151,62 @@ def _aberth(core: np.ndarray) -> np.ndarray:
     fixed per degree (only its radius follows the coefficients), runs at
     most 200 simultaneous Aberth-Ehrlich updates with p and p' taken from
     one Horner pass, then five plain Newton steps per root.
+
+    Each update is a fixed function of the iterate, so the loop also stops
+    when an iterate repeats the previous one byte for byte (NaN iterates
+    do): running on to the cap would only repeat it.  The update runs on
+    arrays of a few entries, where numpy's casts and wrappers cost more than
+    the arithmetic, so its operands are pre-cast and its yes/no decisions
+    are taken on Python floats; every value that reaches a root is still
+    computed by the same numpy kernel.
     """
     a = core / core[0]
     m = len(a) - 1
     if m == 1:
         return np.array([-a[1]], dtype=complex)
 
-    weights, phases, diagonal = _start_circle(m)
-    rows = _horner_rows(a)
+    weights, phases, diagonal, one, ones = _start_circle(m)
+    rows = tuple(c.astype(complex) for c in _horner_rows(a))
     radius = 1.0 + np.abs(a[1:]).max()
     z = radius * weights * phases
+    last = z.tobytes()
 
     for _ in range(200):
         p, dp = _values(rows, z)
-        dp[dp == 0] = 1e-300
+        if 0 in dp.tolist():
+            dp[dp == 0] = 1e-300
         newton = p / dp
         diff = z[:, None] - z[None, :]
         diff.put(diagonal, 1.0)
-        inv = 1.0 / diff
+        inv = ones / diff
         inv.put(diagonal, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
-        denom[denom == 0] = 1e-300
+        denom = one - newton * np.add.reduce(inv, 1)
+        if 0 in denom.tolist():
+            denom[denom == 0] = 1e-300
         step = newton / denom
         z = z - step
-        if (np.abs(step) / (1.0 + np.abs(z))).max() < 1e-14:
+        # float + and / are the IEEE operations numpy's are, and like
+        # max(...) < tol, all(...) fails on a NaN
+        if all(s / (1.0 + t) < 1e-14
+               for s, t in zip(np.abs(step).tolist(), np.abs(z).tolist())):
             break
+        now = z.tobytes()
+        if now == last:
+            break
+        last = now
 
     return _newton_polish(rows, z)
 
 
-def _newton_polish(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _newton_polish(rows, z: np.ndarray) -> np.ndarray:
     """Five plain Newton steps on every root estimate in ``z``, for the
     polynomial with these ``_horner_rows``."""
     for _ in range(5):
         p, dp = _values(rows, z)
+        # with no zero and no NaN in p', every |p'| > 0 and both masks are true
+        if all(d != 0 and d == d for d in dp.tolist()):
+            z = z - p / dp
+            continue
         mask = np.abs(dp) > 0
         z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
     return z
@@ -196,19 +228,21 @@ def find_roots(coeffs) -> list:
     raise ValueError before any solver runs.
     """
     w = as_filter(coeffs)
-    _require_finite(w)
-    scale = np.max(np.abs(w))
+    values = w.tolist()
+    if not all(map(math.isfinite, values)):
+        _require_finite(w)
+    scale = max(map(abs, values))
     if scale == 0:
         raise ValueError("the zero filter has no root data")
-    k = len(w)
+    k = len(values)
     if k == 1:
         return []
 
     n_inf = 0
-    while w[n_inf] == 0:
+    while values[n_inf] == 0:
         n_inf += 1
     n_zero = 0
-    while w[k - 1 - n_zero] == 0:
+    while values[k - 1 - n_zero] == 0:
         n_zero += 1
     core = w[n_inf : k - n_zero]
 
@@ -217,9 +251,8 @@ def find_roots(coeffs) -> list:
         # badly scaled cores overflow inside the iterations; the residual
         # check below decides, so numpy's warnings would only be noise
         with np.errstate(all="ignore"):
-            z = _aberth(core)
-            finite = [ProjRoot.finite(zi) for zi in z]
-            bound = _RESIDUAL_BOUND * np.max(np.abs(core))
+            finite = [ProjRoot(z, False) for z in _aberth(core).tolist()]
+            bound = _RESIDUAL_BOUND * scale  # the trimmed entries are zeros
             if any(_homogeneous_residual(core, r) > bound for r in finite):
                 z = _newton_polish(_horner_rows(core), np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
@@ -258,7 +291,10 @@ def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
 def _cluster_rep(cluster) -> ProjRoot:
     if cluster[0].infinite:
         return INFINITY
-    return ProjRoot.finite(np.mean([r.value for r in cluster]))
+    # np.mean's bytes without its wrapper; a singleton's own value is not
+    # its mean, whose complex division by 1 can flip a zero's sign or put
+    # NaN beside an infinite part
+    return ProjRoot.finite(np.add.reduce(np.array([r.value for r in cluster])) / len(cluster))
 
 
 @dataclass(frozen=True)

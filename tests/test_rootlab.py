@@ -576,6 +576,62 @@ def test_start_circle_is_read_only_and_shared_across_degrees():
     for d in (2, 7, 3, 9, 4):
         find_roots(rng.standard_normal(d + 1))
     assert _bits(find_roots(w)) == before
-    for array in _start_circle(4):
+    cached = _start_circle(4)
+    one, ones = cached[3:]
+    assert one.dtype == ones.dtype == complex and one.shape == (4,) and ones.shape == (4, 4)
+    assert (one == 1).all() and (ones == 1).all()
+    for array, again in zip(cached, _start_circle(4)):
+        assert array is again
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_aberth_stops_when_an_iterate_repeats(monkeypatch):
+    # an update is a fixed function of the iterate, so once one repeats the
+    # loop could only repeat it up to the cap: stopping there keeps the bits
+    values = rootlab._values
+    calls = Counter()
+
+    def counted(rows, z):
+        calls["values"] += 1
+        return values(rows, z)
+
+    monkeypatch.setattr(rootlab, "_values", counted)
+    # the first update sends both iterates to NaN and the second repeats them
+    stats = Counter()
+    w = [1e-300, 1.0, 1.0]
+    assert _bits(find_roots(w)) == _bits(_reference_find_roots(w, stats))
+    assert stats["capped"] == 1 and calls["values"] == 2 + 5
+
+    # coefficients across 300 orders of magnitude: many runs turn NaN
+    rng = np.random.default_rng(150)
+    cut_short = 0
+    for _ in range(60):
+        k = int(rng.integers(3, 10))
+        w = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-150, 150, k)
+        stats.clear()
+        calls.clear()
+        expected = _outcome(lambda c: _reference_find_roots(c, stats), w)
+        assert _outcome(find_roots, w) == expected, w
+        cut_short += stats["capped"] > 0 and calls["values"] < 200
+    assert cut_short >= 10, cut_short
+
+
+def test_cluster_rep_gives_the_bytes_of_np_mean():
+    # a singleton too: its own value is not its mean, which divides by 1
+    rng = np.random.default_rng(24)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]
+    differs = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 10))
+        parts = rng.standard_normal((n, 2))
+        mask = rng.random((n, 2)) < 0.4
+        parts[mask] = rng.choice(special, mask.sum())
+        values = [complex(re, im) for re, im in parts]
+        with np.errstate(all="ignore"):
+            rep = rootlab._cluster_rep([ProjRoot.finite(v) for v in values])
+            mean = complex(np.mean(values))
+        assert np.complex128(rep.value).tobytes() == np.complex128(mean).tobytes(), values
+        differs += n == 1 and np.complex128(values[0]).tobytes() != np.complex128(mean).tobytes()
+    assert differs > 0
+    assert rootlab._cluster_rep([INFINITY, INFINITY]) is INFINITY
