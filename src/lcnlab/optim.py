@@ -106,9 +106,12 @@ class QuadraticObjective:
     def grad(self, w) -> np.ndarray:
         # grad runs once per Newton probe and descent step: ndarray.dot reaches the BLAS
         # kernel of @ without its dispatch and gives its bits, except on one entry, where
-        # @ sums 0.0 + m*r (a -0.0 product gives 0.0) and .dot does not
+        # @ sums 0.0 + m*r (a -0.0 product gives 0.0) and .dot does not; g + g is 2.0*g
+        # bit for bit, without numpy's conversion of the Python scalar
         r = as_filter(w) - self.target
-        return 2.0 * (self.matrix @ r if len(r) == 1 else self.matrix.dot(r))
+        g = self.matrix @ r if len(r) == 1 else self.matrix.dot(r)
+        g += g
+        return g
 
     @staticmethod
     def euclidean(target) -> "QuadraticObjective":
@@ -225,6 +228,9 @@ class TrainConfig:
 
 @dataclass
 class TrainRun:
+    """One ``gd_train`` run.  ``target_rrmp`` is the target's root pattern, classified
+    on first read and then kept; ``target`` is the run's own copy of the target."""
+
     theta: list
     w: np.ndarray
     loss: float
@@ -232,9 +238,13 @@ class TrainRun:
     steps: int
     converged: bool
     diverged: bool
+    target: np.ndarray
     solution_rrmp: Rrmp = None
-    target_rrmp: Rrmp = None
     init_rrmp: Rrmp = None
+
+    @functools.cached_property
+    def target_rrmp(self) -> Rrmp:
+        return _classified(classify_rrmp, self.target)
 
 
 def _classified(classify, coeffs):
@@ -360,11 +370,12 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     the architecture's compiled kernel (``_descent_kernel``) on float lists,
     with one ``obj.grad`` call each, and test the loss as (w - target).g / 2
     + const; ``obj.value`` runs once, for the returned loss at the final
-    filter.  The returned run carries the root pattern of the target and the
-    pooled root patterns of the initialization and the final layers, all at
-    ``ROOT_TOL``; each is None when its filter is zero or non-finite or its
-    roots cannot be certified.  Raises ValueError, before any step, when
-    ``theta0`` or the objective's size does not match ``arch``.
+    filter.  The returned run carries the pooled root patterns of the
+    initialization and the final layers and, classified on its first read,
+    the root pattern of the target, all at ``ROOT_TOL``; each is None when
+    its filter is zero or non-finite or its roots cannot be certified.
+    Raises ValueError, before any step, when ``theta0`` or the objective's
+    size does not match ``arch``.
     """
     theta = [as_filter(w) for w in theta0]
     descend = _checked_kernel(theta, arch, obj)[0]
@@ -382,8 +393,8 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
         steps=steps,
         converged=converged,
         diverged=diverged,
+        target=obj.target.copy(),
         init_rrmp=init_rrmp,
-        target_rrmp=_classified(classify_rrmp, obj.target),
         solution_rrmp=_classified(classify_rrmp_pooled, theta),
     )
 

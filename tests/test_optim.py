@@ -176,6 +176,36 @@ def test_a_one_entry_objective_keeps_the_matmul_bytes():
     assert by_dot > 0
 
 
+def _doubled_grad(obj, w):
+    """``QuadraticObjective.grad`` as it was before it doubled by addition."""
+    r = as_filter(w) - obj.target
+    return 2.0 * (obj.matrix @ r if len(r) == 1 else obj.matrix.dot(r))
+
+
+def test_grad_doubles_by_addition_with_the_bytes_of_the_scalar_product():
+    rng = np.random.default_rng(37)
+    overflowed = subnormal = 0  # entries where doubling overflows or stays subnormal
+    with np.errstate(all="ignore"):
+        for k in range(1, 7):
+            for _ in range(300):
+                # matrix scales from 1e-320 (subnormal products) to 1e307 (overflow)
+                scale = 10.0 ** rng.integers(-320, 308)
+                obj = QuadraticObjective(rng.standard_normal((k, k)) * scale,
+                                         rng.standard_normal(k))
+                w = _edge_entries(rng, k)
+                for x in (w, list(w)):
+                    g = obj.grad(x)
+                    assert g.tobytes() == _doubled_grad(obj, x).tobytes()
+                half = obj.matrix.dot(w - obj.target)
+                overflowed += np.sum(np.isfinite(half) & np.isinf(g))
+                subnormal += np.sum((g != 0) & (np.abs(g) < np.finfo(float).tiny))
+    assert overflowed > 0 and subnormal > 0
+    # one entry: @ sums 0.0 + m*r, so a -0.0 residual still doubles to +0.0
+    obj = QuadraticObjective(np.array([[1.0]]), np.array([0.0]))
+    g = obj.grad([-0.0])
+    assert g.tobytes() == _doubled_grad(obj, [-0.0]).tobytes() == np.array([0.0]).tobytes()
+
+
 @pytest.mark.parametrize("make, field", [
     (lambda: QuadraticObjective.euclidean([NAN, 0.0, 5.0, 0.0, 2.0]), "target"),
     (lambda: QuadraticObjective.bombieri([1.0, np.inf, 1.0]), "target"),
@@ -466,6 +496,46 @@ def test_gd_train_diverging_runs_return_a_run():
     assert bad.diverged and bad.steps == 0
     assert bad.init_rrmp is None and bad.solution_rrmp is None
     assert bad.target_rrmp.label == "11|0"
+
+
+@pytest.fixture
+def target_classifications(monkeypatch):
+    """One entry per ``classify_rrmp`` call that ``optim`` makes."""
+    calls = []
+
+    def counting(coeffs):
+        calls.append(1)
+        return classify_rrmp(coeffs)
+
+    monkeypatch.setattr("lcnlab.optim.classify_rrmp", counting)
+    return calls
+
+
+def test_gd_train_classifies_the_target_on_first_read(target_classifications):
+    arch = Architecture((2, 2))
+    rng = np.random.default_rng(31)
+    u = np.array([1.0, 0.5, -2.0])
+    want = classify_rrmp(u.copy())
+    run = gd_train(QuadraticObjective(np.eye(3), u), arch, arch.random_theta(rng))
+    assert target_classifications == []
+    u[:] = [1.0, 0.0, 1.0]  # the caller's array changes; the run's copy does not
+    assert run.target_rrmp == want and want.label == "11|0"
+    assert len(target_classifications) == 1
+    assert run.target_rrmp is run.target_rrmp
+    assert len(target_classifications) == 1
+    zero = gd_train(QuadraticObjective.euclidean(np.zeros(3)), arch, arch.random_theta(rng))
+    assert zero.target_rrmp is None and zero.target_rrmp is None
+    assert len(target_classifications) == 2
+
+
+def test_experiments_classify_only_the_targets_they_read(target_classifications):
+    arch = Architecture((2, 2))
+    run_distinct_experiment(arch, n_targets=2, n_inits=3, seed=11, workers=1)
+    assert target_classifications == []
+    table = run_pattern_experiment(arch, n_datasets=6, seed=5, workers=1)
+    # the pattern table reads the target's label of every converged run, once
+    kept = table.n_runs - table.n_discarded
+    assert kept > 0 and len(target_classifications) == kept
 
 
 def _label(classify, coeffs):
