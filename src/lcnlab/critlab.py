@@ -31,6 +31,7 @@ route reads the latter off the central-difference Jacobian of its last step;
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -41,11 +42,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import (Architecture, _complements, _Emitter, _list_source, _mul_list, _nearest,
+from .poly_core import (Architecture, _compile, _complements, _Emitter, _list_source, _nearest,
                         _product, _same_filter, as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
-                      _partitions, _root_factors, all_rrmps, classify_rrmp, cluster_roots,
-                      find_roots, is_compatible)
+                      _partitions, _root_factors, classify_rrmp, cluster_roots, find_roots,
+                      is_compatible)
 
 __all__ = [
     "CritPoint",
@@ -94,13 +95,16 @@ def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
     Each part of the partition is either carried by a real root or paired
     with an *equal* part to form a conjugate pair.  ``lam = (2, 1, 1)`` for
     example yields the patterns ``112|0`` (all roots real) and ``2|1`` (the
-    two simple roots fused into a conjugate pair).
+    two simple roots fused into a conjugate pair): a part value v of count c
+    gives j pairs and c - 2j real roots of multiplicity v, for each j <= c // 2.
     """
-    parts = tuple(sorted(lam, reverse=True))
-    if any(p <= 0 for p in parts):
+    if any(p <= 0 for p in lam):
         raise ValueError("partition parts must be positive")
-    return sorted((p for p in all_rrmps(sum(parts)) if p.partition() == parts),
-                  key=lambda p: (len(p.gamma), p.label))
+    counts = sorted(collections.Counter(lam).items())
+    splits = [Rrmp(rho=[v for (v, c), j in zip(counts, js) for _ in range(c - 2 * j)],
+                   gamma=[v for (v, _), j in zip(counts, js) for _ in range(j)])
+              for js in itertools.product(*(range(c // 2 + 1) for _, c in counts))]
+    return sorted(splits, key=lambda p: (len(p.gamma), p.label))
 
 
 # ---------------------------------------------------------------------------
@@ -148,76 +152,48 @@ def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
     On a float-list shape it returns (sigma, point, jacobian) at the loss-optimal
     scale.  The loss is quadratic in the scale, so along the ray of the unit-scale
     point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with mu = M u.
-    The Jacobian's columns, laid out C-ordered (k, n_params), are d/d sigma =
+    The Jacobian's columns, laid out C-ordered (k, 1 + len(shape)), are d/d sigma =
     ``monic``, then sigma * m * comp * d(factor) per slot, with comp the product
     without the slot's first copy; ``monic`` and the comps come from one factor pass.
     """
-    namespace = {"_cos": math.cos, "_sin": math.sin, "_array": np.array, "_mul_list": _mul_list}
-    exec(compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>", "exec"), namespace)
-    return namespace["probe"]
+    return _compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>",
+                    _cos=math.cos, _sin=math.sin, _array=np.array)["probe"]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Chart:
-    """Local parameterization of one real type within a stratum.
+def _is_interior(split: Rrmp, shape: list[float]) -> bool:
+    """True when the roots of ``shape``, a float-list shape in the chart of ``split``
+    (one angle per real root slot, then (b, c) per conjugate-pair slot), have that
+    real type.
 
-    Params are the scale sigma followed by the shape: one angle per real
-    root slot, then (b, c) per conjugate-pair slot.  A Newton probe runs the
-    real type's compiled ``_probe_kernel``, which gives ``np.convolve``'s bits.
+    Rejects reducible quadratic factors and coinciding roots -- both belong to
+    smaller strata and would otherwise be double counted.  Root collisions are
+    measured both projectively (by angle, so clusters at zero or infinity are
+    caught) and by relative distance.  A collapsed scale is the caller's test,
+    against the target.
     """
+    n = len(split.rho)
+    quadratics = list(zip(shape[n::2], shape[n + 1::2]))
+    if any(b * b - 4.0 * c > -1e-8 * (1.0 + b * b + abs(c)) for b, c in quadratics):
+        return False  # quadratic factor (nearly) reducible
+    angles = [math.atan2(math.sin(phi), math.cos(phi)) % math.pi for phi in shape[:n]]
+    for a1, a2 in itertools.combinations(angles, 2):
+        delta = abs(a1 - a2)
+        if min(delta, math.pi - delta) <= _COLLAPSE_TOL:
+            return False
+    pairs = [complex(-b / 2.0, math.sqrt(4.0 * c - b * b) / 2.0) for b, c in quadratics]
+    return not any(abs(z1 - z2) <= _COLLAPSE_TOL * (1.0 + abs(z1) + abs(z2))
+                   for z1, z2 in itertools.combinations(pairs, 2))
 
-    rho: tuple[int, ...]
-    gamma: tuple[int, ...]
 
-    @property
-    def n_params(self) -> int:
-        return 1 + len(self.rho) + 2 * len(self.gamma)
-
-    def factors(self, shape: list[float]) -> list[tuple[list[float], int]]:
-        """(factor, multiplicity) per slot as float lists, real roots first:
-        (cos phi, sin phi), then (1, b, c)."""
-        n = len(self.rho)
-        slots = [([math.cos(phi), math.sin(phi)], m) for m, phi in zip(self.rho, shape)]
-        slots += [([1.0, b, c], m) for m, b, c in zip(self.gamma, shape[n::2], shape[n + 1::2])]
-        return slots
-
-    def is_interior(self, shape: list[float]) -> bool:
-        """True when the roots of ``shape`` have the real type the chart names.
-
-        Rejects reducible quadratic factors and coinciding roots -- both
-        belong to smaller strata and would otherwise be double counted.  Root
-        collisions are measured both projectively (by angle, so clusters at
-        zero or infinity are caught) and by relative distance.  A collapsed
-        scale is the caller's test, against the target.
-        """
-        angles: list[float] = []
-        pairs: list[complex] = []
-        for f, _ in self.factors(shape):
-            if len(f) == 2:
-                angles.append(math.atan2(f[1], f[0]) % math.pi)
-            else:
-                _, b, c = f
-                if b * b - 4.0 * c > -1e-8 * (1.0 + b * b + abs(c)):
-                    return False  # quadratic factor (nearly) reducible
-                pairs.append(complex(-b / 2.0, math.sqrt(4.0 * c - b * b) / 2.0))
-        for a1, a2 in itertools.combinations(angles, 2):
-            delta = abs(a1 - a2)
-            if min(delta, math.pi - delta) <= _COLLAPSE_TOL:
-                return False
-        for z1, z2 in itertools.combinations(pairs, 2):
-            if abs(z1 - z2) <= _COLLAPSE_TOL * (1.0 + abs(z1) + abs(z2)):
-                return False
-        return True
-
-    def initial_params(self, rng: np.random.Generator, scale: float) -> np.ndarray:
-        params = [rng.standard_normal() * scale]
-        for _ in self.rho:
-            params.append(rng.uniform(0.0, math.pi))
-        for _ in self.gamma:
-            re = rng.standard_normal()
-            im = abs(rng.standard_normal()) + 0.05
-            params.extend([-2.0 * re, re * re + im * im])
-        return np.array(params)
+def _initial_params(split: Rrmp, rng: np.random.Generator, scale: float) -> np.ndarray:
+    """A random start in the chart of ``split``: the scale sigma, then the shape."""
+    params = [rng.standard_normal() * scale]
+    params += [rng.uniform(0.0, math.pi) for _ in split.rho]
+    for _ in split.gamma:
+        re = rng.standard_normal()
+        im = abs(rng.standard_normal()) + 0.05
+        params += [-2.0 * re, re * re + im * im]
+    return np.array(params)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +320,13 @@ def crit_on_stratum(
     (log sigma, shape) splits into the scale's curvature 2 w.M.w and the
     Hessian of that shape profile, which is the Jacobian of Newton's last
     step.  The inertia of the two types each survivor, as ``_rank_one_points``
-    types the rank-one stratum.  Raises ValueError when ``lam`` does not sum
-    to the filter degree or ``n_starts`` is below one.
+    types the rank-one stratum.  Raises ValueError when ``lam`` is empty or does
+    not sum to the filter degree or ``n_starts`` is below one.
     """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     k = objective.matrix.shape[0]
+    if not lam:
+        raise ValueError("the partition is empty")
     if sum(lam) != k - 1:
         raise ValueError(f"partition {lam} does not sum to the polynomial degree {k - 1}")
     if n_starts < 1:
@@ -360,35 +338,31 @@ def crit_on_stratum(
 
     points: list[CritPoint] = []
     for split in real_type_splits(lam):
-        chart = _Chart(rho=split.rho, gamma=split.gamma)
-
         # The loss is quadratic in the overall scale, so every critical point
         # carries the optimal scale for its root configuration.  Solving for
         # it in closed form removes the flat sigma = 0 manifold that would
         # otherwise swallow most Newton starts.
-        probe = _probe_kernel(chart.rho, chart.gamma)
+        probe = _probe_kernel(split.rho, split.gamma)
 
         def shape_grad(shape: list[float]) -> list[float]:
             _, w, jac = probe(shape, objective.matrix, mu_vec)
             return jac.T.dot(objective.grad(w))[1:].tolist()
 
-        kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        first = len(points)  # deduplicate within this real type only
         for _ in range(n_starts):
-            start = chart.initial_params(rng, 1.0)[1:]
+            start = _initial_params(split, rng, 1.0)[1:]
             shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
             if shape is None:
                 continue
             _, w, jac = probe(shape.tolist(), objective.matrix, mu_vec)
             # sigma = 0 is the zero filter, on no stratum.  Newton lands next to it
             # where w.M.u vanishes, so a landing that small against the target is dropped.
-            if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not chart.is_interior(shape.tolist()):
+            if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not _is_interior(split, shape.tolist()):
                 continue
-            if any(_same_filter(w, w_prev, _DEDUP_TOL) for w_prev, _, _ in kept):
+            if any(_same_filter(w, p.w, _DEDUP_TOL) for p in points[first:]):
                 continue
             if hess is None:  # the start met the tolerance: Newton took no step
                 hess = _fd_jacobian(shape_grad, shape.tolist())
-            kept.append((w, jac, hess))
-        for w, jac, hess in kept:
             curvature = [2.0 * float(w @ objective.matrix @ w)]
             points.append(
                 CritPoint(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _Emitter, _layers, _list_source, _mul_list,
+from .poly_core import (Architecture, _compile, _complements, _Emitter, _layers, _list_source,
                         _placements, _same_filter, _sum_source, as_filter, end_to_end,
                         network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
@@ -256,16 +256,6 @@ def _classified(classify, coeffs):
         return None
 
 
-# The descent loop of one architecture is written out as straight-line Python on local
-# floats, with the float-list helpers' arithmetic and so with numpy's bits: products in
-# ``_complements``' order through ``poly_core._Emitter``, kernels of up to 11 taps summed
-# as 0.0 + p0 + p1 + ..., and np.correlate for the longer kernels numpy fuses.  Upsampled
-# zeros stay literal 0.0 factors, since inf * 0.0 must still give NaN.
-
-_KERNEL_GLOBALS = {"_isfinite": math.isfinite, "_inf": math.inf, "_mul_list": _mul_list,
-                   "_correlate": np.correlate, "_sum": np.sum, "_square": np.square}
-
-
 def _sq_norm_source(grads) -> str:
     """Source of the squared norm of layer gradients given as lists of names, equal bit
     for bit to ``float(sum(np.sum(np.square(g)) for g in grads))``.  Below 8 entries
@@ -279,7 +269,8 @@ def _gradient_source(ks, strides):
     """(lines, taps, w, g, grads): straight-line source of one gradient evaluation,
     with the layer taps, the end-to-end filter, the loss gradient ``grad`` returns at
     it (its one call, on a float list) and the layer gradients as lists of names.
-    ``strides`` are those of every layer but the last."""
+    ``strides`` are those of every layer but the last; upsampled zeros stay literal
+    0.0 factors."""
     em = _Emitter()
     taps = [[f"t{l}_{j}" for j in range(k)] for l, k in enumerate(ks)]
     spans = list(itertools.accumulate((1,) + tuple(strides), operator.mul))
@@ -290,17 +281,7 @@ def _gradient_source(ks, strides):
         fs.append(f)
     w, comps = _complements(fs, em.mul)
     g = em.unpack(f"grad({_list_source(w)}).tolist()", len(w))
-    grads = []
-    for c, s in zip(comps, spans):
-        outputs = range(0, len(g) - len(c) + 1, s)
-        if len(c) > 11:
-            every = f"[::{s}]" if s > 1 else ""
-            call = f"_correlate({_list_source(g)}, {_list_source(c)}, 'valid'){every}.tolist()"
-            grads.append(em.unpack(call, len(outputs)))
-        else:
-            grads.append(em.assign([_sum_source(f"{g[i + j]}*{x}" for j, x in enumerate(c))
-                                    for i in outputs]))
-    return em.lines, taps, w, g, grads
+    return em.lines, taps, w, g, [em.correlate(g, c, s) for c, s in zip(comps, spans)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -347,8 +328,8 @@ def gradients(theta, grad):
 {textwrap.indent(body, " " * 4)}
     return {_list_source(w)}, {_list_source(map(_list_source, grads))}
 """
-    namespace = dict(_KERNEL_GLOBALS)
-    exec(compile(source, f"<descent kernel {ks} {strides}>", "exec"), namespace)
+    namespace = _compile(source, f"<descent kernel {ks} {strides}>", _isfinite=math.isfinite,
+                         _inf=math.inf, _sum=np.sum, _square=np.square)
     return namespace["descend"], namespace["gradients"]
 
 

@@ -13,10 +13,9 @@ tractable.
 
 Every composition in the package goes through ``_layers`` (check filters
 against an architecture, upsample layer i by span_i = prod(strides[:i])),
-``_product`` and ``_complements`` (each filter's product of all the others),
-on arrays or, with ``_mul_list``, on float lists, which give numpy's bits;
-``_Emitter`` writes the same products as straight-line source for the kernels
-that ``optim`` and ``critlab`` compile.
+``_product`` and ``_complements`` (each filter's product of all the others);
+``_Emitter`` writes the same products as straight-line source, with numpy's
+bits, for the kernels that ``optim`` and ``critlab`` build with ``_compile``.
 ``_placements`` is the one sliding-window placement rule behind every matrix
 realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import operator
 
 import numpy as np
 
@@ -53,13 +53,10 @@ class Architecture:
     strides: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        ks = tuple(int(k) for k in self.ks)
+        ks = _integers("ks", self.ks)
         if not ks or any(k < 1 for k in ks):
             raise ValueError(f"filter sizes must be positive integers, got {self.ks}")
-        strides = self.strides
-        if strides is None:
-            strides = (1,) * len(ks)
-        strides = tuple(int(s) for s in strides)
+        strides = (1,) * len(ks) if self.strides is None else _integers("strides", self.strides)
         if len(strides) != len(ks) or any(s < 1 for s in strides):
             raise ValueError(f"bad strides {self.strides} for filter sizes {ks}")
         object.__setattr__(self, "ks", ks)
@@ -117,6 +114,15 @@ class Architecture:
     def random_theta(self, rng: np.random.Generator) -> list:
         """Independent standard-normal filters, drawn layer by layer."""
         return [rng.standard_normal(k) for k in self.ks]
+
+
+def _integers(name, values) -> tuple:
+    """``values`` as a tuple of ints; ValueError naming ``name`` for a non-integer
+    entry, such as a float, which ``int`` would truncate."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{name} must be integers, got {values!r}") from None
 
 
 def upsample(w, stride: int) -> np.ndarray:
@@ -183,33 +189,6 @@ def _complements(fs, mul=np.convolve, wanted=None):
     return prefix, comps
 
 
-# numpy 2.4 sums each output of np.convolve and np.correlate as 0.0 + p0 + p1 + ... over
-# the longer operand's ascending index (the first's on a tie), but its BLAS dot fuses
-# multiply-adds: in a product's edge windows once the shorter operand has 3 entries, and
-# for kernels of 12 or more taps.  Where every product is exact, fusing changes no bit.
-
-
-def _mul_list(a, b) -> list:
-    """``np.convolve(a, b).tolist()`` on float lists; Python sums shorter operands of 1 or
-    2 entries, and longer ones go to ``np.correlate(a, b[::-1], "full")``, the C loop
-    that ``np.convolve`` wraps, without its two ``np.array`` conversions."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) != 2:
-        if len(b) == 1:
-            b0 = b[0]
-            return [0.0 + x * b0 for x in a]
-        return np.correlate(a, b[::-1], "full").tolist()
-    b0, b1 = b
-    x = a[0]
-    out = [0.0 + x * b0]
-    for y in a[1:]:
-        out.append(0.0 + x * b1 + y * b0)
-        x = y
-    out.append(0.0 + x * b1)
-    return out
-
-
 def _sum_source(terms) -> str:
     return " + ".join(["0.0", *terms])
 
@@ -219,11 +198,17 @@ def _list_source(items) -> str:
 
 
 class _Emitter:
-    """Straight-line Python source on float locals, one assignment per line.
+    """Straight-line Python source on float locals, one assignment per line, with
+    numpy's bits.
 
-    Entries are local names or literals; ``mul`` gives ``_mul_list``'s bits.  Generated
-    code that runs ``lines`` needs ``_mul_list`` among its globals, and must not rebind
-    a name that an earlier assignment reads.
+    numpy 2.4 sums each output of np.convolve and np.correlate as 0.0 + p0 + p1 + ...
+    over the longer operand's ascending index (the first's on a tie), but its BLAS dot
+    fuses multiply-adds: in a product's edge windows once the shorter operand has 3
+    entries, and for kernels of 12 or more taps.  ``mul`` and ``correlate`` write the
+    other sums out in that order and leave the fused ones to ``_correlate``, the C loop
+    behind both.  Entries are local names or literals; literal 0.0 factors stay, since
+    inf * 0.0 must still give NaN.  The source runs through ``_compile`` and must not
+    rebind a name that an earlier assignment reads.
     """
 
     def __init__(self):
@@ -250,19 +235,37 @@ class _Emitter:
         return names
 
     def mul(self, a, b) -> list:
-        """Locals holding ``_mul_list(a, b)``.  The sums are written out in numpy's order
-        when the shorter operand has at most 2 entries, or only literal 0.0 and 1.0
-        entries, whose products are exact, so that numpy's fused sums give the same bits;
-        otherwise the source calls ``_mul_list``.  Literal 0.0 factors stay, since
-        inf * 0.0 must still give NaN."""
+        """Locals holding ``np.convolve(a, b)``.  A shorter operand of 3 or more entries
+        goes to ``_correlate(longer, shorter reversed, 'full')`` unless its entries are
+        only literal 0.0 and 1.0, whose products are exact, so that fusing changes no
+        bit."""
         if len(a) < len(b):
             a, b = b, a
         if len(b) > 2 and not all(x in ("0.0", "1.0") for x in b):
-            return self.unpack(f"_mul_list({_list_source(a)}, {_list_source(b)})",
-                               len(a) + len(b) - 1)
+            return self.unpack(f"_correlate({_list_source(a)}, {_list_source(b[::-1])}, "
+                               "'full').tolist()", len(a) + len(b) - 1)
         return self.assign([_sum_source(f"{a[i]}*{b[m - i]}"
                                         for i in range(max(0, m - len(b) + 1), min(m + 1, len(a))))
                             for m in range(len(a) + len(b) - 1)])
+
+    def correlate(self, g, c, step) -> list:
+        """Locals holding ``np.correlate(g, c, 'valid')[::step]``; a kernel ``c`` of 12
+        or more taps goes to ``_correlate``."""
+        outputs = range(0, len(g) - len(c) + 1, step)
+        if len(c) > 11:
+            every = f"[::{step}]" if step > 1 else ""
+            return self.unpack(f"_correlate({_list_source(g)}, {_list_source(c)}, 'valid')"
+                               f"{every}.tolist()", len(outputs))
+        return self.assign([_sum_source(f"{g[i + j]}*{x}" for j, x in enumerate(c))
+                            for i in outputs])
+
+
+def _compile(source, name, **names) -> dict:
+    """The namespace in which ``source``, compiled under ``name``, ran: its functions
+    read ``_correlate`` (``np.correlate``) and ``names`` as globals."""
+    namespace = {"_correlate": np.correlate, **names}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace
 
 
 def _same_filter(a, b, tol: float) -> bool:

@@ -136,10 +136,11 @@ def test_train_rejects_bad_descent_settings(flags, capsys):
     (["landscape", "--ks", "2,2", "--target", "1,0,2,5"], "filter has size 4"),
     (["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--ks", "2,2", "--starts", "3"],
      "not both"),
+    (["critpoints", "--target", "3", "--lambda", ","], "empty"),
 ], ids=["critpoints-starts-0", "critpoints-starts-negative", "case-study-runs-negative",
         "invariants-no-layers", "recover-scales-no-layers", "critpoints-interior-stride",
         "critpoints-size-mismatch", "critpoints-oversized-lambda", "train-size-mismatch",
-        "landscape-size-mismatch", "critpoints-lambda-and-ks"])
+        "landscape-size-mismatch", "critpoints-lambda-and-ks", "critpoints-empty-lambda"])
 def test_bad_counts_exit_2(argv, message, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         pytest.fail("the case study searched a stratum before rejecting its run count")

@@ -1,5 +1,8 @@
+import builtins
+import dis
 import itertools
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -10,7 +13,6 @@ from lcnlab.critlab import (
     _EIG_BAND,
     CritPoint,
     StratumReport,
-    _Chart,
     _attainable_strata,
     _inertia,
     _rank_one_points,
@@ -28,8 +30,8 @@ from lcnlab.critlab import (
     real_type_splits,
 )
 from lcnlab.funcspace import factor_into
-from lcnlab.optim import (QuadraticObjective, _gradient_source, count_distinct_filters,
-                          loss_and_gradient)
+from lcnlab.optim import (QuadraticObjective, _descent_kernel, _gradient_source,
+                          count_distinct_filters, loss_and_gradient)
 from lcnlab.poly_core import Architecture, _nearest, _same_filter, end_to_end
 from lcnlab.rootlab import INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled
 
@@ -51,16 +53,16 @@ def test_real_type_splits():
 
 def test_chart_jacobian_matches_finite_differences():
     rng = np.random.default_rng(5)
-    for chart in (_Chart(rho=(2, 1), gamma=(1,)), _Chart(rho=(), gamma=(1,)),
-                  _Chart(rho=(3, 1), gamma=()), _Chart(rho=(2, 2), gamma=()),
-                  _Chart(rho=(4,), gamma=())):
+    for chart in (Rrmp(rho=(2, 1), gamma=(1,)), Rrmp(rho=(), gamma=(1,)),
+                  Rrmp(rho=(3, 1), gamma=()), Rrmp(rho=(2, 2), gamma=()),
+                  Rrmp(rho=(4,), gamma=())):
         k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
         objective = QuadraticObjective.euclidean(np.ones(k))  # only the scale reads it
         for _ in range(10):
-            params = chart.initial_params(rng, 2.0)
+            params = critlab._initial_params(chart, rng, 2.0)
             J = _array_chart(chart, params, objective)[1]
             h = 1e-7
-            for p in range(chart.n_params):
+            for p in range(len(params)):
                 bumped = params.copy()
                 bumped[p] += h
                 up = _array_chart(chart, bumped, objective)[0]
@@ -79,7 +81,7 @@ def _convolve_all(fs):
 
 def _array_chart(chart, params, objective):
     """A chart's point, Jacobian and optimal scale composed on arrays with
-    np.convolve and np.column_stack, independently of ``_Chart``."""
+    np.convolve and np.column_stack, independently of the compiled probe."""
     sigma, shape = float(params[0]), params[1:]
     n = len(chart.rho)
     slots = [(np.array([math.cos(phi), math.sin(phi)]), m) for m, phi in zip(chart.rho, shape)]
@@ -103,12 +105,11 @@ def _array_chart(chart, params, objective):
 
 def test_chart_probe_matches_the_array_composition_bit_for_bit():
     rng = np.random.default_rng(8)
-    charts = [_Chart(rho=(2, 1), gamma=(1,)), _Chart(rho=(), gamma=(1,)),
-              _Chart(rho=(3, 1), gamma=()), _Chart(rho=(2, 2), gamma=()),
-              _Chart(rho=(4,), gamma=())]
-    charts += [_Chart(rho=s.rho, gamma=s.gamma)
-               for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)) for s in real_type_splits(lam)]
-    assert {"2|1", "0|2"} <= {Rrmp(rho=c.rho, gamma=c.gamma).label for c in charts}
+    charts = [Rrmp(rho=(2, 1), gamma=(1,)), Rrmp(rho=(), gamma=(1,)),
+              Rrmp(rho=(3, 1), gamma=()), Rrmp(rho=(2, 2), gamma=()),
+              Rrmp(rho=(4,), gamma=())]
+    charts += [s for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)) for s in real_type_splits(lam)]
+    assert {"2|1", "0|2"} <= {c.label for c in charts}
     for chart in charts:
         k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
         probe = critlab._probe_kernel(chart.rho, chart.gamma)
@@ -116,8 +117,8 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
         for objective in (QuadraticObjective.euclidean(rng.standard_normal(k)),
                           QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k))):
             mu = objective.matrix @ objective.target
-            draws = [chart.initial_params(rng, 2.0) for _ in range(6)]
-            for j in range(1, chart.n_params):  # a -0.0 angle, b or c in each slot
+            draws = [critlab._initial_params(chart, rng, 2.0) for _ in range(6)]
+            for j in range(1, len(draws[0])):  # a -0.0 angle, b or c in each slot
                 draws.append(draws[0].copy())
                 draws[-1][j] = -0.0
             for params in draws:
@@ -148,15 +149,14 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
     seen = Counter()
     with np.errstate(all="ignore"):
         for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
-            for split in real_type_splits(lam):
-                chart = _Chart(rho=split.rho, gamma=split.gamma)
+            for chart in real_type_splits(lam):
                 probe = critlab._probe_kernel(chart.rho, chart.gamma)
                 k = 1 + sum(lam)
                 objective = QuadraticObjective.euclidean(rng.standard_normal(k))
                 mu = objective.matrix @ objective.target
                 for _ in range(12):
-                    params = chart.initial_params(rng, 2.0)
-                    hit = rng.random(chart.n_params) < 0.3
+                    params = critlab._initial_params(chart, rng, 2.0)
+                    hit = rng.random(len(params)) < 0.3
                     params[hit] = rng.choice(edges, size=int(np.sum(hit)))
                     try:
                         scale = _array_chart(chart, params, objective)[2]
@@ -319,8 +319,7 @@ def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
     rng = np.random.default_rng(43)
     outcomes = Counter()
     for lam in (lam for degree in range(2, 6) for lam in _partitions(degree)):
-        for split in real_type_splits(lam):
-            chart = _Chart(rho=split.rho, gamma=split.gamma)
+        for chart in real_type_splits(lam):
             k = 1 + sum(lam)
             gram = rng.standard_normal((k, k))
             for objective in (QuadraticObjective.bombieri(rng.standard_normal(k)),
@@ -337,8 +336,8 @@ def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
                     _, w, jac = probe(shape.tolist(), objective.matrix, mu)
                     return (jac.T @ objective.grad(w))[1:]
 
-                starts = [chart.initial_params(rng, 1.0)[1:] for _ in range(3)]
-                starts.append(np.full(chart.n_params - 1, np.nan))
+                starts = [critlab._initial_params(chart, rng, 1.0)[1:] for _ in range(3)]
+                starts.append(np.full(len(starts[0]), np.nan))
                 scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
                 outcomes += _compare_newtons(by_list, by_array, starts, scale)
     # find_spurious_minimum's gradient in its chart, the first filter's lead pinned to 1
@@ -391,6 +390,35 @@ def test_no_compiled_source_repeats_an_assigned_expression():
         arch = random_arch(rng, max_depth=4, max_k=6)
         exprs = assigned(_gradient_source(arch.ks, arch.strides[:-1])[0])
         assert len(exprs) == len(set(exprs)), arch
+
+
+def _global_reads(fn) -> set:
+    """Names that ``LOAD_GLOBAL`` reads in ``fn``'s code, nested code included."""
+    codes, names = [fn.__code__], set()
+    while codes:
+        code = codes.pop()
+        names |= {i.argval for i in dis.get_instructions(code) if i.opname == "LOAD_GLOBAL"}
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return names
+
+
+def test_compiled_kernels_read_only_bound_globals():
+    # every real type of degree 1-6 and strided layers of up to 14 taps reach the fused
+    # products and the correlations of 12 or more taps that numpy's C loop computes
+    kernels = [critlab._probe_kernel(split.rho, split.gamma)
+               for lam in (lam for degree in range(1, 7) for lam in _partitions(degree))
+               for split in real_type_splits(lam)]
+    rng = np.random.default_rng(53)
+    for _ in range(200):
+        arch = random_arch(rng, max_depth=4, max_k=14, max_stride=3)
+        kernels += _descent_kernel(arch.ks, arch.strides[:-1])
+    read = set()
+    for fn in kernels:
+        names = _global_reads(fn)
+        assert names <= set(fn.__globals__) | set(dir(builtins)), names - set(fn.__globals__)
+        read |= names
+    assert {"_correlate", "_cos", "_sin", "_array", "_isfinite", "_inf", "_sum",
+            "_square"} <= read
 
 
 def test_crit_on_stratum_types_the_caustic_landings_as_degenerate():
@@ -486,6 +514,16 @@ def test_crit_on_stratum_quadruple_root():
 def test_crit_on_stratum_rejects_bad_partition():
     with pytest.raises(ValueError):
         crit_on_stratum(QuadraticObjective.euclidean(U_STAR), (3, 2))
+
+
+def test_crit_on_stratum_rejects_an_empty_partition(monkeypatch):
+    # the degree-0 target sums to the empty partition, which has no chart to search
+    def no_kernel(*args):
+        pytest.fail("a probe kernel was built for the empty partition")
+
+    monkeypatch.setattr(critlab, "_probe_kernel", no_kernel)
+    with pytest.raises(ValueError, match="empty"):
+        crit_on_stratum(QuadraticObjective.euclidean([3.0]), ())
 
 
 def test_critical_points_for_target_respects_architecture():

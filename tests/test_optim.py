@@ -7,7 +7,6 @@ from lcnlab.critlab import crit_on_stratum, find_spurious_minimum
 from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
-    _KERNEL_GLOBALS,
     _descent_kernel,
     _sq_norm_source,
     bombieri_matrix,
@@ -721,7 +720,7 @@ def _sq_norm(grads):
     """The descent kernel's squared norm of a list of layers, run from its source."""
     names = [[f"x{l}_{j}" for j in range(len(g))] for l, g in enumerate(grads)]
     values = {n: float(x) for layer, g in zip(names, grads) for n, x in zip(layer, g)}
-    return eval(_sq_norm_source(names), {**_KERNEL_GLOBALS, **values})
+    return eval(_sq_norm_source(names), {"_sum": np.sum, "_square": np.square, **values})
 
 
 def test_squared_norm_matches_numpy_bit_for_bit():

@@ -5,8 +5,8 @@ import pytest
 
 from lcnlab.poly_core import (
     Architecture,
+    _compile,
     _Emitter,
-    _mul_list,
     _nearest,
     apply_conv_tensor,
     as_filter,
@@ -55,6 +55,19 @@ def test_architecture_rejects_bad_input():
     arch = Architecture((3, 2), (2, 1))
     with pytest.raises(ValueError):
         arch.layer_dims(8)  # (8 - 3) not divisible by 2
+
+
+@pytest.mark.parametrize("ks, strides, field", [
+    ((2.5, 2), None, "ks"), ((2.0, 2), None, "ks"), (("3",), None, "ks"),
+    ((2, 2), (1.9, 1), "strides"), ((2, 2), (2, "1"), "strides"),
+])
+def test_architecture_rejects_non_integer_sizes(ks, strides, field):
+    # int() would truncate 2.5 to 2 and 1.9 to 1
+    with pytest.raises(ValueError, match=f"^{field} must be integers"):
+        Architecture(ks, strides)
+    arch = Architecture((np.int64(3), 2), (np.int32(2), np.uint8(1)))
+    assert arch.ks == (3, 2) and arch.strides == (2, 1)
+    assert all(type(n) is int for n in arch.ks + arch.strides)
 
 
 def test_min_input_size_round_trips():
@@ -365,40 +378,42 @@ def _edge_filter(rng, n):
     return w
 
 
-def _correlate_list(g, c):
-    """np.correlate(g, c, "valid") on float lists, len(c) <= len(g): kernels of up to 11
-    taps summed as 0.0 + g_i*c_0 + g_{i+1}*c_1 + ..., numpy's order, which the descent
-    kernel writes out; longer kernels are left to numpy."""
-    if len(c) > 11:
-        return np.correlate(g, c, "valid").tolist()
-    out = []
-    for i in range(len(g) - len(c) + 1):
-        s = 0.0
-        for x, y in zip(g[i:], c):
-            s += x * y
-        out.append(s)
-    return out
+def _emitted(op, operands, *args):
+    """``_Emitter.<op>`` on ``operands`` run through ``_compile``: (entries, source
+    lines).  A float list is held in locals; a list of strings is written as literals."""
+    em, values, sources = _Emitter(), {}, []
+    for n, x in enumerate(operands):
+        if not all(isinstance(v, str) for v in x):
+            names = [f"a{n}_{i}" for i in range(len(x))]
+            values.update(zip(names, x))
+            x = names
+        sources.append(x)
+    out = getattr(em, op)(*sources, *args)
+    namespace = _compile("\n".join(em.lines), "<emitted>", **values)
+    return [namespace[v] for v in out], em.lines
 
 
 def test_list_helpers_match_numpy_bit_for_bit():
-    # shorter operands of 1-4 and kernels of 1-13 taps cover both sides of
-    # numpy's switches to the BLAS dot (3 entries, 12 taps)
+    # shorter operands of 1-4 and kernels of 1-13 taps, every step 1-3, cover both sides
+    # of numpy's switches to the BLAS dot (3 entries, 12 taps)
     rng = np.random.default_rng(31)
     with np.errstate(all="ignore"):
         for _ in range(3000):
             n = int(rng.integers(1, 5))
             a, b = _edge_filter(rng, n + int(rng.integers(0, 6))), _edge_filter(rng, n)
             for x, y in ((a, b), (b, a)):
-                assert _same_floats(_mul_list(x.tolist(), y.tolist()), np.convolve(x, y).tolist())
+                got, _ = _emitted("mul", [x.tolist(), y.tolist()])
+                assert _same_floats(got, np.convolve(x, y).tolist())
             c = _edge_filter(rng, int(rng.integers(1, 14)))
             g = _edge_filter(rng, len(c) + int(rng.integers(0, 6)))
-            assert _same_floats(_correlate_list(g.tolist(), c.tolist()),
-                                np.correlate(g, c, "valid").tolist())
+            step = int(rng.integers(1, 4))
+            got, _ = _emitted("correlate", [g.tolist(), c.tolist()], step)
+            assert _same_floats(got, np.correlate(g, c, "valid")[::step].tolist())
 
 
 def test_long_products_give_the_bytes_of_convolve_nan_signs_included():
-    # from a 3-entry shorter operand on _mul_list calls np.correlate(a, b[::-1], "full"),
-    # the C loop that np.convolve wraps, so every bit agrees, a NaN's sign too
+    # from a 3-entry shorter operand on the emitted source calls np.correlate(a, b[::-1],
+    # "full"), the C loop that np.convolve wraps, so every bit agrees, a NaN's sign too
     rng = np.random.default_rng(47)
     nan_signs = set()
     with np.errstate(all="ignore"):
@@ -407,21 +422,10 @@ def test_long_products_give_the_bytes_of_convolve_nan_signs_included():
             a, b = _edge_filter(rng, n + int(rng.integers(0, 8))), _edge_filter(rng, n)
             for x, y in ((a, b), (b, a)):
                 ref = np.convolve(x, y)
-                assert np.array(_mul_list(x.tolist(), y.tolist())).tobytes() == ref.tobytes()
+                got, _ = _emitted("mul", [x.tolist(), y.tolist()])
+                assert np.array(got).tobytes() == ref.tobytes()
                 nan_signs |= set(np.signbit(ref[np.isnan(ref)]).tolist())
     assert nan_signs == {False, True}
-
-
-def _emitted_product(a, b):
-    """Run ``_Emitter.mul`` on local names holding ``a`` and on the literals of ``b``
-    (0.0 and 1.0 only): (entries, whether the source calls ``_mul_list``)."""
-    em = _Emitter()
-    names = [f"a{i}" for i in range(len(a))]
-    literals = [repr(x) for x in b]
-    out = em.mul(names, literals) if len(a) >= len(b) else em.mul(literals, names)
-    namespace = {"_mul_list": _mul_list, **dict(zip(names, a))}
-    exec("\n".join(em.lines), namespace)
-    return [namespace[n] for n in out], any("_mul_list" in line for line in em.lines)
 
 
 def test_emitted_products_with_a_zero_one_operand_match_numpy_bit_for_bit():
@@ -432,7 +436,8 @@ def test_emitted_products_with_a_zero_one_operand_match_numpy_bit_for_bit():
         for _ in range(3000):
             a = _edge_filter(rng, int(rng.integers(1, 9)))
             b = rng.integers(0, 2, size=int(rng.integers(1, 9))).astype(float)
-            got, calls = _emitted_product(a.tolist(), b.tolist())
+            got, lines = _emitted("mul", [a.tolist(), [repr(x) for x in b.tolist()]])
             ref = np.convolve(a, b) if len(a) >= len(b) else np.convolve(b, a)
             assert _same_floats(got, ref.tolist())
-            assert calls == (len(a) < len(b) and len(a) > 2)
+            assert any("_correlate" in line for line in lines) == (len(a) < len(b)
+                                                                    and len(a) > 2)
