@@ -28,8 +28,8 @@ import sys
 
 import numpy as np
 
-from .critlab import (crit_on_stratum, critical_points_for_target, ed_bound,
-                      match_critical_point)
+from .critlab import (_NoClosedForm, crit_on_stratum, critical_points_for_target,
+                      ed_bound, match_critical_point)
 from .dynamics import balancedness_matrix, recover_scales, squared_norm_gaps
 from .funcspace import is_filling, reduce_architecture, region_of_rrmp
 from .optim import (
@@ -197,13 +197,15 @@ def _cmd_analyze_arch(args) -> int:
     else:
         info["regions"] = None
         info["compatible"] = None
-    try:
-        info["ed_bound"] = {
-            "generic": ed_bound(arch, metric="generic"),
-            "special": ed_bound(arch, metric="special"),
-        }
-    except ValueError:
-        info["ed_bound"] = None
+    info["ed_bound"] = None
+    if e is not None:
+        try:
+            info["ed_bound"] = {
+                "generic": ed_bound(arch, metric="generic"),
+                "special": ed_bound(arch, metric="special"),
+            }
+        except _NoClosedForm:
+            pass  # ed_degree knows hook partitions and (2, 2) only
     _emit_json(info, args.out)
     return 0
 

@@ -607,6 +607,10 @@ _ED_GENERIC_22 = 13
 _ED_SPECIAL_22 = 7
 
 
+class _NoClosedForm(ValueError):
+    """``ed_degree`` has no closed form for the partition."""
+
+
 def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> int:
     """Euclidean distance degree of a multiple-root stratum.
 
@@ -614,6 +618,7 @@ def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> in
     ``metric="special"`` the weighted distance under which products of linear
     forms behave like tensors.  Closed forms exist for hook partitions
     ``(alpha, 1, ..., 1)``; the ``(2, 2)`` values are included for quartics.
+    Any other partition raises ``_NoClosedForm``, a ValueError.
     """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
     if sum(lam) != degree:
@@ -629,7 +634,7 @@ def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> in
         return degree
     if lam == (2, 2) and degree == 4:
         return _ED_GENERIC_22 if metric == "generic" else _ED_SPECIAL_22
-    raise ValueError(f"no closed form implemented for partition {lam}")
+    raise _NoClosedForm(f"no closed form implemented for partition {lam}")
 
 
 def ed_bound(arch: Architecture, *, metric: str = "generic") -> int:
@@ -637,7 +642,8 @@ def ed_bound(arch: Architecture, *, metric: str = "generic") -> int:
 
     One critical point comes from the dense stratum; each non-trivial
     multiplicity partition the architecture can realize contributes at most
-    its ED degree.  Raises ValueError for an interior stride.
+    its ED degree.  Raises ValueError for an interior stride, and
+    ``_NoClosedForm`` where ``ed_degree`` has no closed form.
     """
     degree = arch.filter_size - 1
     return 1 + sum(ed_degree(lam, degree, metric=metric) for lam in _attainable_strata(arch))

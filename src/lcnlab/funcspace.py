@@ -113,35 +113,21 @@ def is_filling(arch: Architecture) -> bool:
 
 
 def _pack_atoms(real_atoms, pair_atoms, caps):
-    """Distribute size-1 and size-2 atoms to exactly fill the capacities.
+    """Distribute linear and quadratic atoms to exactly fill the capacities.
 
-    Every odd capacity takes one linear atom first; leftover linear atoms are
-    then interchangeable with quadratics, so a flat fill finishes the job.
+    Every odd capacity takes one linear atom, popped from the end; then each
+    capacity in turn fills up with the leftover linear atoms and after them
+    the quadratics, each list taken from its end.  Once ``factor_into``'s
+    membership test passes there are enough linear atoms for the odd
+    capacities, and the leftover ones are even in number, so no capacity is
+    ever left with a single free slot for a quadratic.
     """
-    bins = [[] for _ in caps]
-    remaining = list(caps)
-    linear = list(real_atoms)
-    for i, cap in enumerate(caps):
-        if cap % 2 == 1:
-            if not linear:
-                raise ValueError("not enough real roots for the even-size layers")
-            bins[i].append(linear.pop())
-            remaining[i] -= 1
-    units = [(a, 1) for a in linear] + [(a, 2) for a in pair_atoms]
-    # remaining capacities are all even and linear atoms come in pairs now
-    units.sort(key=lambda t: -t[1])
-    for i in range(len(caps)):
-        while remaining[i] > 0:
-            if not units:
-                raise ValueError("internal packing error: ran out of atoms")
-            atom, size = units.pop()
-            if size <= remaining[i]:
-                bins[i].append(atom)
-                remaining[i] -= size
-            else:
-                units.insert(0, (atom, size))
-    if units:
-        raise ValueError("internal packing error: leftover atoms")
+    linear, quadratic = list(real_atoms), list(pair_atoms)
+    bins = [[linear.pop()] if cap % 2 else [] for cap in caps]
+    for atoms, cap in zip(bins, caps):
+        n = min(cap - len(atoms), len(linear))
+        atoms += [linear.pop() for _ in range(n)]
+        atoms += [quadratic.pop() for _ in range((cap - len(atoms)) // 2)]
     return bins
 
 
@@ -151,7 +137,8 @@ def factor_into(w, arch: Architecture) -> list:
     Raises ValueError when the filter is outside the architecture's function
     space.  The factor layout comes from the roots clustered at ``ROOT_TOL``; a
     Gauss-Newton polish on the composition residual then always follows,
-    because clustered double roots alone leave ~sqrt(eps) residue.
+    because clustered double roots alone leave ~sqrt(eps) residue.  Every
+    layer is returned, scalar ones too; the zero filter gives zero layers.
     """
     red = _require_unit_strides(arch)
     w = as_filter(w)
@@ -159,7 +146,7 @@ def factor_into(w, arch: Architecture) -> list:
         raise ValueError(f"filter size {len(w)} does not fit {red.ks}")
     scale = np.max(np.abs(w))
     if scale == 0:
-        return [np.zeros(k) for k in red.ks]
+        return [np.zeros(k) for k in arch.ks]
 
     reals, pairs = _root_structure(find_roots(w))
     rrmp = Rrmp(tuple(m for _, m in reals), tuple(m for _, m in pairs))

@@ -358,37 +358,29 @@ class Rrmp:
 def _root_structure(roots):
     """Clustered roots as ``(reals, pairs)``, lists of (root, multiplicity).
 
-    A cluster is real when its mean is (infinity counts as real); the
-    remaining clusters are paired with their conjugates, which must match
-    exactly for a real polynomial, and each pair is represented by its first
-    cluster's mean.  Raises RootFindingError when a cluster has no mate.
+    A cluster is real when its mean is (infinity counts as real).  The other
+    clusters come off a worklist in order; each deletes its mate, the first
+    remaining cluster of its size that matches its conjugate, and the pair is
+    represented by the first cluster's mean.  Raises RootFindingError when a
+    cluster has no mate, as happens for a real polynomial only when its roots
+    scatter beyond the tolerance.
     """
     reals, complex_clusters = [], []
     for c in cluster_roots(roots):
         rep = _cluster_rep(c)
-        if rep.is_real():
-            reals.append((rep, len(c)))
-        else:
-            complex_clusters.append((rep, len(c)))
+        (reals if rep.is_real() else complex_clusters).append((rep, len(c)))
 
     pairs = []
-    used = [False] * len(complex_clusters)
-    for i, (rep, size) in enumerate(complex_clusters):
-        if used[i]:
-            continue
-        mate = None
-        for j in range(i + 1, len(complex_clusters)):
-            if used[j]:
-                continue
-            other, osize = complex_clusters[j]
-            if osize == size and same_root(other, rep.conjugate()):
-                mate = j
-                break
+    while complex_clusters:
+        rep, size = complex_clusters.pop(0)
+        conj = rep.conjugate()
+        mate = next((j for j, (other, m) in enumerate(complex_clusters)
+                     if m == size and same_root(other, conj)), None)
         if mate is None:
             raise RootFindingError(
                 f"conjugate pairing failed near {rep.value}; is the input real?"
             )
-        used[i] = used[mate] = True
+        del complex_clusters[mate]
         pairs.append((rep, size))
     return reals, pairs
 
@@ -585,9 +577,11 @@ def discriminant(coeffs) -> float:
     with a dehomogenized polynomial keeps roots at infinity (leading zero
     coefficients) on the same footing as finite ones.  Normalized to agree
     with ``disc_quadratic``/``disc_cubic`` in low degree.  Degrees <= 1 have
-    no root pairs that could collide and return 1.
+    no root pairs that could collide and return 1.  Raises ValueError for a
+    non-finite entry.
     """
     c = as_filter(coeffs)
+    _require_finite(c)
     n = len(c) - 1
     if n <= 1:
         return 1.0

@@ -47,6 +47,20 @@ def test_analyze_arch_strided(tmp_path):
     assert info["regions"] is None
 
 
+def test_analyze_arch_ed_bound_is_null_only_without_a_closed_form(tmp_path, monkeypatch,
+                                                                  capsys):
+    # (6, 6) attains (2, 2, 2, 2, 2), whose ED degree has no closed form
+    info = run_json(["analyze-arch", "--ks", "6,6"], tmp_path)
+    assert (info["e"], info["ed_bound"]) == (2, None)
+    # any other error from ed_bound is an error of the command
+    def broken(arch, metric):
+        raise ValueError("broken bound")
+
+    monkeypatch.setattr("lcnlab.cli.ed_bound", broken)
+    assert main(["analyze-arch", "--ks", "2,2"]) == 2
+    assert "error: broken bound" in capsys.readouterr().err
+
+
 def test_classify_agrees_with_analyze_arch_on_strides(tmp_path):
     for ks, strides, w in (("2,2", "1,2", "1,-3,2"), ("3,2", "2,1", "1,2,3,4,5")):
         info = run_json(["analyze-arch", "--ks", ks, "--strides", strides], tmp_path)

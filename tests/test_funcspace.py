@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from lcnlab.funcspace import (
     SpaceRegion,
+    _pack_atoms,
     factor_into,
     is_filling,
     membership,
@@ -159,9 +162,13 @@ def test_factor_into_rejects_exterior():
 
 
 def test_factor_into_zero_filter():
-    out = factor_into([0.0, 0.0, 0.0], Architecture((2, 2)))
-    w, _ = end_to_end(out, Architecture((2, 2)))
-    assert np.allclose(w, 0.0)
+    # every layer, the dropped scalar ones included, as for a non-zero filter
+    for ks in [(2, 2), (2, 2, 1), (3, 1, 2), (1, 3)]:
+        arch = Architecture(ks)
+        out = factor_into(np.zeros(arch.filter_size), arch)
+        assert [len(f) for f in out] == list(ks)
+        w, _ = end_to_end(out, arch)
+        assert np.allclose(w, 0.0)
 
 
 def test_factor_handles_scalar_layers():
@@ -170,6 +177,47 @@ def test_factor_handles_scalar_layers():
     assert len(back) == 3
     w2, _ = end_to_end(back, arch)
     assert np.allclose(w2, [1.0, 0.0, -1.0], atol=1e-10)
+
+
+def _reference_pack_atoms(real_atoms, pair_atoms, caps):
+    """A test-local copy of the packing loop with size tags and a re-queue,
+    which fixes the atom order that ``_pack_atoms`` must keep."""
+    bins = [[] for _ in caps]
+    remaining = list(caps)
+    linear = list(real_atoms)
+    for i, cap in enumerate(caps):
+        if cap % 2 == 1:
+            bins[i].append(linear.pop())
+            remaining[i] -= 1
+    units = [(a, 1) for a in linear] + [(a, 2) for a in pair_atoms]
+    units.sort(key=lambda t: -t[1])
+    for i in range(len(caps)):
+        while remaining[i] > 0:
+            atom, size = units.pop()
+            if size <= remaining[i]:
+                bins[i].append(atom)
+                remaining[i] -= size
+            else:
+                units.insert(0, (atom, size))
+    assert not units
+    return bins
+
+
+def test_pack_atoms_keeps_the_reference_order_on_every_valid_layout():
+    # up to 4 capacities of size 0-5, with every number of linear atoms that
+    # covers the odd capacities and leaves an even count for the rest
+    layouts = 0
+    for n_caps in range(1, 5):
+        for caps in itertools.product(range(6), repeat=n_caps):
+            odd, total = sum(c % 2 for c in caps), sum(caps)
+            for n_linear in range(odd, total + 1, 2):
+                linear = [f"r{j}" for j in range(n_linear)]
+                quadratic = [f"q{j}" for j in range((total - n_linear) // 2)]
+                got = _pack_atoms(linear, quadratic, caps)
+                assert got == _reference_pack_atoms(linear, quadratic, caps), (caps, n_linear)
+                assert [sum(1 + a.startswith("q") for a in b) for b in got] == list(caps)
+                layouts += 1
+    assert layouts == 7464
 
 
 # ---- the stride-2 worked family ----

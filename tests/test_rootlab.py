@@ -635,3 +635,81 @@ def test_cluster_rep_gives_the_bytes_of_np_mean():
         differs += n == 1 and np.complex128(values[0]).tobytes() != np.complex128(mean).tobytes()
     assert differs > 0
     assert rootlab._cluster_rep([INFINITY, INFINITY]) is INFINITY
+
+
+def test_discriminant_rejects_non_finite_input():
+    for c in ([np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0], [1.0, 2.0, -np.inf]):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            discriminant(c)
+
+
+# -- conjugate pairing, pinned --------------------------------------------------
+
+
+def _reference_root_structure(roots):
+    """A test-local copy of the pairing loop with a ``used`` flag per cluster,
+    which fixes the pairs and the error that ``_root_structure`` must give."""
+    reals, complex_clusters = [], []
+    for c in cluster_roots(roots):
+        rep = rootlab._cluster_rep(c)
+        if rep.is_real():
+            reals.append((rep, len(c)))
+        else:
+            complex_clusters.append((rep, len(c)))
+    pairs = []
+    used = [False] * len(complex_clusters)
+    for i, (rep, size) in enumerate(complex_clusters):
+        if used[i]:
+            continue
+        mate = None
+        for j in range(i + 1, len(complex_clusters)):
+            if used[j]:
+                continue
+            other, osize = complex_clusters[j]
+            if osize == size and same_root(other, rep.conjugate()):
+                mate = j
+                break
+        if mate is None:
+            raise RootFindingError(
+                f"conjugate pairing failed near {rep.value}; is the input real?")
+        used[i] = used[mate] = True
+        pairs.append((rep, size))
+    return reals, pairs
+
+
+def _structure_outcome(structure, roots):
+    try:
+        reals, pairs = structure(roots)
+    except RootFindingError as exc:
+        return str(exc)
+    return [(_bits([r]), m) for r, m in reals], [(_bits([z]), m) for z, m in pairs]
+
+
+def test_root_structure_matches_the_reference_pairing():
+    rng = np.random.default_rng(2_026_1019)
+    raised = paired = 0
+    for _ in range(3000):
+        roots = []
+        for _ in range(int(rng.integers(1, 6))):
+            u, m = rng.random(), int(rng.integers(1, 3))
+            if u < 0.15:
+                roots += [INFINITY] * m
+            elif u < 0.35:
+                roots += [ProjRoot.finite(rng.standard_normal())] * m
+            else:
+                z = complex(*rng.standard_normal(2))
+                roots += [ProjRoot.finite(z)] * m
+                # a mate of the same or another size, a mate each side of z's
+                # conjugate that are not each other's neighbours, or none
+                v = rng.random()
+                if v < 0.85:
+                    roots += [ProjRoot.finite(z.conjugate())] * (m if v < 0.75 else 3 - m)
+                elif v < 0.93:
+                    for s in (1, -1):
+                        roots += [ProjRoot.finite(z.conjugate() * (1 + s * 0.9 * rootlab.ROOT_TOL))]
+        roots = [roots[j] for j in rng.permutation(len(roots))]
+        expected = _structure_outcome(_reference_root_structure, roots)
+        assert _structure_outcome(rootlab._root_structure, roots) == expected, roots
+        raised += isinstance(expected, str)
+        paired += not isinstance(expected, str) and len(expected[1]) > 1
+    assert raised > 500 and paired > 500, (raised, paired)
