@@ -40,7 +40,7 @@ from .optim import (
     run_distinct_experiment,
     run_pattern_experiment,
 )
-from .poly_core import Architecture, _nearest, _same_filter, end_to_end
+from .poly_core import Architecture, _interior_stride, _nearest, _same_filter, end_to_end
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -124,15 +124,14 @@ def _objective(norm: str, u: np.ndarray) -> QuadraticObjective:
 def _space(arch: Architecture, rrmp: Rrmp = None) -> tuple:
     """(filling, e, region of ``rrmp``) for the architecture.
 
-    Root counts describe the function space once the final stride and
-    trailing size-one layers are dropped; when an interior stride remains,
-    e and the region are None.  The region is None also without ``rrmp``.
+    Root counts describe the function space unless an interior stride
+    remains; then e and the region are None.  The region is None also
+    without ``rrmp``.
     """
-    red = reduce_architecture(arch)
-    if not red.is_stride_one:
+    if _interior_stride(arch):
         return is_filling(arch), None, None
     region = None if rrmp is None else region_of_rrmp(rrmp, arch).name.lower()
-    return is_filling(arch), red.n_even, region
+    return is_filling(arch), arch.n_even, region
 
 
 def _plain(obj):
@@ -679,7 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="datasets (default 1000; paper-scale via --full)")
     q.add_argument("--full", action="store_true", help="use 10000 datasets")
     q.add_argument("--samples", type=int, default=10,
-                   help="input/output pairs per dataset")
+                   help="input/output pairs per dataset, at least the filter size")
     q.add_argument("--step", type=float, default=0.01)
     q.add_argument("--max-steps", type=int, default=200000)
     q.set_defaults(fn=_cmd_rrmp_table)

@@ -31,7 +31,6 @@ route reads the latter off the central-difference Jacobian of its last step;
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import itertools
@@ -43,10 +42,11 @@ import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
 from .poly_core import (Architecture, _compile, _complements, _Emitter, _list_source, _nearest,
-                        _product, _same_filter, as_filter, end_to_end, poly_mul)
+                        _product, _require_no_interior_stride, _same_filter, as_filter,
+                        end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
-                      _partitions, _root_factors, classify_rrmp, cluster_roots, find_roots,
-                      is_compatible)
+                      _root_factors, classify_rrmp, cluster_roots, compatible_rrmps, find_roots,
+                      real_type_splits)
 
 __all__ = [
     "CritPoint",
@@ -82,29 +82,6 @@ _ZERO_TOL = 1e-5
 # A simple root of the rank-one critical form is real when its imaginary part
 # is this small relative to its modulus.
 _SIMPLE_REAL_TOL = 1e-9
-
-
-# ---------------------------------------------------------------------------
-# Real-type splits of a multiplicity partition
-# ---------------------------------------------------------------------------
-
-
-def real_type_splits(lam: Sequence[int]) -> list[Rrmp]:
-    """All real root structures refining the complex partition ``lam``.
-
-    Each part of the partition is either carried by a real root or paired
-    with an *equal* part to form a conjugate pair.  ``lam = (2, 1, 1)`` for
-    example yields the patterns ``112|0`` (all roots real) and ``2|1`` (the
-    two simple roots fused into a conjugate pair): a part value v of count c
-    gives j pairs and c - 2j real roots of multiplicity v, for each j <= c // 2.
-    """
-    if any(p <= 0 for p in lam):
-        raise ValueError("partition parts must be positive")
-    counts = sorted(collections.Counter(lam).items())
-    splits = [Rrmp(rho=[v for (v, c), j in zip(counts, js) for _ in range(c - 2 * j)],
-                   gamma=[v for (v, _), j in zip(counts, js) for _ in range(j)])
-              for js in itertools.product(*(range(c // 2 + 1) for _, c in counts))]
-    return sorted(splits, key=lambda p: (len(p.gamma), p.label))
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +396,13 @@ def critical_points_for_target(
 
 def _attainable_strata(arch: Architecture) -> list[tuple[int, ...]]:
     """Multiplicity partitions of the filter degree, skipping the trivial
-    all-ones one, with a real type the architecture can realize.
-
-    Raises ValueError when the layer degrees do not sum to the filter degree,
-    which is exactly when an interior stride remains: root multiplicities
-    then do not describe the function space.
+    all-ones one, with a real type the architecture can realize: those of
+    its non-generic compatible patterns, in reverse lexicographic order.
+    Raises ValueError when an interior stride remains.
     """
-    degree = arch.filter_size - 1
-    if sum(arch.bin_sizes) != degree:
-        raise ValueError(
-            f"{arch.ks} with strides {arch.strides} keeps an interior stride; "
-            "its function space has no root-multiplicity strata")
-    return [lam for lam in _partitions(degree)
-            if len(lam) < degree
-            and any(is_compatible(split, arch) for split in real_type_splits(lam))]
+    _require_no_interior_stride(arch)
+    return sorted({r.partition() for r in compatible_rrmps(arch) if not r.is_generic},
+                  reverse=True)
 
 
 def match_critical_point(
@@ -618,9 +588,12 @@ def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> in
     ``metric="special"`` the weighted distance under which products of linear
     forms behave like tensors.  Closed forms exist for hook partitions
     ``(alpha, 1, ..., 1)``; the ``(2, 2)`` values are included for quartics.
-    Any other partition raises ``_NoClosedForm``, a ValueError.
+    Any other partition raises ``_NoClosedForm``, a ValueError; a part that
+    is not positive, or parts that do not sum to ``degree``, a plain one.
     """
     lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    if any(p <= 0 for p in lam):
+        raise ValueError("partition parts must be positive")
     if sum(lam) != degree:
         raise ValueError(f"partition {lam} does not sum to {degree}")
     if metric not in ("generic", "special"):

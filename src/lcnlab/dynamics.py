@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Architecture, _complements, _layers, as_filter
+from .poly_core import Architecture, _complements, _layers, _require_no_interior_stride, as_filter
 from .rootlab import cluster_roots, find_roots
 
 
@@ -80,15 +80,12 @@ def mu_rank(theta, arch: Architecture) -> int:
     Every projective root shared between layers costs rank: a root of total
     multiplicity M spread over the layers with per-layer maximum m contributes
     a drop of M - m.  Layers of size one carry no roots and no columns beyond
-    scaling, so they are skipped.
+    scaling, so they are skipped.  Raises ValueError for an interior stride,
+    where root counts do not give the rank, and for ``theta`` not fitting ``arch``.
     """
-    tagged = []
-    for i, w in enumerate(theta):
-        w = as_filter(w)
-        if len(w) == 1:
-            continue
-        for r in find_roots(w):
-            tagged.append((i, r))
+    fs, _ = _layers(theta, arch)
+    _require_no_interior_stride(arch)
+    tagged = [(i, r) for i, w in enumerate(fs) if len(w) > 1 for r in find_roots(w)]
     clusters = cluster_roots([r for _, r in tagged])
     # re-associate layer tags by identity of the ProjRoot objects
     drop = 0
@@ -185,6 +182,8 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
     conserved gaps to integrator precision; ``euler`` matches plain gradient
     descent with learning rate ``step``.  Returns the final theta.
     """
+    if method not in ("euler", "rk4"):
+        raise ValueError(f"unknown method {method!r}")
     theta = [as_filter(w).copy() for w in theta0]
 
     def add(ws, scale, gs):
@@ -194,7 +193,7 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
         if method == "euler":
             g = grad_fn(theta)
             theta = add(theta, -step, g)
-        elif method == "rk4":
+        else:
             k1 = [-g for g in grad_fn(theta)]
             k2 = [-g for g in grad_fn(add(theta, step / 2, k1))]
             k3 = [-g for g in grad_fn(add(theta, step / 2, k2))]
@@ -203,6 +202,4 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
                 w + step / 6 * (a + 2 * b + 2 * c + d)
                 for w, a, b, c, d in zip(theta, k1, k2, k3, k4)
             ]
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return theta

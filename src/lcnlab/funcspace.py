@@ -1,6 +1,7 @@
 """Which end-to-end filters a layered architecture can realize.
 
-For unit strides the answer is a closed semialgebraic condition on the real
+Without an interior stride (``poly_core._interior_stride``, the one rule each
+function here asks) the answer is a closed semialgebraic condition on the real
 root multiplicities of the composed filter: the number of real roots (with
 multiplicity, infinity included) must be at least the number of even-size
 layers.  This module implements that membership test, the interior/boundary/
@@ -21,7 +22,8 @@ import enum
 import numpy as np
 
 from .dynamics import jacobian_mu, stack_theta, unstack_theta
-from .poly_core import Architecture, _product, as_filter, compose_filters, end_to_end
+from .poly_core import (Architecture, _interior_stride, _product, _require_no_interior_stride,
+                        as_filter, compose_filters, end_to_end)
 from .rootlab import (Rrmp, _require_finite, _root_factors, _root_structure, classify_rrmp,
                       find_roots)
 
@@ -48,26 +50,14 @@ def reduce_architecture(arch: Architecture) -> Architecture:
     return Architecture(tuple(ks), tuple(strides))
 
 
-def _require_unit_strides(arch: Architecture) -> Architecture:
-    red = reduce_architecture(arch)
-    if not red.is_stride_one:
-        raise ValueError(
-            "root-count membership applies to unit-stride architectures only; "
-            f"{arch.ks} with strides {arch.strides} keeps an interior stride"
-        )
-    return red
-
-
 def membership(rrmp: Rrmp, arch: Architecture) -> bool:
     """Can a filter with this root pattern be realized by the architecture?
 
     True exactly when the real roots (counted with multiplicity) are at least
     as many as the even-size layers.
     """
-    red = _require_unit_strides(arch)
-    if rrmp.degree != red.filter_size - 1:
-        return False
-    return rrmp.n_real >= red.n_even
+    _require_no_interior_stride(arch)
+    return rrmp.degree == arch.filter_size - 1 and rrmp.n_real >= arch.n_even
 
 
 def region_of_rrmp(rrmp: Rrmp, arch: Architecture) -> SpaceRegion:
@@ -77,13 +67,13 @@ def region_of_rrmp(rrmp: Rrmp, arch: Architecture) -> SpaceRegion:
     splitting an even-multiplicity real root into conjugate pairs is the only
     way to lose real roots, so the odd multiplicities decide.
     """
-    red = _require_unit_strides(arch)
-    if rrmp.degree != red.filter_size - 1:
+    _require_no_interior_stride(arch)
+    if rrmp.degree != arch.filter_size - 1:
         raise ValueError(
             f"pattern degree {rrmp.degree} does not match filter degree "
-            f"{red.filter_size - 1}"
+            f"{arch.filter_size - 1}"
         )
-    e = red.n_even
+    e = arch.n_even
     if rrmp.n_real < e:
         return SpaceRegion.EXTERIOR
     if rrmp.n_odd_real <= e - 2:
@@ -99,17 +89,13 @@ def region(w, arch: Architecture) -> SpaceRegion:
 def is_filling(arch: Architecture) -> bool:
     """Does the architecture realize every filter of its end-to-end size?
 
-    After reduction, an interior stride forces a dimension deficit (never
-    filling); unit-stride architectures fill exactly when at most one layer
-    has even size.
+    An interior stride forces a dimension deficit (never filling); without
+    one, an architecture fills exactly when at most one layer has even size.
     """
-    red = reduce_architecture(arch)
-    if not red.is_stride_one:
-        return False
-    return red.n_even <= 1
+    return not _interior_stride(arch) and arch.n_even <= 1
 
 
-# --- explicit factorization (unit strides) -----------------------------------
+# --- explicit factorization (no interior stride) -----------------------------
 
 
 def _pack_atoms(real_atoms, pair_atoms, caps):
@@ -132,7 +118,7 @@ def _pack_atoms(real_atoms, pair_atoms, caps):
 
 
 def factor_into(w, arch: Architecture) -> list:
-    """Layer filters for a unit-stride architecture composing to ``w``.
+    """Layer filters composing to ``w``, with no interior stride in ``arch``.
 
     Raises ValueError when the filter is outside the architecture's function
     space.  The factor layout comes from the roots clustered at ``ROOT_TOL``; a
@@ -140,7 +126,8 @@ def factor_into(w, arch: Architecture) -> list:
     because clustered double roots alone leave ~sqrt(eps) residue.  Every
     layer is returned, scalar ones too; the zero filter gives zero layers.
     """
-    red = _require_unit_strides(arch)
+    _require_no_interior_stride(arch)
+    red = reduce_architecture(arch)
     w = as_filter(w)
     if len(w) != red.filter_size:
         raise ValueError(f"filter size {len(w)} does not fit {red.ks}")

@@ -479,9 +479,14 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
     initializes all layers from a standard normal, and runs gradient descent
     to the gradient tolerance.  Non-converged runs are discarded (counted).
     Seeds are per-dataset, so results do not depend on worker scheduling.
+    Fewer samples than the filter size give a singular Gram matrix, so they
+    raise ValueError.
     """
-    if n_samples < 1 or n_datasets < 1:
-        raise ValueError("need at least one dataset and one sample")
+    if n_datasets < 1:
+        raise ValueError("need at least one dataset")
+    if n_samples < arch.filter_size:
+        raise ValueError(f"{n_samples} samples give a singular Gram matrix for filter "
+                         f"size {arch.filter_size}; need at least {arch.filter_size}")
     table = PatternTable(arch)
     jobs = [(arch, seed, i, config, n_samples) for i in range(n_datasets)]
     for res in _fan_out(_pattern_worker, jobs, workers, chunksize=16):

@@ -18,7 +18,8 @@ against an architecture, upsample layer i by span_i = prod(strides[:i])),
 bits, for the kernels that ``optim`` and ``critlab`` build with ``_compile``.
 ``_placements`` is the one sliding-window placement rule behind every matrix
 realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
-its stride-one D-dimensional counterpart.
+its stride-one D-dimensional counterpart.  ``_interior_stride`` is the one
+rule for whether root counts describe an architecture's function space.
 Every test of whether two filters are the same goes through ``_same_filter``
 (max-norm distance within tol times the larger max-norm, floored at one), and
 every nearest-reference lookup through ``_nearest``.
@@ -123,6 +124,20 @@ def _integers(name, values) -> tuple:
         return tuple(operator.index(v) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values!r}") from None
+
+
+def _interior_stride(arch: Architecture) -> bool:
+    """Whether a layer of size two or more comes after a stride above one, which is
+    exactly when the layer degrees fall short of the filter degree: root counts
+    then do not describe the function space."""
+    return sum(arch.bin_sizes) != arch.filter_size - 1
+
+
+def _require_no_interior_stride(arch: Architecture):
+    """ValueError when ``_interior_stride(arch)``."""
+    if _interior_stride(arch):
+        raise ValueError(f"{arch.ks} with strides {arch.strides} keeps an interior stride; "
+                         "root multiplicities do not describe its function space")
 
 
 def upsample(w, stride: int) -> np.ndarray:

@@ -17,7 +17,8 @@ critical-point analysis, so this module owns:
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
 * exact sign-chart classification via closed-form discriminants (degree <= 4),
-* the bins-with-colored-balls compatibility test between a pattern and an
+* every pattern of a degree as the real-type splits of its partitions, and
+  the bins-with-colored-balls compatibility test between a pattern and an
   architecture.
 
 Clustering at relative tolerance cannot certify deep multiplicities computed
@@ -28,6 +29,7 @@ should classify from it instead of re-rooting the product.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -636,15 +638,28 @@ def compatible_rrmps(arch) -> list:
 
 
 def all_rrmps(degree: int) -> list:
-    """Every pattern of the given degree, lexicographic by label."""
-    out = []
-    for n_pair in range(degree // 2 + 1):
-        n_real = degree - 2 * n_pair
-        for rho in _partitions(n_real):
-            for gamma in _partitions(n_pair):
-                out.append(Rrmp(rho, gamma))
-    out.sort(key=lambda r: (r.rho, r.gamma))
-    return out
+    """Every pattern of the given degree, lexicographic by label: the real-type
+    splits of each partition, which give every pattern once."""
+    return sorted((r for lam in _partitions(degree) for r in real_type_splits(lam)),
+                  key=lambda r: (r.rho, r.gamma))
+
+
+def real_type_splits(lam) -> list:
+    """All real root structures refining the complex partition ``lam``.
+
+    Each part of the partition is either carried by a real root or paired
+    with an *equal* part to form a conjugate pair.  ``lam = (2, 1, 1)`` for
+    example yields the patterns ``112|0`` (all roots real) and ``2|1`` (the
+    two simple roots fused into a conjugate pair): a part value v of count c
+    gives j pairs and c - 2j real roots of multiplicity v, for each j <= c // 2.
+    """
+    if any(p <= 0 for p in lam):
+        raise ValueError("partition parts must be positive")
+    counts = sorted(collections.Counter(lam).items())
+    splits = [Rrmp(rho=[v for (v, c), j in zip(counts, js) for _ in range(c - 2 * j)],
+                   gamma=[v for (v, _), j in zip(counts, js) for _ in range(j)])
+              for js in itertools.product(*(range(c // 2 + 1) for _, c in counts))]
+    return sorted(splits, key=lambda p: (len(p.gamma), p.label))
 
 
 def _partitions(n: int):

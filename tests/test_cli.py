@@ -151,10 +151,13 @@ def test_train_rejects_bad_descent_settings(flags, capsys):
     (["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--ks", "2,2", "--starts", "3"],
      "not both"),
     (["critpoints", "--target", "3", "--lambda", ","], "empty"),
+    (["experiment", "rrmp-table", "--ks", "3,3", "--samples", "4", "--n", "2"],
+     "4 samples give a singular Gram matrix for filter size 5"),
 ], ids=["critpoints-starts-0", "critpoints-starts-negative", "case-study-runs-negative",
         "invariants-no-layers", "recover-scales-no-layers", "critpoints-interior-stride",
         "critpoints-size-mismatch", "critpoints-oversized-lambda", "train-size-mismatch",
-        "landscape-size-mismatch", "critpoints-lambda-and-ks", "critpoints-empty-lambda"])
+        "landscape-size-mismatch", "critpoints-lambda-and-ks", "critpoints-empty-lambda",
+        "rrmp-table-too-few-samples"])
 def test_bad_counts_exit_2(argv, message, capsys, monkeypatch):
     def no_search(*args, **kwargs):
         pytest.fail("the case study searched a stratum before rejecting its run count")

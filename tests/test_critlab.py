@@ -33,7 +33,8 @@ from lcnlab.funcspace import factor_into
 from lcnlab.optim import (QuadraticObjective, _descent_kernel, _gradient_source,
                           count_distinct_filters, loss_and_gradient)
 from lcnlab.poly_core import Architecture, _nearest, _same_filter, end_to_end
-from lcnlab.rootlab import INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled
+from lcnlab.rootlab import (INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled,
+                            is_compatible)
 
 from test_poly_core import random_arch
 
@@ -544,6 +545,37 @@ def test_attainable_strata_pinned():
     assert _attainable_strata(Architecture((4, 2))) == [(2, 1, 1)]
 
 
+def _attainable_strata_loop(arch):
+    """The partitions of the filter degree, skipping the all-ones one, that
+    have a compatible real-type split: how ``_attainable_strata`` found them
+    before it read them off ``compatible_rrmps``."""
+    degree = arch.filter_size - 1
+    if sum(arch.bin_sizes) != degree:
+        raise ValueError("interior stride")
+    return [lam for lam in _partitions(degree)
+            if len(lam) < degree
+            and any(is_compatible(split, arch) for split in real_type_splits(lam))]
+
+
+def test_attainable_strata_equal_the_partition_loop():
+    # every architecture of depth 1-3 with sizes 1-5 (degree <= 12), at unit
+    # strides, a final stride and a first stride
+    n = 0
+    for depth in (1, 2, 3):
+        for ks in itertools.product(range(1, 6), repeat=depth):
+            for strides in ((1,) * depth, (1,) * (depth - 1) + (2,), (2,) + (1,) * (depth - 1)):
+                arch = Architecture(ks, strides)
+                try:
+                    want = _attainable_strata_loop(arch)
+                except ValueError:
+                    with pytest.raises(ValueError, match="interior stride"):
+                        _attainable_strata(arch)
+                    continue
+                assert _attainable_strata(arch) == want, (ks, strides)
+                n += 1
+    assert n == 325
+
+
 def test_critical_points_for_target_and_ed_bound_use_attainable_strata():
     for ks, u in (((2, 2, 2), [1.0, 0.5, -2.0, 0.3]), ((4, 2), U_STAR)):
         arch = Architecture(ks)
@@ -768,6 +800,12 @@ def test_ed_degree_errors():
         ed_degree((2, 2, 1), 5)  # no closed form
     with pytest.raises(ValueError):
         ed_degree((2, 2), 4, metric="fancy")
+    # a plain ValueError, as real_type_splits raises, not the missing closed
+    # form that analyze-arch reports as a null bound
+    for lam in ((2, 0, 2), (3, 2, -1), (0,)):
+        with pytest.raises(ValueError, match="positive") as err:
+            ed_degree(lam, sum(lam))
+        assert not isinstance(err.value, critlab._NoClosedForm)
 
 
 def test_ed_bound():

@@ -111,10 +111,33 @@ def test_mu_rank_matches_numeric_rank():
                   [np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0])]))
     cases.append((Architecture((3, 3)),
                   [np.array([1.0, 2.0, 1.0]), np.array([2.0, 4.0, 2.0])]))
+    # a final stride only subsamples and trailing size-one layers only
+    # rescale, so root counts still give the rank
+    for ks, strides in (((2, 2), (1, 2)), ((3, 2), (1, 3)), ((2, 2, 1), (1, 2, 1)),
+                        ((3, 2, 1, 1), (1, 2, 3, 1)), ((2, 3, 1), (1, 1, 2))):
+        arch = Architecture(ks, strides)
+        cases += [(arch, arch.random_theta(rng)) for _ in range(5)]
+    cases.append((Architecture((2, 2, 1), (1, 2, 1)),
+                  [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0])]))
+    cases.append((Architecture((3, 2, 1), (1, 2, 2)),
+                  [np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0]), np.array([-0.5])]))
     for arch, theta in cases:
         J = jacobian_mu(theta, arch)
         assert mu_rank(theta, arch) == np.linalg.matrix_rank(J, tol=1e-8), (
             arch.ks, [list(w) for w in theta])
+
+
+def test_mu_rank_rejects_an_interior_stride_and_a_mismatched_theta():
+    # root counts do not give the rank here: 4 from roots, 3 numerically
+    arch = Architecture((2, 2), (2, 1))
+    theta = [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
+    assert np.linalg.matrix_rank(jacobian_mu(theta, arch)) == 3
+    with pytest.raises(ValueError, match="interior stride"):
+        mu_rank(theta, arch)
+    with pytest.raises(ValueError, match="do not match"):
+        mu_rank([np.ones(3), np.ones(2)], Architecture((2, 2)))
+    with pytest.raises(ValueError, match="expected 2 filters"):
+        mu_rank([np.ones(2)], Architecture((2, 2)))
 
 
 def test_recover_scales_worked_case():
@@ -185,5 +208,7 @@ def test_euler_flow_matches_gradient_descent_step():
 
 
 def test_flow_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        integrate_flow([np.ones(2)], lambda t: t, 0.1, 1, method="leapfrog")
+    # checked before stepping, so also when there is no step to take
+    for n_steps in (1, 0):
+        with pytest.raises(ValueError, match="leapfrog"):
+            integrate_flow([np.ones(2)], lambda t: t, 0.1, n_steps, method="leapfrog")

@@ -15,7 +15,7 @@ from lcnlab.funcspace import (
     stride2_factor,
     stride2_membership,
 )
-from lcnlab.poly_core import Architecture, compose_filters, end_to_end
+from lcnlab.poly_core import Architecture, _interior_stride, compose_filters, end_to_end
 from lcnlab.rootlab import Rrmp, all_rrmps, classify_rrmp, classify_rrmp_pooled, is_compatible
 
 
@@ -86,6 +86,20 @@ def test_reduce_architecture():
     assert red.ks == (3,) and red.strides == (1,)
     red2 = reduce_architecture(Architecture((3, 2), (1, 4)))
     assert red2.ks == (3, 2) and red2.strides == (1, 1)
+
+
+def test_interior_stride_rule_agrees_with_reduce_architecture():
+    # every architecture of depth 1-4 with sizes 1-4 and strides 1-3
+    n = 0
+    for depth in range(1, 5):
+        for ks in itertools.product(range(1, 5), repeat=depth):
+            for strides in itertools.product(range(1, 4), repeat=depth):
+                arch = Architecture(ks, strides)
+                red = reduce_architecture(arch)
+                assert _interior_stride(arch) == (not red.is_stride_one), (ks, strides)
+                assert (red.filter_size, red.n_even) == (arch.filter_size, arch.n_even)
+                n += 1
+    assert n == 22_620
 
 
 def test_is_filling():

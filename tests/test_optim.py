@@ -537,6 +537,17 @@ def test_experiments_classify_only_the_targets_they_read(target_classifications)
     assert kept > 0 and len(target_classifications) == kept
 
 
+def test_pattern_experiment_needs_as_many_samples_as_filter_taps():
+    # fewer samples than taps leave the Gram matrix X X^T singular
+    with pytest.raises(ValueError, match="2 samples .* filter size 3"):
+        run_pattern_experiment(Architecture((2, 2)), n_datasets=1, n_samples=2, workers=1)
+    with pytest.raises(ValueError, match="10 samples .* filter size 11"):
+        run_pattern_experiment(Architecture((6, 6)), n_datasets=1, workers=1)
+    table = run_pattern_experiment(Architecture((2, 2)), n_datasets=2, n_samples=3,
+                                   config=TrainConfig(max_steps=50), workers=1)
+    assert table.n_runs == 2
+
+
 def _label(classify, coeffs):
     try:
         return classify(coeffs).label

@@ -288,6 +288,26 @@ def test_all_rrmps_degree_four():
                       "11|1", "2|1", "0|2", "0|11"}
 
 
+def _all_rrmps_loop(degree):
+    """Every pattern as a partition of the real roots times one of the pairs,
+    for each number of pairs: the enumeration ``all_rrmps`` used before it
+    took the real-type splits of each partition."""
+    out = []
+    for n_pair in range(degree // 2 + 1):
+        for rho in _partitions(degree - 2 * n_pair):
+            for gamma in _partitions(n_pair):
+                out.append(Rrmp(rho, gamma))
+    out.sort(key=lambda r: (r.rho, r.gamma))
+    return out
+
+
+def test_all_rrmps_equals_the_real_and_pair_partition_loop():
+    for degree in range(15):
+        got = all_rrmps(degree)
+        assert got == _all_rrmps_loop(degree), degree
+        assert [r.degree for r in got] == [degree] * len(got)
+
+
 def test_compatibility_brute_force_cross_check():
     # independent check: enumerate all assignments of root labels to layers
     import itertools
