@@ -20,7 +20,10 @@ Each Newton probe takes the optimal scale, the point and the Jacobian from one
 factor pass, which runs as straight-line float code that ``_probe_kernel``
 compiles once per real type, with numpy's bits.  The Newton
 iterates and the central differences are float lists too; numpy keeps only
-the BLAS products, the Jacobian array and the linear solves.
+the BLAS products, the Jacobian arrays and the linear solves.  Both Jacobians,
+the probe's and ``_fd_jacobian``'s, are built from one row-major flat list and
+reshaped, so each is a C-ordered float64 array and ``jac.T.dot(g)`` keeps one
+BLAS layout.
 
 Both routes type a point by one rule: the inertia of the loss Hessian in
 (log sigma, shape), which at a critical point splits into the scale's
@@ -111,13 +114,13 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
         dfacs = ([em.assign([f"-{f[1]}"]) + f[:1]] if len(f) == 2
                  else [["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"]])
         cols += [[f"{scale}*{x}" for x in em.mul(comps[first], d)] for d in dfacs]
-    rows = _list_source(map(_list_source, zip(*cols)))
+    flat = _list_source(x for row in zip(*cols) for x in row)
     body = textwrap.indent("\n".join(em.lines), " " * 4)
     return f"""
 def probe(shape, matrix, mu):
     {_list_source(shape)} = shape
 {body}
-    return sigma, _array({_list_source(point)}), _array({rows})
+    return sigma, _array({_list_source(point)}), _array({flat}).reshape({len(point)}, {len(cols)})
 """
 
 
@@ -129,9 +132,10 @@ def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
     On a float-list shape it returns (sigma, point, jacobian) at the loss-optimal
     scale.  The loss is quadratic in the scale, so along the ray of the unit-scale
     point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with mu = M u.
-    The Jacobian's columns, laid out C-ordered (k, 1 + len(shape)), are d/d sigma =
-    ``monic``, then sigma * m * comp * d(factor) per slot, with comp the product
-    without the slot's first copy; ``monic`` and the comps come from one factor pass.
+    The Jacobian's columns are d/d sigma = ``monic``, then sigma * m * comp *
+    d(factor) per slot, with comp the product without the slot's first copy;
+    ``monic`` and the comps come from one factor pass.  Its entries are written as
+    one row-major flat list and reshaped to a C-ordered (k, 1 + len(shape)) array.
     """
     return _compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>",
                     _cos=math.cos, _sin=math.sin, _array=np.array)["probe"]
@@ -219,14 +223,15 @@ class StratumReport:
 
 def _fd_jacobian(fun: Callable[[list], Sequence[float]], x: list[float]) -> np.ndarray:
     """Central-difference Jacobian of ``fun`` at the float list ``x``, column by
-    column in float arithmetic, laid out C-ordered."""
+    column in float arithmetic, read out as one row-major flat list and reshaped to
+    a C-ordered (len(fun(x)), len(x)) array."""
     cols = []
     for j, xj in enumerate(x):
         h = 1e-6 * (1.0 + abs(xj))
         up = fun(x[:j] + [xj + h] + x[j + 1:])
         down = fun(x[:j] + [xj - h] + x[j + 1:])
         cols.append([(a - b) / (2.0 * h) for a, b in zip(up, down)])
-    return np.array(list(zip(*cols)))
+    return np.array([v for row in zip(*cols) for v in row]).reshape(-1, len(x))
 
 
 def _newton_on_gradient(
@@ -323,7 +328,7 @@ def crit_on_stratum(
 
         def shape_grad(shape: list[float]) -> list[float]:
             _, w, jac = probe(shape, objective.matrix, mu_vec)
-            return jac.T.dot(objective.grad(w))[1:].tolist()
+            return jac.T.dot(objective.grad(w)).tolist()[1:]
 
         first = len(points)  # deduplicate within this real type only
         for _ in range(n_starts):

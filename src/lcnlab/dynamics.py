@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,27 @@ from .poly_core import Architecture, _complements, _layers, _require_no_interior
 from .rootlab import cluster_roots, find_roots
 
 
+def _squared_norms(filters, name: str) -> np.ndarray:
+    """||w||^2 of each filter.  Raises ValueError naming ``name`` when one is not
+    finite: the filter has a non-finite entry or its squared norm overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.array([np.sum(as_filter(w) ** 2) for w in filters])
+    for i, n in enumerate(norms):
+        if not math.isfinite(n):
+            raise ValueError(f"{name}[{i}] has squared norm {n}, which is not a finite double")
+    return norms
+
+
 def squared_norm_gaps(theta) -> np.ndarray:
-    """delta_i = ||w_{i+1}||^2 - ||w_i||^2 for consecutive layers."""
-    norms = np.array([np.sum(as_filter(w) ** 2) for w in theta])
-    return np.diff(norms)
+    """delta_i = ||w_{i+1}||^2 - ||w_i||^2 for consecutive layers.  Raises
+    ValueError when a squared layer norm is not finite."""
+    return np.diff(_squared_norms(theta, "theta"))
 
 
 def balancedness_matrix(theta) -> np.ndarray:
-    """All pairwise differences ||w_i||^2 - ||w_j||^2 (antisymmetric)."""
-    norms = np.array([np.sum(as_filter(w) ** 2) for w in theta])
+    """All pairwise differences ||w_i||^2 - ||w_j||^2 (antisymmetric).  Raises
+    ValueError when a squared layer norm is not finite."""
+    norms = _squared_norms(theta, "theta")
     return norms[:, None] - norms[None, :]
 
 
@@ -135,20 +148,29 @@ def recover_scales(q_filters, gaps) -> list:
     ||kappa_i q_i||^2 differences equal to ``gaps``.  Squared norms satisfy
     beta_{i+1} = beta_i + gaps_i and prod beta_i = prod ||q_i||^2, a univariate
     polynomial in beta_1; real roots making every beta_i positive survive.
+    Raises ValueError for a zero or non-finite direction, a direction whose
+    squared norm overflows, a gap count that does not fit, a non-finite gap and
+    a polynomial whose coefficients overflow.
     """
-    q_norms_sq = np.array([np.sum(as_filter(q) ** 2) for q in q_filters])
+    q_norms_sq = _squared_norms(q_filters, "q_filters")
     if np.any(q_norms_sq == 0):
         raise ValueError("factor directions must be nonzero")
     gaps = np.asarray(gaps, dtype=float)
     L = len(q_norms_sq)
     if gaps.shape != (L - 1,):
         raise ValueError(f"need {L - 1} gaps for {L} layers, got {gaps.shape}")
+    if not np.all(np.isfinite(gaps)):
+        raise ValueError(f"gaps must be finite, got {gaps.tolist()}")
 
-    offsets = np.concatenate([[0.0], np.cumsum(gaps)])
-    target = float(np.prod(q_norms_sq))
-    # prod_i (b + offsets_i) - target as coefficients in b
-    poly = np.poly(-offsets)
-    poly[-1] -= target
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = np.concatenate([[0.0], np.cumsum(gaps)])
+        target = float(np.prod(q_norms_sq))
+        # prod_i (b + offsets_i) - target as coefficients in b
+        poly = np.poly(-offsets)
+        poly[-1] -= target
+    if not np.all(np.isfinite(poly)):
+        raise ValueError("the scale polynomial overflows: the summed gaps or the product "
+                         "of the squared direction norms is not a finite double")
 
     solutions = []
     for root in np.roots(poly):
@@ -180,10 +202,20 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
 
     grad_fn takes and returns a list of layer filters.  ``rk4`` keeps the
     conserved gaps to integrator precision; ``euler`` matches plain gradient
-    descent with learning rate ``step``.  Returns the final theta.
+    descent with learning rate ``step``.  Returns the final theta.  Raises
+    ValueError for an unknown method, a step that is not finite and positive and
+    an ``n_steps`` that is not a non-negative integer.
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step}")
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     theta = [as_filter(w).copy() for w in theta0]
 
     def add(ws, scale, gs):

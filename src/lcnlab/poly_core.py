@@ -106,8 +106,11 @@ class Architecture:
         return tuple(dims)
 
     def min_input_size(self, d_out: int = 1) -> int:
-        """Smallest input length producing output length ``d_out``."""
+        """Smallest input length producing output length ``d_out``.  Raises
+        ValueError for ``d_out`` below one."""
         d = int(d_out)
+        if d < 1:
+            raise ValueError(f"output length must be at least 1, got {d_out}")
         for k, s in zip(reversed(self.ks), reversed(self.strides)):
             d = (d - 1) * s + k
         return d
@@ -140,9 +143,22 @@ def _require_no_interior_stride(arch: Architecture):
                          "root multiplicities do not describe its function space")
 
 
+def _require_stride(stride) -> int:
+    """``stride`` as an int; ValueError unless it is an integer of at least one."""
+    try:
+        s = operator.index(stride)
+    except TypeError:
+        s = 0
+    if s < 1:
+        raise ValueError(f"stride must be at least 1, got {stride!r}")
+    return s
+
+
 def upsample(w, stride: int) -> np.ndarray:
-    """Insert ``stride - 1`` zeros between consecutive filter entries."""
+    """Insert ``stride - 1`` zeros between consecutive filter entries.  Raises
+    ValueError for a stride that is not an integer of at least one."""
     w = as_filter(w)
+    stride = _require_stride(stride)
     if stride == 1:
         return w.copy()
     out = np.zeros((len(w) - 1) * stride + 1)
@@ -154,7 +170,8 @@ def compose_filters(outer, stride: int, inner) -> np.ndarray:
     """Filter of (outer layer) ∘ (inner map of the given stride).
 
     The composed entry u_m = sum over j*stride + l = m of outer_j * inner_l,
-    of size (len(outer)-1)*stride + len(inner).
+    of size (len(outer)-1)*stride + len(inner).  Raises ValueError for a stride
+    that ``upsample`` rejects.
     """
     return np.convolve(upsample(outer, stride), as_filter(inner))
 
@@ -320,7 +337,8 @@ def pi_s(w, stride: int) -> np.ndarray:
     """Coefficients of the stride-lifted form: entry j moves to index j*stride.
 
     The resulting vector has length (k-1)*stride + 1 and represents
-    w_0 x^{(k-1)s} + w_1 x^{(k-2)s} y^s + ... + w_{k-1} y^{(k-1)s}.
+    w_0 x^{(k-1)s} + w_1 x^{(k-2)s} y^s + ... + w_{k-1} y^{(k-1)s}.  Raises
+    ValueError for a stride that ``upsample`` rejects.
     """
     return upsample(w, stride)
 
@@ -344,10 +362,10 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
     """Columns (n_out, k) of a size-k filter's placements on length d: row m
     is m*stride ... m*stride + k - 1, mod d when ``cyclic``.  ``n_out``
     defaults to the exact fit, (d - k)/stride + 1 or, cyclic, d/stride.
-    Raises ValueError for a stride below one, a cyclic filter longer than
-    d, an inexact fit, a negative ``n_out`` and an overrun."""
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
+    Raises ValueError for a stride that is not an integer of at least one, a
+    cyclic filter longer than d, an inexact fit, a negative ``n_out`` and an
+    overrun."""
+    stride = _require_stride(stride)
     if cyclic and k > d:
         raise ValueError(f"filter size {k} exceeds cyclic dimension {d}")
     if n_out is None:

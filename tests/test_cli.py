@@ -129,6 +129,13 @@ def test_non_finite_json_file_exits_2(tmp_path, capsys):
     assert out == "" and err.count("non-finite") == 2
 
 
+def test_invariants_reject_an_overflowing_squared_norm(capsys):
+    # the squares of finite entries can overflow; infinite gaps are not JSON
+    assert main(["invariants", "--theta", "1e200,1;1,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "squared norm inf" in err
+
+
 @pytest.mark.parametrize("flags", [["--step", "nan"], ["--step", "0"], ["--max-steps", "-1"],
                                    ["--grad-tol", "nan"], ["--grad-tol", "-1"]])
 def test_train_rejects_bad_descent_settings(flags, capsys):

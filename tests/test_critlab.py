@@ -2,6 +2,7 @@ import builtins
 import dis
 import itertools
 import math
+import textwrap
 import types
 from collections import Counter
 
@@ -32,7 +33,8 @@ from lcnlab.critlab import (
 from lcnlab.funcspace import factor_into
 from lcnlab.optim import (QuadraticObjective, _descent_kernel, _gradient_source,
                           count_distinct_filters, loss_and_gradient)
-from lcnlab.poly_core import Architecture, _nearest, _same_filter, end_to_end
+from lcnlab.poly_core import (Architecture, _compile, _complements, _Emitter, _list_source,
+                              _nearest, _product, _same_filter, end_to_end)
 from lcnlab.rootlab import (INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled,
                             is_compatible)
 
@@ -331,7 +333,7 @@ def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
 
                 def by_list(shape):  # crit_on_stratum's shape gradient
                     _, w, jac = probe(shape, objective.matrix, mu)
-                    return jac.T.dot(objective.grad(w))[1:].tolist()
+                    return jac.T.dot(objective.grad(w)).tolist()[1:]
 
                 def by_array(shape):
                     _, w, jac = probe(shape.tolist(), objective.matrix, mu)
@@ -356,6 +358,94 @@ def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
         starts = [rng.standard_normal(len(u)) * scale for _ in range(6)]
         outcomes += _compare_newtons(grad, grad, starts, scale)
     assert set(outcomes) == {"landed", "no step", "failed"} and min(outcomes.values()) > 50
+
+
+def _nested_probe_source(rho, gamma):
+    """``critlab._probe_source`` as it was when the Jacobian went to np.array as a
+    nested list of rows."""
+    em = _Emitter()
+    n = len(rho)
+    shape = [f"p{i}" for i in range(n + 2 * len(gamma))]
+    slots = [(em.assign([f"_cos({phi})", f"_sin({phi})"]), m) for m, phi in zip(rho, shape)]
+    slots += [(["1.0", b, c], m) for m, b, c in zip(gamma, shape[n::2], shape[n + 1::2])]
+    copies = [f for f, m in slots for _ in range(m)]
+    firsts = list(itertools.accumulate([0] + [m for _, m in slots[:-1]]))
+    monic, comps = _complements(copies, em.mul, firsts)
+    em.lines += [f"arr = _array({_list_source(monic)})",
+                 "sigma = float(arr.dot(mu)) / float(arr.dot(matrix).dot(arr))"]
+    point = _product([["sigma"]] + copies, em.mul)
+    cols = [monic]
+    for (f, m), first in zip(slots, firsts):
+        scale = em.assign([f"sigma*{m}"])[0]
+        dfacs = ([em.assign([f"-{f[1]}"]) + f[:1]] if len(f) == 2
+                 else [["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"]])
+        cols += [[f"{scale}*{x}" for x in em.mul(comps[first], d)] for d in dfacs]
+    rows = _list_source(map(_list_source, zip(*cols)))
+    body = textwrap.indent("\n".join(em.lines), " " * 4)
+    return f"""
+def probe(shape, matrix, mu):
+    {_list_source(shape)} = shape
+{body}
+    return sigma, _array({_list_source(point)}), _array({rows})
+"""
+
+
+def _nested_fd_jacobian(fun, x):
+    """``critlab._fd_jacobian`` as it was when its rows went to np.array as a list of
+    tuples."""
+    cols = []
+    for j, xj in enumerate(x):
+        h = 1e-6 * (1.0 + abs(xj))
+        up = fun(x[:j] + [xj + h] + x[j + 1:])
+        down = fun(x[:j] + [xj - h] + x[j + 1:])
+        cols.append([(a - b) / (2.0 * h) for a, b in zip(up, down)])
+    return np.array(list(zip(*cols)))
+
+
+def _same_c_layout(got, ref):
+    return (got.dtype == ref.dtype == np.float64 and got.flags.c_contiguous
+            and ref.flags.c_contiguous and got.shape == ref.shape
+            and got.strides == ref.strides and got.tobytes() == ref.tobytes())
+
+
+def test_flat_jacobians_keep_the_nested_list_layout_bit_for_bit():
+    # both Jacobians are built from a row-major flat list and reshaped; they stay the
+    # C-ordered float64 arrays the nested lists gave, so jac.T.dot(g) keeps its BLAS call
+    rng = np.random.default_rng(67)
+    checked = 0
+    for lam in (lam for degree in range(2, 6) for lam in _partitions(degree)):
+        for split in real_type_splits(lam):
+            k = 1 + sum(lam)
+            probe = critlab._probe_kernel(split.rho, split.gamma)
+            nested = _compile(_nested_probe_source(split.rho, split.gamma),
+                              f"<nested probe {split.label}>", _cos=math.cos, _sin=math.sin,
+                              _array=np.array)["probe"]
+            gram = rng.standard_normal((k, k))
+            for objective in (QuadraticObjective.bombieri(rng.standard_normal(k)),
+                              QuadraticObjective(gram @ gram.T + np.eye(k),
+                                                 rng.standard_normal(k))):
+                mu = objective.matrix @ objective.target
+
+                def shape_grad(shape, probe=probe):
+                    _, w, jac = probe(shape, objective.matrix, mu)
+                    return jac.T.dot(objective.grad(w)).tolist()[1:]
+
+                for _ in range(4):
+                    shape = critlab._initial_params(split, rng, 1.0)[1:].tolist()
+                    sigma, w, jac = probe(shape, objective.matrix, mu)
+                    ref_sigma, ref_w, ref_jac = nested(shape, objective.matrix, mu)
+                    assert sigma.hex() == ref_sigma.hex() and w.tobytes() == ref_w.tobytes()
+                    assert jac.shape == (k, 1 + len(shape)) and _same_c_layout(jac, ref_jac)
+                    g = objective.grad(w)
+                    assert jac.T.dot(g).tobytes() == ref_jac.T.dot(g).tobytes()
+                    fd = critlab._fd_jacobian(shape_grad, shape)
+                    ref_fd = _nested_fd_jacobian(shape_grad, shape)
+                    assert fd.shape == (len(shape),) * 2 and _same_c_layout(fd, ref_fd)
+                    v = np.array(shape_grad(shape))
+                    assert fd.T.dot(v).tobytes() == ref_fd.T.dot(v).tobytes()
+                    checked += 1
+    assert checked == 8 * sum(len(real_type_splits(lam))
+                              for degree in range(2, 6) for lam in _partitions(degree))
 
 
 def test_crit_on_stratum_drops_landings_next_to_the_zero_filter():

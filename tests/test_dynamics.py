@@ -175,6 +175,33 @@ def test_recover_scales_rejects_mismatched_gaps():
         recover_scales([[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("q_filters, gaps, field", [
+    ([[1.0, 0.0], [1.0, 0.0]], [np.nan], "gaps"),
+    ([[1.0, 0.0], [1.0, 0.0]], [np.inf], "gaps"),
+    ([[1.0, np.nan], [1.0, 0.0]], [0.0], "q_filters"),
+    ([[1.0, 0.0], [-np.inf, 0.0]], [0.0], "q_filters"),
+    ([[1e200, 0.0], [1e200, 0.0]], [0.0], "q_filters"),
+    ([[1e150, 0.0], [1e150, 0.0]], [0.0], "scale polynomial"),
+    ([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [1e308, 1e308], "scale polynomial"),
+])
+def test_recover_scales_rejects_norms_it_cannot_represent(q_filters, gaps, field, monkeypatch):
+    def no_roots(poly):
+        pytest.fail("np.roots ran before the input was rejected")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    with pytest.raises(ValueError, match=field):
+        recover_scales(q_filters, gaps)
+
+
+@pytest.mark.parametrize("fn", [squared_norm_gaps, balancedness_matrix])
+def test_layer_norms_reject_an_overflowing_squared_norm(fn):
+    with pytest.raises(ValueError, match=r"theta\[0\] has squared norm inf"):
+        fn([[1e200, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"theta\[1\] has squared norm nan"):
+        fn([[1.0, 1.0], [np.nan, 1.0]])
+    assert np.all(np.isfinite(fn([[1e154, 1.0], [1.0, 1.0]])))
+
+
 def test_flow_conserves_gaps_rk4():
     arch = Architecture((2, 2, 2))
     rng = np.random.default_rng(5)
@@ -212,3 +239,24 @@ def test_flow_rejects_unknown_method():
     for n_steps in (1, 0):
         with pytest.raises(ValueError, match="leapfrog"):
             integrate_flow([np.ones(2)], lambda t: t, 0.1, n_steps, method="leapfrog")
+
+
+@pytest.mark.parametrize("step, n_steps, message", [
+    (0.0, 1, "step must be finite and positive, got 0.0"),
+    (-0.1, 1, "step must be finite and positive"),
+    (np.nan, 1, "step must be finite and positive, got nan"),
+    (np.inf, 1, "step must be finite and positive"),
+    (0.1, -3, "n_steps must be non-negative, got -3"),
+    (0.1, 2.0, "n_steps must be an integer, got 2.0"),
+    (0.1, "2", "n_steps must be an integer"),
+])
+def test_flow_rejects_bad_step_settings(step, n_steps, message):
+    def no_grad(theta):
+        pytest.fail("the flow stepped before its settings were checked")
+
+    for method in ("euler", "rk4"):
+        with pytest.raises(ValueError, match=message):
+            integrate_flow([np.ones(2)], no_grad, step, n_steps, method=method)
+    theta0 = [np.array([1.0, 2.0])]
+    theta = integrate_flow(theta0, no_grad, 0.1, np.int64(0))
+    assert theta[0].tobytes() == theta0[0].tobytes() and theta[0] is not theta0[0]

@@ -92,6 +92,26 @@ def test_upsample_places_entries_stride_apart():
     assert np.array_equal(upsample([5.0], 4), [5.0])
 
 
+@pytest.mark.parametrize("stride, shown", [(0, "0"), (-1, "-1"), (2.5, "2.5"), (2.0, "2.0"),
+                                           ("2", "'2'"), (None, "None")])
+def test_strided_lifts_reject_a_bad_stride(stride, shown):
+    message = f"stride must be at least 1, got {shown}"
+    for lift in (upsample, pi_s, lambda w, s: compose_filters(w, s, [1.0, 2.0])):
+        with pytest.raises(ValueError, match=message):
+            lift([1.0, 1.0], stride)
+    with pytest.raises(ValueError, match=message):
+        toeplitz_matrix([1.0, 1.0], 4, stride)
+    assert np.array_equal(pi_s([1.0, 1.0], np.int64(2)), [1.0, 0.0, 1.0])
+
+
+def test_min_input_size_rejects_an_empty_output():
+    arch = Architecture((2, 2))
+    for d_out in (0, -5):
+        with pytest.raises(ValueError, match=f"output length must be at least 1, got {d_out}"):
+            arch.min_input_size(d_out)
+    assert arch.min_input_size(1) == arch.filter_size == 3
+
+
 def test_end_to_end_size_and_stride():
     arch = Architecture((3, 2), (2, 1))
     theta = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])]
