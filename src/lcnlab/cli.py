@@ -11,7 +11,8 @@ descent against it.
 Conventions: tables and grids are CSV, reports are JSON; CSV floats carry 17
 significant digits, JSON floats Python's shortest round-trip form; randomized
 commands take ``--seed`` and are reproducible independently of ``--threads``
-(work is seeded per index and aggregated by index).  Exit codes: 0 on
+(each descent run's arguments are drawn in the parent from its own spawn key,
+and the runs come back in job order).  Exit codes: 0 on
 success, 2 on bad input (configuration errors, non-finite filters, roots the
 solver cannot certify), 3 when the case study finds discrepancies.
 """
@@ -35,12 +36,14 @@ from .funcspace import is_filling, reduce_architecture, region_of_rrmp
 from .optim import (
     QuadraticObjective,
     TrainConfig,
-    _fan_out,
+    _seeded,
+    _train_all,
     gd_train,
     run_distinct_experiment,
     run_pattern_experiment,
 )
-from .poly_core import Architecture, _interior_stride, _nearest, _same_filter, end_to_end
+from .poly_core import (Architecture, _integer, _interior_stride, _layers, _nearest, _same_filter,
+                        end_to_end)
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -393,15 +396,13 @@ def landscape_grid(arch: Architecture, objective: QuadraticObjective,
     """
     if not arch.is_stride_one:
         raise ValueError("landscape grids are defined for unit strides")
-    if not 2 <= n <= 512:
+    if not 2 <= _integer("grid size", n) <= 512:
         raise ValueError(f"grid size must be between 2 and 512, got {n}")
     if not (math.isfinite(span) and span > 0):
         raise ValueError(f"span must be finite and positive, got {span}")
     theta0, dir1, dir2 = plane
     for part in (theta0, dir1, dir2):
-        if len(part) != arch.depth or any(
-                len(layer) != k for layer, k in zip(part, arch.ks)):
-            raise ValueError("plane layers do not match the architecture")
+        _layers(part, arch)
     coords = np.linspace(-span, span, n)
     rows = []
     for s in coords:
@@ -466,16 +467,6 @@ _STUDY_THETA0 = ((1.0, 6.0, 11.0, 6.0), (4.0, 1.0))
 _STUDY_KAPPA = math.sqrt((math.sqrt(31445.0) - 177.0) / 2.0)
 
 
-def _study_worker(job):
-    ks, master_seed, arch_idx, run_idx = job
-    arch = Architecture(ks)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(arch_idx, run_idx)))
-    obj = QuadraticObjective.euclidean(_STUDY_TARGET)
-    run = gd_train(obj, arch, arch.random_theta(rng), _STUDY_GD)
-    return run.converged, run.diverged, run.w, run.loss
-
-
 def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                    workers: int = None) -> dict:
     """Re-derive the critical-point catalogue of u = [2, 0, 5, 0, 2] and
@@ -483,9 +474,9 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
 
     Returns a JSON-ready report; any entry in ``report["discrepancies"]``
     means a check failed (the CLI exits 3 in that case).  Raises ValueError
-    for fewer than one run.
+    for fewer than one run or a count that is not an integer.
     """
-    if runs < 1:
+    if _integer("runs", runs) < 1:
         raise ValueError(f"need at least one descent run, got {runs}")
     u = _STUDY_TARGET.copy()
     obj = QuadraticObjective.euclidean(u)
@@ -518,31 +509,34 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
                     f"stratum {lam}: rational point {rat} not recovered")
         refs.extend((p.w, p.pattern) for p in rep.points)
 
-    for arch_idx, ks in enumerate(_STUDY_ARCHS):
-        arch = Architecture(ks)
-        jobs = [(ks, seed, arch_idx, r) for r in range(runs)]
+    archs = [Architecture(ks) for ks in _STUDY_ARCHS]
+    jobs = ((obj, arch, arch.random_theta(_seeded(seed, a, r)), _STUDY_GD)
+            for a, arch in enumerate(archs) for r in range(runs))
+    # zip(*[it] * n) groups n consecutive runs, one architecture's each, until none is left
+    study_runs = _train_all(jobs, workers)
+    for group, ks, arch in zip(zip(*[study_runs] * runs), _STUDY_ARCHS, archs):
         counts = {}
         n_converged = n_capped = 0
         worst = 0.0
-        for converged, diverged, w, loss in _fan_out(_study_worker, jobs, workers, chunksize=4):
-            if diverged:
+        for run in group:
+            if run.diverged:
                 discrepancies.append(f"k={ks}: a run diverged")
                 continue
-            if not converged:
+            if not run.converged:
                 n_capped += 1
                 continue
             n_converged += 1
-            idx, dist = _nearest(w, [ref for ref, _ in refs])
-            if not _same_filter(w, refs[idx][0], 1e-4):
+            idx, dist = _nearest(run.w, [ref for ref, _ in refs])
+            if not _same_filter(run.w, refs[idx][0], 1e-4):
                 discrepancies.append(
-                    f"k={ks}: limit {np.round(w, 6).tolist()} matches no "
+                    f"k={ks}: limit {np.round(run.w, 6).tolist()} matches no "
                     f"catalogued critical point (distance {dist:.3g})")
                 continue
             worst = max(worst, dist)
             pattern = refs[idx][1]
             if not is_compatible(pattern, arch):
                 discrepancies.append(
-                    f"k={ks}: reached {np.round(w, 6).tolist()} with pattern "
+                    f"k={ks}: reached {np.round(run.w, 6).tolist()} with pattern "
                     f"{pattern.label} the architecture cannot realize")
             key = json.dumps(_plain(refs[idx][0]))
             counts[key] = counts.get(key, 0) + 1

@@ -44,9 +44,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import (Architecture, _compile, _complements, _Emitter, _list_source, _nearest,
-                        _product, _require_no_interior_stride, _same_filter, as_filter,
-                        end_to_end, poly_mul)
+from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer, _integers,
+                        _list_source, _nearest, _product, _require_no_interior_stride,
+                        _same_filter, as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
                       _root_factors, classify_rrmp, cluster_roots, compatible_rrmps, find_roots,
                       real_type_splits)
@@ -302,10 +302,12 @@ def crit_on_stratum(
     (log sigma, shape) splits into the scale's curvature 2 w.M.w and the
     Hessian of that shape profile, which is the Jacobian of Newton's last
     step.  The inertia of the two types each survivor, as ``_rank_one_points``
-    types the rank-one stratum.  Raises ValueError when ``lam`` is empty or does
-    not sum to the filter degree or ``n_starts`` is below one.
+    types the rank-one stratum.  Raises ValueError when ``lam`` is empty, has a
+    part that is not an integer or does not sum to the filter degree, or when
+    ``n_starts`` is not an integer of at least one.
     """
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
+    n_starts = _integer("n_starts", n_starts)
     k = objective.matrix.shape[0]
     if not lam:
         raise ValueError("the partition is empty")
@@ -594,9 +596,10 @@ def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> in
     forms behave like tensors.  Closed forms exist for hook partitions
     ``(alpha, 1, ..., 1)``; the ``(2, 2)`` values are included for quartics.
     Any other partition raises ``_NoClosedForm``, a ValueError; a part that
-    is not positive, or parts that do not sum to ``degree``, a plain one.
+    is not a positive integer, or parts that do not sum to ``degree``, a plain
+    one.
     """
-    lam = tuple(sorted((int(p) for p in lam), reverse=True))
+    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
     if any(p <= 0 for p in lam):
         raise ValueError("partition parts must be positive")
     if sum(lam) != degree:
@@ -662,9 +665,12 @@ def find_spurious_minimum(
     critical points of the end-to-end loss by multi-start Newton, and
     returns the lowest strict local minimum whose loss exceeds 1e-8.
     Raises ``ValueError`` when no such point is found --
-    for many targets none exists.
+    for many targets none exists -- or when ``n_starts`` is not an integer of
+    at least one.
     """
     u = as_filter(u)
+    if _integer("n_starts", n_starts) < 1:
+        raise ValueError(f"need at least one start, got {n_starts}")
     if arch is None:
         arch = Architecture(ks=(2, u.shape[0] - 1), strides=(1, 1))
     if arch.filter_size != u.shape[0]:

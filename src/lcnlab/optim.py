@@ -15,7 +15,10 @@ evaluates ``obj.value`` once per run.
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
 distinct minima under the Euclidean versus the derivative-weighted
-(Bombieri) metric.
+(Bombieri) metric.  Each driver, and the CLI's case study, draws its
+``gd_train`` arguments lazily in the parent from per-job generators
+(``_seeded``) and reads what it needs from the runs that ``_train_all``
+yields in job order, in-process or from one process pool.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _compile, _complements, _Emitter, _layers, _list_source,
-                        _placements, _same_filter, _sum_source, as_filter, end_to_end,
-                        network_matrices)
+from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer, _layers,
+                        _list_source, _placements, _same_filter, _sum_source, as_filter,
+                        end_to_end, network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -213,10 +216,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
-        try:
-            max_steps = operator.index(self.max_steps)
-        except TypeError:
-            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}") from None
+        max_steps = _integer("max_steps", self.max_steps)
         if max_steps < 0:
             raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         object.__setattr__(self, "max_steps", max_steps)
@@ -383,16 +383,29 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
 # --- experiment drivers ------------------------------------------------------
 
 
-def _fan_out(fn, jobs, workers, chunksize):
-    """[fn(job) for job in jobs], spread over ``workers`` processes when that
-    is more than one (None: the CPU count, at most 8).  Results keep the job
-    order, so they do not depend on the worker count."""
+def _seeded(seed, *key) -> np.random.Generator:
+    """The generator of the job ``key`` under the master ``seed``: its own
+    ``SeedSequence`` spawn key, so no job's draws depend on another's."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def _train(job) -> TrainRun:
+    return gd_train(*job)
+
+
+def _train_all(jobs, workers):
+    """``gd_train(*job)`` for each job, yielded in job order, so the runs do not
+    depend on the worker count.  With more than one worker (None: the CPU count,
+    at most 8) one pool runs them and is shut down once the runs are exhausted
+    or the iterator is closed.  With one, each run looks up this module's
+    ``gd_train`` as it starts, so a rebound ``gd_train`` sees every run."""
     if workers is None:
         workers = min(multiprocessing.cpu_count(), 8)
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        yield from map(_train, jobs)
+        return
     with multiprocessing.Pool(workers) as pool:
-        return pool.map(fn, jobs, chunksize=chunksize)
+        yield from pool.imap(_train, jobs, chunksize=16)
 
 
 @dataclass
@@ -447,28 +460,6 @@ class PatternTable:
         return out
 
 
-def _pattern_worker(args):
-    arch, master_seed, idx, config, n_samples = args
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(idx,)))
-    k = arch.filter_size
-    X = rng.standard_normal((k, n_samples))
-    Y = rng.standard_normal((1, n_samples))
-    # reduced form ||w - u||^2_{XX^T}: same gradients as the data loss, but
-    # zero at a perfect fit, which is what the loss column should report
-    Sigma = X @ X.T
-    u = np.linalg.solve(Sigma, X @ Y.T).ravel()
-    obj = QuadraticObjective(Sigma, u)
-    theta0 = arch.random_theta(rng)
-    run = gd_train(obj, arch, theta0, config)
-    if not run.converged:
-        return None
-    labels = tuple(
-        r.label if r is not None else "?"
-        for r in (run.target_rrmp, run.init_rrmp, run.solution_rrmp)
-    )
-    return labels + (run.loss,)
-
-
 def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
                            seed: int = 0, config: TrainConfig = TrainConfig(),
                            workers: int = None, n_samples: int = 10) -> PatternTable:
@@ -479,22 +470,35 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
     initializes all layers from a standard normal, and runs gradient descent
     to the gradient tolerance.  Non-converged runs are discarded (counted).
     Seeds are per-dataset, so results do not depend on worker scheduling.
-    Fewer samples than the filter size give a singular Gram matrix, so they
-    raise ValueError.
+    Counts that are not integers, and fewer samples than the filter size,
+    which give a singular Gram matrix, raise ValueError.
     """
-    if n_datasets < 1:
+    if _integer("n_datasets", n_datasets) < 1:
         raise ValueError("need at least one dataset")
-    if n_samples < arch.filter_size:
+    if _integer("n_samples", n_samples) < arch.filter_size:
         raise ValueError(f"{n_samples} samples give a singular Gram matrix for filter "
                          f"size {arch.filter_size}; need at least {arch.filter_size}")
+
+    def jobs():
+        k = arch.filter_size
+        for i in range(n_datasets):
+            rng = _seeded(seed, i)
+            X = rng.standard_normal((k, n_samples))
+            Y = rng.standard_normal((1, n_samples))
+            # reduced form ||w - u||^2_{XX^T}: same gradients as the data loss, but
+            # zero at a perfect fit, which is what the loss column should report
+            Sigma = X @ X.T
+            u = np.linalg.solve(Sigma, X @ Y.T).ravel()
+            yield QuadraticObjective(Sigma, u), arch, arch.random_theta(rng), config
+
     table = PatternTable(arch)
-    jobs = [(arch, seed, i, config, n_samples) for i in range(n_datasets)]
-    for res in _fan_out(_pattern_worker, jobs, workers, chunksize=16):
-        if res is None:
+    for run in _train_all(jobs(), workers):
+        if not run.converged:
             table.discard()
-        else:
-            target, init, solution, loss = res
-            table.add(target, init, solution, loss)
+            continue
+        labels = (r.label if r is not None else "?"
+                  for r in (run.target_rrmp, run.init_rrmp, run.solution_rrmp))
+        table.add(*labels, run.loss)
     return table
 
 
@@ -510,24 +514,6 @@ def count_distinct_filters(filters, tol: float = ROOT_TOL) -> int:
         if not any(_same_filter(w, r, tol) for r in reps):
             reps.append(w)
     return len(reps)
-
-
-def _distinct_worker(args):
-    arch, master_seed, idx, n_inits, config = args
-    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(idx,)))
-    k = arch.filter_size
-    u = rng.standard_normal(k)
-    counts = {}
-    for metric, obj in (("euclidean", QuadraticObjective.euclidean(u)),
-                        ("bombieri", QuadraticObjective.bombieri(u))):
-        sols = []
-        for _ in range(n_inits):
-            theta0 = arch.random_theta(rng)
-            run = gd_train(obj, arch, theta0, config)
-            if run.converged:
-                sols.append(run.w)
-        counts[metric] = count_distinct_filters(sols)
-    return counts
 
 
 @dataclass
@@ -561,13 +547,23 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
     under the Euclidean and the derivative-weighted coefficient metrics.
 
     Only converged runs count, so 0 distinct minima means that no run for
-    that target converged within ``config.max_steps``.
+    that target converged within ``config.max_steps``.  Counts that are not
+    integers of at least one raise ValueError.
     """
-    if n_targets < 1 or n_inits < 1:
+    if _integer("n_targets", n_targets) < 1 or _integer("n_inits", n_inits) < 1:
         raise ValueError("need at least one target and one initialization")
+
+    def jobs():
+        for i in range(n_targets):
+            rng = _seeded(seed, i)
+            u = rng.standard_normal(arch.filter_size)
+            for obj in (QuadraticObjective.euclidean(u), QuadraticObjective.bombieri(u)):
+                for _ in range(n_inits):
+                    yield obj, arch, arch.random_theta(rng), config
+
     table = DistinctTable(arch)
-    jobs = [(arch, seed, i, n_inits, config) for i in range(n_targets)]
-    for counts in _fan_out(_distinct_worker, jobs, workers, chunksize=4):
-        for metric, n in counts.items():
-            table.add(metric, n)
+    # zip(*[it] * n) groups n consecutive runs, one target and metric each, until none is left
+    runs = _train_all(jobs(), workers)
+    for group, metric in zip(zip(*[runs] * n_inits), itertools.cycle(("euclidean", "bombieri"))):
+        table.add(metric, count_distinct_filters(run.w for run in group if run.converged))
     return table

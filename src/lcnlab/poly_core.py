@@ -98,17 +98,18 @@ class Architecture:
     def layer_dims(self, d0: int) -> tuple:
         """Signal lengths (d_0, d_1, ..., d_L) for input length d0.
 
-        Raises ValueError when some layer does not divide evenly.
+        Raises ValueError when ``d0`` is not an integer or some layer does not
+        divide evenly.
         """
-        dims = [int(d0)]
+        dims = [_integer("input length", d0)]
         for k, s in zip(self.ks, self.strides):
             dims.append(len(_placements(k, s, dims[-1])))
         return tuple(dims)
 
     def min_input_size(self, d_out: int = 1) -> int:
         """Smallest input length producing output length ``d_out``.  Raises
-        ValueError for ``d_out`` below one."""
-        d = int(d_out)
+        ValueError for ``d_out`` below one or not an integer."""
+        d = _integer("output length", d_out)
         if d < 1:
             raise ValueError(f"output length must be at least 1, got {d_out}")
         for k, s in zip(reversed(self.ks), reversed(self.strides)):
@@ -127,6 +128,15 @@ def _integers(name, values) -> tuple:
         return tuple(operator.index(v) for v in values)
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values!r}") from None
+
+
+def _integer(name, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` for a non-integer, such as
+    a float, which ``int`` would truncate."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _interior_stride(arch: Architecture) -> bool:

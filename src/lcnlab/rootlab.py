@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import as_filter, toeplitz_matrix
+from .poly_core import _integers, as_filter, toeplitz_matrix
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -309,8 +309,8 @@ class Rrmp:
     gamma: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(sorted(int(m) for m in self.rho)))
-        object.__setattr__(self, "gamma", tuple(sorted(int(m) for m in self.gamma)))
+        object.__setattr__(self, "rho", tuple(sorted(_integers("multiplicities", self.rho))))
+        object.__setattr__(self, "gamma", tuple(sorted(_integers("multiplicities", self.gamma))))
         if any(m < 1 for m in self.rho) or any(m < 1 for m in self.gamma):
             raise ValueError(f"multiplicities must be positive: {self}")
 

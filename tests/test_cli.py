@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import lcnlab
-from lcnlab.cli import _emit_json, landscape_grid, main
+from lcnlab.cli import _emit_json, landscape_grid, main, run_case_study
 from lcnlab.critlab import _attainable_strata, critical_points_for_target
 from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
 from lcnlab.poly_core import Architecture, end_to_end
@@ -408,3 +409,44 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_case_study_is_byte_identical_across_workers_and_leaves_no_worker(monkeypatch,
+                                                                          tmp_path):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return gd_train(*args)
+
+    monkeypatch.setattr("lcnlab.optim.gd_train", counting)
+    texts = []
+    for workers in (1, 2):
+        report = run_case_study(seed=3, runs=3, starts=20, workers=workers)
+        assert multiprocessing.active_children() == []
+        out = tmp_path / f"w{workers}.json"
+        _emit_json(report, str(out))
+        texts.append(out.read_bytes())
+        if workers == 1:  # one call per descent run of the four architectures
+            assert len(calls) == 4 * 3
+    assert texts[0] == texts[1]
+
+
+def _grid(first=((1.0, 0.0), (1.0, 0.0)), n=3):
+    plane = (first, ((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0)))
+    return landscape_grid(Architecture((2, 2)), QuadraticObjective.euclidean([1.0, 0, 2]),
+                          plane, n=n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_case_study(runs=2.5), "runs must be an integer"),
+    (lambda: _grid(n=2.5), "grid size must be an integer"),
+    (lambda: _grid(first=((1.0, 0.0), 1.0)), "nonempty 1-D"),
+    (lambda: _grid(first=((1.0, 0.0),)), "expected 2 filters"),
+    (lambda: _grid(first=((1.0, 0.0), (1.0, 0.0, 0.0))), "do not match"),
+], ids=["case-study-runs", "landscape-n", "landscape-scalar-layer", "landscape-depth",
+        "landscape-size"])
+def test_counts_and_plane_layers_are_checked(call, message, monkeypatch):
+    monkeypatch.setattr("lcnlab.optim.gd_train", lambda *job: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -605,6 +605,20 @@ def test_crit_on_stratum_quadruple_root():
 def test_crit_on_stratum_rejects_bad_partition():
     with pytest.raises(ValueError):
         crit_on_stratum(QuadraticObjective.euclidean(U_STAR), (3, 2))
+    # parts and start counts that are not integers are rejected, not truncated
+    cubic = QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0])
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        crit_on_stratum(cubic, (2.5, 1.5))
+    with pytest.raises(ValueError, match="n_starts must be an integer"):
+        crit_on_stratum(cubic, (2, 1), n_starts=2.5)
+
+
+def test_find_spurious_minimum_rejects_bad_start_counts():
+    with pytest.raises(ValueError, match="n_starts must be an integer"):
+        find_spurious_minimum(U_STAR[:4], n_starts=2.5)
+    for n_starts in (0, -3):  # not "no minimum found" after searching nothing
+        with pytest.raises(ValueError, match="need at least one start"):
+            find_spurious_minimum(U_STAR[:4], n_starts=n_starts)
 
 
 def test_crit_on_stratum_rejects_an_empty_partition(monkeypatch):
@@ -896,6 +910,9 @@ def test_ed_degree_errors():
         with pytest.raises(ValueError, match="positive") as err:
             ed_degree(lam, sum(lam))
         assert not isinstance(err.value, critlab._NoClosedForm)
+    with pytest.raises(ValueError, match="partition parts must be integers") as err:
+        ed_degree((2.5, 1.5), 3)
+    assert not isinstance(err.value, critlab._NoClosedForm)
 
 
 def test_ed_bound():

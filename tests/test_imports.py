@@ -149,3 +149,50 @@ def test_every_module_level_definition_is_used():
     modules = {p.stem: p.read_text() for p in MODULES}
     others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
     assert unreferenced_definitions(modules, others, exported) == []
+
+
+# --- one process pool ----------------------------------------------------------
+
+
+def imports_multiprocessing(source: str) -> bool:
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if any(name.split(".")[0] == "multiprocessing" for name in names):
+            return True
+    return False
+
+
+def pool_builders(source: str) -> list:
+    """The innermost enclosing function (None at module level) of each call of a
+    name or attribute ``Pool``, in source order."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and "Pool" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            out.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_finds_multiprocessing_imports_and_pool_builders():
+    source = ("import multiprocessing.pool as mp\nfrom multiprocessing import Pool\n\n"
+              "def a(jobs):\n    with mp.Pool(2) as pool:\n        return pool.map(len, jobs)\n\n"
+              "def b():\n    def inner():\n        return Pool()\n    return inner, Pool\n\n"
+              "def c(pool):\n    return pool.imap(len, [])\n\n\nPool(1)\n")
+    assert imports_multiprocessing(source)
+    assert not imports_multiprocessing("import os\nfrom .optim import _train_all\n")
+    assert pool_builders(source) == ["a", "inner", None]
+
+
+def test_one_function_builds_the_process_pool():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, source in sorted(sources.items())
+            if imports_multiprocessing(source)] == ["optim"]
+    assert pool_builders(sources["optim"]) == ["_train_all"]

@@ -1,14 +1,19 @@
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from lcnlab.critlab import crit_on_stratum, find_spurious_minimum
 from lcnlab.optim import (
+    DistinctTable,
+    PatternTable,
     QuadraticObjective,
     TrainConfig,
     _descent_kernel,
+    _seeded,
     _sq_norm_source,
+    _train_all,
     bombieri_matrix,
     bombieri_weights,
     count_distinct_filters,
@@ -817,3 +822,145 @@ def test_distinct_experiment_counts_a_target_without_converged_runs_under_zero()
 def test_distinct_experiment_rejects_empty_runs(n_targets, n_inits):
     with pytest.raises(ValueError, match="at least one"):
         run_distinct_experiment(Architecture((2, 2)), n_targets=n_targets, n_inits=n_inits)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: run_pattern_experiment(Architecture((2, 2)), n_datasets=2.5), "n_datasets"),
+    (lambda: run_pattern_experiment(Architecture((2, 2)), n_datasets=2, n_samples=4.0),
+     "n_samples"),
+    (lambda: run_distinct_experiment(Architecture((2, 2)), n_targets=2.5), "n_targets"),
+    (lambda: run_distinct_experiment(Architecture((2, 2)), n_inits=2.5), "n_inits"),
+])
+def test_experiments_reject_counts_that_are_not_integers(call, name, monkeypatch):
+    monkeypatch.setattr("lcnlab.optim.gd_train", lambda *job: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
+# --- the drivers' one fan-out against the per-driver workers it replaced -------
+
+
+def _reference_fan_out(fn, jobs, workers, chunksize):
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(fn, jobs, chunksize=chunksize)
+
+
+def _reference_pattern_worker(args):
+    arch, master_seed, idx, config, n_samples = args
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(idx,)))
+    k = arch.filter_size
+    X = rng.standard_normal((k, n_samples))
+    Y = rng.standard_normal((1, n_samples))
+    Sigma = X @ X.T
+    u = np.linalg.solve(Sigma, X @ Y.T).ravel()
+    run = gd_train(QuadraticObjective(Sigma, u), arch, arch.random_theta(rng), config)
+    if not run.converged:
+        return None
+    labels = tuple(r.label if r is not None else "?"
+                   for r in (run.target_rrmp, run.init_rrmp, run.solution_rrmp))
+    return labels + (run.loss,)
+
+
+def _reference_distinct_worker(args):
+    arch, master_seed, idx, n_inits, config = args
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(idx,)))
+    u = rng.standard_normal(arch.filter_size)
+    counts = {}
+    for metric, obj in (("euclidean", QuadraticObjective.euclidean(u)),
+                        ("bombieri", QuadraticObjective.bombieri(u))):
+        sols = []
+        for _ in range(n_inits):
+            run = gd_train(obj, arch, arch.random_theta(rng), config)
+            if run.converged:
+                sols.append(run.w)
+        counts[metric] = count_distinct_filters(sols)
+    return counts
+
+
+def _pattern_bytes(table):
+    return ([(t, i, s, n, loss.hex()) for t, i, s, n, loss in table.rows()],
+            table.n_runs, table.n_discarded)
+
+
+def _distinct_bytes(table):
+    return [(metric, list(h.items())) for metric, h in table.histogram.items()]
+
+
+# step 0.01 converges or hits the 3,000-step cap; step 0.3 diverges on most datasets
+_DRIVER_CONFIGS = [TrainConfig(step=0.01, max_steps=3000, grad_sq_tol=1e-16),
+                   TrainConfig(step=0.3, max_steps=3000)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("ks", [(2, 2), (2, 2, 2), (3, 2), (2, 3)])
+def test_drivers_give_the_tables_of_the_reference_workers_byte_for_byte(ks, workers,
+                                                                         monkeypatch):
+    outcomes = set()  # (converged, diverged) of the runs, seen in-process only
+
+    def recording(*job):
+        run = gd_train(*job)
+        outcomes.add((run.converged, run.diverged))
+        return run
+
+    monkeypatch.setattr("lcnlab.optim.gd_train", recording)
+    arch = Architecture(ks)
+    for config in _DRIVER_CONFIGS:
+        got = run_pattern_experiment(arch, n_datasets=20, seed=3, config=config,
+                                     workers=workers)
+        assert multiprocessing.active_children() == []
+        ref = PatternTable(arch)
+        jobs = [(arch, 3, i, config, 10) for i in range(20)]
+        for res in _reference_fan_out(_reference_pattern_worker, jobs, workers, 16):
+            if res is None:
+                ref.discard()
+            else:
+                ref.add(*res)
+        assert _pattern_bytes(got) == _pattern_bytes(ref)
+
+        got = run_distinct_experiment(arch, n_targets=4, n_inits=5, seed=7, config=config,
+                                      workers=workers)
+        assert multiprocessing.active_children() == []
+        ref = DistinctTable(arch)
+        jobs = [(arch, 7, i, 5, config) for i in range(4)]
+        for counts in _reference_fan_out(_reference_distinct_worker, jobs, workers, 4):
+            for metric, n in counts.items():
+                ref.add(metric, n)
+        assert _distinct_bytes(got) == _distinct_bytes(ref)
+    if workers == 1:  # converged, capped and diverged runs all occur
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_each_driver_run_is_one_gd_train_call(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return gd_train(*args)
+
+    monkeypatch.setattr("lcnlab.optim.gd_train", counting)
+    arch = Architecture((2, 2))
+    table = run_pattern_experiment(arch, n_datasets=5, seed=1, workers=1)
+    assert len(calls) == table.n_runs == 5
+    del calls[:]
+    run_distinct_experiment(arch, n_targets=2, n_inits=3, seed=1, workers=1)
+    assert len(calls) == 2 * 2 * 3
+
+
+def test_train_all_yields_in_job_order_and_leaves_no_worker():
+    arch = Architecture((2, 2))
+    rng = _seeded(4, 0)
+    jobs = [(QuadraticObjective.euclidean(rng.standard_normal(3)), arch,
+             arch.random_theta(rng), TrainConfig(max_steps=200 * j)) for j in range(6)]
+    want = [gd_train(*job).steps for job in jobs]
+    assert [run.steps for run in _train_all(jobs, 1)] == want
+    runs = _train_all(iter(jobs), 2)
+    assert next(runs).steps == want[0] and multiprocessing.active_children() != []
+    runs.close()  # a consumer that stops early shuts the pool down
+    assert multiprocessing.active_children() == []
+    assert [run.steps for run in _train_all(iter(jobs), 2)] == want
+    assert multiprocessing.active_children() == []
+    # the same spawn key gives the same draws
+    assert _seeded(4, 0).standard_normal() == np.random.default_rng(
+        np.random.SeedSequence(4, spawn_key=(0,))).standard_normal()

@@ -112,6 +112,15 @@ def test_min_input_size_rejects_an_empty_output():
     assert arch.min_input_size(1) == arch.filter_size == 3
 
 
+def test_lengths_that_are_not_integers_are_rejected_not_truncated():
+    arch = Architecture((2, 2))
+    with pytest.raises(ValueError, match="output length must be an integer, got 2.5"):
+        arch.min_input_size(2.5)
+    with pytest.raises(ValueError, match="input length must be an integer, got 4.9"):
+        arch.layer_dims(4.9)
+    assert arch.min_input_size(np.int64(2)) == 4 and arch.layer_dims(np.int64(4)) == (4, 3, 2)
+
+
 def test_end_to_end_size_and_stride():
     arch = Architecture((3, 2), (2, 1))
     theta = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])]

@@ -106,6 +106,9 @@ def test_rrmp_label_round_trip():
     assert Rrmp((2, 1), (1,)).label == "12|1"
     with pytest.raises(ValueError):
         Rrmp.from_label("112")
+    for rho, gamma in (((1.5,), ()), ((1,), (2.0,))):
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            Rrmp(rho, gamma)
 
 
 def test_rrmp_degree_and_partition():
