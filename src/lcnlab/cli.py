@@ -42,8 +42,8 @@ from .optim import (
     run_distinct_experiment,
     run_pattern_experiment,
 )
-from .poly_core import (Architecture, _integer, _interior_stride, _layers, _nearest, _same_filter,
-                        end_to_end)
+from .poly_core import (Architecture, _checked_filters, _integer, _interior_stride, _nearest,
+                        _same_filter, end_to_end)
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -402,7 +402,7 @@ def landscape_grid(arch: Architecture, objective: QuadraticObjective,
         raise ValueError(f"span must be finite and positive, got {span}")
     theta0, dir1, dir2 = plane
     for part in (theta0, dir1, dir2):
-        _layers(part, arch)
+        _checked_filters(part, arch)
     coords = np.linspace(-span, span, n)
     rows = []
     for s in coords:

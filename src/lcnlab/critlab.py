@@ -20,7 +20,9 @@ Each Newton probe takes the optimal scale, the point and the Jacobian from one
 factor pass, which runs as straight-line float code that ``_probe_kernel``
 compiles once per real type, with numpy's bits.  The Newton
 iterates and the central differences are float lists too; numpy keeps only
-the BLAS products, the Jacobian arrays and the linear solves.  Both Jacobians,
+the BLAS products, the Jacobian arrays and the linear solves, and the fused
+products and solves call its C loops without their Python wrappers
+(``poly_core._compile`` and ``poly_core._solve``).  Both Jacobians,
 the probe's and ``_fd_jacobian``'s, are built from one row-major flat list and
 reshaped, so each is a C-ordered float64 array and ``jac.T.dot(g)`` keeps one
 BLAS layout.
@@ -46,7 +48,7 @@ import numpy as np
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
 from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer, _integers,
                         _list_source, _nearest, _product, _require_no_interior_stride,
-                        _same_filter, as_filter, end_to_end, poly_mul)
+                        _require_tol, _same_filter, _solve, as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
                       _root_factors, classify_rrmp, cluster_roots, compatible_rrmps, find_roots,
                       real_type_splits)
@@ -246,7 +248,9 @@ def _newton_on_gradient(
     Returns (x, jac): the root, or None when the iteration fails, and the
     Jacobian of the last step, or None when the start already meets the
     tolerance and no step was taken.  Norms are sqrt(v.v), the formula of
-    ``np.linalg.norm``; the linear algebra alone runs in numpy.
+    ``np.linalg.norm``; the linear algebra alone runs in numpy, each step solved
+    by ``poly_core._solve`` (``np.linalg.solve``'s bytes) or, on a singular
+    Jacobian, by least squares.
     """
     x = np.array(x0, dtype=float).tolist()
     jac = None
@@ -261,7 +265,7 @@ def _newton_on_gradient(
             return None, None
         jac = _fd_jacobian(fun, x)
         try:
-            step = np.linalg.solve(jac, g)
+            step = _solve(jac, g)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, g, rcond=None)
         norm = math.sqrt(step.dot(step))
@@ -417,7 +421,9 @@ def match_critical_point(
 ) -> CritPoint | None:
     """The catalogued critical point nearest to ``w`` (max-norm, same size),
     when the two are the same filter under ``poly_core._same_filter`` at
-    ``tol``; otherwise None."""
+    ``tol``; otherwise None.  Raises ValueError for a negative or non-finite
+    ``tol``."""
+    _require_tol(tol)
     w = as_filter(w)
     points = [p for report in reports for p in report.points]
     idx, _ = _nearest(w, [p.w for p in points])

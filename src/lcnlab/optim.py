@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer, _layers,
-                        _list_source, _placements, _same_filter, _sum_source, as_filter,
-                        end_to_end, network_matrices)
+from .poly_core import (Architecture, _checked_filters, _compile, _complements, _Emitter,
+                        _integer, _list_source, _placements, _require_tol, _same_filter,
+                        _sum_source, as_filter, end_to_end, network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -336,7 +336,7 @@ def gradients(theta, grad):
 def _checked_kernel(theta, arch: Architecture, obj: QuadraticObjective):
     """``_descent_kernel`` of ``arch``, after raising ValueError when ``theta`` or the
     objective's size does not match it."""
-    _layers(theta, arch)
+    _checked_filters(theta, arch)
     if obj.k != arch.filter_size:
         raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
     return _descent_kernel(arch.ks, arch.strides[:-1])
@@ -508,7 +508,9 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
 def count_distinct_filters(filters, tol: float = ROOT_TOL) -> int:
     """Number of distinct filters: each filter starts a new group unless it is
     the same as the first filter of an earlier group under the shared rule
-    ``poly_core._same_filter`` at ``tol``."""
+    ``poly_core._same_filter`` at ``tol``.  Raises ValueError for a negative or
+    non-finite ``tol``."""
+    _require_tol(tol)
     reps = []
     for w in map(as_filter, filters):
         if not any(_same_filter(w, r, tol) for r in reps):

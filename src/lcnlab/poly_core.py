@@ -11,8 +11,8 @@ of layers then becomes polynomial multiplication (with a power substitution
 when strides are involved), which is what makes the sparse matrix algebra
 tractable.
 
-Every composition in the package goes through ``_layers`` (check filters
-against an architecture, upsample layer i by span_i = prod(strides[:i])),
+Every composition in the package goes through ``_layers`` (``_checked_filters``
+against an architecture, then layer i upsampled by span_i = prod(strides[:i])),
 ``_product`` and ``_complements`` (each filter's product of all the others);
 ``_Emitter`` writes the same products as straight-line source, with numpy's
 bits, for the kernels that ``optim`` and ``critlab`` build with ``_compile``.
@@ -29,9 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
 import operator
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
+try:
+    from numpy._core.multiarray import correlate2
+except ImportError:  # numpy 1.x names the module numpy.core
+    from numpy.core.multiarray import correlate2
 
 
 def as_filter(w) -> np.ndarray:
@@ -186,18 +193,25 @@ def compose_filters(outer, stride: int, inner) -> np.ndarray:
     return np.convolve(upsample(outer, stride), as_filter(inner))
 
 
-def _layers(theta, arch: Architecture):
-    """(filters, spans): layer i upsampled by span_i = prod(strides[:i]), a
-    span-one layer not copied.  Raises ValueError unless ``theta`` holds one
-    filter of size ``ks[i]`` per layer."""
+def _checked_filters(theta, arch: Architecture) -> list:
+    """``theta``'s filters as arrays, layer by layer.  Raises ValueError unless
+    ``theta`` holds one filter of size ``ks[i]`` per layer."""
     if len(theta) != arch.depth:
         raise ValueError(f"expected {arch.depth} filters, got {len(theta)}")
-    fs, spans, span = [], [], 1
-    for w, k, s in zip(theta, arch.ks, arch.strides):
-        w = as_filter(w)
-        if len(w) != k:
+    fs = []
+    for w, k in zip(theta, arch.ks):
+        fs.append(as_filter(w))
+        if len(fs[-1]) != k:
             sizes = tuple(len(np.atleast_1d(v)) for v in theta)
             raise ValueError(f"filter sizes {sizes} do not match {arch.ks}")
+    return fs
+
+
+def _layers(theta, arch: Architecture):
+    """(filters, spans): the ``_checked_filters`` of ``theta``, layer i upsampled
+    by span_i = prod(strides[:i]), a span-one layer not copied."""
+    fs, spans, span = [], [], 1
+    for w, s in zip(_checked_filters(theta, arch), arch.strides):
         fs.append(w if span == 1 else upsample(w, span))
         spans.append(span)
         span *= s
@@ -247,10 +261,11 @@ class _Emitter:
     over the longer operand's ascending index (the first's on a tie), but its BLAS dot
     fuses multiply-adds: in a product's edge windows once the shorter operand has 3
     entries, and for kernels of 12 or more taps.  ``mul`` and ``correlate`` write the
-    other sums out in that order and leave the fused ones to ``_correlate``, the C loop
-    behind both.  Entries are local names or literals; literal 0.0 factors stay, since
-    inf * 0.0 must still give NaN.  The source runs through ``_compile`` and must not
-    rebind a name that an earlier assignment reads.
+    other sums out in that order and leave the fused ones to ``_correlate``, which
+    ``_compile`` binds to the C loop behind both, numpy's ``correlate2``.  Entries are
+    local names or literals; literal 0.0 factors stay, since inf * 0.0 must still give
+    NaN.  The source runs through ``_compile`` and must not rebind a name that an
+    earlier assignment reads.
     """
 
     def __init__(self):
@@ -304,10 +319,32 @@ class _Emitter:
 
 def _compile(source, name, **names) -> dict:
     """The namespace in which ``source``, compiled under ``name``, ran: its functions
-    read ``_correlate`` (``np.correlate``) and ``names`` as globals."""
-    namespace = {"_correlate": np.correlate, **names}
+    read ``_correlate`` and ``names`` as globals.  ``_correlate(a, v, mode)`` is
+    ``correlate2``, the C loop that ``np.correlate`` calls with its arguments as they
+    are, so the emitted calls skip one Python frame and keep every bit."""
+    namespace = {"_correlate": correlate2, **names}
     exec(compile(source, name, "exec"), namespace)
     return namespace
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a, b) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a square float64 matrix ``a`` and vector ``b``,
+    without its wrappers: the gufunc it calls, under the error state it opens, so a
+    singular or non-finite system raises the same LinAlgError.  Every call opens a
+    fresh ``np.errstate``, which numpy 2 will not enter twice."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+def _require_tol(tol):
+    """ValueError unless ``tol`` is a finite, non-negative tolerance."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def _same_filter(a, b, tol: float) -> bool:
@@ -422,7 +459,7 @@ def network_matrices(theta, arch: Architecture, d0: int) -> list:
     Raises ValueError unless ``theta`` holds one filter of size ``ks[i]`` per
     layer, and when some layer does not divide evenly.
     """
-    _layers(theta, arch)
+    _checked_filters(theta, arch)
     dims = arch.layer_dims(d0)
     return [
         toeplitz_matrix(w, dims[i], arch.strides[i]) for i, w in enumerate(theta)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import _integers, as_filter, toeplitz_matrix
+from .poly_core import _integers, _require_tol, as_filter, toeplitz_matrix
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -120,7 +120,7 @@ def _start_circle(m: int):
     return arrays
 
 
-def _horner_rows(poly: np.ndarray) -> tuple:
+def _horner_rows(poly: np.ndarray) -> np.ndarray:
     """Rows of one Horner pass over ``[z, z]`` that gives p(z) and p'(z).
 
     Row j holds poly[j] in its first m entries and coefficient j - 1 of
@@ -133,15 +133,25 @@ def _horner_rows(poly: np.ndarray) -> tuple:
     rows = np.zeros((m + 1, 2 * m))
     rows[:, :m] = poly[:, None]
     rows[1:, m:] = (poly[:-1] * np.arange(m, 0, -1))[:, None]
-    return tuple(rows)
+    return rows
+
+
+@functools.lru_cache(maxsize=32)
+def _twice(m: int) -> np.ndarray:
+    """Read-only indices 0 .. m - 1 twice over, which take ``[z, z]`` from z."""
+    index = np.arange(2 * m) % m
+    index.flags.writeable = False
+    return index
 
 
 def _values(rows, z: np.ndarray):
-    """p(z) and p'(z) from the ``_horner_rows`` of p."""
-    zz = np.concatenate((z, z))
+    """p(z) and p'(z) from the ``_horner_rows`` of p, each row applied in place as
+    y * zz + c, the operations and bits of the expression."""
+    zz = z[_twice(len(z))]
     y = np.zeros(len(zz), zz.dtype)
     for c in rows:
-        y = y * zz + c
+        np.multiply(y, zz, out=y)
+        np.add(y, c, out=y)
     m = len(z)
     return y[:m], y[m:]
 
@@ -168,7 +178,7 @@ def _aberth(core: np.ndarray) -> np.ndarray:
         return np.array([-a[1]], dtype=complex)
 
     weights, phases, diagonal, one, ones = _start_circle(m)
-    rows = tuple(c.astype(complex) for c in _horner_rows(a))
+    rows = tuple(_horner_rows(a).astype(complex))
     radius = 1.0 + np.abs(a[1:]).max()
     z = radius * weights * phases
     last = z.tobytes()
@@ -269,7 +279,9 @@ def find_roots(coeffs) -> list:
 
 
 def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
-    """Single-linkage clusters under the relative same-root predicate."""
+    """Single-linkage clusters under the relative same-root predicate.  Raises
+    ValueError for a negative or non-finite ``tol``."""
+    _require_tol(tol)
     n = len(roots)
     parent = list(range(n))
 

@@ -318,6 +318,60 @@ def _compare_newtons(by_list, by_array, starts, scale):
     return outcomes
 
 
+def _solve_newton(fun, x0, *, scale):
+    """``_newton_on_gradient`` as it was with ``np.linalg.solve``, before the solve
+    went through ``poly_core._solve``."""
+    x = np.array(x0, dtype=float).tolist()
+    jac = None
+    for steps in range(81):
+        g = fun(x)
+        if not all(map(math.isfinite, g)):
+            return None, None
+        g = np.array(g)
+        if math.sqrt(g.dot(g)) <= critlab._GRAD_TOL * scale:
+            return np.array(x), jac
+        if steps == 80:
+            return None, None
+        jac = critlab._fd_jacobian(fun, x)
+        try:
+            step = np.linalg.solve(jac, g)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(jac, g, rcond=None)
+        norm = math.sqrt(step.dot(step))
+        if norm > 10.0:
+            step *= 10.0 / norm
+        x = [a - b for a, b in zip(x, step.tolist())]
+        if not all(map(math.isfinite, x)):
+            return None, None
+
+
+def test_newton_falls_back_to_least_squares_on_a_singular_jacobian(monkeypatch):
+    fallbacks = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+
+    def fun(x):
+        # entries 0 and 2 are one expression, so every central-difference Jacobian
+        # has two equal rows and its LU factorization meets an exact zero pivot
+        r = x[0] ** 3 - 1.0 + x[2]
+        return [r, math.sinh(x[1] - 0.5), r]
+
+    for start in ([2.0, 1.0, 0.5], [0.3, -1.0, 2.0], [-1.5, 0.5, 0.0]):
+        fallbacks.clear()
+        x, jac = critlab._newton_on_gradient(fun, np.array(start), scale=1.0)
+        steps = len(fallbacks)
+        ref_x, ref_jac = _solve_newton(fun, np.array(start), scale=1.0)
+        assert steps > 0 and len(fallbacks) == 2 * steps  # every step fell back
+        assert x is not None and jac is not None
+        assert _same_array(x, ref_x) and _same_array(jac, ref_jac)
+        assert abs(fun(x.tolist())[0]) < 1e-10
+
+
 def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
     rng = np.random.default_rng(43)
     outcomes = Counter()
@@ -713,6 +767,18 @@ def test_match_critical_point():
     hit = match_critical_point(np.array([2.0, 1e-6, 5.0, -1e-6, 1e-6]), reports)
     assert hit is not None and np.allclose(hit.w, [2.0, 0.0, 5.0, 0.0, 0.0], atol=1e-9)
     assert match_critical_point(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), reports) is None
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_match_critical_point_rejects_a_bad_tolerance(tol):
+    # a negative or NaN tolerance matched no point, not even the point itself
+    point = CritPoint(w=U_STAR.copy(), lam=(2, 2), pattern=Rrmp(gamma=(2,)), loss=0.0,
+                      grad_norm=0.0, kind="MIN")
+    report = StratumReport(lam=(2, 2), points=(point,))
+    assert match_critical_point(U_STAR, [report]) is point
+    for reports in ([report], []):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            match_critical_point(U_STAR, reports, tol=tol)
 
 
 @pytest.mark.parametrize("a", [np.array([3.0, -1.0, 2.0]), np.array([0.1, 0.2, -0.3])])

@@ -196,3 +196,41 @@ def test_one_function_builds_the_process_pool():
     assert [name for name, source in sorted(sources.items())
             if imports_multiprocessing(source)] == ["optim"]
     assert pool_builders(sources["optim"]) == ["_train_all"]
+
+
+# --- numpy's private modules ---------------------------------------------------
+
+
+def private_numpy_imports(source: str) -> list:
+    """Dotted names of numpy's private modules and names that a source imports:
+    ``numpy._core``, numpy 1.x's ``numpy.core``, or any ``numpy.*._name``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "numpy" and any(p == "core" or p.startswith("_") for p in parts[1:]):
+                out.append(name)
+    return out
+
+
+def test_finds_private_numpy_imports():
+    source = ("import numpy as np\nimport numpy.core.multiarray\nfrom numpy import _core\n"
+              "from numpy.linalg import LinAlgError, _umath_linalg\n"
+              "from numpy._core.multiarray import correlate2\nfrom .numpy._x import y\n\n"
+              "def f():\n    import numpy.lib._function_base_impl as fb\n    return fb\n")
+    assert sorted(private_numpy_imports(source)) == [
+        "numpy._core", "numpy._core.multiarray", "numpy._core.multiarray.correlate2",
+        "numpy.core.multiarray", "numpy.lib._function_base_impl", "numpy.linalg._umath_linalg"]
+    assert private_numpy_imports("import numpy as np\nfrom numpy.linalg import solve\n") == []
+
+
+def test_only_poly_core_imports_numpys_private_modules():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert [name for name, source in sorted(sources.items())
+            if private_numpy_imports(source)] == ["poly_core"]

@@ -4,6 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from lcnlab import poly_core
 from lcnlab.critlab import crit_on_stratum, find_spurious_minimum
 from lcnlab.optim import (
     DistinctTable,
@@ -297,6 +298,27 @@ def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks, grad_
         with pytest.raises(ValueError):
             fn(theta, arch)
     assert grad_calls == []  # gd_train checks theta0 before its first step
+
+
+def test_theta_checks_build_no_upsampled_copy(monkeypatch):
+    # the descent and gradient entry points check theta without _layers' copies; only
+    # gd_train's final end_to_end composes the strided layers
+    arch = Architecture((2, 3, 2), (2, 3, 1))
+    theta = [np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0]), np.array([3.0, 1.0])]
+    obj = QuadraticObjective.euclidean(np.linspace(-1.0, 1.0, arch.filter_size))
+    copies = []
+    upsample = poly_core.upsample
+
+    def counted(w, stride):
+        copies.append(stride)
+        return upsample(w, stride)
+
+    monkeypatch.setattr(poly_core, "upsample", counted)
+    loss_and_gradient(theta, arch, obj)
+    network_matrices(theta, arch, arch.min_input_size(2))
+    assert copies == []
+    gd_train(obj, arch, theta, TrainConfig(max_steps=3))
+    assert copies == [2, 6]  # the final end_to_end
 
 
 def test_gd_train_rejects_an_objective_of_another_size(grad_calls):
@@ -778,6 +800,15 @@ def test_count_distinct_filters_rule():
     # the scale is the larger max-norm of the two filters, floored at one
     big = np.array([1e6, 0.0, 0.0])
     assert count_distinct_filters([big, big + np.array([50.0, 0, 0])]) == 1
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_count_distinct_filters_rejects_a_bad_tolerance(tol):
+    # a negative tolerance counted two equal filters as two
+    assert count_distinct_filters([np.ones(3), np.ones(3)]) == 1
+    for filters in ([np.ones(3), np.ones(3)], []):
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            count_distinct_filters(filters, tol=tol)
 
 
 def test_pattern_experiment_smoke():

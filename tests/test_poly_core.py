@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from lcnlab.poly_core import (
     Architecture,
+    _checked_filters,
     _compile,
     _Emitter,
+    _layers,
     _nearest,
+    _solve,
     apply_conv_tensor,
     as_filter,
     circulant_matrix,
@@ -470,3 +474,92 @@ def test_emitted_products_with_a_zero_one_operand_match_numpy_bit_for_bit():
             assert _same_floats(got, ref.tolist())
             assert any("_correlate" in line for line in lines) == (len(a) < len(b)
                                                                     and len(a) > 2)
+
+
+def test_the_bound_correlate_gives_the_bytes_of_np_correlate():
+    # the kernels call _correlate on float lists: fused edge windows of 'full' products
+    # with 3 or more taps, and 'valid' correlations of 12 or more taps read at [::step]
+    correlate = _compile("", "<empty>")["_correlate"]
+    rng = np.random.default_rng(61)
+    special = Counter()
+    with np.errstate(all="ignore"):
+        for _ in range(3000):
+            n = int(rng.integers(1, 15))
+            a, v = _edge_filter(rng, n + int(rng.integers(0, 8))), _edge_filter(rng, n)
+            step = int(rng.integers(1, 4))
+            for mode, every in (("full", 1), ("valid", step)):
+                got = correlate(a.tolist(), v.tolist(), mode)[::every]
+                ref = np.correlate(a, v, mode)[::every]
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                special["long kernel"] += mode == "valid" and n > 11 and step > 1
+            x = np.concatenate((a, v))
+            special["nan"] += bool(np.isnan(x).any())
+            special["inf"] += bool(np.isinf(x).any())
+            special["-0.0"] += bool(((x == 0) & np.signbit(x)).any())
+    assert min(special.values()) > 0 and len(special) == 4, special
+
+
+def _system(rng, n):
+    """A seeded n x n system; about a quarter singular (a zero, repeated or
+    combined row) or holding inf or NaN."""
+    a, b = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4), rng.standard_normal(n)
+    kind = int(rng.integers(0, 8))
+    if kind == 0:
+        a[rng.integers(0, n)] = 0.0
+    elif kind == 1 and n > 1:
+        a[-1] = a[0]
+    elif kind == 2:
+        a.flat[rng.integers(0, n * n)] = rng.choice([np.inf, -np.inf, np.nan])
+    elif kind == 3:
+        b[rng.integers(0, n)] = rng.choice([np.inf, np.nan])
+    return a, b
+
+
+def _solved(solve, a, b):
+    try:
+        return solve(a, b).tobytes()
+    except np.linalg.LinAlgError as err:
+        return f"LinAlgError: {err}"
+
+
+def test_the_bound_solve_gives_the_bytes_of_np_linalg_solve():
+    rng = np.random.default_rng(67)
+    outcomes = Counter()
+    for _ in range(4000):
+        a, b = _system(rng, int(rng.integers(1, 6)))
+        ref = _solved(np.linalg.solve, a, b)
+        assert _solved(_solve, a, b) == ref, (a, b)
+        raised = isinstance(ref, str)
+        outcomes["raised" if raised else "finite" if np.isfinite(a).all() else "non-finite"] += 1
+        if raised:
+            assert ref == "LinAlgError: Singular matrix"
+    # the seeded systems reach numpy's singular branch, and non-finite ones solve too
+    assert min(outcomes.values()) > 50 and len(outcomes) == 3, outcomes
+
+
+def test_the_bound_solve_opens_a_fresh_error_state_on_every_call():
+    a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+    for _ in range(3):
+        assert _solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _solve(np.zeros((2, 2)), b)
+    before = np.geterr()
+    with np.errstate(all="raise"):
+        assert _solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("theta", [
+    [[1.0, 2.0]],  # one layer too few
+    [[1.0, 2.0], [1.0], [1.0, 2.0, 3.0]],  # sizes (2, 1, 3)
+    [[1.0, 2.0], np.ones((2, 2)), [1.0, 2.0]],  # a layer that is not 1-D
+    [[1.0, 2.0], [], [1.0]],
+])
+def test_checked_filters_raise_the_messages_of_layers(theta):
+    arch = Architecture((2, 2, 2), (2, 3, 1))
+    with pytest.raises(ValueError) as ref:
+        _layers(theta, arch)
+    with pytest.raises(ValueError) as err:
+        _checked_filters(theta, arch)
+    assert str(err.value) == str(ref.value)
+

@@ -100,6 +100,16 @@ def test_cluster_roots_single_linkage():
     assert sizes == [1, 3]  # chain links the first three
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_cluster_roots_rejects_a_bad_tolerance(tol):
+    # a NaN tolerance kept equal roots apart, and a negative one every root
+    roots = [ProjRoot.finite(1.0), ProjRoot.finite(1.0)]
+    assert [len(c) for c in cluster_roots(roots)] == [2]
+    for given in (roots, []):
+        with pytest.raises(ValueError, match=f"tol must be finite and non-negative, got {tol}"):
+            cluster_roots(given, tol=tol)
+
+
 def test_rrmp_label_round_trip():
     for label in ["112|0", "13|0", "0|11", "2|1", "1111|0", "4|0", "0|2"]:
         assert Rrmp.from_label(label).label == label
