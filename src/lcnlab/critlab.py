@@ -518,7 +518,7 @@ def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
     bound = ZERO_BAND * np.max(np.abs(forms[0]))
     for cluster in cluster_roots([r for r in find_roots(forms[0]) if r.is_real()]):
         rep = _cluster_rep(cluster)
-        if len(cluster) > 1 and _homogeneous_residual(forms[0], rep) <= bound:
+        if len(cluster) > 1 and _homogeneous_residual(forms[0].tolist(), rep) <= bound:
             roots.append((rep, True))
         else:
             roots += [(r, False) for r in cluster if r.is_real(_SIMPLE_REAL_TOL)]

@@ -11,8 +11,12 @@ critical-point analysis, so this module owns:
   its seeded start circle is fixed per degree and scaled to the
   coefficients, one Horner pass gives p and p' together, and the loop stops
   once an iterate repeats; on arrays of a few entries it pre-casts its
-  operands and takes its yes/no decisions on Python floats, while every
-  value that reaches a root comes from the same numpy kernel,
+  operands, skips the work whose result is known (the Horner pass's zero
+  row on a finite iterate, the diagonal that the update overwrites) and
+  takes its yes/no decisions on Python floats, while every value that
+  reaches a root comes from the same numpy kernel; the residuals that
+  certify the roots are summed in Python complex arithmetic, which is
+  numpy's scalar arithmetic bit for bit,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
@@ -29,6 +33,7 @@ should classify from it instead of re-rooting the product.
 
 from __future__ import annotations
 
+import cmath
 import collections
 import functools
 import itertools
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import _integers, _require_tol, as_filter, toeplitz_matrix
+from .poly_core import _integer, _integers, _require_tol, as_filter, toeplitz_matrix
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -69,6 +74,9 @@ class ProjRoot:
         return ProjRoot(self.value.conjugate(), False)
 
     def is_real(self, tol: float = ROOT_TOL) -> bool:
+        """Whether the imaginary part is within ``tol`` of the modulus (infinity is
+        real).  Raises ValueError for a negative or non-finite ``tol``."""
+        _require_tol(tol)
         if self.infinite:
             return True
         return abs(self.value.imag) <= tol * abs(self.value)
@@ -81,21 +89,39 @@ INFINITY = ProjRoot(0j, True)
 
 
 def same_root(a: ProjRoot, b: ProjRoot, tol: float = ROOT_TOL) -> bool:
-    """Relative-tolerance equality; infinity only ever matches infinity."""
+    """Relative-tolerance equality; infinity only ever matches infinity.  Raises
+    ValueError for a negative or non-finite ``tol``."""
+    _require_tol(tol)
+    return _same_root(a, b, tol)
+
+
+def _same_root(a: ProjRoot, b: ProjRoot, tol: float) -> bool:
+    """``same_root`` for a ``tol`` already checked, as ``cluster_roots``
+    compares every pair of roots under one tolerance."""
     if a.infinite or b.infinite:
         return a.infinite and b.infinite
     return abs(a.value - b.value) <= tol * max(abs(a.value), abs(b.value))
 
 
-def _homogeneous_residual(coeffs: np.ndarray, root: ProjRoot) -> float:
-    """|P(x, y)| at the unit-normalized representative of the root."""
+def _homogeneous_residual(coeffs: list, root: ProjRoot) -> float:
+    """|P(x, y)| at the unit-normalized representative of the root, for P's
+    coefficients as a list of Python floats.
+
+    numpy's *scalar* complex ``*``, ``+`` and ``abs`` are Python's formulas
+    and libm's ``hypot``, so this gives the bits of the same sum on numpy
+    scalars without numpy's per-operation dispatch; where ``abs`` of a
+    finite sum overflows, Python raises and numpy gives inf.
+    """
     k = len(coeffs)
     if root.infinite:
         x, y = 1.0 + 0j, 0j
     else:
         n = math.hypot(abs(root.value), 1.0)
         x, y = root.value / n, 1.0 / n
-    return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
+    try:
+        return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
+    except OverflowError:
+        return math.inf
 
 
 @functools.lru_cache(maxsize=32)
@@ -146,10 +172,22 @@ def _twice(m: int) -> np.ndarray:
 
 def _values(rows, z: np.ndarray):
     """p(z) and p'(z) from the ``_horner_rows`` of p, each row applied in place as
-    y * zz + c, the operations and bits of the expression."""
+    y * zz + c from y = 0, the operations and bits of the expression.
+
+    On a finite z the pass starts at y = rows[0] * zz: 0 * zz + rows[0] is
+    rows[0] bit for bit there, as its imaginary parts are +0.0 and its real
+    ones nonzero or +0.0.  An inf or NaN in z makes 0 * zz NaN, so such a z
+    takes the whole pass.
+    """
     zz = z[_twice(len(z))]
-    y = np.zeros(len(zz), zz.dtype)
-    for c in rows:
+    if all(map(cmath.isfinite, z.tolist())):
+        y = rows[0] * zz
+        np.add(y, rows[1], out=y)
+        rest = rows[2:]
+    else:
+        y = np.zeros(len(zz), zz.dtype)
+        rest = rows
+    for c in rest:
         np.multiply(y, zz, out=y)
         np.add(y, c, out=y)
     m = len(z)
@@ -170,7 +208,9 @@ def _aberth(core: np.ndarray) -> np.ndarray:
     arrays of a few entries, where numpy's casts and wrappers cost more than
     the arithmetic, so its operands are pre-cast and its yes/no decisions
     are taken on Python floats; every value that reaches a root is still
-    computed by the same numpy kernel.
+    computed by the same numpy kernel.  The diagonal of ``1 / diff`` divides
+    by zero and is then set to 0.0, so callers run this under
+    ``np.errstate(all="ignore")``, as ``find_roots`` does.
     """
     a = core / core[0]
     m = len(a) - 1
@@ -189,7 +229,6 @@ def _aberth(core: np.ndarray) -> np.ndarray:
             dp[dp == 0] = 1e-300
         newton = p / dp
         diff = z[:, None] - z[None, :]
-        diff.put(diagonal, 1.0)
         inv = ones / diff
         inv.put(diagonal, 0.0)
         denom = one - newton * np.add.reduce(inv, 1)
@@ -225,9 +264,9 @@ def _newton_polish(rows, z: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(w: np.ndarray):
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise ValueError(f"filter {w} has non-finite entries at positions {bad.tolist()}")
+    if not all(map(math.isfinite, w.tolist())):
+        bad = np.flatnonzero(~np.isfinite(w)).tolist()
+        raise ValueError(f"filter {w} has non-finite entries at positions {bad}")
 
 
 def find_roots(coeffs) -> list:
@@ -235,9 +274,10 @@ def find_roots(coeffs) -> list:
 
     Leading zero coefficients become roots at infinity, trailing zeros roots
     at 0; the remaining core is solved numerically (deterministic).
-    Residuals are certified against the largest coefficient; on failure the
-    companion-matrix fallback is tried before giving up.  Non-finite entries
-    raise ValueError before any solver runs.
+    Residuals, summed on the core's Python floats, are certified against the
+    largest coefficient; on failure the companion-matrix fallback is tried
+    before giving up.  Non-finite entries raise ValueError before any solver
+    runs.
     """
     w = as_filter(coeffs)
     values = w.tolist()
@@ -265,11 +305,12 @@ def find_roots(coeffs) -> list:
         with np.errstate(all="ignore"):
             finite = [ProjRoot(z, False) for z in _aberth(core).tolist()]
             bound = _RESIDUAL_BOUND * scale  # the trimmed entries are zeros
-            if any(_homogeneous_residual(core, r) > bound for r in finite):
+            floats = values[n_inf : k - n_zero]
+            if any(_homogeneous_residual(floats, r) > bound for r in finite):
                 z = _newton_polish(_horner_rows(core), np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
                 # np.max keeps a NaN residual, which Python's max drops
-                bad = np.max([_homogeneous_residual(core, r) for r in finite])
+                bad = np.max([_homogeneous_residual(floats, r) for r in finite])
                 if not bad <= bound:
                     raise RootFindingError(
                         f"root residual {bad:.3e} exceeds bound for coefficients {w}"
@@ -293,7 +334,7 @@ def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if same_root(roots[i], roots[j], tol):
+            if _same_root(roots[i], roots[j], tol):
                 parent[find(i)] = find(j)
 
     groups = {}
@@ -466,20 +507,32 @@ def _quartic_terms(p, q, r):
             (8 * p * r, -9 * q * q, -2 * p**3))
 
 
+def _chart_form(c, size: int, name: str) -> np.ndarray:
+    """``c`` as a float array of ``size`` finite coefficients; ValueError
+    naming the size otherwise."""
+    c = as_filter(c)
+    if len(c) != size:
+        raise ValueError(f"need {size} {name} coefficients, got {len(c)}")
+    _require_finite(c)
+    return c
+
+
 def disc_quadratic(c) -> float:
-    return _signed_sum(_quadratic_terms(as_filter(c)))[0]
+    """Discriminant of a quadratic form; raises ValueError unless ``c`` holds
+    3 finite coefficients."""
+    return _signed_sum(_quadratic_terms(_chart_form(c, 3, "quadratic")))[0]
 
 
 def disc_cubic(c) -> float:
-    return _signed_sum(_cubic_terms(as_filter(c)))[0]
+    """Discriminant of a cubic form; raises ValueError unless ``c`` holds 4
+    finite coefficients."""
+    return _signed_sum(_cubic_terms(_chart_form(c, 4, "cubic")))[0]
 
 
 def depress_quartic(c) -> np.ndarray:
     """Coefficients (1, 0, p, q, r) of f(x - b1/4 y, y) for a monic-normalized
-    quartic f; requires a nonzero leading coefficient."""
-    c = as_filter(c)
-    if len(c) != 5:
-        raise ValueError(f"need 5 quartic coefficients, got {len(c)}")
+    quartic f; requires 5 finite coefficients, the leading one nonzero."""
+    c = _chart_form(c, 5, "quartic")
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; no monic normalization")
     _, b1, b2, b3, b4 = c / c[0]
@@ -490,7 +543,10 @@ def depress_quartic(c) -> np.ndarray:
 
 
 def disc_quartic_depressed(p: float, q: float, r: float):
-    """(delta, delta') of x^4 + p x^2 y^2 + q x y^3 + r y^4."""
+    """(delta, delta') of x^4 + p x^2 y^2 + q x y^3 + r y^4; raises ValueError
+    for a non-finite p, q or r."""
+    if not all(map(math.isfinite, (p, q, r))):
+        raise ValueError(f"p, q and r must be finite, got {(p, q, r)}")
     delta, dprime = _quartic_terms(p, q, r)
     return _signed_sum(delta)[0], _signed_sum(dprime)[0]
 
@@ -651,7 +707,11 @@ def compatible_rrmps(arch) -> list:
 
 def all_rrmps(degree: int) -> list:
     """Every pattern of the given degree, lexicographic by label: the real-type
-    splits of each partition, which give every pattern once."""
+    splits of each partition, which give every pattern once.  Raises
+    ValueError for a negative or non-integer degree."""
+    degree = _integer("degree", degree)
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     return sorted((r for lam in _partitions(degree) for r in real_type_splits(lam)),
                   key=lambda r: (r.rho, r.gamma))
 

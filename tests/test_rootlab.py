@@ -1,3 +1,4 @@
+import cmath
 import math
 from collections import Counter
 
@@ -19,6 +20,7 @@ from lcnlab.rootlab import (
     depress_quartic,
     disc_cubic,
     disc_quadratic,
+    disc_quartic_depressed,
     discriminant,
     find_roots,
     is_compatible,
@@ -472,6 +474,23 @@ def _reference_polish(poly, z):
     return z
 
 
+def _reference_sum(coeffs, root):
+    """P(x, y) at the unit-normalized root, summed on numpy scalars."""
+    k = len(coeffs)
+    if root.infinite:
+        x, y = 1.0 + 0j, 0j
+    else:
+        n = math.hypot(abs(root.value), 1.0)
+        x, y = root.value / n, 1.0 / n
+    return sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k))
+
+
+def _reference_residual(coeffs, root):
+    """|P(x, y)| on numpy scalars: the residual the library computed before
+    it summed Python floats."""
+    return abs(_reference_sum(coeffs, root))
+
+
 def _reference_find_roots(coeffs, stats):
     w = np.asarray(coeffs, dtype=float)
     k = len(w)
@@ -489,11 +508,11 @@ def _reference_find_roots(coeffs, stats):
             z = _reference_aberth(core, stats)
             finite = [ProjRoot.finite(zi) for zi in z]
             bound = rootlab._RESIDUAL_BOUND * np.max(np.abs(core))
-            if any(rootlab._homogeneous_residual(core, r) > bound for r in finite):
+            if any(_reference_residual(core, r) > bound for r in finite):
                 stats["fallback"] += 1
                 z = _reference_polish(core, np.roots(core))
                 finite = [ProjRoot.finite(zi) for zi in z]
-                bad = max(rootlab._homogeneous_residual(core, r) for r in finite)
+                bad = max(_reference_residual(core, r) for r in finite)
                 if bad > bound:
                     raise RootFindingError(
                         f"root residual {bad:.3e} exceeds bound for coefficients {w}"
@@ -668,6 +687,134 @@ def test_cluster_rep_gives_the_bytes_of_np_mean():
         differs += n == 1 and np.complex128(values[0]).tobytes() != np.complex128(mean).tobytes()
     assert differs > 0
     assert rootlab._cluster_rep([INFINITY, INFINITY]) is INFINITY
+
+
+def test_float_list_residual_gives_the_numpy_scalar_bits():
+    # numpy's scalar complex *, + and abs are Python's formulas and libm's
+    # hypot; where abs of a finite sum overflows, Python raises and numpy
+    # gives inf
+    rng = np.random.default_rng(28)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    reached = Counter()
+    for i in range(4000):
+        k = int(rng.integers(2, 10))
+        if i % 3 == 0:
+            # coefficients near the top of the double range whose terms add
+            # up in one direction, on a root of modulus near 1
+            z = cmath.rect(10.0 ** rng.uniform(-0.2, 0.2), rng.uniform(-np.pi, np.pi))
+            turn = cmath.rect(1.0, -rng.uniform(-np.pi, np.pi))
+            signs = [math.copysign(1.0, (z ** (k - 1 - j) * turn).real) for j in range(k)]
+            coeffs = np.array(signs) * rng.uniform(1.0, 1.79, k) * 1e308
+        else:
+            z = complex(*rng.standard_normal(2) * 10.0 ** rng.uniform(-5, 5, 2))
+            coeffs = rng.standard_normal(k) * 10.0 ** rng.uniform(-200, 200, k)
+        zeros = rng.random(k) < 0.2
+        coeffs[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        re, im = z.real, z.imag
+        if i % 5 == 1:
+            re = rng.choice(special)
+        if i % 4 == 2:
+            im = rng.choice(special)
+        root = INFINITY if i % 17 == 0 else ProjRoot(complex(re, im), False)
+        # CPython's abs of a complex with a NaN part raises OverflowError
+        # while errno still holds an earlier overflow's ERANGE; the abs of a
+        # finite complex clears errno
+        abs(1j)
+        with np.errstate(all="ignore"):
+            total = _reference_sum(coeffs, root)
+            expected = abs(total)
+        abs(1j)
+        got = rootlab._homogeneous_residual(coeffs.tolist(), root)
+        assert type(got) is float
+        assert got.hex() == float(expected).hex(), (coeffs, root)
+        finite_sum = math.isfinite(total.real) and math.isfinite(total.imag)
+        reached["abs overflows"] += finite_sum and expected == np.inf
+        reached["sum overflows"] += np.isinf(total.real) or np.isinf(total.imag)
+        reached["nan"] += math.isnan(expected)
+        reached["non-finite root"] += not (root.infinite or cmath.isfinite(root.value))
+    assert min(reached.values()) >= 5 and len(reached) == 4, reached
+
+
+def _full_horner_pass(rows, z):
+    """p(z) and p'(z) from every row of the Horner pass, starting at y = 0."""
+    zz = np.concatenate([z, z])
+    y = np.zeros(len(zz), zz.dtype)
+    for c in rows:
+        y = y * zz + c
+    return y[: len(z)], y[len(z):]
+
+
+def test_horner_pass_without_its_zero_row_keeps_the_bits():
+    # on a finite z, 0 * zz + rows[0] is rows[0]; an inf or NaN in z makes it
+    # NaN, so such a z must take the whole pass
+    rng = np.random.default_rng(29)
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e300]
+
+    def joined(re, im):
+        z = re.astype(complex)
+        z.imag = im
+        return z
+
+    non_finite = 0
+    for d in range(1, 8):
+        for _ in range(20):
+            poly = rng.standard_normal(d + 1) * 10.0 ** rng.uniform(-5, 5)
+            complex_z = (joined(rng.standard_normal(d), rng.standard_normal(d)),
+                         joined(rng.choice(special, d), rng.standard_normal(d)),
+                         joined(rng.standard_normal(d), rng.choice(special, d)))
+            # float rows of the core itself on np.roots' real or complex
+            # output, as the companion fallback polishes, and complex rows of
+            # the monic polynomial on complex iterates, as Aberth's
+            for rows, zs in ((rootlab._horner_rows(poly),
+                              (rng.standard_normal(d), rng.choice(special, d)) + complex_z),
+                             (tuple(rootlab._horner_rows(poly / poly[0]).astype(complex)),
+                              complex_z)):
+                for z in zs:
+                    with np.errstate(all="ignore"):
+                        got = rootlab._values(rows, z)
+                        expected = _full_horner_pass(rows, z)
+                    for g, e in zip(got, expected):
+                        assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), (poly, z)
+                    non_finite += not np.isfinite(z).all()
+    assert non_finite > 100
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_same_root_and_is_real_reject_a_bad_tolerance(tol):
+    # a NaN tolerance made every comparison False
+    a = ProjRoot.finite(1 + 1e-9j)
+    assert same_root(a, a) and a.is_real() and INFINITY.is_real()
+    message = f"tol must be finite and non-negative, got {tol}"
+    for call in (lambda: same_root(a, a, tol=tol), lambda: same_root(INFINITY, a, tol),
+                 lambda: a.is_real(tol), lambda: INFINITY.is_real(tol=tol)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_sign_chart_helpers_reject_non_finite_input_and_wrong_sizes():
+    for helper, c in ((disc_quadratic, [np.inf, 1.0, 1.0]), (disc_cubic, [np.nan, 1.0, 1.0, 1.0]),
+                      (depress_quartic, [1.0, np.nan, 1.0, 1.0, 1.0]),
+                      (depress_quartic, [1.0, 1.0, 1.0, 1.0, -np.inf])):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            helper(c)
+    for p, q, r in ((np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf)):
+        with pytest.raises(ValueError, match="p, q and r must be finite"):
+            disc_quartic_depressed(p, q, r)
+    for helper, size, name in ((disc_quadratic, 3, "quadratic"), (disc_cubic, 4, "cubic"),
+                               (depress_quartic, 5, "quartic")):
+        for wrong in (size - 1, size + 1):
+            with pytest.raises(ValueError, match=f"need {size} {name} coefficients, got {wrong}"):
+                helper([1.0] * wrong)
+    assert disc_quadratic([1.0, 3.0, 1.0]) == 5.0
+    assert disc_quartic_depressed(-2.0, 0.0, 1.0) == (0.0, 0.0)  # (x^2 - y^2)^2
+
+
+def test_all_rrmps_rejects_a_bad_degree():
+    assert all_rrmps(0) == [Rrmp()] and all_rrmps(np.int64(2)) == all_rrmps(2)
+    with pytest.raises(ValueError, match="degree must be an integer, got 2.5"):
+        all_rrmps(2.5)
+    with pytest.raises(ValueError, match="degree must be non-negative, got -1"):
+        all_rrmps(-1)
 
 
 def test_discriminant_rejects_non_finite_input():
