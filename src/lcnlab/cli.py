@@ -54,11 +54,7 @@ from .rootlab import (
     is_compatible,
 )
 
-__all__ = ["main", "landscape_grid", "run_case_study", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Bad command-line or config-file input (exit code 2)."""
+__all__ = ["main", "landscape_grid", "run_case_study"]
 
 
 # --- small input/output helpers ----------------------------------------------
@@ -73,7 +69,7 @@ def _parse_floats(text: str) -> np.ndarray:
     try:
         vec = np.array([float(p) for p in text.split(",") if p.strip() != ""])
     except ValueError as exc:
-        raise ConfigError(f"cannot parse vector {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse vector {text!r}: {exc}") from None
     return _finite(vec, text)
 
 
@@ -85,13 +81,13 @@ def _parse_theta(text: str) -> list:
     else:
         theta = [_parse_floats(part) for part in text.split(";") if part.strip()]
     if not theta:
-        raise ConfigError(f"no layer filters in {text!r}")
+        raise ValueError(f"no layer filters in {text!r}")
     return theta
 
 
 def _finite(vec: np.ndarray, text: str) -> np.ndarray:
     if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"vector {text!r} has non-finite entries")
+        raise ValueError(f"vector {text!r} has non-finite entries")
     return vec
 
 
@@ -99,7 +95,7 @@ def _parse_ints(text: str) -> tuple:
     try:
         return tuple(int(p) for p in text.split(",") if p.strip() != "")
     except ValueError as exc:
-        raise ConfigError(f"cannot parse integer list {text!r}: {exc}") from None
+        raise ValueError(f"cannot parse integer list {text!r}: {exc}") from None
 
 
 def _arch(args) -> Architecture:
@@ -112,7 +108,7 @@ def _parse_filter(text: str, arch: Architecture) -> np.ndarray:
     """A filter (see ``_parse_floats``) of the architecture's end-to-end size."""
     w = _parse_floats(text)
     if len(w) != arch.filter_size:
-        raise ConfigError(
+        raise ValueError(
             f"filter has size {len(w)} but the architecture composes to "
             f"{arch.filter_size}")
     return w
@@ -147,6 +143,14 @@ def _plain(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     return obj
+
+
+def _stratum_json(rep, key: str, value) -> dict:
+    """A ``StratumReport``'s partition, real count and points, each point closed
+    by ``key``: ``value(point)``."""
+    return {"lambda": list(rep.lam), "n_real": rep.n_real,
+            "points": [{"w": p.w, "pattern": p.pattern.label, "loss": p.loss, "kind": p.kind,
+                        key: value(p)} for p in rep.points]}
 
 
 def _fmt(x) -> str:
@@ -248,7 +252,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_critpoints(args) -> int:
     if args.lam and args.ks:
-        raise ConfigError("pass either --lambda or --ks, not both")
+        raise ValueError("pass either --lambda or --ks, not both")
     u = _parse_floats(args.target)
     obj = _objective(args.norm, u)
     if args.lam:
@@ -258,22 +262,8 @@ def _cmd_critpoints(args) -> int:
         reports = critical_points_for_target(u, _arch(args), objective=obj,
                                              n_starts=args.starts, seed=args.seed)
     else:
-        raise ConfigError("need either --lambda or --ks")
-    strata = []
-    for rep in reports:
-        strata.append({
-            "lambda": rep.lam,
-            "n_real": rep.n_real,
-            "points": [
-                {
-                    "w": p.w,
-                    "pattern": p.pattern.label,
-                    "loss": p.loss,
-                    "kind": p.kind,
-                    "grad_norm": p.grad_norm,
-                } for p in rep.points
-            ],
-        })
+        raise ValueError("need either --lambda or --ks")
+    strata = [_stratum_json(rep, "grad_norm", lambda p: p.grad_norm) for rep in reports]
     _emit_json({"target": u, "norm": args.norm, "strata": strata}, args.out)
     return 0
 
@@ -312,7 +302,7 @@ def _cmd_rrmp_table(args) -> int:
     if not arch.is_stride_one:
         # inputs sized to the filter then give a scalar output, as the
         # protocol requires
-        raise ConfigError("the table protocol needs unit strides")
+        raise ValueError("the table protocol needs unit strides")
     n = 10000 if args.full else args.n
     # tighter than the training default: multiple roots of under-converged
     # limits split under the 1e-4 classification rule otherwise
@@ -362,7 +352,7 @@ def _cmd_rrmp_table(args) -> int:
 def _cmd_distinct(args) -> int:
     arch = _arch(args)
     if not arch.is_stride_one:
-        raise ConfigError("the distinct-solutions protocol needs unit strides")
+        raise ValueError("the distinct-solutions protocol needs unit strides")
     n = 500 if args.full else args.n
     config = TrainConfig(step=args.step, max_steps=args.max_steps)
     table = run_distinct_experiment(arch, n_targets=n, n_inits=args.inits,
@@ -488,16 +478,7 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
     refs = [(u, classify_rrmp(u))]
     for lam in _STUDY_STRATA:
         rep = crit_on_stratum(obj, lam, n_starts=starts, seed=seed)
-        entry = {
-            "lambda": list(lam),
-            "n_real": rep.n_real,
-            "points": [
-                {"w": p.w, "pattern": p.pattern.label, "loss": p.loss,
-                 "kind": p.kind, "rational": p.is_rational()}
-                for p in rep.points
-            ],
-        }
-        report["strata"].append(entry)
+        report["strata"].append(_stratum_json(rep, "rational", lambda p: p.is_rational()))
         expected = _STUDY_EXPECTED_REAL[lam]
         if rep.n_real != expected:
             discrepancies.append(

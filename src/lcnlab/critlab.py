@@ -46,30 +46,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient, network_loss
-from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer, _integers,
+from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer,
                         _list_source, _nearest, _product, _require_no_interior_stride,
                         _require_tol, _same_filter, _solve, as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
-                      _root_factors, classify_rrmp, cluster_roots, compatible_rrmps, find_roots,
-                      real_type_splits)
-
-__all__ = [
-    "CritPoint",
-    "StratumReport",
-    "real_type_splits",
-    "expand_stratum_point",
-    "crit_on_stratum",
-    "critical_points_for_target",
-    "match_critical_point",
-    "cone_lambda_polynomial",
-    "cone_critical_points",
-    "caustic_value",
-    "cone_region_counts",
-    "ed_degree",
-    "ed_bound",
-    "SpuriousMinimum",
-    "find_spurious_minimum",
-]
+                      _partition, _root_factors, classify_rrmp, cluster_roots, compatible_rrmps,
+                      find_roots, real_type_splits)
 
 # Acceptance thresholds for the Newton search.  _GRAD_TOL is relative to the
 # gradient magnitude at the origin, _EIG_BAND to the Hessian spectral radius.
@@ -214,9 +196,6 @@ class StratumReport:
     def n_real(self) -> int:
         return len(self.points)
 
-    def minima(self) -> tuple[CritPoint, ...]:
-        return tuple(p for p in self.points if p.kind == "MIN")
-
 
 # ---------------------------------------------------------------------------
 # Newton search over one stratum
@@ -307,16 +286,14 @@ def crit_on_stratum(
     Hessian of that shape profile, which is the Jacobian of Newton's last
     step.  The inertia of the two types each survivor, as ``_rank_one_points``
     types the rank-one stratum.  Raises ValueError when ``lam`` is empty, has a
-    part that is not an integer or does not sum to the filter degree, or when
-    ``n_starts`` is not an integer of at least one.
+    part that is not a positive integer or does not sum to the filter degree,
+    or when ``n_starts`` is not an integer of at least one.
     """
-    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
-    n_starts = _integer("n_starts", n_starts)
     k = objective.matrix.shape[0]
-    if not lam:
+    if len(lam) == 0:
         raise ValueError("the partition is empty")
-    if sum(lam) != k - 1:
-        raise ValueError(f"partition {lam} does not sum to the polynomial degree {k - 1}")
+    lam = _partition(lam, k - 1)
+    n_starts = _integer("n_starts", n_starts)
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
     rng = np.random.default_rng(seed)
@@ -605,11 +582,7 @@ def ed_degree(lam: Sequence[int], degree: int, *, metric: str = "generic") -> in
     is not a positive integer, or parts that do not sum to ``degree``, a plain
     one.
     """
-    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
-    if any(p <= 0 for p in lam):
-        raise ValueError("partition parts must be positive")
-    if sum(lam) != degree:
-        raise ValueError(f"partition {lam} does not sum to {degree}")
+    lam = _partition(lam, degree)
     if metric not in ("generic", "special"):
         raise ValueError("metric must be 'generic' or 'special'")
     if len(lam) == 0 or all(p == 1 for p in lam):

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import Architecture, _complements, _layers, _require_no_interior_stride, as_filter
+from .poly_core import (Architecture, _complements, _integer, _layers, _require_no_interior_stride,
+                        as_filter)
 from .rootlab import cluster_roots, find_roots
 
 
@@ -210,10 +210,7 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
         raise ValueError(f"unknown method {method!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+    n_steps = _integer("n_steps", n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     theta = [as_filter(w).copy() for w in theta0]

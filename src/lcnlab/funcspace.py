@@ -224,8 +224,8 @@ def stride2_factor(u):
     if b:
         d, e = B, D
     else:
-        r = find_roots([A, C, E])[0]
-        d, e = (0.0, 1.0) if r.infinite else (1.0, -r.value.real)
+        linear, _ = _root_factors([(find_roots([A, C, E])[0], 1)], [])
+        d, e = linear[0]
     (a, c), *_ = np.linalg.lstsq([[d, 0.0], [e, d], [0.0, e]], [A, C, E], rcond=None)
     w1, w2 = np.array([a, b, c]), np.array([d, e])
     if np.max(np.abs(compose_filters(w2, 2, w1) - un)) > 1e-3:

@@ -530,11 +530,6 @@ class DistinctTable:
         h = self.histogram.setdefault(metric, {})
         h[n_distinct] = h.get(n_distinct, 0) + 1
 
-    def share(self, metric: str, n_distinct: int) -> float:
-        h = self.histogram.get(metric, {})
-        total = sum(h.values())
-        return h.get(n_distinct, 0) / total if total else float("nan")
-
     def mean(self, metric: str) -> float:
         h = self.histogram.get(metric, {})
         total = sum(h.values())

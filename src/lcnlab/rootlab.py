@@ -79,7 +79,7 @@ class ProjRoot:
         _require_tol(tol)
         if self.infinite:
             return True
-        return abs(self.value.imag) <= tol * abs(self.value)
+        return abs(self.value.imag) <= tol * _modulus(self.value)
 
     def __repr__(self):
         return "ProjRoot(inf)" if self.infinite else f"ProjRoot({self.value!r})"
@@ -100,7 +100,18 @@ def _same_root(a: ProjRoot, b: ProjRoot, tol: float) -> bool:
     compares every pair of roots under one tolerance."""
     if a.infinite or b.infinite:
         return a.infinite and b.infinite
-    return abs(a.value - b.value) <= tol * max(abs(a.value), abs(b.value))
+    return _modulus(a.value - b.value) <= tol * max(_modulus(a.value), _modulus(b.value))
+
+
+def _modulus(z: complex) -> float:
+    """``abs(z)``, with numpy's scalar value where Python's raises: NaN for a NaN
+    part, else inf.  Python raises ``OverflowError`` for a finite ``z`` whose
+    modulus overflows, and CPython 3.11 also for a NaN part while errno still
+    holds an earlier overflow's ERANGE."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.nan if cmath.isnan(z) else math.inf
 
 
 def _homogeneous_residual(coeffs: list, root: ProjRoot) -> float:
@@ -109,19 +120,15 @@ def _homogeneous_residual(coeffs: list, root: ProjRoot) -> float:
 
     numpy's *scalar* complex ``*``, ``+`` and ``abs`` are Python's formulas
     and libm's ``hypot``, so this gives the bits of the same sum on numpy
-    scalars without numpy's per-operation dispatch; where ``abs`` of a
-    finite sum overflows, Python raises and numpy gives inf.
+    scalars without numpy's per-operation dispatch.
     """
     k = len(coeffs)
     if root.infinite:
         x, y = 1.0 + 0j, 0j
     else:
-        n = math.hypot(abs(root.value), 1.0)
+        n = math.hypot(_modulus(root.value), 1.0)
         x, y = root.value / n, 1.0 / n
-    try:
-        return abs(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
-    except OverflowError:
-        return math.inf
+    return _modulus(sum(coeffs[j] * x ** (k - 1 - j) * y**j for j in range(k)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -430,7 +437,7 @@ def _root_structure(roots):
         rep, size = complex_clusters.pop(0)
         conj = rep.conjugate()
         mate = next((j for j, (other, m) in enumerate(complex_clusters)
-                     if m == size and same_root(other, conj)), None)
+                     if m == size and _same_root(other, conj, ROOT_TOL)), None)
         if mate is None:
             raise RootFindingError(
                 f"conjugate pairing failed near {rep.value}; is the input real?"
@@ -446,7 +453,7 @@ def _root_factors(reals, pairs):
     (0, 1), and a conjugate pair z gives (1, -2 Re z, |z|^2)."""
     linear = [np.array([0.0, 1.0]) if r.infinite else np.array([1.0, -r.value.real])
               for r, m in reals for _ in range(m)]
-    quadratic = [np.array([1.0, -2.0 * z.value.real, abs(z.value) ** 2])
+    quadratic = [np.array([1.0, -2.0 * z.value.real, _modulus(z.value) ** 2])
                  for z, m in pairs for _ in range(m)]
     return linear, quadratic
 
@@ -725,13 +732,23 @@ def real_type_splits(lam) -> list:
     two simple roots fused into a conjugate pair): a part value v of count c
     gives j pairs and c - 2j real roots of multiplicity v, for each j <= c // 2.
     """
-    if any(p <= 0 for p in lam):
-        raise ValueError("partition parts must be positive")
-    counts = sorted(collections.Counter(lam).items())
+    counts = sorted(collections.Counter(_partition(lam, sum(lam))).items())
     splits = [Rrmp(rho=[v for (v, c), j in zip(counts, js) for _ in range(c - 2 * j)],
                    gamma=[v for (v, _), j in zip(counts, js) for _ in range(j)])
               for js in itertools.product(*(range(c // 2 + 1) for _, c in counts))]
     return sorted(splits, key=lambda p: (len(p.gamma), p.label))
+
+
+def _partition(lam, degree: int) -> tuple:
+    """The parts of ``lam``, a partition of ``degree``, as a descending tuple of
+    ints.  Raises ValueError for a part that is not an integer or not positive,
+    and for parts that do not sum to ``degree``."""
+    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
+    if any(p <= 0 for p in lam):
+        raise ValueError("partition parts must be positive")
+    if sum(lam) != degree:
+        raise ValueError(f"partition {lam} does not sum to the polynomial degree {degree}")
+    return lam
 
 
 def _partitions(n: int):

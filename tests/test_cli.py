@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import lcnlab
-from lcnlab.cli import _emit_json, landscape_grid, main, run_case_study
-from lcnlab.critlab import _attainable_strata, critical_points_for_target
+from lcnlab.cli import _emit_json, _plain, landscape_grid, main, run_case_study
+from lcnlab.critlab import _attainable_strata, crit_on_stratum, critical_points_for_target
 from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
 from lcnlab.poly_core import Architecture, end_to_end
 from lcnlab.rootlab import RootFindingError
@@ -265,9 +265,47 @@ def test_critpoints_architecture_mode_matches_the_library(tmp_path):
     assert [len(s["points"]) for s in rep["strata"]] == [len(r.points) for r in lib]
 
 
+def _critpoints_strata(reports):
+    """``critpoints``' stratum entries written out key by key: the reference for
+    the serializer that it shares with the case study."""
+    return [{"lambda": rep.lam, "n_real": rep.n_real,
+             "points": [{"w": p.w, "pattern": p.pattern.label, "loss": p.loss, "kind": p.kind,
+                         "grad_norm": p.grad_norm} for p in rep.points]} for rep in reports]
+
+
+def _case_study_strata(reports):
+    """The case study's stratum entries written out key by key."""
+    return [{"lambda": list(rep.lam), "n_real": rep.n_real,
+             "points": [{"w": p.w, "pattern": p.pattern.label, "loss": p.loss, "kind": p.kind,
+                         "rational": p.is_rational()} for p in rep.points]} for rep in reports]
+
+
+def test_critpoints_json_matches_the_stratum_entries_key_by_key(tmp_path):
+    u = np.array([2.0, 0, 5, 0, 2])
+    out = tmp_path / "cli.json"
+    assert main(["critpoints", "--target", "2,0,5,0,2", "--ks", "2,2,2,2", "--starts", "20",
+                 "--seed", "0", "--out", str(out)]) == 0
+    reports = critical_points_for_target(u, Architecture((2, 2, 2, 2)), n_starts=20, seed=0)
+    assert len(reports) > 1
+    ref = tmp_path / "ref.json"
+    _emit_json({"target": u, "norm": "euclidean", "strata": _critpoints_strata(reports)},
+               str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_case_study_strata_match_the_stratum_entries_key_by_key():
+    report = run_case_study(seed=3, runs=1, starts=20, workers=1)
+    obj = QuadraticObjective.euclidean([2.0, 0, 5, 0, 2])
+    reports = [crit_on_stratum(obj, lam, n_starts=20, seed=3)
+               for lam in ((2, 1, 1), (2, 2), (3, 1), (4,))]
+    assert (json.dumps(_plain(report["strata"]), indent=2)
+            == json.dumps(_plain(_case_study_strata(reports)), indent=2))
+
+
 def test_critpoints_bad_partition_exits_2(capsys):
     assert main(["critpoints", "--target", "1,0,2", "--lambda", "3,2"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "error: partition (3, 2) does not sum to the polynomial degree 2\n")
 
 
 def test_invariants_and_recover_scales(tmp_path):

@@ -667,6 +667,29 @@ def test_crit_on_stratum_rejects_bad_partition():
         crit_on_stratum(cubic, (2, 1), n_starts=2.5)
 
 
+@pytest.mark.parametrize("lam, message", [
+    ((2.5, 1.5), "partition parts must be integers, got (2.5, 1.5)"),
+    ((3, 0), "partition parts must be positive"),
+    ((4, -1), "partition parts must be positive"),
+    ((1, 2, 2), "partition (2, 2, 1) does not sum to the polynomial degree 3"),
+], ids=["not-integer", "zero-part", "negative-part", "wrong-sum"])
+@pytest.mark.parametrize("partition_of_3", [
+    lambda lam: crit_on_stratum(QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0]), lam),
+    lambda lam: ed_degree(lam, 3),
+], ids=["crit_on_stratum", "ed_degree"])
+def test_partition_checks_are_shared(partition_of_3, lam, message):
+    with pytest.raises(ValueError) as err:
+        partition_of_3(lam)
+    assert str(err.value) == message
+    assert not isinstance(err.value, critlab._NoClosedForm)
+
+
+def test_crit_on_stratum_reports_an_empty_partition_first():
+    for target in ([1.0, 0.5, -2.0, 1.0], U_STAR):
+        with pytest.raises(ValueError, match="^the partition is empty$"):
+            crit_on_stratum(QuadraticObjective.euclidean(target), (), n_starts=0)
+
+
 def test_find_spurious_minimum_rejects_bad_start_counts():
     with pytest.raises(ValueError, match="n_starts must be an integer"):
         find_spurious_minimum(U_STAR[:4], n_starts=2.5)

@@ -6,6 +6,7 @@ import pytest
 from lcnlab.funcspace import (
     SpaceRegion,
     _pack_atoms,
+    _unit,
     factor_into,
     is_filling,
     membership,
@@ -16,7 +17,8 @@ from lcnlab.funcspace import (
     stride2_membership,
 )
 from lcnlab.poly_core import Architecture, _interior_stride, compose_filters, end_to_end
-from lcnlab.rootlab import Rrmp, all_rrmps, classify_rrmp, classify_rrmp_pooled, is_compatible
+from lcnlab.rootlab import (Rrmp, all_rrmps, classify_rrmp, classify_rrmp_pooled, find_roots,
+                            is_compatible)
 
 
 REGION_TABLE = {
@@ -276,6 +278,29 @@ def test_stride2_factor_degenerate_cases(w1, w2):
     f1, f2 = stride2_factor(u)
     back = compose_filters(f2, 2, f1)
     assert np.max(np.abs(back - u)) < 1e-8 * max(1.0, np.max(np.abs(u)))
+
+
+def _b0_factor(u):
+    """``stride2_factor`` for b = 0 with the root-to-factor rule written out:
+    (0, 1) for a root at infinity, (1, -Re r) for a finite root r."""
+    un, scale = _unit(u)
+    A, _, C, _, E = un
+    r = find_roots([A, C, E])[0]
+    d, e = (0.0, 1.0) if r.infinite else (1.0, -r.value.real)
+    (a, c), *_ = np.linalg.lstsq([[d, 0.0], [e, d], [0.0, e]], [A, C, E], rcond=None)
+    return np.array([a, 0.0, c]), scale * np.array([d, e])
+
+
+@pytest.mark.parametrize("w1, w2", [
+    ([3.0, 0.0, 2.0], [0.0, 1.5]),      # A = 0: the first root is at infinity
+    ([1.0, 0.0, -2.0], [2.0, 5.0]),     # a finite real root
+    ([1.0, 0.0, 0.5 + 1e-10], [2.0, 1.0]),  # a near-double root
+    ([4.0, 0.0, 0.0], [3.0, -1.0]),     # a root at zero
+])
+def test_stride2_factor_b0_branch_reads_the_root_factor(w1, w2):
+    u = compose_filters(np.array(w2), 2, np.array(w1))
+    assert u[1] == u[3] == 0.0  # max(|B|, |D|) = 0 takes the b = 0 branch
+    assert [f.tobytes() for f in stride2_factor(u)] == [f.tobytes() for f in _b0_factor(u)]
 
 
 def test_stride2_factor_rejects_non_member():

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, the modules
-import each other along a fixed, acyclic layering, and every module-level
-function or class is exported or used somewhere in src/, tests/ or bench/.
+import each other along a fixed, acyclic layering, every module-level
+function or class is exported or used somewhere in src/, tests/ or bench/, and
+every method or property of such a class is reached as an attribute there.
 
 No linter ships with the project, so this parses each module of the package
 with the standard ``ast`` module.  ``__init__`` is exempt from the unused
@@ -93,7 +94,7 @@ def test_import_graph_matches_the_layering_and_has_no_cycle():
     assert graph == LAYERING
 
 
-# --- module-level definitions that nothing uses --------------------------------
+# --- definitions and methods that nothing uses --------------------------------
 
 REPO = PACKAGE.parent.parent
 SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (REPO / d).rglob("*.py"))
@@ -149,6 +150,49 @@ def test_every_module_level_definition_is_used():
     modules = {p.stem: p.read_text() for p in MODULES}
     others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
     assert unreferenced_definitions(modules, others, exported) == []
+
+
+def _attributes(tree, skip=()):
+    """Names a module reaches as ``.name``, outside the line spans in ``skip``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and not any(lo <= node.lineno <= hi for lo, hi in skip)}
+
+
+def unreferenced_methods(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module.Class.name`` for each method or property, dunders aside, of a
+    module-level class of ``modules`` that no source (``others`` and the modules
+    themselves) reaches as ``.name`` outside the method's own lines."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    outside = set().union(*(_attributes(ast.parse(source)) for source in others))
+    dead = []
+    for name, tree in trees.items():
+        used = outside.union(*(_attributes(t) for other, t in trees.items() if other != name))
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if node.name not in used | _attributes(tree, [(start, node.end_lineno)]):
+                    dead.append(f"{name}.{cls.name}.{node.name}")
+    return sorted(dead)
+
+
+def test_finds_an_unreferenced_method():
+    modules = {"m": ("class A:\n    def __init__(self):\n        self.used()\n\n"
+                     "    def used(self):\n        return 1\n\n"
+                     "    def dead(self, n):\n        return self.dead(n - 1)\n\n"
+                     "    @property\n    def size(self):\n        return 0\n\n"
+                     "    @property\n    def read(self):\n        return 1\n\n\n"
+                     "def used():\n    pass\n")}
+    others = ["from m import A\n\nA().read\n"]
+    assert unreferenced_methods(modules, others) == ["m.A.dead", "m.A.size"]
+
+
+def test_every_method_is_used():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
+    assert unreferenced_methods(modules, others) == []
 
 
 # --- one process pool ----------------------------------------------------------

@@ -735,6 +735,16 @@ def test_float_list_residual_gives_the_numpy_scalar_bits():
     assert min(reached.values()) >= 5 and len(reached) == 4, reached
 
 
+def test_a_nan_root_after_an_overflowing_modulus_is_nan_not_an_overflow():
+    # the overflowing modulus leaves ERANGE in errno, and CPython 3.11's abs of
+    # a complex with a NaN part then raises OverflowError as well
+    assert rootlab._homogeneous_residual([-1.7e308, 1.7e308, 1.7e308], ProjRoot(1j)) == math.inf
+    nan_root = ProjRoot(complex(math.nan, 1.0))
+    assert not nan_root.is_real()
+    assert math.isnan(rootlab._homogeneous_residual([1.0, 1.0], nan_root))
+    assert not same_root(nan_root, nan_root)
+
+
 def _full_horner_pass(rows, z):
     """p(z) and p'(z) from every row of the Horner pass, starting at y = 0."""
     zz = np.concatenate([z, z])
