@@ -103,18 +103,36 @@ class QuadraticObjective:
         return len(self.target)
 
     def value(self, w) -> float:
-        r = as_filter(w) - self.target
+        """The loss at ``w``; ValueError unless ``w`` has the target's size."""
+        w = as_filter(w)
+        if len(w) != self.k:
+            raise self._size_error(w)
+        r = w - self.target
         return float(r @ self.matrix @ r) + self.const
 
     def grad(self, w) -> np.ndarray:
+        """The gradient at ``w``; ValueError unless ``w`` has the target's size."""
         # grad runs once per Newton probe and descent step: ndarray.dot reaches the BLAS
         # kernel of @ without its dispatch and gives its bits, except on one entry, where
         # @ sums 0.0 + m*r (a -0.0 product gives 0.0) and .dot does not; g + g is 2.0*g
-        # bit for bit, without numpy's conversion of the Python scalar
-        r = as_filter(w) - self.target
-        g = self.matrix @ r if len(r) == 1 else self.matrix.dot(r)
+        # bit for bit, without numpy's conversion of the Python scalar.  A w of another
+        # size fails the subtraction or the product, or has one entry and a target that
+        # has more, which would broadcast
+        w = as_filter(w)
+        if len(w) == 1:
+            if self.k != 1:
+                raise self._size_error(w)
+            g = self.matrix @ (w - self.target)
+        else:
+            try:
+                g = self.matrix.dot(w - self.target)
+            except ValueError:
+                raise self._size_error(w) from None
         g += g
         return g
+
+    def _size_error(self, w) -> ValueError:
+        return ValueError(f"filter of size {len(w)} does not match the objective's size {self.k}")
 
     @staticmethod
     def euclidean(target) -> "QuadraticObjective":

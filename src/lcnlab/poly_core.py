@@ -21,8 +21,11 @@ realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.  ``_interior_stride`` is the one
 rule for whether root counts describe an architecture's function space.
 Every test of whether two filters are the same goes through ``_same_filter``
-(max-norm distance within tol times the larger max-norm, floored at one), and
-every nearest-reference lookup through ``_nearest``.
+(the same shape, and max-norm distance within tol times the larger max-norm,
+floored at one), and every nearest-reference lookup through ``_nearest``.
+numpy's private names live here alone: ``correlate2``, the gufunc behind
+``_solve``, and the error states that ``_solve`` and the root finder switch
+to without opening an ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ try:
     from numpy._core.multiarray import correlate2
 except ImportError:  # numpy 1.x names the module numpy.core
     from numpy.core.multiarray import correlate2
+
+try:
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+except ImportError:  # numpy 1.x keeps its error state elsewhere; see _enter_errstate
+    _extobj_contextvar = None
 
 
 def as_filter(w) -> np.ndarray:
@@ -331,14 +339,43 @@ def _singular(err, flag):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+# numpy's error state without np.errstate, which builds the state anew on every
+# entry.  _errstate(**flags) builds once the state that np.errstate(**flags) sets;
+# _enter_errstate(state) sets it and returns a token, and _exit_errstate(token) puts
+# back the caller's state, as leaving the np.errstate does.  numpy 1.x has no
+# error-state context variable: there a state is its flags, and entering it enters
+# a fresh np.errstate.
+if _extobj_contextvar is not None:
+    _errstate = _make_extobj
+    _enter_errstate = _extobj_contextvar.set
+    _exit_errstate = _extobj_contextvar.reset
+else:
+    def _errstate(**flags):
+        return flags
+
+    def _enter_errstate(flags):
+        token = np.errstate(**flags)
+        token.__enter__()
+        return token
+
+    def _exit_errstate(token):
+        token.__exit__(None, None, None)
+
+_QUIET = _errstate(all="ignore")  # the root finder's
+_SOLVE_STATE = _errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                         under="ignore")  # np.linalg.solve's
+
+
 def _solve(a, b) -> np.ndarray:
     """``np.linalg.solve(a, b)`` for a square float64 matrix ``a`` and vector ``b``,
     without its wrappers: the gufunc it calls, under the error state it opens, so a
-    singular or non-finite system raises the same LinAlgError.  Every call opens a
-    fresh ``np.errstate``, which numpy 2 will not enter twice."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    singular or non-finite system raises the same LinAlgError.  That state is built
+    once, and every call sets it and puts back the caller's."""
+    token = _enter_errstate(_SOLVE_STATE)
+    try:
         return _umath_linalg.solve1(a, b, signature="dd->d")
+    finally:
+        _exit_errstate(token)
 
 
 def _require_tol(tol):
@@ -348,7 +385,10 @@ def _require_tol(tol):
 
 
 def _same_filter(a, b, tol: float) -> bool:
-    """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1)."""
+    """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1); filters of different
+    shapes are never the same."""
+    if a.shape != b.shape:
+        return False
     scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
     return bool(np.all(np.abs(a - b) <= tol * scale))
 

@@ -11,12 +11,15 @@ critical-point analysis, so this module owns:
   its seeded start circle is fixed per degree and scaled to the
   coefficients, one Horner pass gives p and p' together, and the loop stops
   once an iterate repeats; on arrays of a few entries it pre-casts its
-  operands, skips the work whose result is known (the Horner pass's zero
-  row on a finite iterate, the diagonal that the update overwrites) and
-  takes its yes/no decisions on Python floats, while every value that
-  reaches a root comes from the same numpy kernel; the residuals that
-  certify the roots are summed in Python complex arithmetic, which is
-  numpy's scalar arithmetic bit for bit,
+  operands, writes every value into one workspace per solve through a
+  ufunc's ``out``, skips the work whose result is known (the Horner pass's
+  zero row on a finite iterate, the diagonal that the update overwrites)
+  and takes its yes/no decisions on Python floats, while every value that
+  reaches a root comes from the same numpy kernel on the same operands; it
+  runs under an error state that ignores numpy's floating-point errors,
+  built once in ``poly_core``; the residuals that certify the roots are
+  summed in Python complex arithmetic, which is numpy's scalar arithmetic
+  bit for bit,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import _integer, _integers, _require_tol, as_filter, toeplitz_matrix
+from .poly_core import (_QUIET, _enter_errstate, _exit_errstate, _integer, _integers,
+                        _require_tol, as_filter, toeplitz_matrix)
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -133,9 +137,8 @@ def _homogeneous_residual(coeffs: list, root: ProjRoot) -> float:
 
 @functools.lru_cache(maxsize=32)
 def _start_circle(m: int):
-    """Radial weights, unit phases and flat diagonal indices for m roots,
-    then complex ones of shapes (m,) and (m, m) for the update's ``1 - ...``
-    and ``1 / diff``.
+    """Radial weights and unit phases for m roots, then complex ones of shapes
+    (m,) and (m, m) for the update's ``1 - ...`` and ``1 / diff``.
 
     The seeded circle depends on m alone, so every call shares these arrays,
     which are read-only.  A complex one is the operand numpy makes of the
@@ -146,8 +149,8 @@ def _start_circle(m: int):
     phase = rng.uniform(0.0, 2.0 * np.pi)
     jitter = rng.uniform(-0.05, 0.05, size=m)
     angles = phase + 2.0 * np.pi * (np.arange(m) + jitter) / m
-    arrays = (0.7 + 0.1 * jitter, np.exp(1j * angles), np.arange(m) * (m + 1),
-              np.ones(m, complex), np.ones((m, m), complex))
+    arrays = (0.7 + 0.1 * jitter, np.exp(1j * angles), np.ones(m, complex),
+              np.ones((m, m), complex))
     for x in arrays:
         x.flags.writeable = False
     return arrays
@@ -169,36 +172,28 @@ def _horner_rows(poly: np.ndarray) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=32)
-def _twice(m: int) -> np.ndarray:
-    """Read-only indices 0 .. m - 1 twice over, which take ``[z, z]`` from z."""
-    index = np.arange(2 * m) % m
-    index.flags.writeable = False
-    return index
+def _values(rows, zz: np.ndarray, finite: bool, y: np.ndarray):
+    """p and p' at the m entries of z, written as ``[p | p']`` into the 2m entries
+    of ``y``, for the polynomial with these ``_horner_rows``.  ``zz`` is the
+    doubled iterate ``[z | z]``; each row is applied in place as y * zz + c from
+    y = 0, the operations and bits of the expression.
 
-
-def _values(rows, z: np.ndarray):
-    """p(z) and p'(z) from the ``_horner_rows`` of p, each row applied in place as
-    y * zz + c from y = 0, the operations and bits of the expression.
-
-    On a finite z the pass starts at y = rows[0] * zz: 0 * zz + rows[0] is
-    rows[0] bit for bit there, as its imaginary parts are +0.0 and its real
-    ones nonzero or +0.0.  An inf or NaN in z makes 0 * zz NaN, so such a z
-    takes the whole pass.
+    With ``finite`` true, every entry of z is finite and the pass starts at
+    y = rows[0] * zz: 0 * zz + rows[0] is rows[0] bit for bit there, as its
+    imaginary parts are +0.0 and its real ones nonzero or +0.0.  An inf or NaN
+    in z makes 0 * zz NaN, so such a z takes the whole pass; so may a finite
+    one, which gives the same bits.
     """
-    zz = z[_twice(len(z))]
-    if all(map(cmath.isfinite, z.tolist())):
-        y = rows[0] * zz
-        np.add(y, rows[1], out=y)
+    if finite:
+        np.multiply(rows[0], zz, y)
+        np.add(y, rows[1], y)
         rest = rows[2:]
     else:
-        y = np.zeros(len(zz), zz.dtype)
+        y.fill(0)
         rest = rows
     for c in rest:
-        np.multiply(y, zz, out=y)
-        np.add(y, c, out=y)
-    m = len(z)
-    return y[:m], y[m:]
+        np.multiply(y, zz, y)
+        np.add(y, c, y)
 
 
 def _aberth(core: np.ndarray) -> np.ndarray:
@@ -212,61 +207,97 @@ def _aberth(core: np.ndarray) -> np.ndarray:
     Each update is a fixed function of the iterate, so the loop also stops
     when an iterate repeats the previous one byte for byte (NaN iterates
     do): running on to the cap would only repeat it.  The update runs on
-    arrays of a few entries, where numpy's casts and wrappers cost more than
-    the arithmetic, so its operands are pre-cast and its yes/no decisions
-    are taken on Python floats; every value that reaches a root is still
-    computed by the same numpy kernel.  The diagonal of ``1 / diff`` divides
-    by zero and is then set to 0.0, so callers run this under
-    ``np.errstate(all="ignore")``, as ``find_roots`` does.
+    arrays of a few entries, where numpy's casts, wrappers and allocations
+    cost more than the arithmetic.  So every solve allocates a workspace of
+    its own, which no other call sees, and writes each value into it through
+    a ufunc's ``out``: the same kernel on the same operands.  The iterate
+    lives as ``[step | z | z]``: one subtraction updates z, one copy doubles
+    it for the next Horner pass, and one ``np.abs`` gives the moduli of the
+    step and of z, which decide the stop test, on Python floats, and whether
+    z is finite.  The diagonal of ``1 / diff`` divides by zero and is then
+    set to 0.0, so callers run this with numpy's warnings off, as
+    ``find_roots`` does.
     """
     a = core / core[0]
     m = len(a) - 1
     if m == 1:
         return np.array([-a[1]], dtype=complex)
 
-    weights, phases, diagonal, one, ones = _start_circle(m)
+    weights, phases, one, ones = _start_circle(m)
     rows = tuple(_horner_rows(a).astype(complex))
     radius = 1.0 + np.abs(a[1:]).max()
-    z = radius * weights * phases
+    # the workspace: [p | p'], which the update overwrites with [newton |
+    # denom], the iterate as [step | z | z], diff and then 1 / diff in place
+    # with a view of its diagonal, and the moduli of [step | z]
+    y = np.empty(2 * m, complex)
+    p, dp = y[:m], y[m:]
+    work = np.empty(3 * m, complex)
+    step, z, twin, zz, moved = work[:m], work[m : 2 * m], work[2 * m :], work[m:], work[: 2 * m]
+    column = z[:, None]
+    diff = np.empty((m, m), complex)
+    diagonal = diff.reshape(-1)[:: m + 1]
+    newton, denom = p, dp
+    moduli = np.empty(2 * m)
+    np.multiply(radius * weights, phases, z)
+    twin[:] = z
+    finite = all(map(cmath.isfinite, z.tolist()))
     last = z.tobytes()
 
+    # the loop's ufuncs as locals, which skip a global and an attribute lookup per call
+    divide, subtract, multiply, add_reduce, absolute = (np.divide, np.subtract, np.multiply,
+                                                       np.add.reduce, np.abs)
     for _ in range(200):
-        p, dp = _values(rows, z)
+        _values(rows, zz, finite, y)
         if 0 in dp.tolist():
             dp[dp == 0] = 1e-300
-        newton = p / dp
-        diff = z[:, None] - z[None, :]
-        inv = ones / diff
-        inv.put(diagonal, 0.0)
-        denom = one - newton * np.add.reduce(inv, 1)
+        divide(p, dp, newton)
+        subtract(column, z, diff)
+        divide(ones, diff, diff)
+        diagonal.fill(0.0)
+        add_reduce(diff, 1, None, denom)
+        multiply(newton, denom, denom)
+        subtract(one, denom, denom)
         if 0 in denom.tolist():
             denom[denom == 0] = 1e-300
-        step = newton / denom
-        z = z - step
+        divide(newton, denom, step)
+        subtract(z, step, z)
+        twin[:] = z
+        absolute(moved, moduli)
+        sizes = moduli.tolist()
         # float + and / are the IEEE operations numpy's are, and like
         # max(...) < tol, all(...) fails on a NaN
-        if all(s / (1.0 + t) < 1e-14
-               for s, t in zip(np.abs(step).tolist(), np.abs(z).tolist())):
+        if all(s / (1.0 + t) < 1e-14 for s, t in zip(sizes, sizes[m:])):
             break
         now = z.tobytes()
         if now == last:
             break
         last = now
+        # a finite |z| has finite parts; an overflowing one sends a finite z
+        # through the whole Horner pass, which gives the same bits
+        finite = all(map(math.isfinite, sizes[m:]))
 
     return _newton_polish(rows, z)
 
 
 def _newton_polish(rows, z: np.ndarray) -> np.ndarray:
     """Five plain Newton steps on every root estimate in ``z``, for the
-    polynomial with these ``_horner_rows``."""
+    polynomial with these ``_horner_rows``, in a workspace of its own laid out
+    as ``_aberth``'s."""
+    m = len(z)
+    zz = np.concatenate((z, z))  # [z | z]
+    z, twin = zz[:m], zz[m:]
+    y = np.empty(2 * m, np.result_type(rows[0], zz))  # [p | p']
+    p, dp = y[:m], y[m:]
     for _ in range(5):
-        p, dp = _values(rows, z)
+        _values(rows, zz, all(map(cmath.isfinite, z.tolist())), y)
         # with no zero and no NaN in p', every |p'| > 0 and both masks are true
         if all(d != 0 and d == d for d in dp.tolist()):
-            z = z - p / dp
-            continue
-        mask = np.abs(dp) > 0
-        z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
+            np.divide(p, dp, p)
+            np.subtract(z, p, z)
+        else:
+            mask = np.abs(dp) > 0
+            z[:] = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
+        twin[:] = z
     return z
 
 
@@ -309,7 +340,8 @@ def find_roots(coeffs) -> list:
     if len(core) > 1:
         # badly scaled cores overflow inside the iterations; the residual
         # check below decides, so numpy's warnings would only be noise
-        with np.errstate(all="ignore"):
+        token = _enter_errstate(_QUIET)
+        try:
             finite = [ProjRoot(z, False) for z in _aberth(core).tolist()]
             bound = _RESIDUAL_BOUND * scale  # the trimmed entries are zeros
             floats = values[n_inf : k - n_zero]
@@ -322,6 +354,8 @@ def find_roots(coeffs) -> list:
                     raise RootFindingError(
                         f"root residual {bad:.3e} exceeds bound for coefficients {w}"
                     )
+        finally:
+            _exit_errstate(token)
         roots += finite
     return roots
 

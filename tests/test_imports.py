@@ -266,10 +266,12 @@ def private_numpy_imports(source: str) -> list:
 def test_finds_private_numpy_imports():
     source = ("import numpy as np\nimport numpy.core.multiarray\nfrom numpy import _core\n"
               "from numpy.linalg import LinAlgError, _umath_linalg\n"
-              "from numpy._core.multiarray import correlate2\nfrom .numpy._x import y\n\n"
+              "from numpy._core.multiarray import correlate2\nfrom .numpy._x import y\n"
+              "from numpy._core._ufunc_config import _make_extobj\n\n"
               "def f():\n    import numpy.lib._function_base_impl as fb\n    return fb\n")
     assert sorted(private_numpy_imports(source)) == [
-        "numpy._core", "numpy._core.multiarray", "numpy._core.multiarray.correlate2",
+        "numpy._core", "numpy._core._ufunc_config", "numpy._core._ufunc_config._make_extobj",
+        "numpy._core.multiarray", "numpy._core.multiarray.correlate2",
         "numpy.core.multiarray", "numpy.lib._function_base_impl", "numpy.linalg._umath_linalg"]
     assert private_numpy_imports("import numpy as np\nfrom numpy.linalg import solve\n") == []
 

@@ -211,6 +211,21 @@ def test_grad_doubles_by_addition_with_the_bytes_of_the_scalar_product():
     assert g.tobytes() == _doubled_grad(obj, [-0.0]).tobytes() == np.array([0.0]).tobytes()
 
 
+@pytest.mark.parametrize("k, w", [(3, [1.0]), (3, [1.0, 2.0]), (3, [1.0, 2.0, 3.0, 4.0]),
+                                  (1, [1.0, 2.0]), (2, [1.0, 2.0, 3.0])])
+def test_objective_rejects_a_filter_of_another_size(k, w):
+    # a one-entry filter broadcast against the target, so grad([1.0]) of a size-3
+    # objective returned a size-3 gradient; other sizes raised numpy's messages
+    message = f"filter of size {len(w)} does not match the objective's size {k}"
+    obj = QuadraticObjective.euclidean(np.arange(1.0, k + 1))
+    for call in (obj.grad, obj.value):
+        with pytest.raises(ValueError, match=message):
+            call(w)
+    if len(w) == 1:
+        with pytest.raises(ValueError, match=message):
+            network_loss([np.ones(1), np.ones(1)], Architecture((1, 1)), obj)
+
+
 @pytest.mark.parametrize("make, field", [
     (lambda: QuadraticObjective.euclidean([NAN, 0.0, 5.0, 0.0, 2.0]), "target"),
     (lambda: QuadraticObjective.bombieri([1.0, np.inf, 1.0]), "target"),
@@ -800,6 +815,14 @@ def test_count_distinct_filters_rule():
     # the scale is the larger max-norm of the two filters, floored at one
     big = np.array([1e6, 0.0, 0.0])
     assert count_distinct_filters([big, big + np.array([50.0, 0, 0])]) == 1
+
+
+def test_filters_of_different_sizes_are_distinct():
+    # a one-entry filter broadcast against a longer one and counted once with it;
+    # sizes 2 and 3 raised numpy's broadcast error
+    assert not poly_core._same_filter(np.ones(3), np.ones(1), 1e-4)
+    assert count_distinct_filters([np.ones(3), np.ones(1)]) == 2
+    assert count_distinct_filters([np.ones(2), np.ones(3), np.ones(2)]) == 2
 
 
 @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -629,7 +630,7 @@ def test_start_circle_is_read_only_and_shared_across_degrees():
         find_roots(rng.standard_normal(d + 1))
     assert _bits(find_roots(w)) == before
     cached = _start_circle(4)
-    one, ones = cached[3:]
+    one, ones = cached[2:]
     assert one.dtype == ones.dtype == complex and one.shape == (4,) and ones.shape == (4, 4)
     assert (one == 1).all() and (ones == 1).all()
     for array, again in zip(cached, _start_circle(4)):
@@ -644,9 +645,9 @@ def test_aberth_stops_when_an_iterate_repeats(monkeypatch):
     values = rootlab._values
     calls = Counter()
 
-    def counted(rows, z):
+    def counted(*args):
         calls["values"] += 1
-        return values(rows, z)
+        return values(*args)
 
     monkeypatch.setattr(rootlab, "_values", counted)
     # the first update sends both iterates to NaN and the second repeats them
@@ -667,6 +668,72 @@ def test_aberth_stops_when_an_iterate_repeats(monkeypatch):
         assert _outcome(find_roots, w) == expected, w
         cut_short += stats["capped"] > 0 and calls["values"] < 200
     assert cut_short >= 10, cut_short
+
+
+def test_no_workspace_state_outlives_a_solve(monkeypatch):
+    # every solve allocates its own workspace: solves of interleaved degrees, and a
+    # solve started from inside another's Horner pass, give the bytes of lone solves
+    filters = _root_finder_inputs(rounds=2)
+    lone = [_outcome(find_roots, w) for w in filters]
+    order = np.random.default_rng(30).permutation(len(filters))
+    assert [_outcome(find_roots, filters[i]) for i in order] == [lone[i] for i in order]
+
+    values = rootlab._values
+    inner = iter(range(len(filters)))
+    nested = []
+
+    def reentrant(*args):
+        i = next(inner, None)
+        if i is not None:
+            nested.append((i, _outcome(find_roots, filters[i])))
+        return values(*args)
+
+    monkeypatch.setattr(rootlab, "_values", reentrant)
+    outer = [_outcome(find_roots, w) for w in filters[::-1]]
+    assert outer == lone[::-1]
+    assert len(nested) == len(filters) and all(got == lone[i] for i, got in nested)
+
+
+def test_complex_abs_gives_each_entry_the_same_bytes_at_any_length_and_offset():
+    # _aberth takes the moduli of [step | z] from one np.abs call, so the SIMD
+    # kernel must give an entry the bytes it has in an array of its own
+    rng = np.random.default_rng(300)
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -2.2e-310, 1.7e308, -1.2e308]
+    for length in range(2, 17):
+        for offset in range(4):
+            for _ in range(40):
+                parts = rng.standard_normal((offset + length, 2)) * 10.0 ** rng.uniform(
+                    -300, 300, (offset + length, 2))
+                mask = rng.random(parts.shape) < 0.4
+                parts[mask] = rng.choice(special, mask.sum())
+                z = np.empty(offset + length, complex)
+                z.real, z.imag = parts[:, 0], parts[:, 1]
+                z = z[offset:]
+                moduli = np.empty(offset + length)[offset:]
+                np.abs(z, moduli)
+                for i in range(length):
+                    alone = np.abs(z[i : i + 1])
+                    assert moduli[i : i + 1].tobytes() == alone.tobytes(), (z[i], length, offset)
+
+
+@pytest.mark.parametrize("w", [[1e-300, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1e-200],
+                               [1e300, -1e-300, 1e300], [1e-300, 1e300],
+                               [7.734157413842388e52, 3.3242570171478316e114,
+                                -3.340982948573189e110, -2.2797019726048847e-114,
+                                -2.352062777877014e-40]])
+def test_find_roots_warns_nothing_and_leaves_the_callers_error_state(w):
+    # the solve ignores numpy's floating-point errors, as np.errstate(all="ignore")
+    # would, and puts back the caller's state whether it returns or raises
+    expected = _outcome(find_roots, w)
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(find_roots, w) == expected
+        with np.errstate(all="raise"):
+            inside = np.geterr()
+            assert _outcome(find_roots, w) == expected
+            assert np.geterr() == inside
+    assert np.geterr() == before
 
 
 def test_cluster_rep_gives_the_bytes_of_np_mean():
@@ -754,6 +821,15 @@ def _full_horner_pass(rows, z):
     return y[: len(z)], y[len(z):]
 
 
+def _horner_pass(rows, z, finite=None):
+    """p(z) and p'(z) from ``rootlab._values``, told whether z is finite unless
+    ``finite`` says otherwise."""
+    zz = np.concatenate([z, z])
+    y = np.empty(len(zz), np.result_type(rows[0], zz))
+    rootlab._values(rows, zz, np.isfinite(z).all() if finite is None else finite, y)
+    return y[: len(z)], y[len(z):]
+
+
 def test_horner_pass_without_its_zero_row_keeps_the_bits():
     # on a finite z, 0 * zz + rows[0] is rows[0]; an inf or NaN in z makes it
     # NaN, so such a z must take the whole pass
@@ -781,10 +857,13 @@ def test_horner_pass_without_its_zero_row_keeps_the_bits():
                               complex_z)):
                 for z in zs:
                     with np.errstate(all="ignore"):
-                        got = rootlab._values(rows, z)
+                        got = _horner_pass(rows, z)
                         expected = _full_horner_pass(rows, z)
-                    for g, e in zip(got, expected):
+                        # a finite z sent through the whole pass gets the same bits
+                        whole = _horner_pass(rows, z, finite=False)
+                    for g, e, h in zip(got, expected, whole):
                         assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), (poly, z)
+                        assert h.tobytes() == g.tobytes(), (poly, z)
                     non_finite += not np.isfinite(z).all()
     assert non_finite > 100
 
