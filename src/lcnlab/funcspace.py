@@ -82,7 +82,8 @@ def region_of_rrmp(rrmp: Rrmp, arch: Architecture) -> SpaceRegion:
 
 
 def region(w, arch: Architecture) -> SpaceRegion:
-    """Region of a concrete filter, via its numeric root pattern."""
+    """Region of a concrete filter, via its root pattern from ``classify_rrmp``
+    (the sign charts where they decide, else its numeric roots)."""
     return region_of_rrmp(classify_rrmp(w), arch)
 
 

@@ -38,15 +38,8 @@ import operator
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-try:
-    from numpy._core.multiarray import correlate2
-except ImportError:  # numpy 1.x names the module numpy.core
-    from numpy.core.multiarray import correlate2
-
-try:
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-except ImportError:  # numpy 1.x keeps its error state elsewhere; see _enter_errstate
-    _extobj_contextvar = None
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+from numpy._core.multiarray import correlate2
 
 
 def as_filter(w) -> np.ndarray:
@@ -342,24 +335,10 @@ def _singular(err, flag):
 # numpy's error state without np.errstate, which builds the state anew on every
 # entry.  _errstate(**flags) builds once the state that np.errstate(**flags) sets;
 # _enter_errstate(state) sets it and returns a token, and _exit_errstate(token) puts
-# back the caller's state, as leaving the np.errstate does.  numpy 1.x has no
-# error-state context variable: there a state is its flags, and entering it enters
-# a fresh np.errstate.
-if _extobj_contextvar is not None:
-    _errstate = _make_extobj
-    _enter_errstate = _extobj_contextvar.set
-    _exit_errstate = _extobj_contextvar.reset
-else:
-    def _errstate(**flags):
-        return flags
-
-    def _enter_errstate(flags):
-        token = np.errstate(**flags)
-        token.__enter__()
-        return token
-
-    def _exit_errstate(token):
-        token.__exit__(None, None, None)
+# back the caller's state, as leaving the np.errstate does.
+_errstate = _make_extobj
+_enter_errstate = _extobj_contextvar.set
+_exit_errstate = _extobj_contextvar.reset
 
 _QUIET = _errstate(all="ignore")  # the root finder's
 _SOLVE_STATE = _errstate(call=_singular, invalid="call", over="ignore", divide="ignore",

@@ -24,6 +24,9 @@ critical-point analysis, so this module owns:
   roots and conjugate pairs with their multiplicities, which both pattern
   classification and explicit factorization read,
 * exact sign-chart classification via closed-form discriminants (degree <= 4),
+  which also labels a degree-2..4 filter in ``classify_rrmp`` wherever three
+  guards find the chart decision well conditioned; the other filters are
+  rooted and clustered,
 * every pattern of a degree as the real-type splits of its partitions, and
   the bins-with-colored-balls compatibility test between a pattern and an
   architecture.
@@ -499,8 +502,25 @@ def classify_roots(roots) -> Rrmp:
 
 
 def classify_rrmp(coeffs) -> Rrmp:
-    """Pattern of a single filter via numeric roots + clustering."""
-    return classify_roots(find_roots(coeffs))
+    """Pattern of a single filter.
+
+    A degree-2..4 filter takes the label of the discriminant sign charts when
+    ``_chart_form_if_safe`` finds that decision well conditioned; every other
+    filter is rooted by ``find_roots`` and its roots clustered, which also
+    raises that route's errors.  The guards send the filters on which the two
+    routes could disagree (nearly repeated roots, roots near 0 or infinity)
+    to the roots.
+    """
+    c = as_filter(coeffs)
+    if 3 <= len(c) <= 5:
+        token = _enter_errstate(_QUIET)
+        try:
+            unit = _chart_form_if_safe(c)
+            if unit is not None:
+                return _chart_label(unit)
+        finally:
+            _exit_errstate(token)
+    return classify_roots(find_roots(c))
 
 
 def classify_rrmp_pooled(filters) -> Rrmp:
@@ -519,6 +539,11 @@ def classify_rrmp_pooled(filters) -> Rrmp:
 
 
 def _sgn(value: float, scale: float) -> int:
+    """Sign of a chart value, 0 within ``ZERO_BAND * scale``; ValueError when
+    the value or its scale overflowed."""
+    if not (math.isfinite(value) and math.isfinite(scale)):
+        raise ValueError(f"sign-chart value {value} at scale {scale} overflowed; "
+                         "the coefficients are too large for the closed forms")
     if abs(value) <= ZERO_BAND * scale:
         return 0
     return 1 if value > 0 else -1
@@ -546,6 +571,20 @@ def _quartic_terms(p, q, r):
     return ((256 * r**3, -128 * p * p * r * r, 144 * p * q * q * r, 16 * p**4 * r,
              -27 * q**4, -4 * p**3 * q * q),
             (8 * p * r, -9 * q * q, -2 * p**3))
+
+
+def _full_quartic_terms(c):
+    """The 16 monomials of the discriminant of a quartic, not depressed."""
+    a, b, cc, d, e = c
+    return (256 * a**3 * e**3, -192 * a * a * b * d * e * e, -128 * a * a * cc * cc * e * e,
+            144 * a * a * cc * d * d * e, -27 * a * a * d**4, 144 * a * b * b * cc * e * e,
+            -6 * a * b * b * d * d * e, -80 * a * b * cc * cc * d * e, 18 * a * b * cc * d**3,
+            16 * a * cc**4 * e, -4 * a * cc**3 * d * d, -27 * b**4 * e * e,
+            18 * b**3 * cc * d * e, -4 * b**3 * d**3, -4 * b * b * cc**3 * e,
+            b * b * cc * cc * d * d)
+
+
+_FULL_TERMS = {2: _quadratic_terms, 3: _cubic_terms, 4: _full_quartic_terms}
 
 
 def _chart_form(c, size: int, name: str) -> np.ndarray:
@@ -576,11 +615,16 @@ def depress_quartic(c) -> np.ndarray:
     c = _chart_form(c, 5, "quartic")
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; no monic normalization")
+    return np.array([1.0, 0.0, *_depressed(c)])
+
+
+def _depressed(c: np.ndarray) -> tuple:
+    """(p, q, r) of ``depress_quartic`` for 5 coefficients already checked."""
     _, b1, b2, b3, b4 = c / c[0]
     p = b2 - 3 * b1 * b1 / 8
     q = b3 - b1 * b2 / 2 + b1**3 / 8
     r = b4 - b1 * b3 / 4 + b1 * b1 * b2 / 16 - 3 * b1**4 / 256
-    return np.array([1.0, 0.0, p, q, r])
+    return p, q, r
 
 
 def disc_quartic_depressed(p: float, q: float, r: float):
@@ -601,7 +645,7 @@ def _disc_and_scale(c: np.ndarray):
     elif deg == 3:
         terms = _cubic_terms(c)
     elif deg == 4:
-        terms = _quartic_terms(*depress_quartic(c)[2:])[0]
+        terms = _quartic_terms(*_depressed(c))[0]
     else:
         raise ValueError(f"discriminant charts cover degrees 2..4 only, got degree {deg}")
     return _signed_sum(terms)
@@ -611,13 +655,25 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     """Pattern of a degree-2..4 form from discriminant sign charts alone.
 
     Values within ``ZERO_BAND`` times the largest monomial of each formula are
-    treated as exact zeros; the leading coefficient must be nonzero.
+    treated as exact zeros.  Raises ValueError for a non-finite entry, a zero
+    leading coefficient, another degree, and a chart value that overflows (the
+    cubic chart's monomials are of degree 4, so coefficients near 1e77 do).
     """
     c = as_filter(coeffs)
     _require_finite(c)
-    deg = len(c) - 1
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; dehomogenize first")
+    token = _enter_errstate(_QUIET)
+    try:
+        return _chart_label(c)
+    finally:
+        _exit_errstate(token)
+
+
+def _chart_label(c: np.ndarray) -> Rrmp:
+    """``rrmp_classify_by_signs`` for a finite form whose leading coefficient is
+    nonzero, under ``_QUIET``."""
+    deg = len(c) - 1
     if deg == 2:
         s = _sgn(*_disc_and_scale(c))
         if s > 0:
@@ -639,7 +695,7 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
             return Rrmp((3,), ())
         return Rrmp((1, 2), ())
     if deg == 4:
-        _, _, p, q, r = depress_quartic(c)
+        p, q, r = _depressed(c)
         delta, dprime = _quartic_terms(p, q, r)
         coeff_scale = max(abs(p), abs(q), abs(r), 1.0)
         sd = _sgn(*_signed_sum(delta))
@@ -677,6 +733,52 @@ def _discriminant_margin(coeffs) -> float:
     """
     value, scale = _disc_and_scale(as_filter(coeffs))
     return abs(value) / scale if scale else 0.0
+
+
+#: Guards of the chart route in ``classify_rrmp``: the smaller end coefficient
+#: against the largest one, the charts' own margin, and the balanced margin.
+_END_RATIO, _CHART_MARGIN, _BALANCED_MARGIN = 1e-8, 1e-6, 1e-12
+
+
+def _chart_form_if_safe(c: np.ndarray):
+    """The degree-2..4 filter ``c`` scaled by a power of two to a largest
+    |entry| in [0.5, 1), when ``classify_rrmp`` may label it by its sign
+    charts; else None.  Runs under ``_QUIET``; a NaN or inf guard value says no.
+
+    The scaling is exact and keeps every chart monomial clear of overflow and
+    of underflow, where the charts' signs of a cubic scaled by 2^-267 are
+    rounding noise.  The guards:
+
+    * Every entry is finite, and both end coefficients are at least
+      ``_END_RATIO`` times the largest |entry|.  So roots near 0 and infinity
+      stay with the root finder, and the balancing factor t below lies in
+      [1e-4, 1e4], where its powers cannot overflow.
+    * ``_discriminant_margin``, the charts' margin after a quartic is
+      depressed, exceeds ``_CHART_MARGIN``.
+    * The filter balanced as w(t x, y) with t = (|c_d| / |c_0|)^(1/d) and
+      divided by its largest |entry| has a discriminant, in its undepressed
+      form of 2, 5 or 16 monomials, above ``_BALANCED_MARGIN`` times the
+      largest monomial.
+
+    Either margin alone lets through filters with nearly repeated roots whose
+    chart label is not the one their clustered roots give.
+    """
+    values = c.tolist()
+    if not all(map(math.isfinite, values)):
+        return None
+    top = max(map(abs, values))
+    ends = min(abs(values[0]), abs(values[-1]))
+    if not (ends > 0 and ends >= _END_RATIO * top):
+        return None
+    unit = np.ldexp(c, -math.frexp(top)[1])
+    if not _CHART_MARGIN < _discriminant_margin(unit) < math.inf:
+        return None
+    d = len(values) - 1
+    t = (abs(values[-1]) / abs(values[0])) ** (1 / d)
+    balanced = [v * t ** (d - j) for j, v in enumerate(unit.tolist())]
+    top = max(map(abs, balanced))
+    value, largest = _signed_sum(_FULL_TERMS[d]([v / top for v in balanced]))
+    return unit if abs(value) > _BALANCED_MARGIN * largest else None
 
 
 def discriminant(coeffs) -> float:

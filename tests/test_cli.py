@@ -79,20 +79,21 @@ def test_classify_exterior_quadratic(tmp_path):
                    "region": "exterior"}
 
 
-def test_classify_roots_the_filter_once(monkeypatch, tmp_path):
+# the sign charts label 1,-3,2; the double root of 1,-2,1 sends it to the root finder
+@pytest.mark.parametrize("w,label,region,rooted", [("1,-3,2", "11|0", "interior", 0),
+                                                   ("1,-2,1", "2|0", "boundary", 1)],
+                         ids=["charts", "double-root"])
+def test_classify_labels_the_filter_once(w, label, region, rooted, monkeypatch, tmp_path):
     import lcnlab.rootlab
 
     calls = []
-    find_roots = lcnlab.rootlab.find_roots
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return find_roots(*args, **kwargs)
-
-    monkeypatch.setattr(lcnlab.rootlab, "find_roots", counting)
-    out = run_json(["classify", "--ks", "2,2", "--w", "1,-3,2"], tmp_path)
-    assert out == {"rrmp": "11|0", "filling": False, "e": 2, "region": "interior"}
-    assert len(calls) == 1
+    for name in ("find_roots", "_chart_label"):
+        fn = getattr(lcnlab.rootlab, name)
+        monkeypatch.setattr(lcnlab.rootlab, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    out = run_json(["classify", "--ks", "2,2", "--w", w], tmp_path)
+    assert out == {"rrmp": label, "filling": False, "e": 2, "region": region}
+    assert len(calls) == 1 and calls.count("find_roots") == rooted
 
 
 def test_classify_size_mismatch_exits_2(capsys):

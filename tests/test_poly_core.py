@@ -1,12 +1,9 @@
-import importlib.util
 import math
-import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from lcnlab import poly_core
 from lcnlab.poly_core import (
     Architecture,
     _checked_filters,
@@ -580,26 +577,6 @@ def test_the_bound_solve_raises_only_for_singular_and_nan_systems():
     assert out[3:] == ["LinAlgError: Singular matrix"] * 2
     assert np.frombuffer(out[1])[0] == np.inf and np.frombuffer(out[2])[0] == 0.0
     assert out == [_solved(np.linalg.solve, a, b) for a, b in _ERROR_SYSTEMS]
-
-
-def test_numpy_1_error_states_enter_a_fresh_np_errstate(monkeypatch):
-    # without numpy 2's error-state context variable, poly_core falls back to
-    # np.errstate; a copy loaded with that import blocked gives the same answers
-    monkeypatch.setitem(sys.modules, "numpy._core._ufunc_config", None)
-    spec = importlib.util.spec_from_file_location("poly_core_numpy1", poly_core.__file__)
-    fallback = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, fallback)  # dataclasses look it up
-    spec.loader.exec_module(fallback)
-    assert fallback._extobj_contextvar is None and poly_core._extobj_contextvar is not None
-    assert _solve_outcomes(fallback._solve) == _solve_outcomes(_solve)
-    with np.errstate(all="raise"):
-        token = fallback._enter_errstate(fallback._QUIET)
-        inner = fallback._enter_errstate(fallback._QUIET)  # a nested solve
-        assert np.geterr() == dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
-        np.divide(np.ones(1), 0.0)
-        fallback._exit_errstate(inner)
-        fallback._exit_errstate(token)
-        assert set(np.geterr().values()) == {"raise"}
 
 
 @pytest.mark.parametrize("theta", [

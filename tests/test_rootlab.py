@@ -261,7 +261,7 @@ def test_chart_matches_root_clustering_on_random_samples():
             from lcnlab.rootlab import _discriminant_margin
             if _discriminant_margin(c) <= band:
                 continue
-            assert rrmp_classify_by_signs(c) == classify_rrmp(c)
+            assert rrmp_classify_by_signs(c) == classify_roots(find_roots(c))
 
 
 def test_scaled_coefficients_classify_identically():
@@ -272,6 +272,91 @@ def test_scaled_coefficients_classify_identically():
             c[0] = 1.0
         assert rrmp_classify_by_signs(c) == rrmp_classify_by_signs(1e8 * c)
         assert rrmp_classify_by_signs(c) == rrmp_classify_by_signs(1e-8 * c)
+
+
+@pytest.mark.parametrize("w,label", [([1e200, 1.0, 1e200], "0|1"), ([1e200, 3e200, 1e200], "11|0")])
+def test_sign_charts_raise_where_a_chart_value_overflows(w, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed"):
+            rrmp_classify_by_signs(w)
+        assert classify_rrmp(w).label == label
+
+
+def _label_or_error(classify, w):
+    try:
+        return classify(w).label
+    except (RootFindingError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _constructed_filter(rng, degree):
+    """A filter built from roots drawn for a random pattern of this degree, where
+    the real root of the first multiplicity may sit at 0 or infinity."""
+    patterns = all_rrmps(degree)
+    rrmp = patterns[int(rng.integers(len(patterns)))]
+    factors = []
+    for m in rrmp.rho:
+        factors += [[1.0, -rng.standard_normal()]] * m
+    for m in rrmp.gamma:
+        z = complex(*rng.standard_normal(2))
+        factors += [[1.0, -2.0 * z.real, abs(z) ** 2]] * m
+    if rrmp.rho and rng.uniform() < 0.4:
+        end = [0.0, 1.0] if rng.uniform() < 0.5 else [1.0, 0.0]
+        factors[: rrmp.rho[0]] = [end] * rrmp.rho[0]
+    w = np.array([10 ** rng.uniform(-5, 5)])
+    for f in factors:
+        w = np.convolve(w, f)
+    return w
+
+
+def _near_double_root(rng, degree):
+    """A filter with two real roots at a relative distance of 1e-7 to 1e-2."""
+    r = rng.standard_normal()
+    pair = np.convolve([1.0, -r], [1.0, -r * (1 + 10 ** rng.uniform(-7, -2))])
+    return np.convolve(pair, rng.standard_normal(degree - 1))
+
+
+def test_classify_rrmp_gives_the_label_or_error_of_its_roots():
+    # the sign-chart route must answer as rooting and clustering does, with
+    # no numpy warning; the 2^k scalings include the band where a cubic's
+    # chart monomials underflow (k near -260)
+    rng = np.random.default_rng(20261020)
+    inputs = [draw(rng, d) for draw in (lambda rng, d: rng.standard_normal(d + 1),
+                                        _constructed_filter, _near_double_root)
+              for d in (2, 3, 4) for _ in range(200)]
+    with np.errstate(all="ignore"):
+        inputs += [b * 2.0 ** k for d in (2, 3, 4) for b in rng.standard_normal((2, d + 1))
+                   for k in range(-900, 901, 9)]
+        inputs += [b * 2.0 ** k for i in range(40)
+                   for b in [rng.standard_normal(4) if i % 2 else _near_double_root(rng, 3)]
+                   for k in range(-272, -250)]
+    inputs += [np.array(w) for w in (
+        [1e-300, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1e-200], [1.0, -4.0, 6.0, -4.0, 1.0],
+        [1.0, -4.5, 6.75, -3.375], [7.734157413842388e52, 3.3242570171478316e114,
+                                    -3.340982948573189e110, -2.2797019726048847e-114,
+                                    -2.352062777877014e-40])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w in inputs:
+            want = _label_or_error(lambda w: classify_roots(find_roots(w)), w)
+            assert _label_or_error(classify_rrmp, w) == want, w.tolist()
+
+
+def test_classify_rrmp_roots_only_what_the_charts_cannot_decide(monkeypatch):
+    calls = Counter()
+    for name in ("find_roots", "rrmp_classify_by_signs"):
+        fn = getattr(rootlab, name)
+        monkeypatch.setattr(rootlab, name,
+                            lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+    assert classify_rrmp([1.0, -3.0, 2.0]).label == "11|0"
+    assert not calls
+    # roots near 0 or infinity, and the 4-fold root of (x - y)^4
+    for w in ([1e-300, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1e-200], [1.0, -4.0, 6.0, -4.0, 1.0]):
+        calls.clear()
+        with pytest.raises(RootFindingError):
+            classify_rrmp(w)
+        assert calls == {"find_roots": 1}
 
 
 # ---- compatibility with architectures ----
@@ -370,6 +455,10 @@ def test_discriminant_matches_low_degree_charts():
     for _ in range(100):
         c = rng.standard_normal(4)
         d = disc_cubic(c)
+        assert discriminant(c) == pytest.approx(d, rel=1e-8, abs=1e-9)
+    for _ in range(100):  # the undepressed quartic of the chart route's guard
+        c = rng.standard_normal(5)
+        d = rootlab._signed_sum(rootlab._full_quartic_terms(c.tolist()))[0]
         assert discriminant(c) == pytest.approx(d, rel=1e-8, abs=1e-9)
 
 
