@@ -10,7 +10,9 @@ layer's span, for any strides.  One kernel per architecture computes it:
 ``_descent_kernel`` writes the gradient and the whole descent loop once as
 straight-line Python on float locals, with numpy's bits.
 ``loss_and_gradient`` and gradient descent both run it, and descent
-evaluates ``obj.value`` once per run.
+evaluates ``obj.value`` once per run.  Each step calls ``obj.grad`` once,
+except on a diagonal matrix (the Euclidean and Bombieri metrics), whose
+kernel writes the loss gradient out with the same bits.
 
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
@@ -97,6 +99,12 @@ class QuadraticObjective:
                 raise ValueError(f"QuadraticObjective {name} has non-finite entries")
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "target", u)
+        # _diagonal, for gd_train: the diagonal as a float list when every off-diagonal
+        # entry is zero, else None.  Set here, not cached on first read: a write into
+        # the instance's __dict__ after construction slows every attribute read of grad
+        d = M.diagonal()
+        diagonal = d.tolist() if np.array_equal(M, np.diag(d)) else None
+        object.__setattr__(self, "_diagonal", diagonal)
 
     @property
     def k(self) -> int:
@@ -283,12 +291,13 @@ def _sq_norm_source(grads) -> str:
                        else f"({_sum_source(f'{x}*{x}' for x in g)})" for g in grads)
 
 
-def _gradient_source(ks, strides):
+def _gradient_source(ks, strides, diagonal=False):
     """(lines, taps, w, g, grads): straight-line source of one gradient evaluation,
-    with the layer taps, the end-to-end filter, the loss gradient ``grad`` returns at
-    it (its one call, on a float list) and the layer gradients as lists of names.
-    ``strides`` are those of every layer but the last; upsampled zeros stay literal
-    0.0 factors."""
+    with the layer taps, the end-to-end filter, the loss gradient at it and the layer
+    gradients as lists of names.  The loss gradient is what ``grad`` returns (its one
+    call, on a float list), or for a ``diagonal`` matrix m*(w - u) doubled by addition
+    on the locals ``m{i}`` and ``u{i}``.  ``strides`` are those of every layer but the
+    last; upsampled zeros stay literal 0.0 factors."""
     em = _Emitter()
     taps = [[f"t{l}_{j}" for j in range(k)] for l, k in enumerate(ks)]
     spans = list(itertools.accumulate((1,) + tuple(strides), operator.mul))
@@ -298,31 +307,41 @@ def _gradient_source(ks, strides):
         f[::s] = t
         fs.append(f)
     w, comps = _complements(fs, em.mul)
-    g = em.unpack(f"grad({_list_source(w)}).tolist()", len(w))
+    if diagonal:
+        g = em.assign(f"m{i}*({x} - u{i})" for i, x in enumerate(w))
+        g = em.assign(f"{x} + {x}" for x in g)
+    else:
+        g = em.unpack(f"grad({_list_source(w)}).tolist()", len(w))
     return em.lines, taps, w, g, [em.correlate(g, c, s) for c, s in zip(comps, spans)]
 
 
 @functools.lru_cache(maxsize=256)
-def _descent_kernel(ks: tuple, strides: tuple):
+def _descent_kernel(ks: tuple, strides: tuple, diagonal: bool = False):
     """(descend, gradients) for the layer sizes ``ks`` and the strides of every layer but
     the last, which never enters the source, compiled once from straight-line source.
 
-    ``descend(theta, target, const, grad, step, max_steps, tol, diverge)`` runs
+    ``descend(theta, target, const, metric, step, max_steps, tol, diverge)`` runs
     ``gd_train``'s loop on float-list layers and returns (theta, grad_sq, steps,
     converged, diverged); ``gradients(theta, grad)`` returns the end-to-end filter and
-    the layer gradients as float lists.  Each evaluation calls ``grad`` once.  The
-    source depends only on ``ks`` and ``strides``; ``grad`` comes in with every call.
+    the layer gradients as float lists.  ``metric`` is the objective's ``grad``, which
+    each evaluation calls once.  The ``diagonal`` variant takes the diagonal of an
+    objective whose off-diagonal entries are all zero as ``metric``, a float list, and
+    writes out its loss gradient, which has ``grad``'s bits up to the sign of a zero:
+    every read of it is a sum from 0.0 or a ``_correlate`` call, and neither passes a
+    zero's sign on.  That variant has no ``gradients`` (None).  The source depends only
+    on ``ks``, ``strides`` and ``diagonal``; ``metric`` comes in with every call.
     """
-    lines, taps, w, g, grads = _gradient_source(ks, strides)
+    lines, taps, w, g, grads = _gradient_source(ks, strides, diagonal)
     layers = _list_source(map(_list_source, taps))
     body = "\n".join(lines)
     update = "\n".join(f"{x} = {x} - step*{y}" for t, d in zip(taps, grads)
                        for x, y in zip(t, d))
     half = _sum_source(f"({x} - u{i})*{y}" for i, (x, y) in enumerate(zip(w, g)))
     source = f"""
-def descend(theta, target, const, grad, step, max_steps, tol, diverge):
+def descend(theta, target, const, metric, step, max_steps, tol, diverge):
     {layers} = theta
     {_list_source(f"u{i}" for i in range(len(w)))} = target
+    {_list_source(f"m{i}" for i in range(len(w))) if diagonal else "grad"} = metric
     grad_sq = _inf
     converged = diverged = False
     for steps in range(max_steps + 1):
@@ -339,25 +358,27 @@ def descend(theta, target, const, grad, step, max_steps, tol, diverge):
             break
 {textwrap.indent(update, " " * 8)}
     return {layers}, grad_sq, steps, converged, diverged
-
+"""
+    if not diagonal:
+        source += f"""
 
 def gradients(theta, grad):
     {layers} = theta
 {textwrap.indent(body, " " * 4)}
     return {_list_source(w)}, {_list_source(map(_list_source, grads))}
 """
-    namespace = _compile(source, f"<descent kernel {ks} {strides}>", _isfinite=math.isfinite,
-                         _inf=math.inf, _sum=np.sum, _square=np.square)
-    return namespace["descend"], namespace["gradients"]
+    namespace = _compile(source, f"<descent kernel {ks} {strides}{' diagonal' * diagonal}>",
+                         _isfinite=math.isfinite, _inf=math.inf, _sum=np.sum, _square=np.square)
+    return namespace["descend"], namespace.get("gradients")
 
 
-def _checked_kernel(theta, arch: Architecture, obj: QuadraticObjective):
-    """``_descent_kernel`` of ``arch``, after raising ValueError when ``theta`` or the
-    objective's size does not match it."""
+def _checked_kernel(theta, arch: Architecture, obj: QuadraticObjective, diagonal=False):
+    """``_descent_kernel`` of ``arch`` and ``diagonal``, after raising ValueError when
+    ``theta`` or the objective's size does not match ``arch``."""
     _checked_filters(theta, arch)
     if obj.k != arch.filter_size:
         raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
-    return _descent_kernel(arch.ks, arch.strides[:-1])
+    return _descent_kernel(arch.ks, arch.strides[:-1], diagonal)
 
 
 def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
@@ -367,21 +388,26 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     Stops when the squared gradient norm drops below the tolerance; flags
     divergence when the loss explodes or turns non-finite.  The steps run in
     the architecture's compiled kernel (``_descent_kernel``) on float lists,
-    with one ``obj.grad`` call each, and test the loss as (w - target).g / 2
-    + const; ``obj.value`` runs once, for the returned loss at the final
-    filter.  The returned run carries the pooled root patterns of the
-    initialization and the final layers and, classified on its first read,
-    the root pattern of the target, all at ``ROOT_TOL``; each is None when
-    its filter is zero or non-finite or its roots cannot be certified.
+    with one ``obj.grad`` call each, or none when every off-diagonal entry of
+    ``obj.matrix`` is zero (the Euclidean and Bombieri metrics): that kernel
+    writes the loss gradient out, with the same answers.  The steps test the
+    loss as (w - target).g / 2 + const; ``obj.value`` runs once, for the
+    returned loss at the final filter.  The returned run carries the pooled
+    root patterns of the initialization and the final layers and, classified
+    on its first read, the root pattern of the target, all at ``ROOT_TOL``;
+    each is None when its filter is zero or non-finite or its roots cannot be
+    certified.
     Raises ValueError, before any step, when ``theta0`` or the objective's
     size does not match ``arch``.
     """
     theta = [as_filter(w) for w in theta0]
-    descend = _checked_kernel(theta, arch, obj)[0]
+    diagonal = obj._diagonal
+    descend = _checked_kernel(theta, arch, obj, diagonal is not None)[0]
     init_rrmp = _classified(classify_rrmp_pooled, theta)
     theta, grad_sq, steps, converged, diverged = descend(
-        [w.tolist() for w in theta], obj.target.tolist(), obj.const, obj.grad, config.step,
-        config.max_steps, config.grad_sq_tol, config.diverge_loss)
+        [w.tolist() for w in theta], obj.target.tolist(), obj.const,
+        obj.grad if diagonal is None else diagonal, config.step, config.max_steps,
+        config.grad_sq_tol, config.diverge_loss)
     theta = [np.array(t) for t in theta]
     w, _ = end_to_end(theta, arch)
     return TrainRun(

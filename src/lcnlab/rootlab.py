@@ -44,6 +44,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,9 +516,9 @@ def classify_rrmp(coeffs) -> Rrmp:
     if 3 <= len(c) <= 5:
         token = _enter_errstate(_QUIET)
         try:
-            unit = _chart_form_if_safe(c)
-            if unit is not None:
-                return _chart_label(unit)
+            safe = _chart_form_if_safe(c)
+            if safe is not None:
+                return _chart_label(*safe)
         finally:
             _exit_errstate(token)
     return classify_roots(find_roots(c))
@@ -568,9 +569,14 @@ def _cubic_terms(c):
 
 
 def _quartic_terms(p, q, r):
-    return ((256 * r**3, -128 * p * p * r * r, 144 * p * q * q * r, 16 * p**4 * r,
-             -27 * q**4, -4 * p**3 * q * q),
-            (8 * p * r, -9 * q * q, -2 * p**3))
+    """The monomials of delta, the discriminant of the depressed quartic."""
+    return (256 * r**3, -128 * p * p * r * r, 144 * p * q * q * r, 16 * p**4 * r,
+            -27 * q**4, -4 * p**3 * q * q)
+
+
+def _quartic_dprime_terms(p, q, r):
+    """The monomials of the depressed quartic's delta'."""
+    return (8 * p * r, -9 * q * q, -2 * p**3)
 
 
 def _full_quartic_terms(c):
@@ -632,50 +638,65 @@ def disc_quartic_depressed(p: float, q: float, r: float):
     for a non-finite p, q or r."""
     if not all(map(math.isfinite, (p, q, r))):
         raise ValueError(f"p, q and r must be finite, got {(p, q, r)}")
-    delta, dprime = _quartic_terms(p, q, r)
-    return _signed_sum(delta)[0], _signed_sum(dprime)[0]
+    return (_signed_sum(_quartic_terms(p, q, r))[0],
+            _signed_sum(_quartic_dprime_terms(p, q, r))[0])
 
 
 def _disc_and_scale(c: np.ndarray):
-    """(discriminant, largest of its monomials) of a degree-2..4 form; a
-    quartic is depressed first."""
+    """(discriminant, largest of its monomials, depressed) of a degree-2..4
+    form: a quartic is depressed first, and ``depressed`` is its (p, q, r),
+    None below degree 4.  ValueError for another degree."""
     deg = len(c) - 1
+    depressed = None
     if deg == 2:
         terms = _quadratic_terms(c)
     elif deg == 3:
         terms = _cubic_terms(c)
     elif deg == 4:
-        terms = _quartic_terms(*_depressed(c))[0]
+        depressed = _depressed(c)
+        terms = _quartic_terms(*depressed)
     else:
-        raise ValueError(f"discriminant charts cover degrees 2..4 only, got degree {deg}")
-    return _signed_sum(terms)
+        raise ValueError(f"sign charts cover degrees 2..4 only, got degree {deg}")
+    return (*_signed_sum(terms), depressed)
 
 
 def rrmp_classify_by_signs(coeffs) -> Rrmp:
     """Pattern of a degree-2..4 form from discriminant sign charts alone.
 
-    Values within ``ZERO_BAND`` times the largest monomial of each formula are
-    treated as exact zeros.  Raises ValueError for a non-finite entry, a zero
-    leading coefficient, another degree, and a chart value that overflows (the
-    cubic chart's monomials are of degree 4, so coefficients near 1e77 do).
+    The form is first scaled by a power of two to a largest |entry| in
+    [0.5, 1) (``_unit``), unless that would make its smallest nonzero entry
+    subnormal and so drop bits; so its label does not depend on its overall
+    size, and its chart monomials neither overflow nor underflow into rounding
+    noise on the way.  Values within ``ZERO_BAND`` times the largest monomial
+    of each formula are treated as exact zeros.  Raises ValueError for a non-finite entry, a zero
+    leading coefficient, another degree, and a chart value that overflows,
+    which only a quartic whose leading coefficient is tiny against the others
+    reaches.
     """
     c = as_filter(coeffs)
     _require_finite(c)
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; dehomogenize first")
+    values = c.tolist()
+    top = max(map(abs, values))
+    low = min(abs(v) for v in values if v)
     token = _enter_errstate(_QUIET)
     try:
-        return _chart_label(c)
+        if math.frexp(low)[1] - math.frexp(top)[1] >= sys.float_info.min_exp:
+            c = _unit(c, top)
+        return _chart_label(c, _disc_and_scale(c))
     finally:
         _exit_errstate(token)
 
 
-def _chart_label(c: np.ndarray) -> Rrmp:
-    """``rrmp_classify_by_signs`` for a finite form whose leading coefficient is
-    nonzero, under ``_QUIET``."""
+def _chart_label(c: np.ndarray, chart) -> Rrmp:
+    """``rrmp_classify_by_signs`` for a finite degree-2..4 form whose leading
+    coefficient is nonzero and its ``chart``, ``_disc_and_scale(c)``, under
+    ``_QUIET``."""
+    value, scale, depressed = chart
+    s = _sgn(value, scale)
     deg = len(c) - 1
     if deg == 2:
-        s = _sgn(*_disc_and_scale(c))
         if s > 0:
             return Rrmp((1, 1), ())
         if s == 0:
@@ -683,7 +704,6 @@ def _chart_label(c: np.ndarray) -> Rrmp:
         return Rrmp((), (1,))
     if deg == 3:
         a, b, cc, d = c
-        s = _sgn(*_disc_and_scale(c))
         if s > 0:
             return Rrmp((1, 1, 1), ())
         if s < 0:
@@ -694,35 +714,31 @@ def _chart_label(c: np.ndarray) -> Rrmp:
         if t1 == t2 == t3 == 0:
             return Rrmp((3,), ())
         return Rrmp((1, 2), ())
-    if deg == 4:
-        p, q, r = _depressed(c)
-        delta, dprime = _quartic_terms(p, q, r)
-        coeff_scale = max(abs(p), abs(q), abs(r), 1.0)
-        sd = _sgn(*_signed_sum(delta))
-        sdp = _sgn(*_signed_sum(dprime))
-        sp = _sgn(p, coeff_scale)
-        sq = _sgn(q, coeff_scale)
-        if sd > 0:
-            if sdp > 0 and sp == 0:
-                # banded-zero p is chart-ambiguous here; fall back to raw sign
-                sp = 1 if p > 0 else (-1 if p < 0 else 0)
-            if sdp > 0 and sp < 0:
-                return Rrmp((1, 1, 1, 1), ())
-            return Rrmp((), (1, 1))
-        if sd < 0:
-            return Rrmp((1, 1), (1,))
-        # delta == 0: some root is repeated
-        if sdp > 0:
-            return Rrmp((1, 1, 2), ())
-        if sdp < 0:
-            return Rrmp((2,), (1,))
-        # delta == delta' == 0
-        if sp < 0:
-            return Rrmp((2, 2), ()) if sq == 0 else Rrmp((1, 3), ())
-        if sp > 0:
-            return Rrmp((), (2,))
-        return Rrmp((4,), ())
-    raise ValueError(f"sign charts cover degrees 2..4 only, got degree {deg}")
+    p, q, r = depressed
+    coeff_scale = max(abs(p), abs(q), abs(r), 1.0)
+    sdp = _sgn(*_signed_sum(_quartic_dprime_terms(p, q, r)))
+    sp = _sgn(p, coeff_scale)
+    sq = _sgn(q, coeff_scale)
+    if s > 0:
+        if sdp > 0 and sp == 0:
+            # banded-zero p is chart-ambiguous here; fall back to raw sign
+            sp = 1 if p > 0 else (-1 if p < 0 else 0)
+        if sdp > 0 and sp < 0:
+            return Rrmp((1, 1, 1, 1), ())
+        return Rrmp((), (1, 1))
+    if s < 0:
+        return Rrmp((1, 1), (1,))
+    # delta == 0: some root is repeated
+    if sdp > 0:
+        return Rrmp((1, 1, 2), ())
+    if sdp < 0:
+        return Rrmp((2,), (1,))
+    # delta == delta' == 0
+    if sp < 0:
+        return Rrmp((2, 2), ()) if sq == 0 else Rrmp((1, 3), ())
+    if sp > 0:
+        return Rrmp((), (2,))
+    return Rrmp((4,), ())
 
 
 def _discriminant_margin(coeffs) -> float:
@@ -731,8 +747,23 @@ def _discriminant_margin(coeffs) -> float:
     Used to decide whether an input sits inside the numerical boundary band
     where chart-based and clustering-based classification may differ.
     """
-    value, scale = _disc_and_scale(as_filter(coeffs))
+    return _margin(_disc_and_scale(as_filter(coeffs)))
+
+
+def _margin(chart) -> float:
+    """|discriminant| over its largest monomial, from ``_disc_and_scale``'s
+    ``chart``; 0.0 when every monomial vanishes."""
+    value, scale, _ = chart
     return abs(value) / scale if scale else 0.0
+
+
+def _unit(c: np.ndarray, top: float) -> np.ndarray:
+    """``c``, whose largest |entry| is ``top`` > 0, scaled by a power of two to a
+    largest |entry| in [0.5, 1).  The scaling is exact unless a scaled entry
+    is subnormal, and it keeps the degree-2 and degree-3 chart monomials clear
+    of overflow and of the underflow where the charts' signs of a cubic scaled
+    by 2^-267 are rounding noise."""
+    return np.ldexp(c, -math.frexp(top)[1])
 
 
 #: Guards of the chart route in ``classify_rrmp``: the smaller end coefficient
@@ -741,20 +772,17 @@ _END_RATIO, _CHART_MARGIN, _BALANCED_MARGIN = 1e-8, 1e-6, 1e-12
 
 
 def _chart_form_if_safe(c: np.ndarray):
-    """The degree-2..4 filter ``c`` scaled by a power of two to a largest
-    |entry| in [0.5, 1), when ``classify_rrmp`` may label it by its sign
-    charts; else None.  Runs under ``_QUIET``; a NaN or inf guard value says no.
-
-    The scaling is exact and keeps every chart monomial clear of overflow and
-    of underflow, where the charts' signs of a cubic scaled by 2^-267 are
-    rounding noise.  The guards:
+    """(unit, chart) when ``classify_rrmp`` may label the degree-2..4 filter
+    ``c`` by its sign charts, else None: ``unit`` is ``_unit(c)`` and
+    ``chart`` is ``_disc_and_scale(unit)``, which ``_chart_label`` reads.
+    Runs under ``_QUIET``; a NaN or inf guard value says no.  The guards:
 
     * Every entry is finite, and both end coefficients are at least
       ``_END_RATIO`` times the largest |entry|.  So roots near 0 and infinity
       stay with the root finder, and the balancing factor t below lies in
       [1e-4, 1e4], where its powers cannot overflow.
-    * ``_discriminant_margin``, the charts' margin after a quartic is
-      depressed, exceeds ``_CHART_MARGIN``.
+    * ``_margin(chart)``, the charts' margin after a quartic is depressed,
+      exceeds ``_CHART_MARGIN``.
     * The filter balanced as w(t x, y) with t = (|c_d| / |c_0|)^(1/d) and
       divided by its largest |entry| has a discriminant, in its undepressed
       form of 2, 5 or 16 monomials, above ``_BALANCED_MARGIN`` times the
@@ -770,15 +798,16 @@ def _chart_form_if_safe(c: np.ndarray):
     ends = min(abs(values[0]), abs(values[-1]))
     if not (ends > 0 and ends >= _END_RATIO * top):
         return None
-    unit = np.ldexp(c, -math.frexp(top)[1])
-    if not _CHART_MARGIN < _discriminant_margin(unit) < math.inf:
+    unit = _unit(c, top)
+    chart = _disc_and_scale(unit)
+    if not _CHART_MARGIN < _margin(chart) < math.inf:
         return None
     d = len(values) - 1
     t = (abs(values[-1]) / abs(values[0])) ** (1 / d)
     balanced = [v * t ** (d - j) for j, v in enumerate(unit.tolist())]
     top = max(map(abs, balanced))
     value, largest = _signed_sum(_FULL_TERMS[d]([v / top for v in balanced]))
-    return unit if abs(value) > _BALANCED_MARGIN * largest else None
+    return (unit, chart) if abs(value) > _BALANCED_MARGIN * largest else None
 
 
 def discriminant(coeffs) -> float:

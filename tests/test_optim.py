@@ -687,6 +687,72 @@ def test_gd_train_matches_the_reference_loop_byte_for_byte(ks, strides):
     assert _run_fields(run) == ref
 
 
+def _dense_objective(rng, target):
+    """A Gram-matrix objective, as the pattern study draws, whose off-diagonal entries
+    are not zero from two entries on, so that descent calls its ``grad``."""
+    k = len(target)
+    X = rng.standard_normal((k, 2 * k)) / np.sqrt(2 * k)
+    return QuadraticObjective(X @ X.T, target)
+
+
+def _diagonal_objectives(rng, k):
+    """Diagonal objectives with random positive weights, one of them zero or negative,
+    and targets scaled by 2^-30, 1 and 2^30."""
+    for weight in (None, 0.0, -0.5):
+        m = rng.uniform(0.1, 2.0, k)
+        if weight is not None:
+            m[rng.integers(k)] = weight
+        for scale in (2.0 ** -30, 1.0, 2.0 ** 30):
+            obj = QuadraticObjective(np.diag(m), scale * rng.standard_normal(k))
+            assert obj._diagonal == m.tolist()
+            yield obj
+
+
+@pytest.mark.parametrize("ks, strides", [
+    ((1,), None), ((2, 2), None), ((2, 2, 2), None), ((3, 2), (2, 1)), ((3, 3), None),
+    ((12, 2), None),
+])
+def test_gd_train_matches_the_reference_loop_on_diagonal_objectives(ks, strides):
+    # the diagonal kernel writes the loss gradient out; the reference calls obj.grad
+    arch = Architecture(ks, strides)
+    rng = np.random.default_rng(43)
+    configs = (TrainConfig(step=0.05, max_steps=3000, grad_sq_tol=1e-10),
+               TrainConfig(step=0.02, max_steps=30, grad_sq_tol=1e-12),
+               TrainConfig(step=1.5, max_steps=300))
+    outcomes = set()
+    for obj in _diagonal_objectives(rng, arch.filter_size):
+        for config in configs:
+            theta0 = [0.5 * w for w in arch.random_theta(rng)]
+            with np.errstate(all="ignore"):
+                run = gd_train(obj, arch, theta0, config)
+                ref = _reference_descent(obj, arch, theta0, config)
+            assert _run_fields(run) == ref, (obj, config)
+            outcomes.add("converged" if run.converged else "diverged" if run.diverged
+                         else "capped")
+    assert outcomes == {"converged", "capped", "diverged"}
+
+
+def test_a_diagonal_matrix_product_is_the_elementwise_one_up_to_a_zeros_sign():
+    # the diagonal descent kernel writes m*r where grad takes M.dot(r) (@ on one entry):
+    # on a finite r, BLAS adds exact zeros to the one rounded product of each row
+    rng = np.random.default_rng(47)
+    edges = [0.0, -0.0, 5e-324, -1e-310, 1e-300, -1e-300, 1e300, -1e300]
+    zero_signs = 0  # entries where only the sign of a zero differs
+    with np.errstate(all="ignore"):
+        for k in range(1, 13):
+            for _ in range(400):
+                m, r = (np.where(rng.random(k) < 0.3, rng.choice(edges, k),
+                                 rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k))
+                        for _ in range(2))
+                M = np.diag(m)
+                M[(rng.random((k, k)) < 0.5) & ~np.eye(k, dtype=bool)] = -0.0
+                want = m * r
+                for got in (M.dot(r), M @ r):
+                    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+                    zero_signs += np.sum(np.signbit(got) != np.signbit(want))
+    assert zero_signs > 0
+
+
 def _numpy_routes(arch):
     """The numpy cases of the float-list arithmetic that a descent step on ``arch``
     takes: a product with a shorter operand of 3 or more entries, a squared norm of a
@@ -705,6 +771,7 @@ def _numpy_routes(arch):
 
 def test_gd_train_matches_the_reference_loop_on_random_architectures():
     rng = np.random.default_rng(16)
+    gram_rng = np.random.default_rng(18)  # the dense matrices, apart from rng's draws
     outcomes, routes = set(), set()
     for i in range(24):
         arch = random_arch(rng, max_k=(5, 13)[i % 2])  # every other one up to 13 taps
@@ -714,19 +781,23 @@ def test_gd_train_matches_the_reference_loop_on_random_architectures():
         theta0 = [_signed_zero_filter(rng, k) / np.sqrt(k) for k in arch.ks]
         with_inf = [w.copy() for w in theta0]
         with_inf[int(rng.integers(arch.depth))][0] = np.inf
-        with np.errstate(all="ignore"):
-            g0 = float(sum(np.sum(g * g) for g in loss_and_gradient(theta0, arch, obj)[1]))
-            converging = TrainConfig(step=0.1 / (1 + g0), max_steps=200, grad_sq_tol=0.1 * g0)
-            for theta, config in ((theta0, converging), (with_inf, converging),
-                                  (theta0, TrainConfig(step=1e-3 / (1 + g0), max_steps=10,
-                                                       grad_sq_tol=0.0)),
-                                  (theta0, TrainConfig(step=10.0, max_steps=200, diverge_loss=1e6))):
-                run = gd_train(obj, arch, theta, config)
-                ref = _reference_descent(obj, arch, theta, config)
-                assert _run_fields(run) == ref, (arch, config)
-                outcomes.add("converged" if run.converged else "diverged" if run.diverged
-                             else "capped")
-    assert outcomes == {"converged", "capped", "diverged"}
+        # the diagonal metric and a dense objective take the two descent kernels
+        for obj in (obj, _dense_objective(gram_rng, obj.target)):
+            with np.errstate(all="ignore"):
+                g0 = float(sum(np.sum(g * g) for g in loss_and_gradient(theta0, arch, obj)[1]))
+                converging = TrainConfig(step=0.1 / (1 + g0), max_steps=200, grad_sq_tol=0.1 * g0)
+                for theta, config in ((theta0, converging), (with_inf, converging),
+                                      (theta0, TrainConfig(step=1e-3 / (1 + g0), max_steps=10,
+                                                           grad_sq_tol=0.0)),
+                                      (theta0, TrainConfig(step=10.0, max_steps=200,
+                                                           diverge_loss=1e6))):
+                    run = gd_train(obj, arch, theta, config)
+                    ref = _reference_descent(obj, arch, theta, config)
+                    assert _run_fields(run) == ref, (arch, config)
+                    outcomes.add((obj._diagonal is None, "converged" if run.converged
+                                  else "diverged" if run.diverged else "capped"))
+    assert outcomes == {(dense, outcome) for dense in (False, True)
+                        for outcome in ("converged", "capped", "diverged")}
     assert routes == {"product", "norm", "correlation"}
 
 
@@ -734,24 +805,32 @@ def test_one_descent_kernel_per_architecture():
     _descent_kernel.cache_clear()
     arch = Architecture((3, 2), (2, 1))
     rng = np.random.default_rng(17)
+    # both metrics are diagonal, so they share the diagonal kernel
     for metric in (QuadraticObjective.euclidean, QuadraticObjective.bombieri):
         obj = metric(rng.standard_normal(arch.filter_size))
         for config in (TrainConfig(max_steps=5), TrainConfig(step=0.02, max_steps=3)):
             gd_train(obj, arch, arch.random_theta(rng), config)
     info = _descent_kernel.cache_info()
     assert (info.misses, info.hits) == (1, 3)
-    kernel = _descent_kernel(arch.ks, arch.strides[:-1])
+    diagonal = _descent_kernel(arch.ks, arch.strides[:-1], True)
+    assert diagonal[1] is None  # loss_and_gradient takes the dense kernel's gradients
+    # a dense objective and the gradients share the dense kernel
+    gd_train(_dense_objective(rng, rng.standard_normal(arch.filter_size)), arch,
+             arch.random_theta(rng), TrainConfig(max_steps=5))
+    assert _descent_kernel.cache_info().misses == 2
+    kernel = _descent_kernel(arch.ks, arch.strides[:-1], False)
+    assert kernel[0] is not diagonal[0]
     # the last layer's stride never enters the source, so it does not key the kernel
     same = Architecture((3, 2), (2, 2))
     loss_and_gradient(same.random_theta(rng),
                       same, QuadraticObjective.euclidean(rng.standard_normal(same.filter_size)))
-    assert _descent_kernel.cache_info().misses == 1
-    assert _descent_kernel(same.ks, same.strides[:-1]) is kernel
+    assert _descent_kernel.cache_info().misses == 2
+    assert _descent_kernel(same.ks, same.strides[:-1], False) is kernel
     other = Architecture((3, 2), (1, 1))
     gd_train(QuadraticObjective.euclidean(rng.standard_normal(other.filter_size)), other,
              other.random_theta(rng), TrainConfig(max_steps=5))
-    assert _descent_kernel.cache_info().misses == 2
-    assert _descent_kernel(other.ks, other.strides[:-1]) is not kernel
+    assert _descent_kernel.cache_info().misses == 3
+    assert _descent_kernel(other.ks, other.strides[:-1], True) is not diagonal
 
 
 def test_descent_kernel_multiplies_upsampled_zeros():
@@ -790,11 +869,22 @@ def test_squared_norm_matches_numpy_bit_for_bit():
 def test_gd_train_evaluates_one_gradient_per_step(max_steps, grad_calls):
     arch = Architecture((2, 2, 2))
     rng = np.random.default_rng(14)
-    obj = QuadraticObjective.euclidean(rng.standard_normal(arch.filter_size))
+    obj = _dense_objective(rng, rng.standard_normal(arch.filter_size))
     run = gd_train(obj, arch, arch.random_theta(rng),
                    TrainConfig(step=0.02, max_steps=max_steps, grad_sq_tol=1e-12))
     assert not run.diverged and run.converged == (max_steps > 40)
     assert len(grad_calls) == run.steps + 1
+
+
+@pytest.mark.parametrize("max_steps", [20000, 40])
+def test_gd_train_on_a_diagonal_objective_calls_no_gradient(max_steps, grad_calls):
+    arch = Architecture((2, 2, 2))
+    rng = np.random.default_rng(14)
+    obj = QuadraticObjective.euclidean(rng.standard_normal(arch.filter_size))
+    run = gd_train(obj, arch, arch.random_theta(rng),
+                   TrainConfig(step=0.02, max_steps=max_steps, grad_sq_tol=1e-12))
+    assert not run.diverged and run.converged == (max_steps > 40)
+    assert grad_calls == []
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -274,13 +274,28 @@ def test_scaled_coefficients_classify_identically():
         assert rrmp_classify_by_signs(c) == rrmp_classify_by_signs(1e-8 * c)
 
 
-@pytest.mark.parametrize("w,label", [([1e200, 1.0, 1e200], "0|1"), ([1e200, 3e200, 1e200], "11|0")])
-def test_sign_charts_raise_where_a_chart_value_overflows(w, label):
+# a cubic whose chart monomials, unscaled, underflow into rounding noise at 2^-267
+UNDERFLOWING_CUBIC = np.ldexp([-0.0471070855877405, -0.5394111090639113, 2.071750359349201,
+                               -1.741041909063964], -267)
+
+
+@pytest.mark.parametrize("w,label", [([1e200, 1.0, 1e200], "0|1"), ([1e200, 3e200, 1e200], "11|0"),
+                                     (UNDERFLOWING_CUBIC, "111|0")])
+def test_sign_charts_label_forms_whose_unscaled_chart_values_overflow_or_underflow(w, label):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflowed"):
-            rrmp_classify_by_signs(w)
+        assert rrmp_classify_by_signs(w).label == label
         assert classify_rrmp(w).label == label
+
+
+def test_sign_charts_label_a_form_alike_at_every_scale():
+    for e in range(-750, 1020, 3):
+        assert rrmp_classify_by_signs(np.ldexp(UNDERFLOWING_CUBIC, 267 + e)).label == "111|0", e
+    # scaled to max|c| near 1, 1e-300 would turn subnormal and drop bits: kept unscaled
+    assert rrmp_classify_by_signs([1e300, 1.0, 1e-300]).label == "0|1"
+    # a quartic's depressed chart values still overflow where its leading entry is tiny
+    with pytest.raises(ValueError, match="overflowed"):
+        rrmp_classify_by_signs([1e-300, 1.0, 1.0, 1.0, 1.0])
 
 
 def _label_or_error(classify, w):
