@@ -670,8 +670,8 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     noise on the way.  Values within ``ZERO_BAND`` times the largest monomial
     of each formula are treated as exact zeros.  Raises ValueError for a non-finite entry, a zero
     leading coefficient, another degree, and a chart value that overflows,
-    which only a quartic whose leading coefficient is tiny against the others
-    reaches.
+    which only a form left unscaled with an entry above about 1e154, or a
+    quartic whose leading coefficient is tiny against the others, reaches.
     """
     c = as_filter(coeffs)
     _require_finite(c)

@@ -288,6 +288,17 @@ def test_sign_charts_label_forms_whose_unscaled_chart_values_overflow_or_underfl
         assert classify_rrmp(w).label == label
 
 
+# entries spanning more than the double range keep a form unscaled, so its
+# discriminant overflows; classify_rrmp roots such a form instead
+@pytest.mark.parametrize("w,label", [([1e200, 1e-200, 1e200], "0|1"), ([1e200, 1e-200, -1e200], "11|0")])
+def test_sign_charts_raise_where_a_chart_value_overflows(w, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflowed"):
+            rrmp_classify_by_signs(w)
+        assert classify_rrmp(w).label == label
+
+
 def test_sign_charts_label_a_form_alike_at_every_scale():
     for e in range(-750, 1020, 3):
         assert rrmp_classify_by_signs(np.ldexp(UNDERFLOWING_CUBIC, 267 + e)).label == "111|0", e
