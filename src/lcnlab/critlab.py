@@ -166,9 +166,10 @@ def _initial_params(split: Rrmp, rng: np.random.Generator, scale: float) -> np.n
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CritPoint:
-    """One critical point of the restricted loss."""
+    """One critical point of the restricted loss, compared and hashed by identity,
+    as its filter ``w`` is an array."""
 
     w: np.ndarray
     lam: tuple[int, ...]

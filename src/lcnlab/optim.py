@@ -12,7 +12,8 @@ straight-line Python on float locals, with numpy's bits.
 ``loss_and_gradient`` and gradient descent both run it, and descent
 evaluates ``obj.value`` once per run.  Each step calls ``obj.grad`` once,
 except on a diagonal matrix (the Euclidean and Bombieri metrics), whose
-kernel writes the loss gradient out with the same bits.
+kernel writes the loss gradient out with the same bits, from residuals
+w_i - u_i that it computes once and the loss reads too.
 
 The experiment drivers reproduce two studies: the distribution of root
 patterns reached by gradient descent from random data, and the number of
@@ -77,12 +78,13 @@ def bombieri_matrix(k: int) -> np.ndarray:
     return np.diag(bombieri_weights(k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticObjective:
     """loss(w) = (w - target)^T matrix (w - target) + const.
 
     Raises ValueError when the matrix does not match the target or a field
-    has a non-finite entry.
+    has a non-finite entry.  Compared and hashed by identity, as its array
+    fields have no truth value.
     """
 
     matrix: np.ndarray
@@ -292,12 +294,13 @@ def _sq_norm_source(grads) -> str:
 
 
 def _gradient_source(ks, strides, diagonal=False):
-    """(lines, taps, w, g, grads): straight-line source of one gradient evaluation,
-    with the layer taps, the end-to-end filter, the loss gradient at it and the layer
-    gradients as lists of names.  The loss gradient is what ``grad`` returns (its one
-    call, on a float list), or for a ``diagonal`` matrix m*(w - u) doubled by addition
-    on the locals ``m{i}`` and ``u{i}``.  ``strides`` are those of every layer but the
-    last; upsampled zeros stay literal 0.0 factors."""
+    """(lines, taps, w, r, g, grads): straight-line source of one gradient evaluation,
+    with the layer taps, the end-to-end filter, its residual w - u on the locals
+    ``u{i}``, the loss gradient at it and the layer gradients as lists of names or
+    expressions.  The loss gradient is what ``grad`` returns (its one call, on a float
+    list); for a ``diagonal`` matrix it is m*r doubled by addition on the locals
+    ``m{i}``, and r is emitted once, into locals that the loss reads too.  ``strides``
+    are those of every layer but the last; upsampled zeros stay literal 0.0 factors."""
     em = _Emitter()
     taps = [[f"t{l}_{j}" for j in range(k)] for l, k in enumerate(ks)]
     spans = list(itertools.accumulate((1,) + tuple(strides), operator.mul))
@@ -308,11 +311,13 @@ def _gradient_source(ks, strides, diagonal=False):
         fs.append(f)
     w, comps = _complements(fs, em.mul)
     if diagonal:
-        g = em.assign(f"m{i}*({x} - u{i})" for i, x in enumerate(w))
+        r = em.assign(f"{x} - u{i}" for i, x in enumerate(w))
+        g = em.assign(f"m{i}*{x}" for i, x in enumerate(r))
         g = em.assign(f"{x} + {x}" for x in g)
     else:
+        r = [f"({x} - u{i})" for i, x in enumerate(w)]
         g = em.unpack(f"grad({_list_source(w)}).tolist()", len(w))
-    return em.lines, taps, w, g, [em.correlate(g, c, s) for c, s in zip(comps, spans)]
+    return em.lines, taps, w, r, g, [em.correlate(g, c, s) for c, s in zip(comps, spans)]
 
 
 @functools.lru_cache(maxsize=256)
@@ -331,12 +336,12 @@ def _descent_kernel(ks: tuple, strides: tuple, diagonal: bool = False):
     zero's sign on.  That variant has no ``gradients`` (None).  The source depends only
     on ``ks``, ``strides`` and ``diagonal``; ``metric`` comes in with every call.
     """
-    lines, taps, w, g, grads = _gradient_source(ks, strides, diagonal)
+    lines, taps, w, r, g, grads = _gradient_source(ks, strides, diagonal)
     layers = _list_source(map(_list_source, taps))
     body = "\n".join(lines)
     update = "\n".join(f"{x} = {x} - step*{y}" for t, d in zip(taps, grads)
                        for x, y in zip(t, d))
-    half = _sum_source(f"({x} - u{i})*{y}" for i, (x, y) in enumerate(zip(w, g)))
+    half = _sum_source(f"{x}*{y}" for x, y in zip(r, g))
     source = f"""
 def descend(theta, target, const, metric, step, max_steps, tol, diverge):
     {layers} = theta

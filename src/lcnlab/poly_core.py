@@ -364,12 +364,14 @@ def _require_tol(tol):
 
 
 def _same_filter(a, b, tol: float) -> bool:
-    """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1); filters of different
-    shapes are never the same."""
+    """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1) for 1-D float arrays; filters
+    of different shapes are never the same.  Decided on float lists: a NaN entry
+    fails its own comparison whatever the scale, so the verdict is numpy's."""
     if a.shape != b.shape:
         return False
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
-    return bool(np.all(np.abs(a - b) <= tol * scale))
+    x, y = a.tolist(), b.tolist()
+    bound = tol * max(max(map(abs, x)), max(map(abs, y)), 1.0)
+    return all(abs(p - q) <= bound for p, q in zip(x, y))
 
 
 def _nearest(w, refs):

@@ -22,7 +22,9 @@ critical-point analysis, so this module owns:
   bit for bit,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
-  classification and explicit factorization read,
+  classification and explicit factorization read; the pooled pattern of
+  linear layers with normal entries and roots clusters those roots as
+  floats, with no root solve and the same labels,
 * exact sign-chart classification via closed-form discriminants (degree <= 4),
   which also labels a degree-2..4 filter in ``classify_rrmp`` wherever three
   guards find the chart decision well conditioned; the other filters are
@@ -59,6 +61,8 @@ ROOT_TOL = 1e-4
 ZERO_BAND = 1e-12
 
 _RESIDUAL_BOUND = 1e-10
+
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # normal magnitudes
 
 
 class RootFindingError(RuntimeError):
@@ -528,12 +532,37 @@ def classify_rrmp_pooled(filters) -> Rrmp:
     """Pattern of a product of filters from the union of per-factor roots.
 
     Rooting each small factor separately keeps multiple roots that are split
-    across factors well-conditioned (no eps^(1/m) scatter).
+    across factors well-conditioned (no eps^(1/m) scatter).  A linear layer
+    [a, b] whose a, b and root x = -b/a are finite, nonzero, normal doubles
+    gives x as a float, which ``find_roots`` gives as complex(x, +0.0); when
+    every layer does, ``_real_clusters`` labels the floats with no root solve.
     """
     pooled = []
-    for w in filters:
-        pooled.extend(find_roots(w))
-    return classify_roots(pooled)
+    for w in map(as_filter, filters):
+        ab = w.tolist()
+        x = -(ab[1] / ab[0]) if len(ab) == 2 and all(_TINY <= abs(v) <= _HUGE for v in ab) else 0.0
+        pooled.extend([x] if _TINY <= abs(x) <= _HUGE else find_roots(w))
+    reals = all(type(x) is float for x in pooled)
+    # a cluster's sum stays below len * max|x|, so no cluster's mean overflows
+    if reals and len(pooled) * max(map(abs, pooled), default=0.0) < 2.0**1023:
+        return _real_clusters(pooled)
+    return classify_roots([ProjRoot(complex(x), False) if type(x) is float else x for x in pooled])
+
+
+def _real_clusters(xs) -> Rrmp:
+    """Pattern of real roots given as floats: the sizes of their single-linkage
+    clusters under ``_same_root``'s rule, on which a difference of two has
+    modulus |x - y| exactly; the clusters do not depend on the merge order."""
+    clusters = []
+    for x in xs:
+        merged, rest = [x], []
+        for c in clusters:
+            if any(abs(x - y) <= ROOT_TOL * max(abs(x), abs(y)) for y in c):
+                merged += c
+            else:
+                rest.append(c)
+        clusters = rest + [merged]
+    return Rrmp(tuple(map(len, clusters)), ())
 
 
 # --- closed-form sign charts (degree <= 4) ---------------------------------
@@ -668,10 +697,12 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     subnormal and so drop bits; so its label does not depend on its overall
     size, and its chart monomials neither overflow nor underflow into rounding
     noise on the way.  Values within ``ZERO_BAND`` times the largest monomial
-    of each formula are treated as exact zeros.  Raises ValueError for a non-finite entry, a zero
-    leading coefficient, another degree, and a chart value that overflows,
-    which only a form left unscaled with an entry above about 1e154, or a
-    quartic whose leading coefficient is tiny against the others, reaches.
+    of each formula are treated as exact zeros.  A quartic whose discriminant
+    overflows, as where its leading coefficient is tiny against the others, is
+    charted reversed (x and y swapped), which keeps its label.  Raises
+    ValueError for a non-finite entry, a zero leading coefficient, another
+    degree, and a chart value that overflows, which a form left unscaled with
+    an entry above about 1e154, or a quartic that overflows both ways, reaches.
     """
     c = as_filter(coeffs)
     _require_finite(c)
@@ -684,7 +715,10 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     try:
         if math.frexp(low)[1] - math.frexp(top)[1] >= sys.float_info.min_exp:
             c = _unit(c, top)
-        return _chart_label(c, _disc_and_scale(c))
+        chart = _disc_and_scale(c)
+        if chart[2] is not None and not all(map(math.isfinite, chart[:2])):
+            c, chart = c[::-1], _disc_and_scale(c[::-1])
+        return _chart_label(c, chart)
     finally:
         _exit_errstate(token)
 

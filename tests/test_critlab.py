@@ -792,6 +792,16 @@ def test_match_critical_point():
     assert match_critical_point(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), reports) is None
 
 
+def test_crit_points_compare_and_hash_by_identity():
+    a = CritPoint(w=U_STAR.copy(), lam=(2, 2), pattern=Rrmp(gamma=(2,)), loss=0.0,
+                  grad_norm=0.0, kind="MIN")
+    copy = CritPoint(w=a.w.copy(), lam=a.lam, pattern=a.pattern, loss=a.loss,
+                     grad_norm=a.grad_norm, kind=a.kind)
+    assert a == a and a != copy and not (a == copy)
+    assert len({a, a, copy}) == 2 and a in {a} and copy not in {a}
+    assert StratumReport(lam=(2, 2), points=(a,)) == StratumReport(lam=(2, 2), points=(a,))
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_match_critical_point_rejects_a_bad_tolerance(tol):
     # a negative or NaN tolerance matched no point, not even the point itself

@@ -97,6 +97,14 @@ def test_bombieri_weights_values():
     assert np.allclose(bombieri_weights(5), [1.0, 0.25, 1 / 6, 0.25, 1.0])
 
 
+def test_objectives_compare_and_hash_by_identity():
+    a = QuadraticObjective.euclidean([1.0, 2.0, 3.0])
+    copy = QuadraticObjective(a.matrix.copy(), a.target.copy(), a.const)
+    assert a == a and a != copy and not (a == copy)
+    assert len({a, a, copy}) == 2 and a in {a} and copy not in {a}
+    assert {a: 1}[a] == 1 and hash(a) == hash(a)
+
+
 def test_objective_from_data_matches_direct_loss():
     rng = np.random.default_rng(3)
     for ks, strides in [((2, 2), None), ((3, 2), (2, 1)), ((2, 2, 2), None)]:

@@ -11,6 +11,7 @@ from lcnlab.poly_core import (
     _Emitter,
     _layers,
     _nearest,
+    _same_filter,
     _solve,
     apply_conv_tensor,
     as_filter,
@@ -593,3 +594,31 @@ def test_checked_filters_raise_the_messages_of_layers(theta):
         _checked_filters(theta, arch)
     assert str(err.value) == str(ref.value)
 
+
+
+def _same_filter_by_numpy(a, b, tol):
+    """The filter rule as numpy arrays state it: max|a - b| within tol times the
+    larger max-norm, floored at one."""
+    if a.shape != b.shape:
+        return False
+    with np.errstate(all="ignore"):
+        scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
+        return bool(np.all(np.abs(a - b) <= tol * scale))
+
+
+def test_same_filter_gives_the_numpy_verdict_on_every_edge_value():
+    edge = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-4, 2.0, 5e-324, -2e-310, 1e308, -1e308,
+            math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(5)
+    pairs = [(np.array([x, y]), np.array([y, x])) for x in edge for y in edge]
+    pairs += [(np.array(rng.choice(edge, 3)), np.array(rng.choice(edge, 3)))
+              for _ in range(400)]
+    pairs += [(np.ones(3), np.ones(2)), (np.zeros(1), np.zeros(2))]
+    verdicts = Counter()
+    for a, b in pairs:
+        for tol in (0.0, 1e-4, 1.0, 1e300):
+            for x, y in ((a, b), (b, a), (a, a)):
+                same = _same_filter_by_numpy(x, y, tol)
+                assert _same_filter(x, y, tol) is same, (x, y, tol)
+                verdicts[same] += 1
+    assert min(verdicts.values()) > 1000

@@ -157,6 +157,68 @@ def test_pooled_agrees_with_product_on_generic_filters():
         assert classify_rrmp_pooled(filters) == classify_rrmp(prod)
 
 
+def _pooled_by_roots(filters):
+    """The pooled label as the root solve gives it: ``classify_roots`` of the
+    concatenated ``find_roots`` outputs, or the error it raises."""
+    try:
+        return classify_roots([r for w in filters for r in find_roots(w)]).label
+    except (RootFindingError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pooled_corpus(rng):
+    """Linear-layer lists of 1-5 layers at scales 1e-300..1e300, with roots repeated
+    across layers and root pairs just inside and outside ROOT_TOL, then the same lists
+    with one entry swapped for a zero, a subnormal, +-inf, NaN or a size-3 layer."""
+    lists = []
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.choice([-300, -150, -1, 0, 1, 150, 300])
+        a = rng.standard_normal(n) * scale
+        x = rng.standard_normal(n) * 10.0 ** rng.choice([-300, -100, 0, 100, 300])
+        for i in range(1, n):
+            pick = rng.uniform()
+            if pick < 0.3:
+                x[i] = x[int(rng.integers(i))]
+            elif pick < 0.6:
+                x[i] = x[i - 1] * (1 + rng.choice([0.99e-4, 1.01e-4, -0.99e-4, -1.01e-4]))
+        with np.errstate(over="ignore", under="ignore"):  # an inf or subnormal b falls back
+            lists.append([[ai, -ai * xi] for ai, xi in zip(a, x)])
+    odd = [0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan]
+    for filters in lists[:200]:
+        filters = [list(w) for w in filters]
+        i = int(rng.integers(len(filters)))
+        if rng.uniform() < 0.2:
+            filters[i] = filters[i] + [rng.standard_normal()]
+        else:
+            filters[i][int(rng.integers(2))] = odd[int(rng.integers(len(odd)))]
+        lists.append(filters)
+    return lists
+
+
+def test_pooled_linear_layers_label_as_their_roots_do():
+    lists = _pooled_corpus(np.random.default_rng(33))
+    lists += [[[1.0, -1e308], [1.0, -1e308]], [[1e-300, 1e8]] * 3, [], [[1.0, 2.0]],
+              [[3.0, 1.5], [2.0, 1.0], [-4.0, -2.0]], [[1.0, 1e-308]], [[1e300, 1e-10]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for filters in lists:
+            assert _label_or_error(classify_rrmp_pooled, filters) == _pooled_by_roots(filters), \
+                filters
+
+
+def test_pooled_linear_layers_take_no_root_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rootlab, "find_roots",
+                        lambda w: calls.append(len(w)) or find_roots(w))
+    assert classify_rrmp_pooled([[1.0, 2.0], [2.0, 4.0], np.array([1.0, -3.0])]).label == "12|0"
+    assert calls == []
+    assert classify_rrmp_pooled([[1.0, 2.0], [2.0, 4.0], [1.0, 5.0, 6.0]]).label == "13|0"
+    assert calls == [3]
+    assert classify_rrmp_pooled([[1.0, 2.0], [1.0, 1e-310]]).label == "11|0"
+    assert calls == [3, 2]
+
+
 def test_discriminant_values():
     assert disc_quadratic([1.0, 2.0, 1.0]) == 0.0
     assert disc_quadratic([1.0, 0.0, -1.0]) == 4.0
@@ -304,9 +366,15 @@ def test_sign_charts_label_a_form_alike_at_every_scale():
         assert rrmp_classify_by_signs(np.ldexp(UNDERFLOWING_CUBIC, 267 + e)).label == "111|0", e
     # scaled to max|c| near 1, 1e-300 would turn subnormal and drop bits: kept unscaled
     assert rrmp_classify_by_signs([1e300, 1.0, 1e-300]).label == "0|1"
-    # a quartic's depressed chart values still overflow where its leading entry is tiny
+    # a quartic whose leading entry is tiny overflows its depression: charted reversed,
+    # it keeps the label of x^4 + x^3 + x^2 + x + 1e-300 (roots near 0, -1 and +-i)
+    assert rrmp_classify_by_signs([1e-300, 1.0, 1.0, 1.0, 1.0]).label == "11|1"
+    assert rrmp_classify_by_signs([1.0, 1.0, 1.0, 1.0, 1e-300]).label == "11|1"
+    with pytest.raises(RootFindingError):
+        classify_rrmp([1e-300, 1.0, 1.0, 1.0, 1.0])
+    # both ends tiny against the middle: the reversed chart overflows too
     with pytest.raises(ValueError, match="overflowed"):
-        rrmp_classify_by_signs([1e-300, 1.0, 1.0, 1.0, 1.0])
+        rrmp_classify_by_signs([1e-300, 1.0, -3.0, 1.0, -1e-300])
 
 
 def _label_or_error(classify, w):
