@@ -27,11 +27,9 @@ the probe's and ``_fd_jacobian``'s, are built from one row-major flat list and
 reshaped, so each is a C-ordered float64 array and ``jac.T.dot(g)`` keeps one
 BLAS layout.
 
-Both routes type a point by one rule: the inertia of the loss Hessian in
-(log sigma, shape), which at a critical point splits into the scale's
-curvature and the Hessian of the shape at the optimal scale.  The Newton
-route reads the latter off the central-difference Jacobian of its last step;
-``_fd_jacobian`` is the only finite-difference routine here.
+Both routes hand their points to ``_finish``, the one rule that types them and
+builds the report.  Newton's shape Hessian is the central-difference Jacobian
+of its last step; ``_fd_jacobian`` is the only finite-difference routine here.
 """
 
 from __future__ import annotations
@@ -270,6 +268,23 @@ def _inertia(eigs: np.ndarray) -> str:
     return "SADDLE"
 
 
+def _finish(objective: QuadraticObjective, lam: tuple[int, ...], found) -> StratumReport:
+    """The report of one stratum from its routes' points (w, pattern, grad_norm,
+    shape_hessian), built in arrival order and sorted by loss, stably.  At a
+    critical point the loss Hessian in (log sigma, shape) splits into the scale's
+    curvature 2 w.M.w and the shape Hessian at the optimal scale, symmetrized: the
+    inertia of the two is the kind, and a point without a shape Hessian is DEGENERATE.
+    """
+    points = []
+    for w, pattern, grad_norm, hess in found:
+        kind = "DEGENERATE" if hess is None else _inertia(np.concatenate((
+            [2.0 * float(w @ objective.matrix @ w)], np.linalg.eigvalsh(0.5 * (hess + hess.T)))))
+        points.append(CritPoint(w=w, lam=lam, pattern=pattern, loss=float(objective.value(w)),
+                                grad_norm=grad_norm, kind=kind))
+    points.sort(key=lambda p: p.loss)
+    return StratumReport(lam=lam, points=tuple(points))
+
+
 def crit_on_stratum(
     objective: QuadraticObjective,
     lam: Sequence[int],
@@ -281,14 +296,12 @@ def crit_on_stratum(
 
     Runs a seeded multi-start Newton search in the chart of every real type
     of the partition, keeps converged points that genuinely lie on the open
-    stratum, and deduplicates by coefficient vectors.  Newton solves for the
-    shape at the loss-optimal scale, so at a critical point the Hessian in
-    (log sigma, shape) splits into the scale's curvature 2 w.M.w and the
-    Hessian of that shape profile, which is the Jacobian of Newton's last
-    step.  The inertia of the two types each survivor, as ``_rank_one_points``
-    types the rank-one stratum.  Raises ValueError when ``lam`` is empty, has a
-    part that is not a positive integer or does not sum to the filter degree,
-    or when ``n_starts`` is not an integer of at least one.
+    stratum and deduplicates them by coefficient vectors within each real type.
+    ``_finish`` types the survivors, with the Jacobian of Newton's last step at
+    the loss-optimal scale as the shape Hessian.  Raises ValueError when
+    ``lam`` is empty, has a part that is not a positive integer or does not
+    sum to the filter degree, or when ``n_starts`` is not an integer of at
+    least one.
     """
     k = objective.matrix.shape[0]
     if len(lam) == 0:
@@ -302,7 +315,7 @@ def crit_on_stratum(
     u_max = float(np.max(np.abs(objective.target)))
     mu_vec = objective.matrix @ objective.target
 
-    points: list[CritPoint] = []
+    found = []
     for split in real_type_splits(lam):
         # The loss is quadratic in the overall scale, so every critical point
         # carries the optimal scale for its root configuration.  Solving for
@@ -314,7 +327,7 @@ def crit_on_stratum(
             _, w, jac = probe(shape, objective.matrix, mu_vec)
             return jac.T.dot(objective.grad(w)).tolist()[1:]
 
-        first = len(points)  # deduplicate within this real type only
+        kept = []  # deduplicate within this real type only
         for _ in range(n_starts):
             start = _initial_params(split, rng, 1.0)[1:]
             shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
@@ -325,24 +338,13 @@ def crit_on_stratum(
             # where w.M.u vanishes, so a landing that small against the target is dropped.
             if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not _is_interior(split, shape.tolist()):
                 continue
-            if any(_same_filter(w, p.w, _DEDUP_TOL) for p in points[first:]):
+            if any(_same_filter(w, v, _DEDUP_TOL) for v in kept):
                 continue
+            kept.append(w)
             if hess is None:  # the start met the tolerance: Newton took no step
                 hess = _fd_jacobian(shape_grad, shape.tolist())
-            curvature = [2.0 * float(w @ objective.matrix @ w)]
-            points.append(
-                CritPoint(
-                    w=w,
-                    lam=lam,
-                    pattern=split,
-                    loss=float(objective.value(w)),
-                    grad_norm=float(np.linalg.norm(jac.T @ objective.grad(w))),
-                    kind=_inertia(np.concatenate(
-                        (curvature, np.linalg.eigvalsh(0.5 * (hess + hess.T))))),
-                )
-            )
-    points.sort(key=lambda p: p.loss)
-    return StratumReport(lam=lam, points=tuple(points))
+            found.append((w, split, float(np.linalg.norm(jac.T @ objective.grad(w))), hess))
+    return _finish(objective, lam, found)
 
 
 def expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float) -> np.ndarray:
@@ -471,9 +473,8 @@ def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
     a cluster whose mean leaves P at rounding level is a repeated root, one
     DEGENERATE point, else each member real to _SIMPLE_REAL_TOL is a point,
     so real roots merge only for targets within about 1e-12 of the caustic.
-    Any other point is typed by the loss's Hessian in (log sigma, t), which
-    is diagonal there: the scale's 2 N^2 / D and the reduced loss's
-    -N P' / D^2, both quadratic in the target and linear in the Gram
+    ``_finish`` types the points; the shape Hessian of a simple one is the
+    reduced loss's -N P' / D^2, quadratic in the target and linear in the Gram
     matrix, in whichever chart, t or s = a / b, holds the root in [-1, 1].
     ``grad_norm`` is 0: the points are roots, not Newton iterates.
     """
@@ -492,30 +493,23 @@ def _rank_one_points(objective: QuadraticObjective) -> list[CritPoint]:
     forms = [(2.0 * poly_mul(np.polyder(num), den) - poly_mul(num, np.polyder(den)))[1:]
              for num, den in charts]
 
-    roots: list[tuple[ProjRoot, bool]] = []
+    found = []
     bound = ZERO_BAND * np.max(np.abs(forms[0]))
     for cluster in cluster_roots([r for r in find_roots(forms[0]) if r.is_real()]):
         rep = _cluster_rep(cluster)
-        if len(cluster) > 1 and _homogeneous_residual(forms[0].tolist(), rep) <= bound:
-            roots.append((rep, True))
-        else:
-            roots += [(r, False) for r in cluster if r.is_real(_SIMPLE_REAL_TOL)]
-    points: list[CritPoint] = []
-    for root, repeated in roots:
-        flip = root.infinite or abs(root.value) > 1.0
-        x = 0.0 if root.infinite else (1.0 / root.value.real if flip else root.value.real)
-        num, den = charts[flip]
-        n_x, d_x = np.polyval(num, x), np.polyval(den, x)
-        if abs(n_x) <= 1e-12 * np.max(np.abs(num)):
-            continue  # sigma = 0 up to rounding: a multiple root of N
-        v = binom * x**powers
-        w = n_x / d_x * (v[::-1] if flip else v)
-        curvature = -n_x * np.polyval(np.polyder(forms[flip]), x) / d_x**2
-        kind = "DEGENERATE" if repeated else _inertia(np.array([2.0 * n_x**2 / d_x, curvature]))
-        points.append(CritPoint(w=w, lam=(d,), pattern=Rrmp(rho=(d,)), loss=objective.value(w),
-                                grad_norm=0.0, kind=kind))
-    points.sort(key=lambda p: p.loss)
-    return points
+        repeated = len(cluster) > 1 and _homogeneous_residual(forms[0].tolist(), rep) <= bound
+        for root in [rep] if repeated else [r for r in cluster if r.is_real(_SIMPLE_REAL_TOL)]:
+            flip = root.infinite or abs(root.value) > 1.0
+            x = 0.0 if root.infinite else (1.0 / root.value.real if flip else root.value.real)
+            num, den = charts[flip]
+            n_x, d_x = np.polyval(num, x), np.polyval(den, x)
+            if abs(n_x) <= 1e-12 * np.max(np.abs(num)):
+                continue  # sigma = 0 up to rounding: a multiple root of N
+            v = binom * x**powers
+            w = n_x / d_x * (v[::-1] if flip else v)
+            curvature = -n_x * np.polyval(np.polyder(forms[flip]), x) / d_x**2
+            found.append((w, Rrmp(rho=(d,)), 0.0, None if repeated else np.array([[curvature]])))
+    return list(_finish(objective, (d,), found).points)
 
 
 def cone_critical_points(

@@ -395,10 +395,18 @@ def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
 def _cluster_rep(cluster) -> ProjRoot:
     if cluster[0].infinite:
         return INFINITY
-    # np.mean's bytes without its wrapper; a singleton's own value is not
-    # its mean, whose complex division by 1 can flip a zero's sign or put
-    # NaN beside an infinite part
-    return ProjRoot.finite(np.add.reduce(np.array([r.value for r in cluster])) / len(cluster))
+    # np.mean's bytes, quietly and without its wrapper, or for finite values whose sum
+    # overflows the sum of value / n; a singleton's own value is not its mean, whose
+    # complex division by 1 can flip a zero's sign or put NaN beside an infinite part
+    values = np.array([r.value for r in cluster])
+    token = _enter_errstate(_QUIET)
+    try:
+        mean = np.add.reduce(values) / len(values)
+        if not cmath.isfinite(mean) and np.isfinite(values).all():
+            mean = np.add.reduce(values / len(values))
+    finally:
+        _exit_errstate(token)
+    return ProjRoot.finite(mean)
 
 
 @dataclass(frozen=True)
@@ -542,9 +550,7 @@ def classify_rrmp_pooled(filters) -> Rrmp:
         ab = w.tolist()
         x = -(ab[1] / ab[0]) if len(ab) == 2 and all(_TINY <= abs(v) <= _HUGE for v in ab) else 0.0
         pooled.extend([x] if _TINY <= abs(x) <= _HUGE else find_roots(w))
-    reals = all(type(x) is float for x in pooled)
-    # a cluster's sum stays below len * max|x|, so no cluster's mean overflows
-    if reals and len(pooled) * max(map(abs, pooled), default=0.0) < 2.0**1023:
+    if all(type(x) is float for x in pooled):
         return _real_clusters(pooled)
     return classify_roots([ProjRoot(complex(x), False) if type(x) is float else x for x in pooled])
 

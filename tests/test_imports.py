@@ -207,16 +207,16 @@ def imports_multiprocessing(source: str) -> bool:
     return False
 
 
-def pool_builders(source: str) -> list:
+def callers(source: str, name: str) -> list:
     """The innermost enclosing function (None at module level) of each call of a
-    name or attribute ``Pool``, in source order."""
+    name or attribute ``name``, in source order."""
     out = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and "Pool" in (getattr(node.func, "id", None),
-                                                     getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
             out.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -232,14 +232,20 @@ def test_finds_multiprocessing_imports_and_pool_builders():
               "def c(pool):\n    return pool.imap(len, [])\n\n\nPool(1)\n")
     assert imports_multiprocessing(source)
     assert not imports_multiprocessing("import os\nfrom .optim import _train_all\n")
-    assert pool_builders(source) == ["a", "inner", None]
+    assert callers(source, "Pool") == ["a", "inner", None]
 
 
 def test_one_function_builds_the_process_pool():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert [name for name, source in sorted(sources.items())
             if imports_multiprocessing(source)] == ["optim"]
-    assert pool_builders(sources["optim"]) == ["_train_all"]
+    assert callers(sources["optim"], "Pool") == ["_train_all"]
+
+
+def test_one_function_builds_the_critical_points_of_a_stratum():
+    # every stratum route hands its points to _finish, which types and builds them
+    built = {p.stem: callers(p.read_text(), "CritPoint") for p in PACKAGE.glob("*.py")}
+    assert {name: sites for name, sites in built.items() if sites} == {"critlab": ["_finish"]}
 
 
 # --- numpy's private modules ---------------------------------------------------

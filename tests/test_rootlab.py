@@ -207,6 +207,18 @@ def test_pooled_linear_layers_label_as_their_roots_do():
                 filters
 
 
+@pytest.mark.parametrize("filters, label", [([[1.0, -1e308]] * 2, "2|0"),
+                                            ([[1e-300, 1e8]] * 3, "3|0")])
+def test_real_roots_whose_sum_overflows_cluster_quietly(filters, label):
+    # each cluster mean is then the sum of the roots' shares x / n, on both routes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_rrmp_pooled(filters).label == label
+        assert _pooled_by_roots(filters) == label
+        x = -filters[0][1] / filters[0][0]
+        assert rootlab._cluster_rep([ProjRoot.finite(x)] * len(filters)).value == x
+
+
 def test_pooled_linear_layers_take_no_root_solve(monkeypatch):
     calls = []
     monkeypatch.setattr(rootlab, "find_roots",

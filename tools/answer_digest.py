@@ -17,8 +17,11 @@ Families: ``pooled`` labels of layer lists (linear layers at scales 1e-300 to
 size-3 entries), ``same_filter`` verdicts on edge values, ``gd_train`` runs on
 ``diagonal`` (Euclidean, Bombieri) and ``dense`` objectives (theta, w, loss and
 grad_sq, steps, flags and the three labels), small ``distinct`` and
-``pattern`` tables, and ``strata``: ``crit_on_stratum`` reports on the target
-(2, 0, 5, 0, 2).
+``pattern`` tables, ``strata``: ``crit_on_stratum`` reports on the target
+(2, 0, 5, 0, 2), each with its count of ``QuadraticObjective.grad`` calls, and
+``rank_one``: ``_rank_one_points`` on 9,000 random targets of sizes 2-7 under
+Euclidean, Bombieri and random-Gram metrics at scales 1e-200 to 1e200 and on 90
+targets near the caustic, then ``cone_critical_points`` on every size-3 target.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def families() -> dict:
     import numpy as np
     import lcnlab
     from lcnlab import Architecture, QuadraticObjective, TrainConfig
+    from lcnlab.critlab import _rank_one_points
     from lcnlab.poly_core import _same_filter
 
     out = {}
@@ -131,11 +135,48 @@ def families() -> dict:
     out["pattern"] = [lcnlab.run_pattern_experiment(Architecture(ks), n_datasets=8, seed=seed,
                                                     workers=1).rows()
                       for ks in ((2, 2), (3, 2)) for seed in (1, 2)]
+
+    def points(report):
+        return [(p.w, p.lam, p.pattern.label, p.loss, p.grad_norm, p.kind) for p in report]
+
     target = QuadraticObjective.euclidean(np.array([2.0, 0.0, 5.0, 0.0, 2.0]))
-    out["strata"] = [_answer(lambda: [(p.w, p.lam, p.pattern.label, p.loss, p.grad_norm, p.kind)
-                                      for p in lcnlab.crit_on_stratum(target, lam, n_starts=10,
-                                                                      seed=seed).points])
-                     for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)) for seed in (0, 1)]
+    grad, calls = QuadraticObjective.grad, []
+
+    def counted_grad(self, w):
+        calls.append(w)
+        return grad(self, w)
+
+    QuadraticObjective.grad = counted_grad
+    try:
+        out["strata"] = []
+        for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
+            for seed in (0, 1):
+                calls.clear()
+                report = _answer(lambda: points(lcnlab.crit_on_stratum(
+                    target, lam, n_starts=10, seed=seed).points))
+                out["strata"].append((report, len(calls)))
+    finally:
+        QuadraticObjective.grad = grad
+
+    rng, objectives = np.random.default_rng(16), []
+    for k in range(2, 8):
+        for metric in ("euclidean", "bombieri", "gram"):
+            for scale in (1e-200, 1e-8, 1.0, 1e8, 1e200):
+                for _ in range(100):
+                    u = rng.standard_normal(k) * scale
+                    X = rng.standard_normal((k, k + 2))
+                    objectives.append(QuadraticObjective(X @ X.T, u) if metric == "gram"
+                                      else getattr(QuadraticObjective, metric)(u))
+    while len(objectives) < 9090:  # bisect to the caustic between targets on either side
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        if lcnlab.caustic_value(a) * lcnlab.caustic_value(b) < 0:
+            for _ in range(60):
+                m = (a + b) / 2.0
+                a, b = (m, b) if lcnlab.caustic_value(m) * lcnlab.caustic_value(a) > 0 else (a, m)
+            objectives.append(QuadraticObjective.euclidean(a))
+    out["rank_one"] = [_answer(lambda: points(_rank_one_points(obj))) for obj in objectives]
+    out["rank_one"] += [_answer(lambda: points(lcnlab.cone_critical_points(obj.target, obj.matrix)))
+                        for obj in objectives if obj.k == 3]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
 
