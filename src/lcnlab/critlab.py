@@ -18,7 +18,10 @@ its Newton search on every stratum, this one included.
 
 Each Newton probe takes the optimal scale, the point and the Jacobian from one
 factor pass, which runs as straight-line float code that ``_probe_kernel``
-compiles once per real type, with numpy's bits.  The Newton
+compiles once per real type, with numpy's bits.  Each evaluation of the shape
+gradient is one call of that kernel, which ends in the objective's ``grad`` and
+the product with the Jacobian; for the identity matrix, the Euclidean distance,
+the scale's denominator takes one product fewer.  The Newton
 iterates and the central differences are float lists too; numpy keeps only
 the BLAS products, the Jacobian arrays and the linear solves, and the fused
 products and solves call its C loops without their Python wrappers
@@ -39,6 +42,7 @@ import functools
 import itertools
 import math
 import textwrap
+import types
 from typing import Callable, Sequence
 
 import numpy as np
@@ -75,10 +79,12 @@ _SIMPLE_REAL_TOL = 1e-9
 
 
 def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
-    """Source of ``probe(shape, matrix, mu)`` for one real type: the factors from one
-    cos and sin per real slot, the unit-scale product and the first-copy complements
-    in ``_complements``' order, the optimal scale on arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian rows,
-    all through ``poly_core._Emitter``."""
+    """Source of ``probe(shape, matrix, mu, identity=False, grad=None)`` for one real
+    type: the factors from one cos and sin per real slot, the unit-scale product and
+    the first-copy complements in ``_complements``' order, the optimal scale on
+    arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian
+    rows, all through ``poly_core._Emitter``, then the return of
+    ``_probe_kernel``."""
     em = _Emitter()
     n = len(rho)
     shape = [f"p{i}" for i in range(n + 2 * len(gamma))]
@@ -88,7 +94,8 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
     firsts = list(itertools.accumulate([0] + [m for _, m in slots[:-1]]))
     monic, comps = _complements(copies, em.mul, firsts)
     em.lines += [f"arr = _array({_list_source(monic)})",
-                 "sigma = float(arr.dot(mu)) / float(arr.dot(matrix).dot(arr))"]
+                 "sigma = float(arr.dot(mu)) / float(arr.dot(arr) if identity"
+                 " else arr.dot(matrix).dot(arr))"]
     point = _product([["sigma"]] + copies, em.mul)
     cols = [monic]
     for (f, m), first in zip(slots, firsts):
@@ -99,25 +106,34 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
     flat = _list_source(x for row in zip(*cols) for x in row)
     body = textwrap.indent("\n".join(em.lines), " " * 4)
     return f"""
-def probe(shape, matrix, mu):
+def probe(shape, matrix, mu, identity=False, grad=None):
     {_list_source(shape)} = shape
 {body}
-    return sigma, _array({_list_source(point)}), _array({flat}).reshape({len(point)}, {len(cols)})
+    point = _array({_list_source(point)})
+    jac = _array({flat}).reshape({len(point)}, {len(cols)})
+    if grad is None:
+        return sigma, point, jac
+    return jac.T.dot(grad(point)).tolist()[1:]
 """
 
 
 @functools.lru_cache(maxsize=256)
 def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
-    """``probe(shape, matrix, mu)`` for the chart of one real type, compiled once from
-    ``_probe_source``, which depends only on ``rho`` and ``gamma``.
+    """``probe(shape, matrix, mu, identity=False, grad=None)`` for the chart of one
+    real type, compiled once from ``_probe_source``, which depends only on ``rho``
+    and ``gamma``.
 
     On a float-list shape it returns (sigma, point, jacobian) at the loss-optimal
-    scale.  The loss is quadratic in the scale, so along the ray of the unit-scale
-    point ``monic`` it is least at sigma = monic.mu / monic.M.monic, with mu = M u.
-    The Jacobian's columns are d/d sigma = ``monic``, then sigma * m * comp *
-    d(factor) per slot, with comp the product without the slot's first copy;
-    ``monic`` and the comps come from one factor pass.  Its entries are written as
-    one row-major flat list and reshaped to a C-ordered (k, 1 + len(shape)) array.
+    scale, or, given the objective's ``grad``, the shape gradient
+    ``jacobian.T.dot(grad(point)).tolist()[1:]``.  The loss is quadratic in the
+    scale, so along the ray of the unit-scale point ``monic`` it is least at
+    sigma = monic.mu / monic.M.monic, with mu = M u; ``identity`` says that M is
+    the identity, whose monic.M.monic is monic.monic bit for bit, one product
+    fewer.  The Jacobian's columns are d/d sigma = ``monic``, then sigma * m *
+    comp * d(factor) per slot, with comp the product without the slot's first
+    copy; ``monic`` and the comps come from one factor pass.  Its entries are
+    written as one row-major flat list and reshaped to a C-ordered
+    (k, 1 + len(shape)) array.
     """
     return _compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>",
                     _cos=math.cos, _sin=math.sin, _array=np.array)["probe"]
@@ -208,9 +224,11 @@ def _fd_jacobian(fun: Callable[[list], Sequence[float]], x: list[float]) -> np.n
     cols = []
     for j, xj in enumerate(x):
         h = 1e-6 * (1.0 + abs(xj))
-        up = fun(x[:j] + [xj + h] + x[j + 1:])
-        down = fun(x[:j] + [xj - h] + x[j + 1:])
-        cols.append([(a - b) / (2.0 * h) for a, b in zip(up, down)])
+        d = 2.0 * h
+        up, down = x.copy(), x.copy()
+        up[j] = xj + h
+        down[j] = xj - h
+        cols.append([(a - b) / d for a, b in zip(fun(up), fun(down))])
     return np.array([v for row in zip(*cols) for v in row]).reshape(-1, len(x))
 
 
@@ -300,8 +318,8 @@ def crit_on_stratum(
     ``_finish`` types the survivors, with the Jacobian of Newton's last step at
     the loss-optimal scale as the shape Hessian.  Raises ValueError when
     ``lam`` is empty, has a part that is not a positive integer or does not
-    sum to the filter degree, or when ``n_starts`` is not an integer of at
-    least one.
+    sum to the filter degree, when ``n_starts`` is not an integer of at
+    least one, or when the objective's matrix is zero.
     """
     k = objective.matrix.shape[0]
     if len(lam) == 0:
@@ -310,10 +328,13 @@ def crit_on_stratum(
     n_starts = _integer("n_starts", n_starts)
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
+    if not objective.matrix.any():
+        raise ValueError("the objective matrix is zero, so no scale is loss-optimal")
     rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
     u_max = float(np.max(np.abs(objective.target)))
     mu_vec = objective.matrix @ objective.target
+    identity = objective._diagonal is not None and all(x == 1.0 for x in objective._diagonal)
 
     found = []
     for split in real_type_splits(lam):
@@ -322,10 +343,11 @@ def crit_on_stratum(
         # it in closed form removes the flat sigma = 0 manifold that would
         # otherwise swallow most Newton starts.
         probe = _probe_kernel(split.rho, split.gamma)
-
-        def shape_grad(shape: list[float]) -> list[float]:
-            _, w, jac = probe(shape, objective.matrix, mu_vec)
-            return jac.T.dot(objective.grad(w)).tolist()[1:]
+        # the kernel's code with this objective's arguments as its defaults, so that
+        # each evaluation is one plain call; a functools.partial with these keywords
+        # adds about 0.3 us a call, 2-3 % of an evaluation
+        shape_grad = types.FunctionType(probe.__code__, probe.__globals__, probe.__name__,
+                                        (objective.matrix, mu_vec, identity, objective.grad))
 
         kept = []  # deduplicate within this real type only
         for _ in range(n_starts):
@@ -333,7 +355,7 @@ def crit_on_stratum(
             shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
             if shape is None:
                 continue
-            _, w, jac = probe(shape.tolist(), objective.matrix, mu_vec)
+            _, w, jac = probe(shape.tolist(), objective.matrix, mu_vec, identity)
             # sigma = 0 is the zero filter, on no stratum.  Newton lands next to it
             # where w.M.u vanishes, so a landing that small against the target is dropped.
             if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not _is_interior(split, shape.tolist()):

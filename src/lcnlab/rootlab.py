@@ -705,7 +705,10 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     noise on the way.  Values within ``ZERO_BAND`` times the largest monomial
     of each formula are treated as exact zeros.  A quartic whose discriminant
     overflows, as where its leading coefficient is tiny against the others, is
-    charted reversed (x and y swapped), which keeps its label.  Raises
+    charted reversed (x and y swapped), which keeps its label; one whose depressed
+    p, q and r are all below 2^-128, as x^4 + 1e-300 y^4, has the signs of delta
+    and delta' charted on its roots scaled up by a power of two, as its monomials
+    of degree 12 in the roots can underflow.  Raises
     ValueError for a non-finite entry, a zero leading coefficient, another
     degree, and a chart value that overflows, which a form left unscaled with
     an entry above about 1e154, or a quartic that overflows both ways, reaches.
@@ -727,6 +730,11 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
         return _chart_label(c, chart)
     finally:
         _exit_errstate(token)
+
+
+#: A depressed quartic whose p, q and r are all below this is charted with its
+#: roots scaled up.
+_SMALL_DEPRESSED = 2.0**-128
 
 
 def _chart_label(c: np.ndarray, chart) -> Rrmp:
@@ -755,8 +763,19 @@ def _chart_label(c: np.ndarray, chart) -> Rrmp:
             return Rrmp((3,), ())
         return Rrmp((1, 2), ())
     p, q, r = depressed
-    coeff_scale = max(abs(p), abs(q), abs(r), 1.0)
-    sdp = _sgn(*_signed_sum(_quartic_dprime_terms(p, q, r)))
+    top = max(abs(p), abs(q), abs(r))
+    coeff_scale = max(top, 1.0)
+    if top < _SMALL_DEPRESSED:
+        # delta's monomials have degree 12 in the roots and can underflow: chart the
+        # roots scaled by 2^-e to a size near 1, which scales delta by 2^-12e and
+        # delta' by 2^-6e exactly and so keeps both signs and bands
+        e = max((-(-math.frexp(x)[1] // w) for x, w in ((p, 2), (q, 3), (r, 4)) if x),
+                default=0)
+        scaled = np.ldexp(p, -2 * e), np.ldexp(q, -3 * e), np.ldexp(r, -4 * e)
+        s = _sgn(*_signed_sum(_quartic_terms(*scaled)))
+        sdp = _sgn(*_signed_sum(_quartic_dprime_terms(*scaled)))
+    else:
+        sdp = _sgn(*_signed_sum(_quartic_dprime_terms(p, q, r)))
     sp = _sgn(p, coeff_scale)
     sq = _sgn(q, coeff_scale)
     if s > 0:

@@ -178,6 +178,67 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
     assert set(seen) == {"finite", "non-finite", "ValueError"}
 
 
+def _same_floats(got, ref):
+    """Equal float lists, a NaN's sign aside."""
+    return len(got) == len(ref) and all(
+        a.hex() == b.hex() or math.isnan(a) and math.isnan(b) for a, b in zip(got, ref))
+
+
+def test_the_kernel_returns_the_shape_gradient_of_its_tuple_bit_for_bit():
+    # crit_on_stratum's shape gradient is one kernel call; for the Euclidean matrix
+    # it passes identity=True, and the scale takes monic.monic for monic.I.monic
+    rng = np.random.default_rng(47)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 1e-310]
+    seen = Counter()
+    with np.errstate(all="ignore"):
+        for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
+            for chart in real_type_splits(lam):
+                probe = critlab._probe_kernel(chart.rho, chart.gamma)
+                k = 1 + sum(lam)
+                gram = rng.standard_normal((k, k))
+                for objective, identity in (
+                        (QuadraticObjective.euclidean(rng.standard_normal(k)), True),
+                        (QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k)),
+                         False)):
+                    mu = objective.matrix @ objective.target
+                    draws = [critlab._initial_params(chart, rng, 2.0) for _ in range(6)]
+                    for j in range(1, len(draws[0])):  # a -0.0 angle, b or c in each slot
+                        draws.append(draws[0].copy())
+                        draws[-1][j] = -0.0
+                    for _ in range(6):
+                        draws.append(critlab._initial_params(chart, rng, 2.0))
+                        hit = rng.random(len(draws[-1])) < 0.3
+                        draws[-1][hit] = rng.choice(edges, size=int(np.sum(hit)))
+                    for params in draws:
+                        shape = params[1:].tolist()
+                        try:
+                            _, w, jac = probe(shape, objective.matrix, mu)
+                        except ValueError:  # the cos and sin of an infinite angle
+                            with pytest.raises(ValueError):
+                                probe(shape, objective.matrix, mu, identity, objective.grad)
+                            seen["ValueError"] += 1
+                            continue
+                        ref = jac.T.dot(objective.grad(w)).tolist()[1:]
+                        got = probe(shape, objective.matrix, mu, identity, objective.grad)
+                        if all(map(math.isfinite, ref)):
+                            assert list(map(float.hex, got)) == list(map(float.hex, ref))
+                            seen["finite"] += 1
+                        else:
+                            assert _same_floats(got, ref)
+                            seen["non-finite"] += 1
+    assert set(seen) == {"finite", "non-finite", "ValueError"} and seen["finite"] > 500
+
+
+def test_crit_on_stratum_rejects_a_zero_matrix_before_any_start(monkeypatch):
+    def no_kernel(rho, gamma):
+        pytest.fail("a probe kernel was built for a zero matrix")
+
+    monkeypatch.setattr(critlab, "_probe_kernel", no_kernel)
+    objective = QuadraticObjective(np.zeros((5, 5)), [2.0, 0.0, 5.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="matrix is zero"):
+        crit_on_stratum(objective, (2, 2), n_starts=3)
+
+
 def test_one_probe_kernel_per_real_type():
     critlab._probe_kernel.cache_clear()
     for objective in (QuadraticObjective.euclidean(U_STAR), QuadraticObjective.bombieri(U_STAR)):

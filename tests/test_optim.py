@@ -761,6 +761,29 @@ def test_a_diagonal_matrix_product_is_the_elementwise_one_up_to_a_zeros_sign():
     assert zero_signs > 0
 
 
+def test_the_identity_product_keeps_a_vector_up_to_a_zeros_sign():
+    # the probe's scale takes monic.monic for monic.I.monic: v.I is v but for a zero's
+    # sign, which a sum with a nonzero term drops, and the monic's leading entry, a
+    # product of cosines or 1, is never zero
+    rng = np.random.default_rng(71)
+    edges = [0.0, -0.0, 5e-324, -1e-310, 1e-300, -1e-300, 1e300, -1e300]
+    zero_signs = 0  # entries of v.I where only the sign of a zero differs
+    with np.errstate(all="ignore"):
+        for k in range(2, 13):
+            for _ in range(300):
+                v = np.where(rng.random(k) < 0.4, rng.choice(edges, k),
+                             rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k))
+                if v[0] == 0.0:
+                    v[0] = rng.choice(edges[2:])
+                eye = np.eye(k)
+                eye[(rng.random((k, k)) < 0.5) & ~np.eye(k, dtype=bool)] = -0.0
+                product = v.dot(eye)
+                assert (product + 0.0).tobytes() == (v + 0.0).tobytes()
+                assert product.dot(v).tobytes() == v.dot(v).tobytes()
+                zero_signs += np.sum(np.signbit(product) != np.signbit(v))
+    assert zero_signs > 0
+
+
 def _numpy_routes(arch):
     """The numpy cases of the float-list arithmetic that a descent step on ``arch``
     takes: a product with a shorter operand of 3 or more entries, a squared norm of a

@@ -389,6 +389,29 @@ def test_sign_charts_label_a_form_alike_at_every_scale():
         rrmp_classify_by_signs([1e-300, 1.0, -3.0, 1.0, -1e-300])
 
 
+# x^4 + t y^4 and t x^4 + y^4, two conjugate pairs whose depressed delta = 256 r^3
+# underflows to 0 after the chart's scaling
+@pytest.mark.parametrize("w", [[1.0, 0.0, 0.0, 0.0, 1e-300], [1e-300, 0.0, 0.0, 0.0, 1.0],
+                               [1.0, 0.0, 0.0, 0.0, 1e-200], [1e-200, 0.0, 0.0, 0.0, 1.0]])
+def test_sign_charts_label_a_quartic_whose_delta_underflows(w):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rrmp_classify_by_signs(w).label == "0|11"
+
+
+def test_sign_charts_label_quartics_with_tiny_roots_at_every_scale():
+    # roots of modulus down to 2^-268: the charts take the signs of delta and delta'
+    # on the roots scaled up, so the labels are those of unit-size roots
+    for e in range(-1074, 1000, 3):
+        assert rrmp_classify_by_signs([1.0, 0.0, 0.0, 0.0, 2.0**e]).label == "0|11", e
+        assert rrmp_classify_by_signs([2.0**e, 0.0, 0.0, 0.0, 1.0]).label == "0|11", e
+    for e in range(-536, 0, 3):  # (x^2 - a y^2)(x^2 - 2a y^2), a = 2^e
+        a = 2.0**e
+        assert rrmp_classify_by_signs([1.0, 0.0, -3.0 * a, 0.0, 2.0 * a * a]).label == "1111|0", e
+    for e in range(-1074, 0, 3):  # x (x^3 + t y^3)
+        assert rrmp_classify_by_signs([1.0, 0.0, 0.0, 2.0**e, 0.0]).label == "11|1", e
+
+
 def _label_or_error(classify, w):
     try:
         return classify(w).label

@@ -5,7 +5,8 @@ Run from the root of a checkout:
     python3 tools/answer_digest.py              # this tree's digests, one per line
     python3 tools/answer_digest.py --diff DIR   # and DIR's, with a verdict per family
 
-``--diff`` runs this same file on ``DIR/src`` in a fresh process (DIR can be a
+``--diff`` runs this same file on ``DIR/src`` in a fresh process, next to this
+tree's run (DIR can be a
 checkout of an older commit that lacks ``tools/``), prints both digests of each
 family and the first answers that differ, and exits with status 1 when any
 family differs.  Every answer enters
@@ -18,10 +19,15 @@ size-3 entries), ``same_filter`` verdicts on edge values, ``gd_train`` runs on
 ``diagonal`` (Euclidean, Bombieri) and ``dense`` objectives (theta, w, loss and
 grad_sq, steps, flags and the three labels), small ``distinct`` and
 ``pattern`` tables, ``strata``: ``crit_on_stratum`` reports on the target
-(2, 0, 5, 0, 2), each with its count of ``QuadraticObjective.grad`` calls, and
-``rank_one``: ``_rank_one_points`` on 9,000 random targets of sizes 2-7 under
-Euclidean, Bombieri and random-Gram metrics at scales 1e-200 to 1e200 and on 90
-targets near the caustic, then ``cone_critical_points`` on every size-3 target.
+(2, 0, 5, 0, 2) under Euclidean, Bombieri and random-Gram metrics, each with its
+count of ``QuadraticObjective.grad`` calls, ``rank_one``: ``_rank_one_points``
+on 9,000 random targets of sizes 2-7 under the same three metrics at scales
+1e-200 to 1e200 and on 90 targets near the caustic, then
+``cone_critical_points`` on every size-3 target, and ``classify``: the roots of
+``find_roots`` and the labels of ``classify_rrmp`` and ``rrmp_classify_by_signs``
+on seeded degree-1-4 filters (standard-normal, with repeated roots, at scales
+1e-300 to 1e300), the bench's two edge filters and quartics whose discriminant
+underflows.
 """
 
 from __future__ import annotations
@@ -139,7 +145,10 @@ def families() -> dict:
     def points(report):
         return [(p.w, p.lam, p.pattern.label, p.loss, p.grad_norm, p.kind) for p in report]
 
-    target = QuadraticObjective.euclidean(np.array([2.0, 0.0, 5.0, 0.0, 2.0]))
+    u = np.array([2.0, 0.0, 5.0, 0.0, 2.0])
+    X = np.random.default_rng(17).standard_normal((5, 7))
+    targets = (QuadraticObjective.euclidean(u), QuadraticObjective.bombieri(u),
+               QuadraticObjective(X @ X.T, u))
     grad, calls = QuadraticObjective.grad, []
 
     def counted_grad(self, w):
@@ -149,12 +158,13 @@ def families() -> dict:
     QuadraticObjective.grad = counted_grad
     try:
         out["strata"] = []
-        for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
-            for seed in (0, 1):
-                calls.clear()
-                report = _answer(lambda: points(lcnlab.crit_on_stratum(
-                    target, lam, n_starts=10, seed=seed).points))
-                out["strata"].append((report, len(calls)))
+        for target in targets:
+            for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
+                for seed in (0, 1):
+                    calls.clear()
+                    report = _answer(lambda: points(lcnlab.crit_on_stratum(
+                        target, lam, n_starts=10, seed=seed).points))
+                    out["strata"].append((report, len(calls)))
     finally:
         QuadraticObjective.grad = grad
 
@@ -177,6 +187,24 @@ def families() -> dict:
     out["rank_one"] = [_answer(lambda: points(_rank_one_points(obj))) for obj in objectives]
     out["rank_one"] += [_answer(lambda: points(lcnlab.cone_critical_points(obj.target, obj.matrix)))
                         for obj in objectives if obj.k == 3]
+
+    rng, filters = np.random.default_rng(18), []
+    for degree in (1, 2, 3, 4):
+        for _ in range(400):
+            filters.append(rng.standard_normal(degree + 1))
+            roots = rng.standard_normal(degree)
+            roots[1:] = np.where(rng.uniform(size=degree - 1) < 0.5, roots[:-1], roots[1:])
+            filters.append(np.poly(roots) * 10.0 ** rng.choice([-300, -100, 0, 100, 300]))
+    filters += [np.array(w) for w in (
+        (1e-300, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0, 1e-200),  # the bench's edge filters
+        (1.0, 0.0, 0.0, 0.0, 1e-300), (1e-300, 0.0, 0.0, 0.0, 1.0), (1e-200, 0.0, 0.0, 0.0, 1.0))]
+
+    def root_parts(w):
+        return [(r.value.real, r.value.imag, r.infinite) for r in lcnlab.find_roots(w)]
+
+    out["classify"] = [(_answer(root_parts, w), _answer(lambda: lcnlab.classify_rrmp(w).label),
+                        _answer(lambda: lcnlab.rrmp_classify_by_signs(w).label))
+                       for w in filters]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
 
@@ -192,6 +220,11 @@ def main(argv=None) -> int:
     parser.add_argument("--answers", action="store_true",
                         help="print every answer as JSON instead of the digests")
     args = parser.parse_args(argv)
+    other = None
+    if args.diff:  # runs while this tree's answers are computed
+        other = subprocess.Popen([sys.executable, os.path.abspath(__file__), "--answers",
+                                  "--src", os.path.join(os.path.abspath(args.diff), "src")],
+                                 stdout=subprocess.PIPE, text=True)
     sys.path.insert(0, os.path.abspath(args.src))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -203,10 +236,10 @@ def main(argv=None) -> int:
         for name, answers in mine.items():
             print(f"{name} {_digest(answers)}")
         return 0
-    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--answers", "--src",
-                           os.path.join(os.path.abspath(args.diff), "src")],
-                          capture_output=True, text=True, check=True)
-    theirs = json.loads(done.stdout)
+    stdout, _ = other.communicate()
+    if other.returncode:
+        raise subprocess.CalledProcessError(other.returncode, other.args, stdout)
+    theirs = json.loads(stdout)
     differ = False
     for name, answers in mine.items():
         other = theirs.get(name, [])
