@@ -99,10 +99,10 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
     point = _product([["sigma"]] + copies, em.mul)
     cols = [monic]
     for (f, m), first in zip(slots, firsts):
-        scale = em.assign([f"sigma*{m}"])[0]
+        scale = "sigma" if m == 1 else em.assign([f"sigma*{m}"])[0]
         dfacs = ([em.assign([f"-{f[1]}"]) + f[:1]] if len(f) == 2
                  else [["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"]])
-        cols += [[f"{scale}*{x}" for x in em.mul(comps[first], d)] for d in dfacs]
+        cols += [em.assign([f"{scale}*{x}" for x in em.mul(comps[first], d)]) for d in dfacs]
     flat = _list_source(x for row in zip(*cols) for x in row)
     body = textwrap.indent("\n".join(em.lines), " " * 4)
     return f"""
@@ -319,7 +319,8 @@ def crit_on_stratum(
     the loss-optimal scale as the shape Hessian.  Raises ValueError when
     ``lam`` is empty, has a part that is not a positive integer or does not
     sum to the filter degree, when ``n_starts`` is not an integer of at
-    least one, or when the objective's matrix is zero.
+    least one, or when the objective's matrix is singular: its critical set is
+    then not isolated, and each start's landing would count as a point.
     """
     k = objective.matrix.shape[0]
     if len(lam) == 0:
@@ -328,8 +329,11 @@ def crit_on_stratum(
     n_starts = _integer("n_starts", n_starts)
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
-    if not objective.matrix.any():
-        raise ValueError("the objective matrix is zero, so no scale is loss-optimal")
+    rank = int(np.linalg.matrix_rank(objective.matrix))
+    if rank < k:
+        zero = " (the matrix is zero)" if rank == 0 else ""
+        raise ValueError(f"the objective matrix has rank {rank} of {k}{zero}, so its "
+                         "critical points on a stratum are not isolated")
     rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
     u_max = float(np.max(np.abs(objective.target)))
@@ -369,7 +373,7 @@ def crit_on_stratum(
     return _finish(objective, lam, found)
 
 
-def expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float) -> np.ndarray:
+def _expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float) -> np.ndarray:
     """Assemble the coefficient vector for given roots and multiplicities.
 
     Writes down a stratum point exactly from its roots: real roots are

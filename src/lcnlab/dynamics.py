@@ -8,8 +8,8 @@ filter and factor directions, the exact layer scales the flow converges to;
 
 The differential of the parameterization (filters -> composed filter) is
 read off the complements of the layers: column (l, j) is the product of
-every other layer, shifted by j times layer l's span.  Its Gram matrix is
-the tangent kernel and its rank drops exactly where factors share roots.
+every other layer, shifted by j times layer l's span.  Its rank drops
+exactly where factors share roots.
 """
 
 from __future__ import annotations
@@ -79,12 +79,6 @@ def jacobian_mu(theta, arch: Architecture) -> np.ndarray:
             J[j * span : j * span + len(c), col] = c
             col += 1
     return J
-
-
-def ntk(theta, arch: Architecture) -> np.ndarray:
-    """Tangent kernel of the parameterization: J J^T, shape (k, k)."""
-    J = jacobian_mu(theta, arch)
-    return J @ J.T
 
 
 def mu_rank(theta, arch: Architecture) -> int:

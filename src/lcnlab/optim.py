@@ -42,13 +42,6 @@ from .poly_core import (Architecture, _checked_filters, _compile, _complements, 
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
-def unconstrained_opt(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Least-squares optimum over unstructured matrices: Y X^T (X X^T)^{-1}."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return Y @ X.T @ np.linalg.inv(X @ X.T)
-
-
 def tau(M: np.ndarray, k: int, n_out: int, stride: int = 1,
         circulant: bool = False) -> np.ndarray:
     """Fold a d0 x d0 matrix along the filter's placements.
@@ -197,17 +190,12 @@ def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     return obj.value(np.array(w)), [np.array(g) for g in grads]
 
 
-def network_gradient(theta, arch: Architecture, obj: QuadraticObjective) -> list:
-    """Per-layer gradients of obj(end_to_end(theta))."""
-    return loss_and_gradient(theta, arch, obj)[1]
-
-
 def gradient_via_matrices(theta, arch: Architecture, X, Y) -> list:
     """Same gradient, computed through the sliding-window matrices.
 
     Uses the chain rule on ||W_L ... W_1 X - Y||_F^2 with explicit matrix
     products, then sums each matrix gradient along its filter's placements.
-    Serves as an independent check of ``network_gradient``.
+    Serves as an independent check of ``loss_and_gradient``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))

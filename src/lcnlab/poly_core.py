@@ -254,6 +254,10 @@ def _list_source(items) -> str:
     return f"[{', '.join(items)}]"
 
 
+def _times(x: str, y: str) -> str:
+    return y if x == "1.0" else x if y == "1.0" else f"{x}*{y}"
+
+
 class _Emitter:
     """Straight-line Python source on float locals, one assignment per line, with
     numpy's bits.
@@ -264,9 +268,10 @@ class _Emitter:
     entries, and for kernels of 12 or more taps.  ``mul`` and ``correlate`` write the
     other sums out in that order and leave the fused ones to ``_correlate``, which
     ``_compile`` binds to the C loop behind both, numpy's ``correlate2``.  Entries are
-    local names or literals; literal 0.0 factors stay, since inf * 0.0 must still give
-    NaN.  The source runs through ``_compile`` and must not rebind a name that an
-    earlier assignment reads.
+    local names or literals; ``mul`` drops literal 1.0 factors, as x * 1.0 is x bit for
+    bit, but literal 0.0 factors stay, since inf * 0.0 must still give NaN.  The source
+    runs through ``_compile`` and must not rebind a name that an earlier assignment
+    reads.
     """
 
     def __init__(self):
@@ -302,7 +307,7 @@ class _Emitter:
         if len(b) > 2 and not all(x in ("0.0", "1.0") for x in b):
             return self.unpack(f"_correlate({_list_source(a)}, {_list_source(b[::-1])}, "
                                "'full').tolist()", len(a) + len(b) - 1)
-        return self.assign([_sum_source(f"{a[i]}*{b[m - i]}"
+        return self.assign([_sum_source(_times(a[i], b[m - i])
                                         for i in range(max(0, m - len(b) + 1), min(m + 1, len(a))))
                             for m in range(len(a) + len(b) - 1)])
 
@@ -414,15 +419,6 @@ def pi_s(w, stride: int) -> np.ndarray:
 def poly_mul(p, q) -> np.ndarray:
     """Product of two coefficient vectors (full convolution)."""
     return np.convolve(as_filter(p), as_filter(q))
-
-
-def network_poly(theta, arch: Architecture) -> np.ndarray:
-    """Product of the stride-lifted layer polynomials.
-
-    Equals ``pi(end_to_end(theta, arch)[0])`` — the multiplicativity that the
-    matrix algebra below realizes.
-    """
-    return end_to_end(theta, arch)[0]
 
 
 def _placements(k: int, stride: int, d: int, n_out: int = None,

@@ -100,16 +100,10 @@ class ProjRoot:
 INFINITY = ProjRoot(0j, True)
 
 
-def same_root(a: ProjRoot, b: ProjRoot, tol: float = ROOT_TOL) -> bool:
-    """Relative-tolerance equality; infinity only ever matches infinity.  Raises
-    ValueError for a negative or non-finite ``tol``."""
-    _require_tol(tol)
-    return _same_root(a, b, tol)
-
-
 def _same_root(a: ProjRoot, b: ProjRoot, tol: float) -> bool:
-    """``same_root`` for a ``tol`` already checked, as ``cluster_roots``
-    compares every pair of roots under one tolerance."""
+    """Relative-tolerance equality, for a ``tol`` the caller checked, as
+    ``cluster_roots`` does once for every pair; infinity only ever matches
+    infinity."""
     if a.infinite or b.infinite:
         return a.infinite and b.infinite
     return _modulus(a.value - b.value) <= tol * max(_modulus(a.value), _modulus(b.value))
@@ -628,53 +622,14 @@ def _full_quartic_terms(c):
 _FULL_TERMS = {2: _quadratic_terms, 3: _cubic_terms, 4: _full_quartic_terms}
 
 
-def _chart_form(c, size: int, name: str) -> np.ndarray:
-    """``c`` as a float array of ``size`` finite coefficients; ValueError
-    naming the size otherwise."""
-    c = as_filter(c)
-    if len(c) != size:
-        raise ValueError(f"need {size} {name} coefficients, got {len(c)}")
-    _require_finite(c)
-    return c
-
-
-def disc_quadratic(c) -> float:
-    """Discriminant of a quadratic form; raises ValueError unless ``c`` holds
-    3 finite coefficients."""
-    return _signed_sum(_quadratic_terms(_chart_form(c, 3, "quadratic")))[0]
-
-
-def disc_cubic(c) -> float:
-    """Discriminant of a cubic form; raises ValueError unless ``c`` holds 4
-    finite coefficients."""
-    return _signed_sum(_cubic_terms(_chart_form(c, 4, "cubic")))[0]
-
-
-def depress_quartic(c) -> np.ndarray:
-    """Coefficients (1, 0, p, q, r) of f(x - b1/4 y, y) for a monic-normalized
-    quartic f; requires 5 finite coefficients, the leading one nonzero."""
-    c = _chart_form(c, 5, "quartic")
-    if c[0] == 0:
-        raise ValueError("leading coefficient vanishes; no monic normalization")
-    return np.array([1.0, 0.0, *_depressed(c)])
-
-
 def _depressed(c: np.ndarray) -> tuple:
-    """(p, q, r) of ``depress_quartic`` for 5 coefficients already checked."""
+    """(p, q, r) of f(x - b1/4 y, y) = x^4 + p x^2 y^2 + q x y^3 + r y^4 for the
+    monic-normalized quartic f of 5 finite coefficients, the leading one nonzero."""
     _, b1, b2, b3, b4 = c / c[0]
     p = b2 - 3 * b1 * b1 / 8
     q = b3 - b1 * b2 / 2 + b1**3 / 8
     r = b4 - b1 * b3 / 4 + b1 * b1 * b2 / 16 - 3 * b1**4 / 256
     return p, q, r
-
-
-def disc_quartic_depressed(p: float, q: float, r: float):
-    """(delta, delta') of x^4 + p x^2 y^2 + q x y^3 + r y^4; raises ValueError
-    for a non-finite p, q or r."""
-    if not all(map(math.isfinite, (p, q, r))):
-        raise ValueError(f"p, q and r must be finite, got {(p, q, r)}")
-    return (_signed_sum(_quartic_terms(p, q, r))[0],
-            _signed_sum(_quartic_dprime_terms(p, q, r))[0])
 
 
 def _disc_and_scale(c: np.ndarray):
@@ -800,15 +755,6 @@ def _chart_label(c: np.ndarray, chart) -> Rrmp:
     return Rrmp((4,), ())
 
 
-def _discriminant_margin(coeffs) -> float:
-    """Relative distance of the discriminant from zero (degree 2..4).
-
-    Used to decide whether an input sits inside the numerical boundary band
-    where chart-based and clustering-based classification may differ.
-    """
-    return _margin(_disc_and_scale(as_filter(coeffs)))
-
-
 def _margin(chart) -> float:
     """|discriminant| over its largest monomial, from ``_disc_and_scale``'s
     ``chart``; 0.0 when every monomial vanishes."""
@@ -877,7 +823,7 @@ def discriminant(coeffs) -> float:
     rescaled by a power of the degree; working with the partials rather than
     with a dehomogenized polynomial keeps roots at infinity (leading zero
     coefficients) on the same footing as finite ones.  Normalized to agree
-    with ``disc_quadratic``/``disc_cubic`` in low degree.  Degrees <= 1 have
+    with the sign charts' discriminants in low degree.  Degrees <= 1 have
     no root pairs that could collide and return 1.  Raises ValueError for a
     non-finite entry.
     """

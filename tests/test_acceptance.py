@@ -6,6 +6,7 @@ behaviour of the experiment drivers at desk scale — with explicit tolerances
 and, where the contract includes one, a wall-clock budget.
 """
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -26,7 +27,6 @@ from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
     loss_and_gradient,
-    network_gradient,
     network_loss,
     run_distinct_experiment,
     run_pattern_experiment,
@@ -35,13 +35,14 @@ from lcnlab.poly_core import (
     Architecture,
     end_to_end,
     network_matrices,
-    network_poly,
     pi,
+    pi_s,
     toeplitz_matrix,
 )
 from lcnlab.rootlab import (
     Rrmp,
-    _discriminant_margin,
+    _disc_and_scale,
+    _margin,
     all_rrmps,
     classify_roots,
     find_roots,
@@ -65,7 +66,8 @@ def test_composition_is_multiplicative_and_matches_matrix_products():
         u, s_total = end_to_end(theta, arch)
         assert s_total == arch.stride
         # coefficient route: product of the stride-lifted layer forms
-        p = network_poly(theta, arch)
+        p = functools.reduce(np.convolve, [pi_s(t, math.prod(arch.strides[:i]))
+                                           for i, t in enumerate(theta)])
         scale = max(1.0, float(np.max(np.abs(p))))
         assert np.max(np.abs(p - pi(u))) <= 1e-12 * scale
         # matrix route: stacked sliding-window matrices compose to the
@@ -87,7 +89,7 @@ def test_root_pattern_classifier_agrees_with_sign_charts():
     for degree in (2, 3, 4):
         for _ in range(10_000):
             c = rng.standard_normal(degree + 1)
-            if _discriminant_margin(c) <= 1e-6:
+            if _margin(_disc_and_scale(c)) <= 1e-6:
                 continue  # inside the numerical boundary band
             # classify_rrmp itself may take the charts' label, so the roots' one
             assert rrmp_classify_by_signs(c) == classify_roots(find_roots(c))
@@ -182,7 +184,7 @@ def test_flow_integration_conserves_layer_norm_gaps():
         u = rng.standard_normal(arch.filter_size)
         obj = QuadraticObjective.euclidean(u)
         theta0 = arch.random_theta(rng)
-        grad_fn = lambda th: network_gradient(th, arch, obj)
+        grad_fn = lambda th: loss_and_gradient(th, arch, obj)[1]
         theta = integrate_flow(theta0, grad_fn, step=1e-4, n_steps=10_000)
         norms0 = np.array([np.sum(w**2) for w in theta0])
         norms1 = np.array([np.sum(w**2) for w in theta])

@@ -15,6 +15,7 @@ from lcnlab.critlab import (
     CritPoint,
     StratumReport,
     _attainable_strata,
+    _expand_stratum_point,
     _inertia,
     _rank_one_points,
     caustic_value,
@@ -25,7 +26,6 @@ from lcnlab.critlab import (
     critical_points_for_target,
     ed_bound,
     ed_degree,
-    expand_stratum_point,
     find_spurious_minimum,
     match_critical_point,
     real_type_splits,
@@ -237,6 +237,22 @@ def test_crit_on_stratum_rejects_a_zero_matrix_before_any_start(monkeypatch):
     objective = QuadraticObjective(np.zeros((5, 5)), [2.0, 0.0, 5.0, 0.0, 2.0])
     with pytest.raises(ValueError, match="matrix is zero"):
         crit_on_stratum(objective, (2, 2), n_starts=3)
+
+
+@pytest.mark.parametrize("matrix", [np.diag([0.0, 0.0, 0.0, 0.0, 1.0]),
+                                    np.diag([1.0, 0.0, 0.0, 0.0, 0.0]),
+                                    np.outer([1.0, -1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0, 1.0])],
+                         ids=["last", "first", "alternating"])
+def test_crit_on_stratum_rejects_a_singular_matrix_before_any_start(matrix, monkeypatch):
+    # the critical set is not isolated, and 20 starts gave up to 40 points on a stratum
+    def no_kernel(rho, gamma):
+        pytest.fail("a probe kernel was built for a singular matrix")
+
+    monkeypatch.setattr(critlab, "_probe_kernel", no_kernel)
+    objective = QuadraticObjective(matrix, [2.0, 0.0, 5.0, 0.0, 2.0])
+    for lam in ((2, 1, 1), (2, 2), (3, 1), (4,)):
+        with pytest.raises(ValueError, match="matrix has rank 1 of 5, so its critical points"):
+            crit_on_stratum(objective, lam, n_starts=20)
 
 
 def test_one_probe_kernel_per_real_type():
@@ -666,14 +682,14 @@ def test_expand_stratum_point_rebuilds_rational_critical_point():
     r1 = (-7.0 + np.sqrt(45.0)) / 2.0
     r2 = (-7.0 - np.sqrt(45.0)) / 2.0
     pattern = Rrmp(rho=(1, 1, 2), gamma=())
-    w = expand_stratum_point(
+    w = _expand_stratum_point(
         pattern, [ProjRoot(complex(r1)), ProjRoot(complex(r2)), ProjRoot(complex(-1.0))], 0.2
     )
     assert np.allclose(w, [0.2, 1.8, 3.2, 1.8, 0.2], atol=1e-12)
 
 
 def test_expand_stratum_point_with_infinite_root():
-    w = expand_stratum_point(Rrmp(rho=(2,), gamma=(1,)), [INFINITY, ProjRoot(1j * np.sqrt(0.4))], 5.0)
+    w = _expand_stratum_point(Rrmp(rho=(2,), gamma=(1,)), [INFINITY, ProjRoot(1j * np.sqrt(0.4))], 5.0)
     assert np.allclose(w, [0.0, 0.0, 5.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -1163,7 +1179,7 @@ def test_real_type_splits_are_the_all_rrmps_patterns_of_the_partition():
 ], ids=["infinity", "conjugate-pairs"])
 def test_expand_stratum_point_round_trips_through_factor_into(pattern, roots, ks):
     arch = Architecture(ks)
-    w = expand_stratum_point(pattern, roots, 1.5)
+    w = _expand_stratum_point(pattern, roots, 1.5)
     assert len(w) == arch.filter_size
     theta = factor_into(w, arch)
     prod, _ = end_to_end(theta, arch)

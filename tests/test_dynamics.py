@@ -6,14 +6,13 @@ from lcnlab.dynamics import (
     integrate_flow,
     jacobian_mu,
     mu_rank,
-    ntk,
     recover_scales,
     scale_sign_patterns,
     squared_norm_gaps,
     stack_theta,
     unstack_theta,
 )
-from lcnlab.optim import QuadraticObjective, network_gradient
+from lcnlab.optim import QuadraticObjective, loss_and_gradient
 from lcnlab.poly_core import Architecture, end_to_end
 
 
@@ -85,8 +84,6 @@ def test_jacobian_blocks_for_quadratic_times_linear():
     block2 = np.array([[a, 0], [b, a], [c, b], [0, c]])
     assert np.allclose(J[:, :3], block1)
     assert np.allclose(J[:, 3:], block2)
-    K = ntk([[a, b, c], [d, e]], arch)
-    assert np.allclose(K, block1 @ block1.T + block2 @ block2.T)
 
 
 def test_mu_rank_drops_on_shared_roots():
@@ -211,7 +208,7 @@ def test_flow_conserves_gaps_rk4():
     gaps0 = squared_norm_gaps(theta0)
 
     def grad(theta):
-        return network_gradient(theta, arch, obj)
+        return loss_and_gradient(theta, arch, obj)[1]
 
     theta = integrate_flow(theta0, grad, step=1e-3, n_steps=2000, method="rk4")
     drift = np.max(np.abs(squared_norm_gaps(theta) - gaps0))
@@ -227,7 +224,7 @@ def test_euler_flow_matches_gradient_descent_step():
     theta0 = arch.random_theta(rng)
 
     def grad(theta):
-        return network_gradient(theta, arch, obj)
+        return loss_and_gradient(theta, arch, obj)[1]
 
     theta1 = integrate_flow(theta0, grad, step=0.01, n_steps=1, method="euler")
     manual = [w - 0.01 * g for w, g in zip(theta0, grad(theta0))]

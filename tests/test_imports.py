@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, the modules
 import each other along a fixed, acyclic layering, every module-level
-function or class is exported or used somewhere in src/, tests/ or bench/, and
-every method or property of such a class is reached as an attribute there.
+function or class is exported or used somewhere in src/, tests/ or bench/, every
+public one is exported, listed in ``cli.__all__`` or used in src/, and every
+method or property of such a class is reached as an attribute there.
 
 No linter ships with the project, so this parses each module of the package
 with the standard ``ast`` module.  ``__init__`` is exempt from the unused
@@ -14,6 +15,7 @@ import pathlib
 import pytest
 
 import lcnlab
+from lcnlab import cli
 
 PACKAGE = pathlib.Path(lcnlab.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -143,13 +145,25 @@ def test_finds_an_unreferenced_definition():
     assert unreferenced_definitions(modules, others, {"Exported"}) == ["m.dead", "m.decorated"]
 
 
-def test_every_module_level_definition_is_used():
+def _exported():
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in ast.walk(init)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {alias.asname or alias.name for node in ast.walk(init)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_every_module_level_definition_is_used():
     modules = {p.stem: p.read_text() for p in MODULES}
     others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
-    assert unreferenced_definitions(modules, others, exported) == []
+    assert unreferenced_definitions(modules, others, _exported()) == []
+
+
+def test_every_public_name_is_exported_or_used_in_src():
+    # a public name that only tests call is a second surface to keep: the package
+    # exports the paper's objects, and cli.__all__ lists the command line's entry points
+    modules = {p.stem: p.read_text() for p in MODULES}
+    surface = _exported() | set(cli.__all__)
+    assert [name for name in unreferenced_definitions(modules, [], surface)
+            if not name.split(".")[1].startswith("_")] == []
 
 
 def _attributes(tree, skip=()):

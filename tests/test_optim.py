@@ -21,29 +21,18 @@ from lcnlab.optim import (
     gd_train,
     gradient_via_matrices,
     loss_and_gradient,
-    network_gradient,
     network_loss,
     run_distinct_experiment,
     run_pattern_experiment,
     tau,
-    unconstrained_opt,
 )
 from lcnlab.poly_core import (Architecture, _complements, _layers, as_filter, end_to_end,
-                              network_matrices, network_poly, toeplitz_matrix)
+                              network_matrices, toeplitz_matrix)
 from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
 from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
 
 from test_poly_core import (_layer_dims_loop, _same_bytes, _signed_zero_filter, _toeplitz_loop,
                             random_arch)
-
-
-def test_unconstrained_opt_is_least_squares():
-    rng = np.random.default_rng(1)
-    X = rng.standard_normal((4, 12))
-    Y = rng.standard_normal((2, 12))
-    W = unconstrained_opt(X, Y)
-    # first-order condition: residual orthogonal to data
-    assert np.allclose((W @ X - Y) @ X.T, 0.0, atol=1e-10)
 
 
 def test_tau_folds_diagonal_into_bombieri_weights():
@@ -263,7 +252,7 @@ def test_network_gradient_matches_finite_differences():
         u = rng.standard_normal(arch.filter_size)
         obj = QuadraticObjective.euclidean(u)
         theta = arch.random_theta(rng)
-        grads = network_gradient(theta, arch, obj)
+        grads = loss_and_gradient(theta, arch, obj)[1]
         flat = stack_theta(theta)
         gflat = stack_theta(grads)
         h = 1e-6
@@ -315,7 +304,7 @@ def grad_calls(monkeypatch):
 def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks, grad_calls):
     arch = Architecture(ks)
     obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0])
-    for fn in (end_to_end, network_poly, jacobian_mu,
+    for fn in (end_to_end, jacobian_mu,
                lambda theta, arch: loss_and_gradient(theta, arch, obj),
                lambda theta, arch: gd_train(obj, arch, theta)):
         with pytest.raises(ValueError):
@@ -353,9 +342,8 @@ def test_gd_train_rejects_an_objective_of_another_size(grad_calls):
 
 def test_gradients_reject_an_objective_of_another_size(grad_calls):
     obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0, 4.0])
-    for fn in (loss_and_gradient, network_gradient):
-        with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
-            fn([np.ones(2), np.ones(2)], Architecture((2, 2)), obj)
+    with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
+        loss_and_gradient([np.ones(2), np.ones(2)], Architecture((2, 2)), obj)
     assert grad_calls == []
 
 
@@ -388,7 +376,7 @@ def test_gradient_via_matrices_agrees():
             fd[p] = (up - dn) / (2 * h)
         assert np.allclose(stack_theta(g_matrix), fd, atol=1e-4)
 
-        g_filter = network_gradient(theta, arch, obj)
+        g_filter = loss_and_gradient(theta, arch, obj)[1]
         assert all(np.allclose(a, b, atol=1e-9)
                    for a, b in zip(g_matrix, g_filter))
 

@@ -18,15 +18,10 @@ from lcnlab.rootlab import (
     classify_rrmp_pooled,
     cluster_roots,
     compatible_rrmps,
-    depress_quartic,
-    disc_cubic,
-    disc_quadratic,
-    disc_quartic_depressed,
     discriminant,
     find_roots,
     is_compatible,
     rrmp_classify_by_signs,
-    same_root,
     _partitions,
     _start_circle,
 )
@@ -85,10 +80,10 @@ def test_root_residuals_on_random_filters():
 def test_same_root_is_relative():
     a = ProjRoot.finite(1e6)
     b = ProjRoot.finite(1e6 * (1 + 1e-5))
-    assert same_root(a, b, tol=1e-4)
-    assert not same_root(ProjRoot.finite(1.0), ProjRoot.finite(1.001), tol=1e-4)
-    assert same_root(INFINITY, INFINITY)
-    assert not same_root(INFINITY, ProjRoot.finite(1e300))
+    assert rootlab._same_root(a, b, 1e-4)
+    assert not rootlab._same_root(ProjRoot.finite(1.0), ProjRoot.finite(1.001), 1e-4)
+    assert rootlab._same_root(INFINITY, INFINITY, rootlab.ROOT_TOL)
+    assert not rootlab._same_root(INFINITY, ProjRoot.finite(1e300), rootlab.ROOT_TOL)
 
 
 def test_cluster_roots_single_linkage():
@@ -232,11 +227,15 @@ def test_pooled_linear_layers_take_no_root_solve(monkeypatch):
 
 
 def test_discriminant_values():
-    assert disc_quadratic([1.0, 2.0, 1.0]) == 0.0
-    assert disc_quadratic([1.0, 0.0, -1.0]) == 4.0
-    assert disc_cubic([1.0, -3.0, 3.0, -1.0]) == 0.0
-    p = depress_quartic([2.0, 8.0, 12.0, 8.0, 2.0])  # 2(x+y)^4
-    assert np.allclose(p, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-14)
+    for c, value in (([1.0, 2.0, 1.0], 0.0), ([1.0, 0.0, -1.0], 4.0), ([1.0, 3.0, 1.0], 5.0),
+                     ([1.0, -3.0, 3.0, -1.0], 0.0)):
+        assert rootlab._disc_and_scale(np.array(c))[0] == value
+    assert np.allclose(rootlab._depressed(np.array([2.0, 8.0, 12.0, 8.0, 2.0])), 0.0,
+                       atol=1e-14)  # 2(x+y)^4
+    p, q, r = rootlab._depressed(np.array([1.0, 0.0, -2.0, 0.0, 1.0]))  # (x^2 - y^2)^2
+    assert (p, q, r) == (-2.0, 0.0, 1.0)
+    assert rootlab._signed_sum(rootlab._quartic_terms(p, q, r))[0] == 0.0
+    assert rootlab._signed_sum(rootlab._quartic_dprime_terms(p, q, r))[0] == 0.0
 
 
 def _written_out(c):
@@ -251,7 +250,7 @@ def _written_out(c):
                 + 18 * a * b * cc * d,
                 max(abs(b * b * cc * cc), abs(4 * a * cc**3), abs(4 * b**3 * d),
                     abs(27 * a * a * d * d), abs(18 * a * b * cc * d)))
-    _, _, p, q, r = depress_quartic(c)
+    p, q, r = rootlab._depressed(c)
     return ((256 * r**3 - 128 * p * p * r * r + 144 * p * q * q * r + 16 * p**4 * r
              - 27 * q**4 - 4 * p**3 * q * q),
             max(abs(256 * r**3), abs(128 * p * p * r * r), abs(144 * p * q * q * r),
@@ -259,8 +258,6 @@ def _written_out(c):
 
 
 def test_discriminants_match_the_written_out_formulas_bit_for_bit():
-    from lcnlab.rootlab import _disc_and_scale, disc_quartic_depressed
-
     def bits(x):
         return np.float64(x).tobytes()
 
@@ -274,16 +271,13 @@ def test_discriminants_match_the_written_out_formulas_bit_for_bit():
         c[u > 0.8] = -0.0
         c[0] = c[0] or 1.0
         value, scale = _written_out(c)
-        got = _disc_and_scale(c)
+        got = rootlab._disc_and_scale(c)
         assert bits(got[0]) == bits(value) and bits(got[1]) == bits(scale)
-        public = {3: disc_quadratic, 4: disc_cubic}.get(len(c))
-        if public is not None:
-            assert bits(public(c)) == bits(value)
-        else:
-            _, _, p, q, r = depress_quartic(c)
+        if len(c) == 5:
+            p, q, r = got[2]
             dprime = 8 * p * r - 9 * q * q - 2 * p**3
-            got = disc_quartic_depressed(p, q, r)
-            assert bits(got[0]) == bits(value) and bits(got[1]) == bits(dprime)
+            got = rootlab._signed_sum(rootlab._quartic_dprime_terms(p, q, r))
+            assert bits(got[0]) == bits(dprime)
 
 
 QUARTIC_CASES = [
@@ -332,8 +326,7 @@ def test_chart_matches_root_clustering_on_random_samples():
             c = rng.standard_normal(deg + 1)
             if abs(c[0]) < 1e-3:
                 c[0] = 1.0
-            from lcnlab.rootlab import _discriminant_margin
-            if _discriminant_margin(c) <= band:
+            if rootlab._margin(rootlab._disc_and_scale(c)) <= band:
                 continue
             assert rrmp_classify_by_signs(c) == classify_roots(find_roots(c))
 
@@ -580,10 +573,10 @@ def test_discriminant_matches_low_degree_charts():
     rng = np.random.default_rng(7)
     for _ in range(100):
         c = rng.standard_normal(3)
-        assert discriminant(c) == pytest.approx(disc_quadratic(c), abs=1e-10)
+        assert discriminant(c) == pytest.approx(rootlab._disc_and_scale(c)[0], abs=1e-10)
     for _ in range(100):
         c = rng.standard_normal(4)
-        d = disc_cubic(c)
+        d = rootlab._disc_and_scale(c)[0]
         assert discriminant(c) == pytest.approx(d, rel=1e-8, abs=1e-9)
     for _ in range(100):  # the undepressed quartic of the chart route's guard
         c = rng.standard_normal(5)
@@ -1027,7 +1020,7 @@ def test_a_nan_root_after_an_overflowing_modulus_is_nan_not_an_overflow():
     nan_root = ProjRoot(complex(math.nan, 1.0))
     assert not nan_root.is_real()
     assert math.isnan(rootlab._homogeneous_residual([1.0, 1.0], nan_root))
-    assert not same_root(nan_root, nan_root)
+    assert not rootlab._same_root(nan_root, nan_root, rootlab.ROOT_TOL)
 
 
 def _full_horner_pass(rows, z):
@@ -1088,32 +1081,15 @@ def test_horner_pass_without_its_zero_row_keeps_the_bits():
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_same_root_and_is_real_reject_a_bad_tolerance(tol):
-    # a NaN tolerance made every comparison False
+    # a NaN tolerance made every comparison False; the same-root rule takes its
+    # tolerance through cluster_roots
     a = ProjRoot.finite(1 + 1e-9j)
-    assert same_root(a, a) and a.is_real() and INFINITY.is_real()
+    assert len(cluster_roots([a, a])) == 1 and a.is_real() and INFINITY.is_real()
     message = f"tol must be finite and non-negative, got {tol}"
-    for call in (lambda: same_root(a, a, tol=tol), lambda: same_root(INFINITY, a, tol),
+    for call in (lambda: cluster_roots([a, a], tol=tol), lambda: cluster_roots([INFINITY, a], tol),
                  lambda: a.is_real(tol), lambda: INFINITY.is_real(tol=tol)):
         with pytest.raises(ValueError, match=message):
             call()
-
-
-def test_sign_chart_helpers_reject_non_finite_input_and_wrong_sizes():
-    for helper, c in ((disc_quadratic, [np.inf, 1.0, 1.0]), (disc_cubic, [np.nan, 1.0, 1.0, 1.0]),
-                      (depress_quartic, [1.0, np.nan, 1.0, 1.0, 1.0]),
-                      (depress_quartic, [1.0, 1.0, 1.0, 1.0, -np.inf])):
-        with pytest.raises(ValueError, match="non-finite entries"):
-            helper(c)
-    for p, q, r in ((np.nan, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, -np.inf)):
-        with pytest.raises(ValueError, match="p, q and r must be finite"):
-            disc_quartic_depressed(p, q, r)
-    for helper, size, name in ((disc_quadratic, 3, "quadratic"), (disc_cubic, 4, "cubic"),
-                               (depress_quartic, 5, "quartic")):
-        for wrong in (size - 1, size + 1):
-            with pytest.raises(ValueError, match=f"need {size} {name} coefficients, got {wrong}"):
-                helper([1.0] * wrong)
-    assert disc_quadratic([1.0, 3.0, 1.0]) == 5.0
-    assert disc_quartic_depressed(-2.0, 0.0, 1.0) == (0.0, 0.0)  # (x^2 - y^2)^2
 
 
 def test_all_rrmps_rejects_a_bad_degree():
@@ -1153,7 +1129,7 @@ def _reference_root_structure(roots):
             if used[j]:
                 continue
             other, osize = complex_clusters[j]
-            if osize == size and same_root(other, rep.conjugate()):
+            if osize == size and rootlab._same_root(other, rep.conjugate(), rootlab.ROOT_TOL):
                 mate = j
                 break
         if mate is None:

@@ -27,7 +27,9 @@ on 9,000 random targets of sizes 2-7 under the same three metrics at scales
 ``find_roots`` and the labels of ``classify_rrmp`` and ``rrmp_classify_by_signs``
 on seeded degree-1-4 filters (standard-normal, with repeated roots, at scales
 1e-300 to 1e300), the bench's two edge filters and quartics whose discriminant
-underflows.
+underflows, then ``region`` names and ``factor_into`` layers on (2, 2), (3, 2),
+(2, 2, 2) and (3, 3): seeded filters, composed ones at scales 1e-100 to 1e100,
+half of them from layers that share roots, the zero filter and a NaN one.
 """
 
 from __future__ import annotations
@@ -205,6 +207,25 @@ def families() -> dict:
     out["classify"] = [(_answer(root_parts, w), _answer(lambda: lcnlab.classify_rrmp(w).label),
                         _answer(lambda: lcnlab.rrmp_classify_by_signs(w).label))
                        for w in filters]
+
+    rng, cases = np.random.default_rng(19), []
+    for ks in ((2, 2), (3, 2), (2, 2, 2), (3, 3)):
+        arch = Architecture(ks)
+        for _ in range(150):
+            shared = rng.standard_normal(2)
+            theta = []
+            for k in ks:  # each root is, half the time, one of two shared by every layer
+                roots = rng.standard_normal(k - 1)
+                pick = rng.uniform(size=k - 1) < 0.5
+                roots[pick] = shared[rng.integers(2, size=int(pick.sum()))]
+                theta.append(rng.standard_normal() * np.poly(roots))
+            scale = 10.0 ** rng.choice([-100, 0, 100])
+            cases += [(rng.standard_normal(arch.filter_size), arch),
+                      (lcnlab.end_to_end(arch.random_theta(rng), arch)[0] * scale, arch),
+                      (lcnlab.end_to_end(theta, arch)[0] * scale, arch)]
+        cases += [(np.zeros(arch.filter_size), arch), (np.full(arch.filter_size, math.nan), arch)]
+    out["region"] = [_answer(lambda: lcnlab.region(w, arch).name) for w, arch in cases]
+    out["factor_into"] = [_answer(lcnlab.factor_into, w, arch) for w, arch in cases]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
 
