@@ -22,7 +22,7 @@ import numpy as np
 
 from .poly_core import (Architecture, _complements, _integer, _layers, _require_no_interior_stride,
                         as_filter)
-from .rootlab import cluster_roots, find_roots
+from .rootlab import ROOT_TOL, _linkage, _same_root, find_roots
 
 
 def _squared_norms(filters, name: str) -> np.ndarray:
@@ -88,19 +88,16 @@ def mu_rank(theta, arch: Architecture) -> int:
     multiplicity M spread over the layers with per-layer maximum m contributes
     a drop of M - m.  Layers of size one carry no roots and no columns beyond
     scaling, so they are skipped.  Raises ValueError for an interior stride,
-    where root counts do not give the rank, and for ``theta`` not fitting ``arch``.
+    where root counts do not give the rank, for ``theta`` not fitting ``arch``,
+    and, as ``find_roots`` does, for a zero or non-finite layer of size two or more.
     """
     fs, _ = _layers(theta, arch)
     _require_no_interior_stride(arch)
     tagged = [(i, r) for i, w in enumerate(fs) if len(w) > 1 for r in find_roots(w)]
-    clusters = cluster_roots([r for _, r in tagged])
-    # re-associate layer tags by identity of the ProjRoot objects
     drop = 0
-    for cluster in clusters:
-        ids = [id(r) for r in cluster]
-        layers = [i for i, r in tagged if id(r) in ids]
-        counts = np.bincount(layers)
-        drop += len(cluster) - int(counts.max())
+    for group in _linkage(tagged, lambda a, b: _same_root(a[1], b[1], ROOT_TOL)):
+        layers = [tagged[g][0] for g in group]
+        drop += len(group) - max(map(layers.count, layers))
     return arch.filter_size - drop
 
 

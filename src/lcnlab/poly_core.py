@@ -172,26 +172,14 @@ def _require_stride(stride) -> int:
     return s
 
 
-def upsample(w, stride: int) -> np.ndarray:
-    """Insert ``stride - 1`` zeros between consecutive filter entries.  Raises
-    ValueError for a stride that is not an integer of at least one."""
-    w = as_filter(w)
-    stride = _require_stride(stride)
-    if stride == 1:
-        return w.copy()
-    out = np.zeros((len(w) - 1) * stride + 1)
-    out[::stride] = w
-    return out
-
-
 def compose_filters(outer, stride: int, inner) -> np.ndarray:
     """Filter of (outer layer) ∘ (inner map of the given stride).
 
     The composed entry u_m = sum over j*stride + l = m of outer_j * inner_l,
     of size (len(outer)-1)*stride + len(inner).  Raises ValueError for a stride
-    that ``upsample`` rejects.
+    that ``pi_s`` rejects.
     """
-    return np.convolve(upsample(outer, stride), as_filter(inner))
+    return np.convolve(pi_s(outer, stride), as_filter(inner))
 
 
 def _checked_filters(theta, arch: Architecture) -> list:
@@ -213,7 +201,7 @@ def _layers(theta, arch: Architecture):
     by span_i = prod(strides[:i]), a span-one layer not copied."""
     fs, spans, span = [], [], 1
     for w, s in zip(_checked_filters(theta, arch), arch.strides):
-        fs.append(w if span == 1 else upsample(w, span))
+        fs.append(w if span == 1 else pi_s(w, span))
         spans.append(span)
         span *= s
     return fs, spans
@@ -410,10 +398,17 @@ def pi_s(w, stride: int) -> np.ndarray:
     """Coefficients of the stride-lifted form: entry j moves to index j*stride.
 
     The resulting vector has length (k-1)*stride + 1 and represents
-    w_0 x^{(k-1)s} + w_1 x^{(k-2)s} y^s + ... + w_{k-1} y^{(k-1)s}.  Raises
-    ValueError for a stride that ``upsample`` rejects.
+    w_0 x^{(k-1)s} + w_1 x^{(k-2)s} y^s + ... + w_{k-1} y^{(k-1)s}, the filter
+    with ``stride - 1`` zeros between consecutive entries.  Raises ValueError
+    for a stride that is not an integer of at least one.
     """
-    return upsample(w, stride)
+    w = as_filter(w)
+    stride = _require_stride(stride)
+    if stride == 1:
+        return w.copy()
+    out = np.zeros((len(w) - 1) * stride + 1)
+    out[::stride] = w
+    return out
 
 
 def poly_mul(p, q) -> np.ndarray:

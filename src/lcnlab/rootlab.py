@@ -22,9 +22,11 @@ critical-point analysis, so this module owns:
   bit for bit,
 * the root structure of a filter: tolerance-based clusters split into real
   roots and conjugate pairs with their multiplicities, which both pattern
-  classification and explicit factorization read; the pooled pattern of
-  linear layers with normal entries and roots clusters those roots as
-  floats, with no root solve and the same labels,
+  classification and explicit factorization read; one single-linkage
+  grouping, ``_linkage``, clusters the roots of a filter, the floats that
+  linear layers with normal entries and roots give the pooled pattern (no
+  root solve, the same labels) and the layer-tagged roots of
+  ``dynamics.mu_rank``,
 * exact sign-chart classification via closed-form discriminants (degree <= 4),
   which also labels a degree-2..4 filter in ``classify_rrmp`` wherever three
   guards find the chart decision well conditioned; the other filters are
@@ -362,11 +364,10 @@ def find_roots(coeffs) -> list:
     return roots
 
 
-def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
-    """Single-linkage clusters under the relative same-root predicate.  Raises
-    ValueError for a negative or non-finite ``tol``."""
-    _require_tol(tol)
-    n = len(roots)
+def _linkage(items, same) -> list:
+    """Single-linkage groups of ``items`` under the symmetric predicate ``same``, as
+    lists of indices: groups in order of their first member, members in input order."""
+    n = len(items)
     parent = list(range(n))
 
     def find(i):
@@ -377,13 +378,21 @@ def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if _same_root(roots[i], roots[j], tol):
+            if same(items[i], items[j]):
                 parent[find(i)] = find(j)
 
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(roots[i])
+        groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
+    """Single-linkage clusters under the relative same-root predicate.  Raises
+    ValueError for a negative or non-finite ``tol``."""
+    _require_tol(tol)
+    return [[roots[i] for i in group]
+            for group in _linkage(roots, lambda a, b: _same_root(a, b, tol))]
 
 
 def _cluster_rep(cluster) -> ProjRoot:
@@ -537,7 +546,8 @@ def classify_rrmp_pooled(filters) -> Rrmp:
     across factors well-conditioned (no eps^(1/m) scatter).  A linear layer
     [a, b] whose a, b and root x = -b/a are finite, nonzero, normal doubles
     gives x as a float, which ``find_roots`` gives as complex(x, +0.0); when
-    every layer does, ``_real_clusters`` labels the floats with no root solve.
+    every layer does, the floats are grouped under ``_same_root``'s rule, on
+    which a difference of two has modulus |x - y| exactly, with no root solve.
     """
     pooled = []
     for w in map(as_filter, filters):
@@ -545,24 +555,9 @@ def classify_rrmp_pooled(filters) -> Rrmp:
         x = -(ab[1] / ab[0]) if len(ab) == 2 and all(_TINY <= abs(v) <= _HUGE for v in ab) else 0.0
         pooled.extend([x] if _TINY <= abs(x) <= _HUGE else find_roots(w))
     if all(type(x) is float for x in pooled):
-        return _real_clusters(pooled)
+        groups = _linkage(pooled, lambda x, y: abs(x - y) <= ROOT_TOL * max(abs(x), abs(y)))
+        return Rrmp(tuple(map(len, groups)), ())
     return classify_roots([ProjRoot(complex(x), False) if type(x) is float else x for x in pooled])
-
-
-def _real_clusters(xs) -> Rrmp:
-    """Pattern of real roots given as floats: the sizes of their single-linkage
-    clusters under ``_same_root``'s rule, on which a difference of two has
-    modulus |x - y| exactly; the clusters do not depend on the merge order."""
-    clusters = []
-    for x in xs:
-        merged, rest = [x], []
-        for c in clusters:
-            if any(abs(x - y) <= ROOT_TOL * max(abs(x), abs(y)) for y in c):
-                merged += c
-            else:
-                rest.append(c)
-        clusters = rest + [merged]
-    return Rrmp(tuple(map(len, clusters)), ())
 
 
 # --- closed-form sign charts (degree <= 4) ---------------------------------

@@ -108,6 +108,15 @@ def test_mu_rank_matches_numeric_rank():
                   [np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0])]))
     cases.append((Architecture((3, 3)),
                   [np.array([1.0, 2.0, 1.0]), np.array([2.0, 4.0, 2.0])]))
+    # roots shared across layers or repeated within one, at 1 and at infinity and 0,
+    # where find_roots gives every such root as the same object: the rank must come
+    # from each root's own layer
+    for ks, theta in (((2, 2), [[0.0, 1.0], [0.0, 1.0]]),
+                      ((3, 2), [[1.0, 0.0, 0.0], [1.0, 0.0]]),
+                      ((3, 3), [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                      ((2, 2, 2), [[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]]),
+                      ((3, 2, 2), [[1.0, -2.0, 1.0], [1.0, -1.0], [2.0, -2.0]])):
+        cases.append((Architecture(ks), [np.array(w) for w in theta]))
     # a final stride only subsamples and trailing size-one layers only
     # rescale, so root counts still give the rank
     for ks, strides in (((2, 2), (1, 2)), ((3, 2), (1, 3)), ((2, 2, 1), (1, 2, 1)),
@@ -122,6 +131,12 @@ def test_mu_rank_matches_numeric_rank():
         J = jacobian_mu(theta, arch)
         assert mu_rank(theta, arch) == np.linalg.matrix_rank(J, tol=1e-8), (
             arch.ks, [list(w) for w in theta])
+
+
+def test_mu_rank_rejects_a_zero_layer():
+    # find_roots' error; a non-finite layer raises its ValueError too (test_rootlab)
+    with pytest.raises(ValueError, match="the zero filter has no root data"):
+        mu_rank([[1.0, 2.0], [0.0, 0.0, 0.0]], Architecture((2, 3)))
 
 
 def test_mu_rank_rejects_an_interior_stride_and_a_mismatched_theta():

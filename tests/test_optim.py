@@ -319,13 +319,13 @@ def test_theta_checks_build_no_upsampled_copy(monkeypatch):
     theta = [np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0]), np.array([3.0, 1.0])]
     obj = QuadraticObjective.euclidean(np.linspace(-1.0, 1.0, arch.filter_size))
     copies = []
-    upsample = poly_core.upsample
+    pi_s = poly_core.pi_s
 
     def counted(w, stride):
         copies.append(stride)
-        return upsample(w, stride)
+        return pi_s(w, stride)
 
-    monkeypatch.setattr(poly_core, "upsample", counted)
+    monkeypatch.setattr(poly_core, "pi_s", counted)
     loss_and_gradient(theta, arch, obj)
     network_matrices(theta, arch, arch.min_input_size(2))
     assert copies == []

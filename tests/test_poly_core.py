@@ -25,7 +25,6 @@ from lcnlab.poly_core import (
     pi,
     pi_s,
     toeplitz_matrix,
-    upsample,
 )
 
 
@@ -92,16 +91,16 @@ def test_compose_worked_example():
 
 
 def test_upsample_places_entries_stride_apart():
-    assert np.array_equal(upsample([3.0, 4.0], 2), [3.0, 0.0, 4.0])
-    assert np.array_equal(upsample([1.0, 1.0], 3), [1.0, 0.0, 0.0, 1.0])
-    assert np.array_equal(upsample([5.0], 4), [5.0])
+    assert np.array_equal(pi_s([3.0, 4.0], 2), [3.0, 0.0, 4.0])
+    assert np.array_equal(pi_s([1.0, 1.0], 3), [1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(pi_s([5.0], 4), [5.0])
 
 
 @pytest.mark.parametrize("stride, shown", [(0, "0"), (-1, "-1"), (2.5, "2.5"), (2.0, "2.0"),
                                            ("2", "'2'"), (None, "None")])
 def test_strided_lifts_reject_a_bad_stride(stride, shown):
     message = f"stride must be at least 1, got {shown}"
-    for lift in (upsample, pi_s, lambda w, s: compose_filters(w, s, [1.0, 2.0])):
+    for lift in (pi_s, lambda w, s: compose_filters(w, s, [1.0, 2.0])):
         with pytest.raises(ValueError, match=message):
             lift([1.0, 1.0], stride)
     with pytest.raises(ValueError, match=message):

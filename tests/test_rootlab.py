@@ -98,6 +98,14 @@ def test_cluster_roots_single_linkage():
     assert sizes == [1, 3]  # chain links the first three
 
 
+def test_cluster_roots_keeps_group_and_member_order():
+    # each link makes the later root the union-find root, so no group's first member
+    # is its root; groups still come in order of their first member, members in input order
+    roots = [ProjRoot.finite(x) for x in (1.0, 5.0, 1.00001, 5.00001, 1.00002, 9.0)]
+    clusters = cluster_roots(roots)
+    assert clusters == [[roots[0], roots[2], roots[4]], [roots[1], roots[3]], [roots[5]]]
+
+
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
 def test_cluster_roots_rejects_a_bad_tolerance(tol):
     # a NaN tolerance kept equal roots apart, and a negative one every root
@@ -212,6 +220,14 @@ def test_real_roots_whose_sum_overflows_cluster_quietly(filters, label):
         assert _pooled_by_roots(filters) == label
         x = -filters[0][1] / filters[0][0]
         assert rootlab._cluster_rep([ProjRoot.finite(x)] * len(filters)).value == x
+
+
+def test_pooled_linear_layers_link_through_their_last_root():
+    # 1 and 1 + 1.8e-4 are more than ROOT_TOL apart; only the last root, 1 + 0.9e-4,
+    # links them, so a grouping that joins a root to one earlier group only says 12|0
+    filters = [[1.0, -x] for x in (1.0, 1.0 + 1.8e-4, 1.0 + 0.9e-4)]
+    assert classify_rrmp_pooled(filters).label == "3|0"
+    assert _pooled_by_roots(filters) == "3|0"
 
 
 def test_pooled_linear_layers_take_no_root_solve(monkeypatch):

@@ -29,7 +29,10 @@ on seeded degree-1-4 filters (standard-normal, with repeated roots, at scales
 1e-300 to 1e300), the bench's two edge filters and quartics whose discriminant
 underflows, then ``region`` names and ``factor_into`` layers on (2, 2), (3, 2),
 (2, 2, 2) and (3, 3): seeded filters, composed ones at scales 1e-100 to 1e100,
-half of them from layers that share roots, the zero filter and a NaN one.
+half of them from layers that share roots, the zero filter and a NaN one, and
+``mu_rank``: ranks of seeded layer lists on the same architectures, half of
+them with roots shared between layers, some with roots at 0 and infinity, plus
+a zero layer and a NaN one.
 """
 
 from __future__ import annotations
@@ -226,6 +229,26 @@ def families() -> dict:
         cases += [(np.zeros(arch.filter_size), arch), (np.full(arch.filter_size, math.nan), arch)]
     out["region"] = [_answer(lambda: lcnlab.region(w, arch).name) for w, arch in cases]
     out["factor_into"] = [_answer(lcnlab.factor_into, w, arch) for w, arch in cases]
+
+    rng, cases = np.random.default_rng(20), []
+    for ks in ((2, 2), (3, 2), (2, 2, 2), (3, 3)):
+        arch = Architecture(ks)
+        for j in range(300):
+            shared = rng.standard_normal(2)
+            theta = []
+            for k in ks:  # in odd cases each root is, half the time, one shared by every layer
+                roots = rng.standard_normal(k - 1)
+                if j % 2:
+                    pick = rng.uniform(size=k - 1) < 0.5
+                    roots[pick] = shared[rng.integers(2, size=int(pick.sum()))]
+                n_inf, n_zero, n = rng.multinomial(k - 1, [0.15, 0.15, 0.7])  # at inf, at 0, finite
+                core = rng.standard_normal() * np.atleast_1d(np.poly(roots[:n]))
+                theta.append(np.concatenate([np.zeros(n_inf), core, np.zeros(n_zero)]))
+            cases.append((theta, arch))
+        theta = arch.random_theta(rng)
+        cases += [(theta[:-1] + [np.zeros(ks[-1])], arch),
+                  (theta[:-1] + [np.full(ks[-1], math.nan)], arch)]
+    out["mu_rank"] = [_answer(lcnlab.mu_rank, theta, arch) for theta, arch in cases]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
 
