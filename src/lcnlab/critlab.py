@@ -19,13 +19,13 @@ its Newton search on every stratum, this one included.
 Each Newton probe takes the optimal scale, the point and the Jacobian from one
 factor pass, which runs as straight-line float code that ``_probe_kernel``
 compiles once per real type, with numpy's bits.  Each evaluation of the shape
-gradient is one call of that kernel, which ends in the objective's ``grad`` and
-the product with the Jacobian; for the identity matrix, the Euclidean distance,
-the scale's denominator takes one product fewer.  The Newton
-iterates and the central differences are float lists too; numpy keeps only
-the BLAS products, the Jacobian arrays and the linear solves, and the fused
-products and solves call its C loops without their Python wrappers
-(``poly_core._compile`` and ``poly_core._solve``).  Both Jacobians,
+gradient is one call of the probe that the kernel binds to the objective once,
+which ends in the objective's ``grad`` and the product with the Jacobian; for
+the identity matrix, the Euclidean distance, the scale's denominator takes one
+product fewer.  The Newton iterates and the central differences are float lists
+too; numpy keeps only the BLAS products, the Jacobian arrays and the linear
+solves, and the fused products and solves call its C loops without their Python
+wrappers (``poly_core._compile`` and ``poly_core._solve``).  Both Jacobians,
 the probe's and ``_fd_jacobian``'s, are built from one row-major flat list and
 reshaped, so each is a C-ordered float64 array and ``jac.T.dot(g)`` keeps one
 BLAS layout.
@@ -42,7 +42,6 @@ import functools
 import itertools
 import math
 import textwrap
-import types
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,12 +78,12 @@ _SIMPLE_REAL_TOL = 1e-9
 
 
 def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
-    """Source of ``probe(shape, matrix, mu, identity=False, grad=None)`` for one real
-    type: the factors from one cos and sin per real slot, the unit-scale product and
-    the first-copy complements in ``_complements``' order, the optimal scale on
-    arrays, the point in ``_product([[sigma]] + copies)`` order and the Jacobian
-    rows, all through ``poly_core._Emitter``, then the return of
-    ``_probe_kernel``."""
+    """Source of ``bind(objective)`` for one real type, which returns the chart's
+    ``probe(shape, landing=False)``: the factors from one cos and sin per real slot,
+    the unit-scale product and the first-copy complements in ``_complements``'
+    order, the optimal scale on arrays, the point in ``_product([[sigma]] + copies)``
+    order and the Jacobian rows, all through ``poly_core._Emitter``, then the
+    returns of ``_probe_kernel``."""
     em = _Emitter()
     n = len(rho)
     shape = [f"p{i}" for i in range(n + 2 * len(gamma))]
@@ -104,39 +103,44 @@ def _probe_source(rho: tuple[int, ...], gamma: tuple[int, ...]) -> str:
                  else [["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"]])
         cols += [em.assign([f"{scale}*{x}" for x in em.mul(comps[first], d)]) for d in dfacs]
     flat = _list_source(x for row in zip(*cols) for x in row)
-    body = textwrap.indent("\n".join(em.lines), " " * 4)
+    body = textwrap.indent("\n".join(em.lines), " " * 8)
     return f"""
-def probe(shape, matrix, mu, identity=False, grad=None):
-    {_list_source(shape)} = shape
+def bind(objective):
+    matrix, mu, grad = objective.matrix, objective.matrix @ objective.target, objective.grad
+    identity = objective._diagonal is not None and all(x == 1.0 for x in objective._diagonal)
+
+    def probe(shape, landing=False):
+        {_list_source(shape)} = shape
 {body}
-    point = _array({_list_source(point)})
-    jac = _array({flat}).reshape({len(point)}, {len(cols)})
-    if grad is None:
-        return sigma, point, jac
-    return jac.T.dot(grad(point)).tolist()[1:]
+        point = _array({_list_source(point)})
+        jac = _array({flat}).reshape({len(point)}, {len(cols)})
+        if landing:
+            return sigma, point, jac
+        return jac.T.dot(grad(point)).tolist()[1:]
+    return probe
 """
 
 
 @functools.lru_cache(maxsize=256)
 def _probe_kernel(rho: tuple[int, ...], gamma: tuple[int, ...]):
-    """``probe(shape, matrix, mu, identity=False, grad=None)`` for the chart of one
-    real type, compiled once from ``_probe_source``, which depends only on ``rho``
-    and ``gamma``.
+    """``bind(objective)`` for the chart of one real type, compiled once from
+    ``_probe_source``, which depends only on ``rho`` and ``gamma``.
 
-    On a float-list shape it returns (sigma, point, jacobian) at the loss-optimal
-    scale, or, given the objective's ``grad``, the shape gradient
-    ``jacobian.T.dot(grad(point)).tolist()[1:]``.  The loss is quadratic in the
-    scale, so along the ray of the unit-scale point ``monic`` it is least at
-    sigma = monic.mu / monic.M.monic, with mu = M u; ``identity`` says that M is
-    the identity, whose monic.M.monic is monic.monic bit for bit, one product
-    fewer.  The Jacobian's columns are d/d sigma = ``monic``, then sigma * m *
-    comp * d(factor) per slot, with comp the product without the slot's first
-    copy; ``monic`` and the comps come from one factor pass.  Its entries are
-    written as one row-major flat list and reshaped to a C-ordered
-    (k, 1 + len(shape)) array.
+    ``bind`` reads the objective's matrix M, mu = M u, whether M is the identity
+    and its ``grad`` once, and returns ``probe(shape, landing=False)``.  On a
+    float-list shape the probe returns the shape gradient
+    ``jacobian.T.dot(grad(point)).tolist()[1:]`` at the loss-optimal scale, or,
+    for a landing, (sigma, point, jacobian).  The loss is quadratic in the scale,
+    so along the ray of the unit-scale point ``monic`` it is least at
+    sigma = monic.mu / monic.M.monic; for the identity M, monic.M.monic is
+    monic.monic bit for bit, one product fewer.  The Jacobian's columns are
+    d/d sigma = ``monic``, then sigma * m * comp * d(factor) per slot, with comp
+    the product without the slot's first copy; ``monic`` and the comps come from
+    one factor pass.  Its entries are written as one row-major flat list and
+    reshaped to a C-ordered (k, 1 + len(shape)) array.
     """
     return _compile(_probe_source(rho, gamma), f"<probe kernel {rho} {gamma}>",
-                    _cos=math.cos, _sin=math.sin, _array=np.array)["probe"]
+                    _cos=math.cos, _sin=math.sin, _array=np.array)["bind"]
 
 
 def _is_interior(split: Rrmp, shape: list[float]) -> bool:
@@ -337,8 +341,6 @@ def crit_on_stratum(
     rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
     u_max = float(np.max(np.abs(objective.target)))
-    mu_vec = objective.matrix @ objective.target
-    identity = objective._diagonal is not None and all(x == 1.0 for x in objective._diagonal)
 
     found = []
     for split in real_type_splits(lam):
@@ -346,20 +348,15 @@ def crit_on_stratum(
         # carries the optimal scale for its root configuration.  Solving for
         # it in closed form removes the flat sigma = 0 manifold that would
         # otherwise swallow most Newton starts.
-        probe = _probe_kernel(split.rho, split.gamma)
-        # the kernel's code with this objective's arguments as its defaults, so that
-        # each evaluation is one plain call; a functools.partial with these keywords
-        # adds about 0.3 us a call, 2-3 % of an evaluation
-        shape_grad = types.FunctionType(probe.__code__, probe.__globals__, probe.__name__,
-                                        (objective.matrix, mu_vec, identity, objective.grad))
+        probe = _probe_kernel(split.rho, split.gamma)(objective)
 
         kept = []  # deduplicate within this real type only
         for _ in range(n_starts):
             start = _initial_params(split, rng, 1.0)[1:]
-            shape, hess = _newton_on_gradient(shape_grad, start, scale=grad_scale)
+            shape, hess = _newton_on_gradient(probe, start, scale=grad_scale)
             if shape is None:
                 continue
-            _, w, jac = probe(shape.tolist(), objective.matrix, mu_vec, identity)
+            _, w, jac = probe(shape.tolist(), landing=True)
             # sigma = 0 is the zero filter, on no stratum.  Newton lands next to it
             # where w.M.u vanishes, so a landing that small against the target is dropped.
             if np.max(np.abs(w)) <= _ZERO_TOL * u_max or not _is_interior(split, shape.tolist()):
@@ -368,7 +365,7 @@ def crit_on_stratum(
                 continue
             kept.append(w)
             if hess is None:  # the start met the tolerance: Newton took no step
-                hess = _fd_jacobian(shape_grad, shape.tolist())
+                hess = _fd_jacobian(probe, shape.tolist())
             found.append((w, split, float(np.linalg.norm(jac.T @ objective.grad(w))), hess))
     return _finish(objective, lam, found)
 

@@ -49,20 +49,6 @@ def balancedness_matrix(theta) -> np.ndarray:
     return norms[:, None] - norms[None, :]
 
 
-def stack_theta(theta) -> np.ndarray:
-    return np.concatenate([as_filter(w) for w in theta])
-
-
-def unstack_theta(vec, arch: Architecture) -> list:
-    out, pos = [], 0
-    for k in arch.ks:
-        out.append(np.asarray(vec[pos : pos + k], dtype=float))
-        pos += k
-    if pos != len(vec):
-        raise ValueError(f"parameter vector length {len(vec)} does not match {arch.ks}")
-    return out
-
-
 def jacobian_mu(theta, arch: Architecture) -> np.ndarray:
     """Differential of the end-to-end map, shape (filter_size, n_params).
 
@@ -86,14 +72,14 @@ def mu_rank(theta, arch: Architecture) -> int:
 
     Every projective root shared between layers costs rank: a root of total
     multiplicity M spread over the layers with per-layer maximum m contributes
-    a drop of M - m.  Layers of size one carry no roots and no columns beyond
-    scaling, so they are skipped.  Raises ValueError for an interior stride,
-    where root counts do not give the rank, for ``theta`` not fitting ``arch``,
-    and, as ``find_roots`` does, for a zero or non-finite layer of size two or more.
+    a drop of M - m.  A nonzero layer of size one has no roots.  Raises
+    ValueError for an interior stride, where root counts do not give the rank,
+    for ``theta`` not fitting ``arch``, and, as ``find_roots`` does, for a zero
+    or non-finite layer of any size.
     """
     fs, _ = _layers(theta, arch)
     _require_no_interior_stride(arch)
-    tagged = [(i, r) for i, w in enumerate(fs) if len(w) > 1 for r in find_roots(w)]
+    tagged = [(i, r) for i, w in enumerate(fs) for r in find_roots(w)]
     drop = 0
     for group in _linkage(tagged, lambda a, b: _same_root(a[1], b[1], ROOT_TOL)):
         layers = [tagged[g][0] for g in group]

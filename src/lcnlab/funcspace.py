@@ -21,7 +21,7 @@ import enum
 
 import numpy as np
 
-from .dynamics import jacobian_mu, stack_theta, unstack_theta
+from .dynamics import jacobian_mu
 from .poly_core import (Architecture, _interior_stride, _product, _require_no_interior_stride,
                         as_filter, compose_filters, end_to_end)
 from .rootlab import (Rrmp, _require_finite, _root_factors, _root_structure, classify_rrmp,
@@ -169,7 +169,11 @@ def _polish_factors(theta, w, arch):
             break
         J = jacobian_mu(theta, arch)
         step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        theta = unstack_theta(stack_theta(theta) + step, arch)
+        pos, stepped = 0, []
+        for f, k in zip(theta, arch.ks):
+            stepped.append(f + step[pos:pos + k])
+            pos += k
+        theta = stepped
     return theta
 
 

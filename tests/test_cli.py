@@ -11,7 +11,7 @@ import pytest
 import lcnlab
 from lcnlab.cli import _emit_json, _plain, landscape_grid, main, run_case_study
 from lcnlab.critlab import _attainable_strata, crit_on_stratum, critical_points_for_target
-from lcnlab.optim import QuadraticObjective, TrainConfig, gd_train
+from lcnlab.optim import PatternTable, QuadraticObjective, TrainConfig, gd_train
 from lcnlab.poly_core import Architecture, end_to_end
 from lcnlab.rootlab import RootFindingError
 
@@ -301,6 +301,55 @@ def test_case_study_strata_match_the_stratum_entries_key_by_key():
                for lam in ((2, 1, 1), (2, 2), (3, 1), (4,))]
     assert (json.dumps(_plain(report["strata"]), indent=2)
             == json.dumps(_plain(_case_study_strata(reports)), indent=2))
+
+
+def test_bombieri_norm_reaches_the_library_objective(tmp_path):
+    u = np.array([2.0, 0.0, 5.0, 0.0, 2.0])
+    bombieri = QuadraticObjective.bombieri(u)
+    rep = run_json(["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--norm",
+                    "bombieri", "--starts", "20", "--seed", "0"], tmp_path)
+    reports = [crit_on_stratum(bombieri, (2, 2), n_starts=20, seed=0)]
+    ref = tmp_path / "ref.json"
+    _emit_json({"target": u, "norm": "bombieri", "strata": _critpoints_strata(reports)},
+               str(ref))
+    assert rep == json.loads(ref.read_text())
+    euclidean = crit_on_stratum(QuadraticObjective.euclidean(u), (2, 2), n_starts=20, seed=0)
+    assert [p.loss for p in reports[0].points] != [p.loss for p in euclidean.points]
+
+    arch = Architecture((2, 2))
+    rep = run_json(["train", "--ks", "2,2", "--target", "1,0.5,2", "--seed", "3", "--norm",
+                    "bombieri", "--max-steps", "3000"], tmp_path)
+    config = TrainConfig(step=0.01, max_steps=3000, grad_sq_tol=1e-14)
+    runs = [gd_train(objective([1.0, 0.5, 2.0]), arch,
+                     arch.random_theta(np.random.default_rng(3)), config)
+            for objective in (QuadraticObjective.bombieri, QuadraticObjective.euclidean)]
+    assert rep["norm"] == "bombieri"
+    assert (rep["steps"], rep["loss"], rep["w"], rep["theta"]) == (
+        runs[0].steps, runs[0].loss, runs[0].w.tolist(), [w.tolist() for w in runs[0].theta])
+    assert runs[0].loss != runs[1].loss
+
+
+def test_rrmp_table_collects_non_generic_and_unclassified_runs_in_one_other_row(
+        monkeypatch, capsys):
+    # shares are of the kept runs: a generic run, one from a non-generic init and
+    # one with an unclassified solution; the discarded run counts in no row
+    def stub(arch, **kwargs):
+        table = PatternTable(arch)
+        table.add("11|0", "11|0", "11|0", 0.5)
+        table.add("11|0", "2|0", "11|0", 1.0)
+        table.add("0|1", "11|0", "?", 3.0)
+        table.discard()
+        return table
+
+    monkeypatch.setattr(lcnlab.cli, "run_pattern_experiment", stub)
+    assert main(["experiment", "rrmp-table", "--ks", "2,2", "--n", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "target,target_share_pct,solution,solution_share_pct,mean_loss",
+        f"11|0,{100 / 3:.17g},11|0,100,0.5",
+        f"OTHER,{200 / 3:.17g},OTHER,100,2",
+    ]
+    assert err.splitlines() == ["runs=4 discarded=1 other=2"]
 
 
 def test_critpoints_bad_partition_exits_2(capsys):

@@ -115,11 +115,11 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
     assert {"2|1", "0|2"} <= {c.label for c in charts}
     for chart in charts:
         k = 1 + sum(chart.rho) + 2 * sum(chart.gamma)
-        probe = critlab._probe_kernel(chart.rho, chart.gamma)
+        bind = critlab._probe_kernel(chart.rho, chart.gamma)
         gram = rng.standard_normal((k, k))
         for objective in (QuadraticObjective.euclidean(rng.standard_normal(k)),
                           QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k))):
-            mu = objective.matrix @ objective.target
+            probe = bind(objective)
             draws = [critlab._initial_params(chart, rng, 2.0) for _ in range(6)]
             for j in range(1, len(draws[0])):  # a -0.0 angle, b or c in each slot
                 draws.append(draws[0].copy())
@@ -127,7 +127,7 @@ def test_chart_probe_matches_the_array_composition_bit_for_bit():
             for params in draws:
                 scale = _array_chart(chart, params, objective)[2]
                 # the probe: optimal scale, point, Jacobian and J^T g in one pass
-                sigma, w, jac_w = probe(params[1:].tolist(), objective.matrix, mu)
+                sigma, w, jac_w = probe(params[1:].tolist(), landing=True)
                 at_scale = np.concatenate(([scale], params[1:]))
                 point, jac, _ = _array_chart(chart, at_scale, objective)
                 assert sigma.hex() == scale.hex()
@@ -153,10 +153,9 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
     with np.errstate(all="ignore"):
         for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
             for chart in real_type_splits(lam):
-                probe = critlab._probe_kernel(chart.rho, chart.gamma)
                 k = 1 + sum(lam)
                 objective = QuadraticObjective.euclidean(rng.standard_normal(k))
-                mu = objective.matrix @ objective.target
+                probe = critlab._probe_kernel(chart.rho, chart.gamma)(objective)
                 for _ in range(12):
                     params = critlab._initial_params(chart, rng, 2.0)
                     hit = rng.random(len(params)) < 0.3
@@ -165,10 +164,10 @@ def test_probe_kernel_matches_the_array_composition_at_the_edges():
                         scale = _array_chart(chart, params, objective)[2]
                     except ValueError as exc:  # the cos and sin of an infinite angle
                         with pytest.raises(type(exc)):
-                            probe(params[1:].tolist(), objective.matrix, mu)
+                            probe(params[1:].tolist(), landing=True)
                         seen[type(exc).__name__] += 1
                         continue
-                    sigma, w, jac = probe(params[1:].tolist(), objective.matrix, mu)
+                    sigma, w, jac = probe(params[1:].tolist(), landing=True)
                     point, ref_jac, _ = _array_chart(
                         chart, np.concatenate(([scale], params[1:])), objective)
                     assert sigma.hex() == scale.hex() or math.isnan(sigma) and math.isnan(scale)
@@ -185,22 +184,21 @@ def _same_floats(got, ref):
 
 
 def test_the_kernel_returns_the_shape_gradient_of_its_tuple_bit_for_bit():
-    # crit_on_stratum's shape gradient is one kernel call; for the Euclidean matrix
-    # it passes identity=True, and the scale takes monic.monic for monic.I.monic
+    # crit_on_stratum's shape gradient is one call of the bound probe; bound to the
+    # Euclidean matrix, its scale takes monic.monic for monic.I.monic
     rng = np.random.default_rng(47)
     edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, 1e-310]
     seen = Counter()
     with np.errstate(all="ignore"):
         for lam in (lam for degree in range(2, 7) for lam in _partitions(degree)):
             for chart in real_type_splits(lam):
-                probe = critlab._probe_kernel(chart.rho, chart.gamma)
+                bind = critlab._probe_kernel(chart.rho, chart.gamma)
                 k = 1 + sum(lam)
                 gram = rng.standard_normal((k, k))
-                for objective, identity in (
-                        (QuadraticObjective.euclidean(rng.standard_normal(k)), True),
-                        (QuadraticObjective(gram @ gram.T + np.eye(k), rng.standard_normal(k)),
-                         False)):
-                    mu = objective.matrix @ objective.target
+                for objective in (QuadraticObjective.euclidean(rng.standard_normal(k)),
+                                  QuadraticObjective(gram @ gram.T + np.eye(k),
+                                                     rng.standard_normal(k))):
+                    probe = bind(objective)
                     draws = [critlab._initial_params(chart, rng, 2.0) for _ in range(6)]
                     for j in range(1, len(draws[0])):  # a -0.0 angle, b or c in each slot
                         draws.append(draws[0].copy())
@@ -212,14 +210,14 @@ def test_the_kernel_returns_the_shape_gradient_of_its_tuple_bit_for_bit():
                     for params in draws:
                         shape = params[1:].tolist()
                         try:
-                            _, w, jac = probe(shape, objective.matrix, mu)
+                            _, w, jac = probe(shape, landing=True)
                         except ValueError:  # the cos and sin of an infinite angle
                             with pytest.raises(ValueError):
-                                probe(shape, objective.matrix, mu, identity, objective.grad)
+                                probe(shape)
                             seen["ValueError"] += 1
                             continue
                         ref = jac.T.dot(objective.grad(w)).tolist()[1:]
-                        got = probe(shape, objective.matrix, mu, identity, objective.grad)
+                        got = probe(shape)
                         if all(map(math.isfinite, ref)):
                             assert list(map(float.hex, got)) == list(map(float.hex, ref))
                             seen["finite"] += 1
@@ -318,6 +316,42 @@ def test_newton_returns_the_jacobian_of_its_last_step(monkeypatch):
     assert len(jacobians) == n_jacobians
     nan = critlab._newton_on_gradient(lambda x: np.full(3, np.nan), np.zeros(3), scale=1.0)
     assert nan == (None, None)
+
+
+def test_crit_on_stratum_types_a_start_that_takes_no_step(monkeypatch):
+    # every start of the chart 0|2 is the (2, 2) minimum 7/3 (x^2 + y^2)^2, b = 0 and
+    # c = 1, where Newton meets its tolerance at once: the central-difference Jacobian
+    # at the start is the shape Hessian, and the type matches that of a stepped search
+    objective = QuadraticObjective.euclidean(U_STAR)
+    minimum = 7 / 3 * np.array([1.0, 0.0, 2.0, 0.0, 1.0])
+    (stepped,) = [p for p in crit_on_stratum(objective, (2, 2), n_starts=5).points
+                  if _same_filter(p.w, minimum, 1e-9)]
+    initial_params, newton, fd_jacobian = (critlab._initial_params, critlab._newton_on_gradient,
+                                           critlab._fd_jacobian)
+    landed, typed = [], []
+
+    def at_the_minimum(split, rng, scale):
+        params = initial_params(split, rng, scale)
+        return np.array([params[0], 0.0, 1.0]) if split.gamma == (2,) else params
+
+    def recorded_newton(fun, x0, **kwargs):
+        x, jac = newton(fun, x0, **kwargs)
+        if x is not None and jac is None:
+            landed.append(x.tolist())
+        return x, jac
+
+    def recorded_fd_jacobian(fun, x):
+        typed.append(x)
+        return fd_jacobian(fun, x)
+
+    monkeypatch.setattr(critlab, "_initial_params", at_the_minimum)
+    monkeypatch.setattr(critlab, "_newton_on_gradient", recorded_newton)
+    monkeypatch.setattr(critlab, "_fd_jacobian", recorded_fd_jacobian)
+    report = crit_on_stratum(objective, (2, 2), n_starts=3)
+    assert landed == [[0.0, 1.0]] * 3 and typed.count([0.0, 1.0]) == 1
+    (point,) = [p for p in report.points if p.pattern.label == "0|2"]
+    assert _same_filter(point.w, stepped.w, 1e-12)
+    assert point.kind == stepped.kind == "MIN"
 
 
 def _array_fd_jacobian(fun, x):
@@ -459,21 +493,17 @@ def test_newton_on_float_lists_matches_the_array_routine_bit_for_bit():
             for objective in (QuadraticObjective.bombieri(rng.standard_normal(k)),
                               QuadraticObjective(gram @ gram.T + np.eye(k),
                                                  rng.standard_normal(k))):
-                mu = objective.matrix @ objective.target
-                probe = critlab._probe_kernel(chart.rho, chart.gamma)
-
-                def by_list(shape):  # crit_on_stratum's shape gradient
-                    _, w, jac = probe(shape, objective.matrix, mu)
-                    return jac.T.dot(objective.grad(w)).tolist()[1:]
+                probe = critlab._probe_kernel(chart.rho, chart.gamma)(objective)
 
                 def by_array(shape):
-                    _, w, jac = probe(shape.tolist(), objective.matrix, mu)
+                    _, w, jac = probe(shape.tolist(), landing=True)
                     return (jac.T @ objective.grad(w))[1:]
 
                 starts = [critlab._initial_params(chart, rng, 1.0)[1:] for _ in range(3)]
                 starts.append(np.full(len(starts[0]), np.nan))
                 scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
-                outcomes += _compare_newtons(by_list, by_array, starts, scale)
+                # probe is crit_on_stratum's shape gradient
+                outcomes += _compare_newtons(probe, by_array, starts, scale)
     # find_spurious_minimum's gradient in its chart, the first filter's lead pinned to 1
     for u in ([1.0, 0.0, -0.3, 0.4], [2.0, -1.0, 0.5, 1.0], [0.3, 1.0, 1.0, 0.2, -0.5]):
         u = np.array(u)
@@ -547,7 +577,7 @@ def test_flat_jacobians_keep_the_nested_list_layout_bit_for_bit():
     for lam in (lam for degree in range(2, 6) for lam in _partitions(degree)):
         for split in real_type_splits(lam):
             k = 1 + sum(lam)
-            probe = critlab._probe_kernel(split.rho, split.gamma)
+            bind = critlab._probe_kernel(split.rho, split.gamma)
             nested = _compile(_nested_probe_source(split.rho, split.gamma),
                               f"<nested probe {split.label}>", _cos=math.cos, _sin=math.sin,
                               _array=np.array)["probe"]
@@ -556,14 +586,15 @@ def test_flat_jacobians_keep_the_nested_list_layout_bit_for_bit():
                               QuadraticObjective(gram @ gram.T + np.eye(k),
                                                  rng.standard_normal(k))):
                 mu = objective.matrix @ objective.target
+                probe = bind(objective)
 
                 def shape_grad(shape, probe=probe):
-                    _, w, jac = probe(shape, objective.matrix, mu)
+                    _, w, jac = probe(shape, landing=True)
                     return jac.T.dot(objective.grad(w)).tolist()[1:]
 
                 for _ in range(4):
                     shape = critlab._initial_params(split, rng, 1.0)[1:].tolist()
-                    sigma, w, jac = probe(shape, objective.matrix, mu)
+                    sigma, w, jac = probe(shape, landing=True)
                     ref_sigma, ref_w, ref_jac = nested(shape, objective.matrix, mu)
                     assert sigma.hex() == ref_sigma.hex() and w.tobytes() == ref_w.tobytes()
                     assert jac.shape == (k, 1 + len(shape)) and _same_c_layout(jac, ref_jac)

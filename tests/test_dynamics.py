@@ -9,8 +9,6 @@ from lcnlab.dynamics import (
     recover_scales,
     scale_sign_patterns,
     squared_norm_gaps,
-    stack_theta,
-    unstack_theta,
 )
 from lcnlab.optim import QuadraticObjective, loss_and_gradient
 from lcnlab.poly_core import Architecture, end_to_end
@@ -23,13 +21,6 @@ def test_norm_gaps_and_matrix():
     assert D[0, 1] == 24.0 and D[1, 0] == -24.0 and D[0, 0] == 0.0
 
 
-def test_stack_unstack_round_trip():
-    arch = Architecture((3, 2))
-    theta = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])]
-    assert [list(w) for w in unstack_theta(stack_theta(theta), arch)] == \
-        [[1.0, 2.0, 3.0], [4.0, 5.0]]
-
-
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(3)
     for _ in range(30):
@@ -39,14 +30,15 @@ def test_jacobian_matches_finite_differences():
         arch = Architecture(ks, strides)
         theta = arch.random_theta(rng)
         J = jacobian_mu(theta, arch)
-        flat = stack_theta(theta)
+        flat = np.concatenate(theta)
+        cuts = np.cumsum(ks)[:-1]
         h = 1e-6
         for p in range(len(flat)):
             bumped = flat.copy()
             bumped[p] += h
-            up, _ = end_to_end(unstack_theta(bumped, arch), arch)
+            up, _ = end_to_end(np.split(bumped, cuts), arch)
             bumped[p] -= 2 * h
-            dn, _ = end_to_end(unstack_theta(bumped, arch), arch)
+            dn, _ = end_to_end(np.split(bumped, cuts), arch)
             fd = (up - dn) / (2 * h)
             assert np.allclose(J[:, p], fd, atol=1e-6)
 
@@ -127,6 +119,8 @@ def test_mu_rank_matches_numeric_rank():
                   [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0])]))
     cases.append((Architecture((3, 2, 1), (1, 2, 2)),
                   [np.array([1.0, 3.0, 2.0]), np.array([1.0, 1.0]), np.array([-0.5])]))
+    # a nonzero layer of size one has no roots
+    cases.append((Architecture((2, 1)), [np.array([1.0, 2.0]), np.array([3.0])]))
     for arch, theta in cases:
         J = jacobian_mu(theta, arch)
         assert mu_rank(theta, arch) == np.linalg.matrix_rank(J, tol=1e-8), (
@@ -134,9 +128,15 @@ def test_mu_rank_matches_numeric_rank():
 
 
 def test_mu_rank_rejects_a_zero_layer():
-    # find_roots' error; a non-finite layer raises its ValueError too (test_rootlab)
-    with pytest.raises(ValueError, match="the zero filter has no root data"):
-        mu_rank([[1.0, 2.0], [0.0, 0.0, 0.0]], Architecture((2, 3)))
+    # find_roots' error, for a layer of any size: a zero scalar layer drops the rank of
+    # the differential to 1, so the root count of the other layers would be wrong
+    assert np.linalg.matrix_rank(jacobian_mu([[1.0, 2.0], [0.0]], Architecture((2, 1)))) == 1
+    for theta, ks in (([[1.0, 2.0], [0.0, 0.0, 0.0]], (2, 3)), ([[1.0, 2.0], [0.0]], (2, 1))):
+        with pytest.raises(ValueError, match="the zero filter has no root data"):
+            mu_rank(theta, Architecture(ks))
+    # a non-finite layer raises find_roots' ValueError too (test_rootlab)
+    with pytest.raises(ValueError, match="non-finite"):
+        mu_rank([[1.0, 2.0], [np.nan]], Architecture((2, 1)))
 
 
 def test_mu_rank_rejects_an_interior_stride_and_a_mismatched_theta():
@@ -229,7 +229,7 @@ def test_flow_conserves_gaps_rk4():
     drift = np.max(np.abs(squared_norm_gaps(theta) - gaps0))
     assert drift < 1e-9
     # the flow actually moved
-    assert np.max(np.abs(stack_theta(theta) - stack_theta(theta0))) > 1e-3
+    assert np.max(np.abs(np.concatenate(theta) - np.concatenate(theta0))) > 1e-3
 
 
 def test_euler_flow_matches_gradient_descent_step():

@@ -29,7 +29,7 @@ from lcnlab.optim import (
 from lcnlab.poly_core import (Architecture, _complements, _layers, as_filter, end_to_end,
                               network_matrices, toeplitz_matrix)
 from lcnlab.rootlab import RootFindingError, classify_rrmp, classify_rrmp_pooled
-from lcnlab.dynamics import jacobian_mu, stack_theta, unstack_theta
+from lcnlab.dynamics import jacobian_mu
 
 from test_poly_core import (_layer_dims_loop, _same_bytes, _signed_zero_filter, _toeplitz_loop,
                             random_arch)
@@ -253,15 +253,16 @@ def test_network_gradient_matches_finite_differences():
         obj = QuadraticObjective.euclidean(u)
         theta = arch.random_theta(rng)
         grads = loss_and_gradient(theta, arch, obj)[1]
-        flat = stack_theta(theta)
-        gflat = stack_theta(grads)
+        flat = np.concatenate(theta)
+        gflat = np.concatenate(grads)
+        cuts = np.cumsum(ks)[:-1]
         h = 1e-6
         for p in range(len(flat)):
             bumped = flat.copy()
             bumped[p] += h
-            up = network_loss(unstack_theta(bumped, arch), arch, obj)
+            up = network_loss(np.split(bumped, cuts), arch, obj)
             bumped[p] -= 2 * h
-            dn = network_loss(unstack_theta(bumped, arch), arch, obj)
+            dn = network_loss(np.split(bumped, cuts), arch, obj)
             fd = (up - dn) / (2 * h)
             assert abs(gflat[p] - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -280,7 +281,7 @@ def test_strided_gradient_is_the_transposed_differential():
         ref = jacobian_mu(theta, arch).T @ obj.grad(w)
         assert loss == obj.value(w)
         assert [len(g) for g in grads] == list(ks)
-        assert np.max(np.abs(stack_theta(grads) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(np.concatenate(grads) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 @pytest.fixture
@@ -364,17 +365,18 @@ def test_gradient_via_matrices_agrees():
         # when the architecture consumes the full input; compare via FD of
         # the matrix loss instead for full generality
         mats_loss = lambda th: float(np.sum((_full_matrix(th, arch, d0) @ X - Y) ** 2))
-        flat = stack_theta(theta)
+        flat = np.concatenate(theta)
+        cuts = np.cumsum(arch.ks)[:-1]
         h = 1e-6
         fd = np.zeros_like(flat)
         for p in range(len(flat)):
             bumped = flat.copy()
             bumped[p] += h
-            up = mats_loss(unstack_theta(bumped, arch))
+            up = mats_loss(np.split(bumped, cuts))
             bumped[p] -= 2 * h
-            dn = mats_loss(unstack_theta(bumped, arch))
+            dn = mats_loss(np.split(bumped, cuts))
             fd[p] = (up - dn) / (2 * h)
-        assert np.allclose(stack_theta(g_matrix), fd, atol=1e-4)
+        assert np.allclose(np.concatenate(g_matrix), fd, atol=1e-4)
 
         g_filter = loss_and_gradient(theta, arch, obj)[1]
         assert all(np.allclose(a, b, atol=1e-9)

@@ -32,7 +32,8 @@ underflows, then ``region`` names and ``factor_into`` layers on (2, 2), (3, 2),
 half of them from layers that share roots, the zero filter and a NaN one, and
 ``mu_rank``: ranks of seeded layer lists on the same architectures, half of
 them with roots shared between layers, some with roots at 0 and infinity, plus
-a zero layer and a NaN one.
+a zero layer and a NaN one, then a nonzero, a zero and a NaN size-one layer on
+(2, 1), (1, 3) and (2, 1, 2).
 """
 
 from __future__ import annotations
@@ -248,6 +249,11 @@ def families() -> dict:
         theta = arch.random_theta(rng)
         cases += [(theta[:-1] + [np.zeros(ks[-1])], arch),
                   (theta[:-1] + [np.full(ks[-1], math.nan)], arch)]
+    for ks in ((2, 1), (1, 3), (2, 1, 2)):  # a size-one layer: nonzero, zero and NaN
+        arch = Architecture(ks)
+        theta, one = arch.random_theta(rng), ks.index(1)
+        cases += [(theta[:one] + [np.array([x])] + theta[one + 1:], arch)
+                  for x in (rng.standard_normal(), 0.0, math.nan)]
     out["mu_rank"] = [_answer(lcnlab.mu_rank, theta, arch) for theta, arch in cases]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
