@@ -47,7 +47,6 @@ from .optim import (
     TrainRun,
     gd_train,
     loss_and_gradient,
-    network_loss,
     gradient_via_matrices,
     tau,
     bombieri_weights,

@@ -43,7 +43,7 @@ from .optim import (
     run_pattern_experiment,
 )
 from .poly_core import (Architecture, _checked_filters, _integer, _interior_stride, _nearest,
-                        _same_filter, end_to_end)
+                        _require_filter_size, _require_finite, _same_filter, end_to_end)
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -64,31 +64,28 @@ def _parse_floats(text: str) -> np.ndarray:
     """A filter from an inline comma list or a JSON file holding a list."""
     if os.path.isfile(text):
         with open(text) as fh:
-            data = json.load(fh)
-        return _finite(np.asarray(data, dtype=float), text)
-    try:
-        vec = np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except ValueError as exc:
-        raise ValueError(f"cannot parse vector {text!r}: {exc}") from None
-    return _finite(vec, text)
+            vec = np.asarray(json.load(fh), dtype=float)
+    else:
+        try:
+            vec = np.array([float(p) for p in text.split(",") if p.strip() != ""])
+        except ValueError as exc:
+            raise ValueError(f"cannot parse vector {text!r}: {exc}") from None
+    _require_finite(vec, f"vector {text!r}")
+    return vec
 
 
 def _parse_theta(text: str) -> list:
     """Per-layer filters: 'a,b,c;d,e' inline or a JSON file of lists."""
     if os.path.isfile(text):
         with open(text) as fh:
-            theta = [_finite(np.asarray(layer, dtype=float), text) for layer in json.load(fh)]
+            theta = [np.asarray(layer, dtype=float) for layer in json.load(fh)]
+        for layer in theta:
+            _require_finite(layer, f"vector {text!r}")
     else:
         theta = [_parse_floats(part) for part in text.split(";") if part.strip()]
     if not theta:
         raise ValueError(f"no layer filters in {text!r}")
     return theta
-
-
-def _finite(vec: np.ndarray, text: str) -> np.ndarray:
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"vector {text!r} has non-finite entries")
-    return vec
 
 
 def _parse_ints(text: str) -> tuple:
@@ -107,10 +104,7 @@ def _arch(args) -> Architecture:
 def _parse_filter(text: str, arch: Architecture) -> np.ndarray:
     """A filter (see ``_parse_floats``) of the architecture's end-to-end size."""
     w = _parse_floats(text)
-    if len(w) != arch.filter_size:
-        raise ValueError(
-            f"filter has size {len(w)} but the architecture composes to "
-            f"{arch.filter_size}")
+    _require_filter_size("filter", len(w), arch)
     return w
 
 
@@ -228,7 +222,7 @@ def _cmd_classify(args) -> int:
 def _cmd_train(args) -> int:
     arch = _arch(args)
     obj = _objective(args.norm, _parse_filter(args.target, arch))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer("seed", args.seed, 0))
     theta0 = arch.random_theta(rng)
     config = TrainConfig(step=args.step, max_steps=args.max_steps,
                          grad_sq_tol=args.grad_tol)
@@ -251,16 +245,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_critpoints(args) -> int:
-    if args.lam and args.ks:
-        raise ValueError("pass either --lambda or --ks, not both")
+    if args.lam and (args.ks or args.strides):
+        raise ValueError("pass either --lambda or --ks (with --strides), not both")
     u = _parse_floats(args.target)
     obj = _objective(args.norm, u)
     if args.lam:
         reports = [crit_on_stratum(obj, _parse_ints(args.lam), n_starts=args.starts,
                                    seed=args.seed)]
     elif args.ks:
-        reports = critical_points_for_target(u, _arch(args), objective=obj,
-                                             n_starts=args.starts, seed=args.seed)
+        reports = critical_points_for_target(obj, _arch(args), n_starts=args.starts,
+                                             seed=args.seed)
     else:
         raise ValueError("need either --lambda or --ks")
     strata = [_stratum_json(rep, "grad_norm", lambda p: p.grad_norm) for rep in reports]
@@ -386,7 +380,7 @@ def landscape_grid(arch: Architecture, objective: QuadraticObjective,
     """
     if not arch.is_stride_one:
         raise ValueError("landscape grids are defined for unit strides")
-    if not 2 <= _integer("grid size", n) <= 512:
+    if _integer("grid size", n, 2) > 512:
         raise ValueError(f"grid size must be between 2 and 512, got {n}")
     if not (math.isfinite(span) and span > 0):
         raise ValueError(f"span must be finite and positive, got {span}")
@@ -416,7 +410,7 @@ def _unit_directions(arch: Architecture, rng) -> list:
 def _cmd_landscape(args) -> int:
     arch = _arch(args)
     obj = _objective(args.norm, _parse_filter(args.target, arch))
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer("seed", args.seed, 0))
     plane = (arch.random_theta(rng), _unit_directions(arch, rng),
              _unit_directions(arch, rng))
     rows = landscape_grid(arch, obj, plane, n=args.n, span=args.range)
@@ -463,11 +457,15 @@ def run_case_study(seed: int = 0, runs: int = 100, starts: int = 200,
     check gradient descent for four depth-2..4 architectures against it.
 
     Returns a JSON-ready report; any entry in ``report["discrepancies"]``
-    means a check failed (the CLI exits 3 in that case).  Raises ValueError
-    for fewer than one run or a count that is not an integer.
+    means a check failed (the CLI exits 3 in that case).  Raises ValueError,
+    before any search, for fewer than one run, a count that is not an integer,
+    a seed that is not a non-negative integer and a worker count that is not
+    None or an integer of at least one.
     """
-    if _integer("runs", runs) < 1:
-        raise ValueError(f"need at least one descent run, got {runs}")
+    _integer("runs", runs, 1)
+    _integer("seed", seed, 0)
+    if workers is not None:
+        _integer("workers", workers, 1)
     u = _STUDY_TARGET.copy()
     obj = QuadraticObjective.euclidean(u)
     discrepancies = []

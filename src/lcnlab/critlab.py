@@ -46,10 +46,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .optim import QuadraticObjective, loss_and_gradient, network_loss
+from .optim import QuadraticObjective, loss_and_gradient
 from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer,
-                        _list_source, _nearest, _product, _require_no_interior_stride,
-                        _require_tol, _same_filter, _solve, as_filter, end_to_end, poly_mul)
+                        _list_source, _nearest, _product, _require_filter_size,
+                        _require_no_interior_stride, _require_tol, _same_filter, _solve,
+                        as_filter, end_to_end, poly_mul)
 from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
                       _partition, _root_factors, classify_rrmp, cluster_roots, compatible_rrmps,
                       find_roots, real_type_splits)
@@ -323,22 +324,21 @@ def crit_on_stratum(
     the loss-optimal scale as the shape Hessian.  Raises ValueError when
     ``lam`` is empty, has a part that is not a positive integer or does not
     sum to the filter degree, when ``n_starts`` is not an integer of at
-    least one, or when the objective's matrix is singular: its critical set is
-    then not isolated, and each start's landing would count as a point.
+    least one or ``seed`` not a non-negative integer, or when the objective's
+    matrix is singular: its critical set is then not isolated, and each
+    start's landing would count as a point.
     """
     k = objective.matrix.shape[0]
     if len(lam) == 0:
         raise ValueError("the partition is empty")
     lam = _partition(lam, k - 1)
-    n_starts = _integer("n_starts", n_starts)
-    if n_starts < 1:
-        raise ValueError(f"need at least one start, got {n_starts}")
+    n_starts = _integer("n_starts", n_starts, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     rank = int(np.linalg.matrix_rank(objective.matrix))
     if rank < k:
         zero = " (the matrix is zero)" if rank == 0 else ""
         raise ValueError(f"the objective matrix has rank {rank} of {k}{zero}, so its "
                          "critical points on a stratum are not isolated")
-    rng = np.random.default_rng(seed)
     grad_scale = float(np.linalg.norm(objective.grad(np.zeros(k)))) + 1.0
     u_max = float(np.max(np.abs(objective.target)))
 
@@ -386,24 +386,19 @@ def _expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float
 
 
 def critical_points_for_target(
-    u: np.ndarray,
+    objective: QuadraticObjective,
     arch: Architecture,
     *,
-    objective: QuadraticObjective | None = None,
     n_starts: int = 200,
     seed: int = 0,
 ) -> list[StratumReport]:
-    """Search every non-trivial stratum whose patterns the architecture attains.
+    """Search every non-trivial stratum whose patterns the architecture attains
+    for the critical points of ``objective``, whose target is the one searched.
 
-    Raises ValueError when ``u`` does not have the architecture's filter size
-    or the architecture keeps an interior stride.
+    Raises ValueError when the target does not have the architecture's filter
+    size or the architecture keeps an interior stride.
     """
-    u = as_filter(u)
-    if u.shape[0] != arch.filter_size:
-        raise ValueError(
-            f"target has size {u.shape[0]} but {arch.ks} composes to {arch.filter_size}")
-    if objective is None:
-        objective = QuadraticObjective.euclidean(u)
+    _require_filter_size("target", objective.k, arch)
     return [crit_on_stratum(objective, lam, n_starts=n_starts, seed=seed)
             for lam in _attainable_strata(arch)]
 
@@ -662,16 +657,15 @@ def find_spurious_minimum(
     critical points of the end-to-end loss by multi-start Newton, and
     returns the lowest strict local minimum whose loss exceeds 1e-8.
     Raises ``ValueError`` when no such point is found --
-    for many targets none exists -- or when ``n_starts`` is not an integer of
-    at least one.
+    for many targets none exists -- when ``n_starts`` is not an integer of
+    at least one, or ``seed`` not a non-negative integer.
     """
     u = as_filter(u)
-    if _integer("n_starts", n_starts) < 1:
-        raise ValueError(f"need at least one start, got {n_starts}")
+    _integer("n_starts", n_starts, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     if arch is None:
         arch = Architecture(ks=(2, u.shape[0] - 1), strides=(1, 1))
-    if arch.filter_size != u.shape[0]:
-        raise ValueError("target length does not match the architecture's filter size")
+    _require_filter_size("target", u.shape[0], arch)
     if arch.depth != 2 or not arch.is_stride_one:
         raise ValueError("the chart search supports two stride-one layers")
     k1, k2 = arch.ks
@@ -688,7 +682,6 @@ def find_spurious_minimum(
         hess = _fd_jacobian(grad, x.tolist())
         return np.linalg.eigvalsh(0.5 * (hess + hess.T))
 
-    rng = np.random.default_rng(seed)
     scale = float(np.linalg.norm(u)) + 1.0
     candidates: list[SpuriousMinimum] = []
     for _ in range(n_starts):
@@ -697,13 +690,13 @@ def find_spurious_minimum(
         if x is None:
             continue
         theta = theta_of(x)
-        loss = network_loss(theta, arch, objective)
+        w, _ = end_to_end(theta, arch)
+        loss = objective.value(w)
         if loss <= 1e-8:
             continue
         eigs = hessian_eigs(x)
         if _inertia(eigs) != "MIN":
             continue
-        w, _ = end_to_end(theta, arch)
         if any(_same_filter(w, c.w, 1e-6) for c in candidates):
             continue
         candidates.append(

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _integer, _layers, _require_no_interior_stride,
-                        as_filter)
+from .poly_core import (Architecture, _complements, _integer, _layers, _require_finite,
+                        _require_no_interior_stride, as_filter)
 from .rootlab import ROOT_TOL, _linkage, _same_root, find_roots
 
 
@@ -136,8 +136,7 @@ def recover_scales(q_filters, gaps) -> list:
     L = len(q_norms_sq)
     if gaps.shape != (L - 1,):
         raise ValueError(f"need {L - 1} gaps for {L} layers, got {gaps.shape}")
-    if not np.all(np.isfinite(gaps)):
-        raise ValueError(f"gaps must be finite, got {gaps.tolist()}")
+    _require_finite(gaps, "gaps")
 
     with np.errstate(over="ignore", invalid="ignore"):
         offsets = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -187,9 +186,7 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
         raise ValueError(f"unknown method {method!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step}")
-    n_steps = _integer("n_steps", n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    n_steps = _integer("n_steps", n_steps, 0)
     theta = [as_filter(w).copy() for w in theta0]
 
     def add(ws, scale, gs):

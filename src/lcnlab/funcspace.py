@@ -22,10 +22,10 @@ import enum
 import numpy as np
 
 from .dynamics import jacobian_mu
-from .poly_core import (Architecture, _interior_stride, _product, _require_no_interior_stride,
-                        as_filter, compose_filters, end_to_end)
-from .rootlab import (Rrmp, _require_finite, _root_factors, _root_structure, classify_rrmp,
-                      find_roots)
+from .poly_core import (Architecture, _interior_stride, _product, _require_filter_size,
+                        _require_finite, _require_no_interior_stride, as_filter, compose_filters,
+                        end_to_end)
+from .rootlab import Rrmp, _root_factors, _root_structure, classify_rrmp, find_roots
 
 
 class SpaceRegion(enum.Enum):
@@ -130,8 +130,7 @@ def factor_into(w, arch: Architecture) -> list:
     _require_no_interior_stride(arch)
     red = reduce_architecture(arch)
     w = as_filter(w)
-    if len(w) != red.filter_size:
-        raise ValueError(f"filter size {len(w)} does not fit {red.ks}")
+    _require_filter_size("filter", len(w), arch)
     scale = np.max(np.abs(w))
     if scale == 0:
         return [np.zeros(k) for k in arch.ks]

@@ -37,8 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly_core import (Architecture, _checked_filters, _compile, _complements, _Emitter,
-                        _integer, _list_source, _placements, _require_tol, _same_filter,
-                        _sum_source, as_filter, end_to_end, network_matrices)
+                        _integer, _layers, _list_source, _placements, _product,
+                        _require_filter_size, _require_finite, _require_tol, _same_filter,
+                        _sum_source, as_filter, network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
 
@@ -89,9 +90,9 @@ class QuadraticObjective:
         u = as_filter(self.target)
         if M.shape != (len(u), len(u)):
             raise ValueError(f"matrix shape {M.shape} does not match target {len(u)}")
-        for name, value in (("matrix", M), ("target", u), ("const", self.const)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"QuadraticObjective {name} has non-finite entries")
+        for name, value in (("QuadraticObjective matrix", M), ("QuadraticObjective target", u),
+                            ("QuadraticObjective const", np.asarray(self.const))):
+            _require_finite(value, name)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "target", u)
         # _diagonal, for gd_train: the diagonal as a float list when every off-diagonal
@@ -171,11 +172,6 @@ class QuadraticObjective:
         return QuadraticObjective(M, u, const)
 
 
-def network_loss(theta, arch: Architecture, obj: QuadraticObjective) -> float:
-    w, _ = end_to_end(theta, arch)
-    return obj.value(w)
-
-
 def loss_and_gradient(theta, arch: Architecture, obj: QuadraticObjective):
     """(loss, per-layer gradients) sharing a single composition pass.
 
@@ -232,10 +228,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step}")
-        max_steps = _integer("max_steps", self.max_steps)
-        if max_steps < 0:
-            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
-        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps, 0))
         if not self.grad_sq_tol >= 0:
             raise ValueError(f"grad_sq_tol must be non-negative, got {self.grad_sq_tol}")
         if not self.diverge_loss > 0:
@@ -369,8 +362,7 @@ def _checked_kernel(theta, arch: Architecture, obj: QuadraticObjective, diagonal
     """``_descent_kernel`` of ``arch`` and ``diagonal``, after raising ValueError when
     ``theta`` or the objective's size does not match ``arch``."""
     _checked_filters(theta, arch)
-    if obj.k != arch.filter_size:
-        raise ValueError(f"objective of size {obj.k} does not match filter size {arch.filter_size}")
+    _require_filter_size("objective", obj.k, arch)
     return _descent_kernel(arch.ks, arch.strides[:-1], diagonal)
 
 
@@ -386,23 +378,25 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
     writes the loss gradient out, with the same answers.  The steps test the
     loss as (w - target).g / 2 + const; ``obj.value`` runs once, for the
     returned loss at the final filter.  The returned run carries the pooled
-    root patterns of the initialization and the final layers and, classified
-    on its first read, the root pattern of the target, all at ``ROOT_TOL``;
-    each is None when its filter is zero or non-finite or its roots cannot be
-    certified.
+    root patterns of the initialization and the final layers, each layer
+    lifted by its span so that the pattern has the end-to-end degree, and,
+    classified on its first read, the root pattern of the target, all at
+    ``ROOT_TOL``; each is None when its filter is zero or non-finite or its
+    roots cannot be certified.
     Raises ValueError, before any step, when ``theta0`` or the objective's
     size does not match ``arch``.
     """
     theta = [as_filter(w) for w in theta0]
     diagonal = obj._diagonal
     descend = _checked_kernel(theta, arch, obj, diagonal is not None)[0]
-    init_rrmp = _classified(classify_rrmp_pooled, theta)
+    init_rrmp = _classified(classify_rrmp_pooled, _layers(theta, arch)[0])
     theta, grad_sq, steps, converged, diverged = descend(
         [w.tolist() for w in theta], obj.target.tolist(), obj.const,
         obj.grad if diagonal is None else diagonal, config.step, config.max_steps,
         config.grad_sq_tol, config.diverge_loss)
     theta = [np.array(t) for t in theta]
-    w, _ = end_to_end(theta, arch)
+    lifted = _layers(theta, arch)[0]
+    w = _product(lifted).copy()  # a copy, so that w never aliases a layer of theta
     return TrainRun(
         theta=theta,
         w=w,
@@ -413,7 +407,7 @@ def gd_train(obj: QuadraticObjective, arch: Architecture, theta0,
         diverged=diverged,
         target=obj.target.copy(),
         init_rrmp=init_rrmp,
-        solution_rrmp=_classified(classify_rrmp_pooled, theta),
+        solution_rrmp=_classified(classify_rrmp_pooled, lifted),
     )
 
 
@@ -435,10 +429,12 @@ def _train_all(jobs, workers):
     depend on the worker count.  With more than one worker (None: the CPU count,
     at most 8) one pool runs them and is shut down once the runs are exhausted
     or the iterator is closed.  With one, each run looks up this module's
-    ``gd_train`` as it starts, so a rebound ``gd_train`` sees every run."""
+    ``gd_train`` as it starts, so a rebound ``gd_train`` sees every run.  A
+    worker count that is not an integer of at least one raises ValueError when
+    the first run is asked for; ``run_case_study`` checks it before its search."""
     if workers is None:
         workers = min(multiprocessing.cpu_count(), 8)
-    if workers <= 1:
+    if _integer("workers", workers, 1) == 1:
         yield from map(_train, jobs)
         return
     with multiprocessing.Pool(workers) as pool:
@@ -465,11 +461,9 @@ class PatternTable:
     n_runs: int = 0
     n_discarded: int = 0
     cells: dict = field(default_factory=dict)  # (target, init, solution) -> cell
-    target_counts: dict = field(default_factory=dict)
 
     def add(self, target: str, init: str, solution: str, loss: float):
         self.n_runs += 1
-        self.target_counts[target] = self.target_counts.get(target, 0) + 1
         cell = self.cells.setdefault((target, init, solution), PatternCell())
         cell.count += 1
         cell.loss_sum += loss
@@ -480,7 +474,8 @@ class PatternTable:
 
     def target_share(self, target: str) -> float:
         kept = self.n_runs - self.n_discarded
-        return self.target_counts.get(target, 0) / kept if kept else float("nan")
+        hit = sum(c.count for (t, _, _), c in self.cells.items() if t == target)
+        return hit / kept if kept else float("nan")
 
     def solution_share(self, target: str, solution: str) -> float:
         """Share of a solution pattern among kept runs with this target."""
@@ -507,14 +502,13 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
     initializes all layers from a standard normal, and runs gradient descent
     to the gradient tolerance.  Non-converged runs are discarded (counted).
     Seeds are per-dataset, so results do not depend on worker scheduling.
-    Counts that are not integers, and fewer samples than the filter size,
-    which give a singular Gram matrix, raise ValueError.
+    Counts and a seed that are not integers, no dataset, a negative seed and
+    fewer samples than the filter size, which give a singular Gram matrix,
+    raise ValueError.
     """
-    if _integer("n_datasets", n_datasets) < 1:
-        raise ValueError("need at least one dataset")
-    if _integer("n_samples", n_samples) < arch.filter_size:
-        raise ValueError(f"{n_samples} samples give a singular Gram matrix for filter "
-                         f"size {arch.filter_size}; need at least {arch.filter_size}")
+    _integer("n_datasets", n_datasets, 1)
+    _integer("n_samples", n_samples, arch.filter_size)
+    _integer("seed", seed, 0)
 
     def jobs():
         k = arch.filter_size
@@ -582,10 +576,12 @@ def run_distinct_experiment(arch: Architecture, n_targets: int = 100,
 
     Only converged runs count, so 0 distinct minima means that no run for
     that target converged within ``config.max_steps``.  Counts that are not
-    integers of at least one raise ValueError.
+    integers of at least one and a seed that is not a non-negative integer
+    raise ValueError.
     """
-    if _integer("n_targets", n_targets) < 1 or _integer("n_inits", n_inits) < 1:
-        raise ValueError("need at least one target and one initialization")
+    _integer("n_targets", n_targets, 1)
+    _integer("n_inits", n_inits, 1)
+    _integer("seed", seed, 0)
 
     def jobs():
         for i in range(n_targets):

@@ -20,6 +20,10 @@ bits, for the kernels that ``optim`` and ``critlab`` build with ``_compile``.
 realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.  ``_interior_stride`` is the one
 rule for whether root counts describe an architecture's function space.
+Each input rule has one owner: ``_integer`` for a count, seed or worker count
+(an integer, at least a bound), ``_require_finite`` for an array without NaN
+or infinite entries and ``_require_filter_size`` for a filter's size against
+an architecture.
 Every test of whether two filters are the same goes through ``_same_filter``
 (the same shape, and max-norm distance within tol times the larger max-norm,
 floored at one), and every nearest-reference lookup through ``_nearest``.
@@ -117,9 +121,7 @@ class Architecture:
     def min_input_size(self, d_out: int = 1) -> int:
         """Smallest input length producing output length ``d_out``.  Raises
         ValueError for ``d_out`` below one or not an integer."""
-        d = _integer("output length", d_out)
-        if d < 1:
-            raise ValueError(f"output length must be at least 1, got {d_out}")
+        d = _integer("output length", d_out, 1)
         for k, s in zip(reversed(self.ks), reversed(self.strides)):
             d = (d - 1) * s + k
         return d
@@ -138,13 +140,34 @@ def _integers(name, values) -> tuple:
         raise ValueError(f"{name} must be integers, got {values!r}") from None
 
 
-def _integer(name, value) -> int:
+def _integer(name, value, least=None) -> int:
     """``value`` as an int; ValueError naming ``name`` for a non-integer, such as
-    a float, which ``int`` would truncate."""
+    a float, which ``int`` would truncate, and for a value below ``least``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return n
+
+
+def _require_finite(x: np.ndarray, name=None) -> list:
+    """The entries of the float array ``x``, flattened, as Python floats.  Raises
+    ValueError when one is NaN or infinite, naming ``name`` (by default the filter
+    ``x``) and the flat positions of those entries."""
+    values = x.ravel().tolist()
+    if not all(map(math.isfinite, values)):
+        bad = np.flatnonzero(~np.isfinite(x)).tolist()
+        raise ValueError(f"{name or f'filter {x}'} has non-finite entries at positions {bad}")
+    return values
+
+
+def _require_filter_size(name, size, arch) -> None:
+    """ValueError naming ``name`` unless ``size`` is ``arch``'s end-to-end filter size."""
+    if size != arch.filter_size:
+        raise ValueError(f"{name} has size {size} but {arch.ks} composes to {arch.filter_size}")
 
 
 def _interior_stride(arch: Architecture) -> bool:
@@ -159,17 +182,6 @@ def _require_no_interior_stride(arch: Architecture):
     if _interior_stride(arch):
         raise ValueError(f"{arch.ks} with strides {arch.strides} keeps an interior stride; "
                          "root multiplicities do not describe its function space")
-
-
-def _require_stride(stride) -> int:
-    """``stride`` as an int; ValueError unless it is an integer of at least one."""
-    try:
-        s = operator.index(stride)
-    except TypeError:
-        s = 0
-    if s < 1:
-        raise ValueError(f"stride must be at least 1, got {stride!r}")
-    return s
 
 
 def compose_filters(outer, stride: int, inner) -> np.ndarray:
@@ -403,7 +415,7 @@ def pi_s(w, stride: int) -> np.ndarray:
     for a stride that is not an integer of at least one.
     """
     w = as_filter(w)
-    stride = _require_stride(stride)
+    stride = _integer("stride", stride, 1)
     if stride == 1:
         return w.copy()
     out = np.zeros((len(w) - 1) * stride + 1)
@@ -424,7 +436,7 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
     Raises ValueError for a stride that is not an integer of at least one, a
     cyclic filter longer than d, an inexact fit, a negative ``n_out`` and an
     overrun."""
-    stride = _require_stride(stride)
+    stride = _integer("stride", stride, 1)
     if cyclic and k > d:
         raise ValueError(f"filter size {k} exceeds cyclic dimension {d}")
     if n_out is None:

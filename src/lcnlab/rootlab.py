@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly_core import (_QUIET, _enter_errstate, _exit_errstate, _integer, _integers,
-                        _require_tol, as_filter, toeplitz_matrix)
+                        _require_finite, _require_tol, as_filter, toeplitz_matrix)
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -305,12 +305,6 @@ def _newton_polish(rows, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _require_finite(w: np.ndarray):
-    if not all(map(math.isfinite, w.tolist())):
-        bad = np.flatnonzero(~np.isfinite(w)).tolist()
-        raise ValueError(f"filter {w} has non-finite entries at positions {bad}")
-
-
 def find_roots(coeffs) -> list:
     """All k-1 projective roots of a size-k filter, with multiplicity.
 
@@ -322,9 +316,7 @@ def find_roots(coeffs) -> list:
     runs.
     """
     w = as_filter(coeffs)
-    values = w.tolist()
-    if not all(map(math.isfinite, values)):
-        _require_finite(w)
+    values = _require_finite(w)
     scale = max(map(abs, values))
     if scale == 0:
         raise ValueError("the zero filter has no root data")
@@ -664,10 +656,9 @@ def rrmp_classify_by_signs(coeffs) -> Rrmp:
     an entry above about 1e154, or a quartic that overflows both ways, reaches.
     """
     c = as_filter(coeffs)
-    _require_finite(c)
+    values = _require_finite(c)
     if c[0] == 0:
         raise ValueError("leading coefficient vanishes; dehomogenize first")
-    values = c.tolist()
     top = max(map(abs, values))
     low = min(abs(v) for v in values if v)
     token = _enter_errstate(_QUIET)
@@ -881,9 +872,7 @@ def all_rrmps(degree: int) -> list:
     """Every pattern of the given degree, lexicographic by label: the real-type
     splits of each partition, which give every pattern once.  Raises
     ValueError for a negative or non-integer degree."""
-    degree = _integer("degree", degree)
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+    degree = _integer("degree", degree, 0)
     return sorted((r for lam in _partitions(degree) for r in real_type_splits(lam)),
                   key=lambda r: (r.rho, r.gamma))
 

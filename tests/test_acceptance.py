@@ -7,9 +7,11 @@ and, where the contract includes one, a wall-clock budget.
 """
 
 import functools
+import importlib.util
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from lcnlab.optim import (
     QuadraticObjective,
     TrainConfig,
     loss_and_gradient,
-    network_loss,
     run_distinct_experiment,
     run_pattern_experiment,
 )
@@ -171,7 +172,7 @@ def test_analytic_gradient_matches_central_finite_differences():
                 for sign in (1.0, -1.0):
                     shifted = [x.copy() for x in theta]
                     shifted[li][j] += sign * h
-                    fd[pos] += sign * network_loss(shifted, arch, obj) / (2 * h)
+                    fd[pos] += sign * obj.value(end_to_end(shifted, arch)[0]) / (2 * h)
                 pos += 1
         err = np.max(np.abs(analytic - fd))
         assert err <= 1e-5 * (1.0 + np.max(np.abs(fd)))
@@ -386,3 +387,33 @@ def test_pinned_local_minimum_coordinates():
     assert np.min(sm.hessian_eigs) > 0
     assert sm.grad_norm <= 1e-10
     assert np.max(np.abs(sm.chart - reference)) <= 1e-8
+
+
+def _count_parameters() -> dict:
+    """``tools/answer_digest.py``'s table of counts, seeds and worker counts, whose
+    ``bad_input`` family digests the same calls."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "answer_digest.py"
+    spec = importlib.util.spec_from_file_location("answer_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest.count_parameters()
+
+
+_COUNTS = _count_parameters()
+
+
+@pytest.mark.parametrize("value", [1.5, "2", "below"])
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_counts_seeds_and_workers_raise_value_errors_naming_the_parameter(entry, value,
+                                                                          monkeypatch):
+    # before any descent run; a float seed or worker count once escaped as a TypeError
+    monkeypatch.setattr("lcnlab.optim.gd_train", lambda *job: pytest.fail("a run started"))
+    call, name, least = _COUNTS[entry]
+    if value == "below":
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        value, message = least - 1, f"{name} must be {bound}, got {least - 1}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == message

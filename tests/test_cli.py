@@ -159,29 +159,39 @@ def test_train_rejects_bad_descent_settings(flags, capsys):
     (["landscape", "--ks", "2,2", "--target", "1,0,2,5"], "filter has size 4"),
     (["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--ks", "2,2", "--starts", "3"],
      "not both"),
+    (["critpoints", "--target", "2,0,5,0,2", "--lambda", "2,2", "--strides", "1,2"],
+     "not both"),
     (["critpoints", "--target", "3", "--lambda", ","], "empty"),
     (["experiment", "rrmp-table", "--ks", "3,3", "--samples", "4", "--n", "2"],
-     "4 samples give a singular Gram matrix for filter size 5"),
+     "n_samples must be at least 5, got 4"),
+    (["experiment", "distinct", "--ks", "2,2", "--n", "1", "--inits", "2", "--threads", "-4"],
+     "workers must be at least 1, got -4"),
+    (["train", "--ks", "2,2", "--target", "1,1,1", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["landscape", "--ks", "2,2", "--target", "1,1,1", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["case-study", "--threads", "-4"], "workers must be at least 1, got -4"),
 ], ids=["critpoints-starts-0", "critpoints-starts-negative", "case-study-runs-negative",
         "invariants-no-layers", "recover-scales-no-layers", "critpoints-interior-stride",
         "critpoints-size-mismatch", "critpoints-oversized-lambda", "train-size-mismatch",
-        "landscape-size-mismatch", "critpoints-lambda-and-ks", "critpoints-empty-lambda",
-        "rrmp-table-too-few-samples"])
+        "landscape-size-mismatch", "critpoints-lambda-and-ks", "critpoints-lambda-and-strides",
+        "critpoints-empty-lambda", "rrmp-table-too-few-samples", "distinct-negative-threads",
+        "train-negative-seed", "landscape-negative-seed", "case-study-negative-threads"])
 def test_bad_counts_exit_2(argv, message, capsys, monkeypatch):
     def no_search(*args, **kwargs):
-        pytest.fail("the case study searched a stratum before rejecting its run count")
+        pytest.fail("the case study searched a stratum before rejecting a count")
 
     if argv[0] == "case-study":
         monkeypatch.setattr(lcnlab.cli, "crit_on_stratum", no_search)
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error:") and message in err
+    assert out == "" and err.startswith("error:") and message in err and err.count("\n") == 1
 
 
 def test_distinct_rejects_zero_inits(capsys):
     assert main(["experiment", "distinct", "--ks", "2,2", "--n", "1", "--inits", "0"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "at least one" in err
+    assert out == "" and "n_inits must be at least 1, got 0" in err
 
 
 def test_badly_scaled_filter_prints_only_the_error_line():
@@ -260,8 +270,8 @@ def test_critpoints_architecture_mode_uses_attainable_strata(tmp_path):
 def test_critpoints_architecture_mode_matches_the_library(tmp_path):
     rep = run_json(["critpoints", "--target", "2,0,5,0,2", "--ks", "3,2,2",
                     "--starts", "10", "--seed", "1"], tmp_path)
-    lib = critical_points_for_target(np.array([2.0, 0, 5, 0, 2]), Architecture((3, 2, 2)),
-                                     n_starts=10, seed=1)
+    lib = critical_points_for_target(QuadraticObjective.euclidean([2.0, 0, 5, 0, 2]),
+                                     Architecture((3, 2, 2)), n_starts=10, seed=1)
     assert [s["lambda"] for s in rep["strata"]] == [list(r.lam) for r in lib]
     assert [len(s["points"]) for s in rep["strata"]] == [len(r.points) for r in lib]
 
@@ -286,7 +296,8 @@ def test_critpoints_json_matches_the_stratum_entries_key_by_key(tmp_path):
     out = tmp_path / "cli.json"
     assert main(["critpoints", "--target", "2,0,5,0,2", "--ks", "2,2,2,2", "--starts", "20",
                  "--seed", "0", "--out", str(out)]) == 0
-    reports = critical_points_for_target(u, Architecture((2, 2, 2, 2)), n_starts=20, seed=0)
+    reports = critical_points_for_target(QuadraticObjective.euclidean(u),
+                                         Architecture((2, 2, 2, 2)), n_starts=20, seed=0)
     assert len(reports) > 1
     ref = tmp_path / "ref.json"
     _emit_json({"target": u, "norm": "euclidean", "strata": _critpoints_strata(reports)},

@@ -43,6 +43,7 @@ from test_poly_core import random_arch
 # The palindromic quartic target used throughout: every stratum of its loss
 # has known critical points, several of them rational.
 U_STAR = np.array([2.0, 0.0, 5.0, 0.0, 2.0])
+EUCLIDEAN_U_STAR = QuadraticObjective.euclidean(U_STAR)
 
 
 def test_real_type_splits():
@@ -802,7 +803,7 @@ def test_find_spurious_minimum_rejects_bad_start_counts():
     with pytest.raises(ValueError, match="n_starts must be an integer"):
         find_spurious_minimum(U_STAR[:4], n_starts=2.5)
     for n_starts in (0, -3):  # not "no minimum found" after searching nothing
-        with pytest.raises(ValueError, match="need at least one start"):
+        with pytest.raises(ValueError, match=f"n_starts must be at least 1, got {n_starts}"):
             find_spurious_minimum(U_STAR[:4], n_starts=n_starts)
 
 
@@ -819,11 +820,13 @@ def test_crit_on_stratum_rejects_an_empty_partition(monkeypatch):
 def test_critical_points_for_target_respects_architecture():
     # two bins of sizes (3, 1): a triple or quadruple root needs more bins,
     # and a pair of double roots does not fit either
-    reports = critical_points_for_target(U_STAR, Architecture((4, 2)), n_starts=120, seed=1)
+    reports = critical_points_for_target(EUCLIDEAN_U_STAR, Architecture((4, 2)), n_starts=120,
+                                         seed=1)
     assert [r.lam for r in reports] == [(2, 1, 1)]
     # (3,2,2) can realize a pair of double roots and a triple root, but a
     # quadruple root would need four layers
-    reports = critical_points_for_target(U_STAR, Architecture((3, 2, 2)), n_starts=60, seed=1)
+    reports = critical_points_for_target(EUCLIDEAN_U_STAR, Architecture((3, 2, 2)), n_starts=60,
+                                         seed=1)
     assert sorted(r.lam for r in reports) == [(2, 1, 1), (2, 2), (3, 1)]
 
 
@@ -869,8 +872,13 @@ def test_critical_points_for_target_and_ed_bound_use_attainable_strata():
     for ks, u in (((2, 2, 2), [1.0, 0.5, -2.0, 0.3]), ((4, 2), U_STAR)):
         arch = Architecture(ks)
         strata = _attainable_strata(arch)
-        reports = critical_points_for_target(np.array(u), arch, n_starts=2, seed=0)
-        assert [r.lam for r in reports] == strata
+        for objective in (QuadraticObjective.euclidean(u), QuadraticObjective.bombieri(u)):
+            reports = critical_points_for_target(objective, arch, n_starts=2, seed=0)
+            assert [r.lam for r in reports] == strata
+            # each stratum is searched for this objective's critical points
+            assert [[p.w.tobytes() for p in r.points] for r in reports] == [
+                [p.w.tobytes() for p in crit_on_stratum(objective, lam, n_starts=2, seed=0).points]
+                for lam in strata]
         degree = arch.filter_size - 1
         for metric in ("generic", "special"):
             assert ed_bound(arch, metric=metric) == 1 + sum(
@@ -884,17 +892,18 @@ def test_interior_strides_have_no_strata():
     with pytest.raises(ValueError, match="interior stride"):
         ed_bound(interior)
     with pytest.raises(ValueError, match="interior stride"):
-        critical_points_for_target(np.arange(1.0, 6.0), interior)
+        critical_points_for_target(QuadraticObjective.euclidean(np.arange(1.0, 6.0)), interior)
     assert _attainable_strata(Architecture((2, 2), (1, 2))) == [(2,)]
 
 
 def test_critical_points_for_target_rejects_size_mismatch():
-    with pytest.raises(ValueError, match="size"):
-        critical_points_for_target(U_STAR, Architecture((2, 2)))
+    with pytest.raises(ValueError, match=r"^target has size 5 but \(2, 2\) composes to 3$"):
+        critical_points_for_target(EUCLIDEAN_U_STAR, Architecture((2, 2)))
 
 
 def test_match_critical_point():
-    reports = critical_points_for_target(U_STAR, Architecture((4, 2)), n_starts=120, seed=0)
+    reports = critical_points_for_target(EUCLIDEAN_U_STAR, Architecture((4, 2)), n_starts=120,
+                                         seed=0)
     hit = match_critical_point(np.array([2.0, 1e-6, 5.0, -1e-6, 1e-6]), reports)
     assert hit is not None and np.allclose(hit.w, [2.0, 0.0, 5.0, 0.0, 0.0], atol=1e-9)
     assert match_critical_point(np.array([1.0, 1.0, 1.0, 1.0, 1.0]), reports) is None

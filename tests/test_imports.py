@@ -221,22 +221,27 @@ def imports_multiprocessing(source: str) -> bool:
     return False
 
 
-def callers(source: str, name: str) -> list:
-    """The innermost enclosing function (None at module level) of each call of a
-    name or attribute ``name``, in source order."""
+def _innermost(source: str):
+    """(function, node) for every node of a source, with the name of the innermost
+    function that encloses it (None at module level)."""
     out = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
-            out.append(function)
+        out.append((function, node))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source), None)
     return out
+
+
+def callers(source: str, name: str) -> list:
+    """The innermost enclosing function (None at module level) of each call of a
+    name or attribute ``name``, in source order."""
+    return [function for function, node in _innermost(source) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def test_finds_multiprocessing_imports_and_pool_builders():
@@ -300,3 +305,55 @@ def test_only_poly_core_imports_numpys_private_modules():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert [name for name, source in sorted(sources.items())
             if private_numpy_imports(source)] == ["poly_core"]
+
+
+# --- one owner for each input rule -----------------------------------------------
+
+
+def _is_integer_call(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_integer"
+
+
+def integer_comparisons(source: str) -> list:
+    """The innermost enclosing function of each bound check, an order comparison (<, <=,
+    >, >=), of an ``_integer(...)`` call or of a name that the same function assigns one
+    to, in source order."""
+    nodes = _innermost(source)
+    held = {(function, target.id) for function, node in nodes
+            if isinstance(node, ast.Assign) and _is_integer_call(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
+    return [function for function, node in nodes if isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
+            and any(_is_integer_call(x) or isinstance(x, ast.Name) and (function, x.id) in held
+                    for x in [node.left, *node.comparators])]
+
+
+def non_finite_checks(source: str) -> list:
+    """The module-level functions whose name says "finite", and the innermost enclosing
+    function of each raise whose message says "non-finite", each once."""
+    names = [node.name for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and "finite" in node.name]
+    names += [function for function, node in _innermost(source) if isinstance(node, ast.Raise)
+              and any(isinstance(c, ast.Constant) and "non-finite" in str(c.value)
+                      for c in ast.walk(node))]
+    return list(dict.fromkeys(names))
+
+
+def test_finds_integer_comparisons_and_non_finite_checks():
+    source = ("def a(n):\n    if _integer('n', n) < 1:\n        raise ValueError('n')\n\n"
+              "def b(n, k):\n    n = _integer('n', n)\n    k = int(k)\n    return n > 2 and k > 2\n\n"
+              "def c(n):\n    n = _integer('n', n, 1)\n    return range(n) if n == 1 else n\n\n"
+              "def _finite(v):\n    return v\n\n"
+              "class R:\n    def finite(self):\n        return self\n\n"
+              "def d(v):\n    if v != v:\n        raise ValueError(f'{v} has non-finite entries')\n")
+    assert integer_comparisons(source) == ["a", "b"]
+    assert non_finite_checks(source) == ["_finite", "d"]
+
+
+def test_poly_core_alone_holds_the_count_and_non_finite_rules():
+    # landscape_grid keeps the grid's upper bound of 512 beside its lower one
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert {name: sites for name, source in sources.items()
+            if (sites := integer_comparisons(source))} == {"cli": ["landscape_grid"]}
+    assert {name: sites for name, source in sources.items()
+            if (sites := non_finite_checks(source))} == {"poly_core": ["_require_finite"]}

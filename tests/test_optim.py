@@ -21,7 +21,6 @@ from lcnlab.optim import (
     gd_train,
     gradient_via_matrices,
     loss_and_gradient,
-    network_loss,
     run_distinct_experiment,
     run_pattern_experiment,
     tau,
@@ -220,7 +219,7 @@ def test_objective_rejects_a_filter_of_another_size(k, w):
             call(w)
     if len(w) == 1:
         with pytest.raises(ValueError, match=message):
-            network_loss([np.ones(1), np.ones(1)], Architecture((1, 1)), obj)
+            obj.value(end_to_end([np.ones(1), np.ones(1)], Architecture((1, 1)))[0])
 
 
 @pytest.mark.parametrize("make, field", [
@@ -260,9 +259,9 @@ def test_network_gradient_matches_finite_differences():
         for p in range(len(flat)):
             bumped = flat.copy()
             bumped[p] += h
-            up = network_loss(np.split(bumped, cuts), arch, obj)
+            up = obj.value(end_to_end(np.split(bumped, cuts), arch)[0])
             bumped[p] -= 2 * h
-            dn = network_loss(np.split(bumped, cuts), arch, obj)
+            dn = obj.value(end_to_end(np.split(bumped, cuts), arch)[0])
             fd = (up - dn) / (2 * h)
             assert abs(gflat[p] - fd) <= 1e-5 * max(1.0, abs(fd))
 
@@ -315,7 +314,8 @@ def test_theta_that_does_not_match_the_architecture_is_rejected(theta, ks, grad_
 
 def test_theta_checks_build_no_upsampled_copy(monkeypatch):
     # the descent and gradient entry points check theta without _layers' copies; only
-    # gd_train's final end_to_end composes the strided layers
+    # gd_train lifts them, once for the initial label and once for the final filter and
+    # its label
     arch = Architecture((2, 3, 2), (2, 3, 1))
     theta = [np.array([1.0, -2.0]), np.array([0.5, 1.0, -1.0]), np.array([3.0, 1.0])]
     obj = QuadraticObjective.euclidean(np.linspace(-1.0, 1.0, arch.filter_size))
@@ -331,19 +331,19 @@ def test_theta_checks_build_no_upsampled_copy(monkeypatch):
     network_matrices(theta, arch, arch.min_input_size(2))
     assert copies == []
     gd_train(obj, arch, theta, TrainConfig(max_steps=3))
-    assert copies == [2, 6]  # the final end_to_end
+    assert copies == [2, 6] * 2
 
 
 def test_gd_train_rejects_an_objective_of_another_size(grad_calls):
     obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
+    with pytest.raises(ValueError, match=r"objective has size 4 but \(2, 2\) composes to 3"):
         gd_train(obj, Architecture((2, 2)), [np.ones(2), np.ones(2)])
     assert grad_calls == []
 
 
 def test_gradients_reject_an_objective_of_another_size(grad_calls):
     obj = QuadraticObjective.euclidean([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError, match="size 4 does not match filter size 3"):
+    with pytest.raises(ValueError, match=r"objective has size 4 but \(2, 2\) composes to 3"):
         loss_and_gradient([np.ones(2), np.ones(2)], Architecture((2, 2)), obj)
     assert grad_calls == []
 
@@ -579,9 +579,9 @@ def test_experiments_classify_only_the_targets_they_read(target_classifications)
 
 def test_pattern_experiment_needs_as_many_samples_as_filter_taps():
     # fewer samples than taps leave the Gram matrix X X^T singular
-    with pytest.raises(ValueError, match="2 samples .* filter size 3"):
+    with pytest.raises(ValueError, match="n_samples must be at least 3, got 2"):
         run_pattern_experiment(Architecture((2, 2)), n_datasets=1, n_samples=2, workers=1)
-    with pytest.raises(ValueError, match="10 samples .* filter size 11"):
+    with pytest.raises(ValueError, match="n_samples must be at least 11, got 10"):
         run_pattern_experiment(Architecture((6, 6)), n_datasets=1, workers=1)
     table = run_pattern_experiment(Architecture((2, 2)), n_datasets=2, n_samples=3,
                                    config=TrainConfig(max_steps=50), workers=1)
@@ -593,6 +593,21 @@ def _label(classify, coeffs):
         return classify(coeffs).label
     except (ValueError, RootFindingError):
         return None
+
+
+@pytest.mark.parametrize("ks, strides", [((3, 2), (2, 1)), ((2, 2), (2, 1)),
+                                         ((2, 3, 2), (1, 2, 1)), ((2, 2, 2), (2, 2, 1))])
+def test_gd_train_labels_have_the_end_to_end_degree_on_interior_strides(ks, strides):
+    # the raw layers of (3, 2) at strides (2, 1) have 3 roots, the quartic filter 4
+    arch = Architecture(ks, strides)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        obj = QuadraticObjective.euclidean(rng.standard_normal(arch.filter_size))
+        theta0 = arch.random_theta(rng)
+        run = gd_train(obj, arch, theta0, TrainConfig(step=0.02, max_steps=300))
+        for rrmp, w in ((run.init_rrmp, end_to_end(theta0, arch)[0]), (run.solution_rrmp, run.w)):
+            assert rrmp.degree == arch.filter_size - 1
+            assert rrmp == classify_rrmp(w)
 
 
 def _array_loss_and_gradient(theta, arch, obj):
@@ -619,10 +634,11 @@ def test_loss_and_gradient_matches_the_array_formula_byte_for_byte():
 
 def _reference_descent(obj, arch, theta0, config):
     """The descent loop as it was before ``gd_train`` ran on float lists: the
-    array formula and ``obj.value`` every step and numpy's squared norm.
-    Returns the fields of a run, floats as hex."""
+    array formula and ``obj.value`` every step and numpy's squared norm, and
+    the pooled labels of the layers lifted by their spans.  Returns the fields
+    of a run, floats as hex."""
     theta = [as_filter(w).copy() for w in theta0]
-    init = _label(classify_rrmp_pooled, theta)
+    init = _label(classify_rrmp_pooled, _layers(theta, arch)[0])
     loss = grad_sq = np.inf
     converged = diverged = False
     steps = 0
@@ -641,7 +657,7 @@ def _reference_descent(obj, arch, theta0, config):
     w, _ = end_to_end(theta, arch)
     return ([t.tobytes() for t in theta], w.tobytes(), float(loss).hex(), grad_sq.hex(),
             steps, converged, diverged, _label(classify_rrmp, obj.target), init,
-            _label(classify_rrmp_pooled, theta))
+            _label(classify_rrmp_pooled, _layers(theta, arch)[0]))
 
 
 def _run_fields(run):
@@ -985,7 +1001,7 @@ def test_distinct_experiment_counts_a_target_without_converged_runs_under_zero()
 
 @pytest.mark.parametrize("n_targets, n_inits", [(0, 5), (3, 0)])
 def test_distinct_experiment_rejects_empty_runs(n_targets, n_inits):
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match="must be at least 1, got 0"):
         run_distinct_experiment(Architecture((2, 2)), n_targets=n_targets, n_inits=n_inits)
 
 

@@ -99,7 +99,8 @@ def test_upsample_places_entries_stride_apart():
 @pytest.mark.parametrize("stride, shown", [(0, "0"), (-1, "-1"), (2.5, "2.5"), (2.0, "2.0"),
                                            ("2", "'2'"), (None, "None")])
 def test_strided_lifts_reject_a_bad_stride(stride, shown):
-    message = f"stride must be at least 1, got {shown}"
+    rule = "be at least 1" if isinstance(stride, int) else "be an integer"
+    message = f"stride must {rule}, got {shown}"
     for lift in (pi_s, lambda w, s: compose_filters(w, s, [1.0, 2.0])):
         with pytest.raises(ValueError, match=message):
             lift([1.0, 1.0], stride)

@@ -33,7 +33,10 @@ half of them from layers that share roots, the zero filter and a NaN one, and
 ``mu_rank``: ranks of seeded layer lists on the same architectures, half of
 them with roots shared between layers, some with roots at 0 and infinity, plus
 a zero layer and a NaN one, then a nonzero, a zero and a NaN size-one layer on
-(2, 1), (1, 3) and (2, 1, 2).
+(2, 1), (1, 3) and (2, 1, 2), and ``bad_input``: the error, or else the answer,
+of each entry point given a count, seed or worker count of 1.5, "2" and one
+below its least value, then of objectives, gaps and filters with a NaN or
+infinite entry and of a filter or objective whose size does not fit.
 """
 
 from __future__ import annotations
@@ -72,6 +75,55 @@ def _answer(call, *args):
 
 def _label(rrmp):
     return None if rrmp is None else rrmp.label
+
+
+def count_parameters() -> dict:
+    """Each count, seed and worker count that the entry points check, by name:
+    ``(call, parameter, least)``, where ``call(v)`` passes ``v`` to the parameter
+    named ``parameter`` in the error message, whose least value is ``least``."""
+    import numpy as np
+    import lcnlab
+    from lcnlab import Architecture, QuadraticObjective, TrainConfig
+    from lcnlab.cli import landscape_grid, run_case_study
+
+    arch, cubic = Architecture((2, 2)), QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0])
+    plane = tuple([np.ones(2), np.ones(2)] for _ in range(3))
+    return {
+        "min_input_size": (lambda v: arch.min_input_size(v), "output length", 1),
+        "TrainConfig": (lambda v: TrainConfig(max_steps=v), "max_steps", 0),
+        "pattern-n_datasets": (lambda v: lcnlab.run_pattern_experiment(arch, n_datasets=v),
+                               "n_datasets", 1),
+        "pattern-n_samples": (lambda v: lcnlab.run_pattern_experiment(arch, 1, n_samples=v),
+                              "n_samples", 3),
+        "pattern-seed": (lambda v: lcnlab.run_pattern_experiment(arch, 1, seed=v), "seed", 0),
+        "pattern-workers": (lambda v: lcnlab.run_pattern_experiment(arch, 1, workers=v),
+                            "workers", 1),
+        "distinct-n_targets": (lambda v: lcnlab.run_distinct_experiment(arch, n_targets=v),
+                               "n_targets", 1),
+        "distinct-n_inits": (lambda v: lcnlab.run_distinct_experiment(arch, 1, n_inits=v),
+                             "n_inits", 1),
+        "distinct-seed": (lambda v: lcnlab.run_distinct_experiment(arch, 1, 2, seed=v),
+                          "seed", 0),
+        "distinct-workers": (lambda v: lcnlab.run_distinct_experiment(arch, 1, 2, workers=v),
+                             "workers", 1),
+        "crit_on_stratum-n_starts": (lambda v: lcnlab.crit_on_stratum(cubic, (2, 1), n_starts=v),
+                                     "n_starts", 1),
+        "crit_on_stratum-seed": (lambda v: lcnlab.crit_on_stratum(cubic, (2, 1), seed=v),
+                                 "seed", 0),
+        "spurious-n_starts": (lambda v: lcnlab.find_spurious_minimum(cubic.target, n_starts=v),
+                              "n_starts", 1),
+        "spurious-seed": (lambda v: lcnlab.find_spurious_minimum(cubic.target, seed=v),
+                          "seed", 0),
+        "case-study-runs": (lambda v: run_case_study(runs=v), "runs", 1),
+        "case-study-seed": (lambda v: run_case_study(seed=v), "seed", 0),
+        "case-study-workers": (lambda v: run_case_study(runs=1, starts=1, workers=v),
+                               "workers", 1),
+        "integrate_flow": (lambda v: lcnlab.integrate_flow([np.ones(2)], lambda t: t, 0.1, v),
+                           "n_steps", 0),
+        "all_rrmps": (lambda v: lcnlab.all_rrmps(v), "degree", 0),
+        "landscape_grid": (lambda v: landscape_grid(
+            arch, QuadraticObjective.euclidean([1.0, 0.0, 2.0]), plane, n=v), "grid size", 2),
+    }
 
 
 def families() -> dict:
@@ -255,6 +307,21 @@ def families() -> dict:
         cases += [(theta[:one] + [np.array([x])] + theta[one + 1:], arch)
                   for x in (rng.standard_normal(), 0.0, math.nan)]
     out["mu_rank"] = [_answer(lcnlab.mu_rank, theta, arch) for theta, arch in cases]
+
+    out["bad_input"] = [_answer(call, v) for call, _, least in count_parameters().values()
+                        for v in (1.5, "2", least - 1)]
+    arch, cubic = Architecture((2, 2)), QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0])
+    nan = math.nan
+    out["bad_input"] += [_answer(call) for call in (  # non-finite vectors and filter sizes
+        lambda: QuadraticObjective(np.full((3, 3), nan), np.ones(3)),
+        lambda: QuadraticObjective.euclidean([1.0, nan, 1.0]),
+        lambda: QuadraticObjective(np.eye(3), np.ones(3), const=-math.inf),
+        lambda: lcnlab.recover_scales([[1.0, 0.0], [1.0, 0.0]], [nan]),
+        lambda: lcnlab.discriminant([1.0, math.inf, 1.0]),
+        lambda: lcnlab.find_roots([1.0, nan]),
+        lambda: lcnlab.gd_train(cubic, arch, arch.random_theta(np.random.default_rng(0))),
+        lambda: lcnlab.factor_into(np.ones(4), arch),
+        lambda: lcnlab.find_spurious_minimum(cubic.target, arch))]
     return {name: [_text(a) for a in answers] for name, answers in out.items()}
 
 
