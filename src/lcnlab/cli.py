@@ -43,7 +43,7 @@ from .optim import (
     run_pattern_experiment,
 )
 from .poly_core import (Architecture, _checked_filters, _integer, _interior_stride, _nearest,
-                        _require_filter_size, _require_finite, _same_filter, end_to_end)
+                        _real, _require_filter_size, _require_finite, _same_filter, end_to_end)
 from .rootlab import (
     RootFindingError,
     Rrmp,
@@ -382,8 +382,7 @@ def landscape_grid(arch: Architecture, objective: QuadraticObjective,
         raise ValueError("landscape grids are defined for unit strides")
     if _integer("grid size", n, 2) > 512:
         raise ValueError(f"grid size must be between 2 and 512, got {n}")
-    if not (math.isfinite(span) and span > 0):
-        raise ValueError(f"span must be finite and positive, got {span}")
+    _real("span", span, "positive")
     theta0, dir1, dir2 = plane
     for part in (theta0, dir1, dir2):
         _checked_filters(part, arch)

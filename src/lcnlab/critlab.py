@@ -48,12 +48,12 @@ import numpy as np
 
 from .optim import QuadraticObjective, loss_and_gradient
 from .poly_core import (Architecture, _compile, _complements, _Emitter, _integer,
-                        _list_source, _nearest, _product, _require_filter_size,
-                        _require_no_interior_stride, _require_tol, _same_filter, _solve,
+                        _list_source, _nearest, _product, _real, _require_filter_size,
+                        _require_no_interior_stride, _same_filter, _sized_filter, _solve,
                         as_filter, end_to_end, poly_mul)
-from .rootlab import (ZERO_BAND, ProjRoot, Rrmp, _cluster_rep, _homogeneous_residual,
-                      _partition, _root_factors, classify_rrmp, cluster_roots, compatible_rrmps,
-                      find_roots, real_type_splits)
+from .rootlab import (ZERO_BAND, Rrmp, _cluster_rep, _homogeneous_residual, _partition,
+                      classify_rrmp, cluster_roots, compatible_rrmps, find_roots,
+                      real_type_splits)
 
 # Acceptance thresholds for the Newton search.  _GRAD_TOL is relative to the
 # gradient magnitude at the origin, _EIG_BAND to the Hessian spectral radius.
@@ -370,21 +370,6 @@ def crit_on_stratum(
     return _finish(objective, lam, found)
 
 
-def _expand_stratum_point(pattern: Rrmp, roots: Sequence[ProjRoot], sigma: float) -> np.ndarray:
-    """Assemble the coefficient vector for given roots and multiplicities.
-
-    Writes down a stratum point exactly from its roots: real roots are
-    listed first (matching ``pattern.rho``), then one representative per
-    conjugate pair (matching ``pattern.gamma``).
-    """
-    if len(roots) != len(pattern.rho) + len(pattern.gamma):
-        raise ValueError("need one root per real part and one per conjugate pair")
-    n_real = len(pattern.rho)
-    linear, quadratic = _root_factors(list(zip(roots[:n_real], pattern.rho)),
-                                      list(zip(roots[n_real:], pattern.gamma)))
-    return _product([np.array([sigma])] + linear + quadratic)
-
-
 def critical_points_for_target(
     objective: QuadraticObjective,
     arch: Architecture,
@@ -419,9 +404,9 @@ def match_critical_point(
 ) -> CritPoint | None:
     """The catalogued critical point nearest to ``w`` (max-norm, same size),
     when the two are the same filter under ``poly_core._same_filter`` at
-    ``tol``; otherwise None.  Raises ValueError for a negative or non-finite
-    ``tol``."""
-    _require_tol(tol)
+    ``tol``; otherwise None.  Raises ValueError for a ``tol`` that is not
+    finite and non-negative."""
+    _real("tol", tol, "non-negative")
     w = as_filter(w)
     points = [p for report in reports for p in report.points]
     idx, _ = _nearest(w, [p.w for p in points])
@@ -448,10 +433,11 @@ def cone_lambda_polynomial(
     a degree-four polynomial: writing ``(A, B, C)`` for the components of
     ``v . adj(Sigma - lam J)``, the multiplier equation is the vanishing of
     ``B^2 - 4 A C``.  Returns ``(quartic, A, B, C)`` with all coefficient
-    arrays highest degree first.
+    arrays highest degree first.  Raises ValueError unless ``v`` is a finite
+    filter of size 3 and ``sigma`` a 3x3 matrix.
     """
     sigma = np.asarray(sigma, dtype=float)
-    v = np.asarray(v, dtype=float).reshape(3)
+    v = _sized_filter(np.ravel(v), 3, "cone solver")
     if sigma.shape != (3, 3):
         raise ValueError("the cone solver works on 3x3 Gram matrices")
     # entries of Sigma - lam*J as degree<=1 polynomials in lam
@@ -540,9 +526,7 @@ def cone_critical_points(
     rank-one stratum of size-3 filters: one point per real root of the
     quartic ``_rank_one_points`` solves, a repeated root once, as DEGENERATE.
     """
-    u = as_filter(u)
-    if u.shape[0] != 3:
-        raise ValueError(f"the cone solver works on filters of size 3, got {u.shape[0]}")
+    u = _sized_filter(u, 3, "cone solver")
     return _rank_one_points(QuadraticObjective(np.eye(3) if sigma is None else sigma, u))
 
 
@@ -550,9 +534,10 @@ def caustic_value(u: np.ndarray) -> float:
     """Sign of the curve separating the 4- and 2-critical-point regimes.
 
     Negative inside the caustic (two minima and two saddles on the cone for
-    an identity Gram matrix), positive outside.
+    an identity Gram matrix), positive outside.  Raises ValueError unless ``u``
+    is a finite filter of size 3.
     """
-    u1, u2, u3 = as_filter(u)
+    u1, u2, u3 = _sized_filter(u, 3, "cone solver")
     return float(
         32 * u1**6 + 435 * u1**4 * u2**2 + 384 * u1**2 * u2**4 + 256 * u2**6
         - 240 * u1**5 * u3 - 960 * u1**3 * u2**2 * u3 - 960 * u1 * u2**4 * u3

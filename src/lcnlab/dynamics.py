@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import (Architecture, _complements, _integer, _layers, _require_finite,
+from .poly_core import (Architecture, _complements, _integer, _layers, _real, _require_finite,
                         _require_no_interior_stride, as_filter)
 from .rootlab import ROOT_TOL, _linkage, _same_root, find_roots
 
@@ -113,8 +113,10 @@ class FiberScales:
 
 
 def scale_sign_patterns(depth: int) -> list:
-    """All +-1 patterns with product +1 (the fiber's 2^(L-1) components)."""
-    return sorted(p + (math.prod(p),) for p in itertools.product((-1, 1), repeat=depth - 1))
+    """All +-1 patterns with product +1 (the fiber's 2^(L-1) components).  Raises
+    ValueError for a ``depth`` that is not an integer of at least one."""
+    repeat = _integer("depth", depth, 1) - 1
+    return sorted(p + (math.prod(p),) for p in itertools.product((-1, 1), repeat=repeat))
 
 
 def recover_scales(q_filters, gaps) -> list:
@@ -184,8 +186,7 @@ def integrate_flow(theta0, grad_fn, step: float, n_steps: int,
     """
     if method not in ("euler", "rk4"):
         raise ValueError(f"unknown method {method!r}")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be finite and positive, got {step}")
+    _real("step", step, "positive")
     n_steps = _integer("n_steps", n_steps, 0)
     theta = [as_filter(w).copy() for w in theta0]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import jacobian_mu
 from .poly_core import (Architecture, _interior_stride, _product, _require_filter_size,
-                        _require_finite, _require_no_interior_stride, as_filter, compose_filters,
+                        _require_no_interior_stride, _sized_filter, as_filter, compose_filters,
                         end_to_end)
 from .rootlab import Rrmp, _root_factors, _root_structure, classify_rrmp, find_roots
 
@@ -181,10 +181,7 @@ def _polish_factors(theta, w, arch):
 
 def _unit(u):
     """(u / max|u|, max|u|) for a finite size-5 filter; zero stays zero."""
-    u = as_filter(u)
-    if len(u) != 5:
-        raise ValueError(f"need a size-5 filter, got size {len(u)}")
-    _require_finite(u)
+    u = _sized_filter(u, 5, "stride-2 (3, 2) family")
     scale = float(np.max(np.abs(u)))
     return (u / scale if scale else u), scale
 

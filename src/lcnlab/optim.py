@@ -38,7 +38,7 @@ import numpy as np
 
 from .poly_core import (Architecture, _checked_filters, _compile, _complements, _Emitter,
                         _integer, _layers, _list_source, _placements, _product,
-                        _require_filter_size, _require_finite, _require_tol, _same_filter,
+                        _real, _require_filter_size, _require_finite, _same_filter,
                         _sum_source, as_filter, network_matrices)
 from .rootlab import ROOT_TOL, RootFindingError, Rrmp, classify_rrmp, classify_rrmp_pooled
 
@@ -51,7 +51,9 @@ def tau(M: np.ndarray, k: int, n_out: int, stride: int = 1,
     (cyclically in circulant mode), so that the induced quadratic form on
     filters w satisfies w^T tau(M) w = sum_m (row_m M row_m^T) for the
     sliding-window matrix with rows row_m = filter placed at offset s*m.
+    Raises ValueError for a ``k``, ``n_out`` or stride that is not an integer or too small.
     """
+    k = _integer("k", k, 1)
     M = np.asarray(M, dtype=float)
     d0 = M.shape[0]
     if M.shape != (d0, d0):
@@ -63,9 +65,10 @@ def tau(M: np.ndarray, k: int, n_out: int, stride: int = 1,
 
 
 def bombieri_weights(k: int) -> np.ndarray:
-    """Reciprocal binomial weights j!(k-1-j)!/(k-1)! for coefficients 0..k-1."""
-    n = k - 1
-    return np.array([1.0 / math.comb(n, j) for j in range(k)])
+    """Reciprocal binomial weights j!(k-1-j)!/(k-1)! for coefficients 0..k-1.
+    Raises ValueError for a ``k`` that is not an integer of at least one."""
+    n = _integer("k", k, 1) - 1
+    return np.array([1.0 / math.comb(n, j) for j in range(n + 1)])
 
 
 def bombieri_matrix(k: int) -> np.ndarray:
@@ -226,13 +229,11 @@ class TrainConfig:
     diverge_loss: float = 1e12
 
     def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and positive, got {self.step}")
+        _real("step", self.step, "positive")
         object.__setattr__(self, "max_steps", _integer("max_steps", self.max_steps, 0))
-        if not self.grad_sq_tol >= 0:
-            raise ValueError(f"grad_sq_tol must be non-negative, got {self.grad_sq_tol}")
-        if not self.diverge_loss > 0:
-            raise ValueError(f"diverge_loss must be positive, got {self.diverge_loss}")
+        _real("grad_sq_tol", self.grad_sq_tol, "non-negative")
+        if self.diverge_loss != math.inf:  # +inf: only a non-finite loss diverges
+            _real("diverge_loss", self.diverge_loss, "positive")
 
 
 @dataclass
@@ -539,9 +540,9 @@ def run_pattern_experiment(arch: Architecture, n_datasets: int = 1000,
 def count_distinct_filters(filters, tol: float = ROOT_TOL) -> int:
     """Number of distinct filters: each filter starts a new group unless it is
     the same as the first filter of an earlier group under the shared rule
-    ``poly_core._same_filter`` at ``tol``.  Raises ValueError for a negative or
-    non-finite ``tol``."""
-    _require_tol(tol)
+    ``poly_core._same_filter`` at ``tol``.  Raises ValueError for a ``tol`` that
+    is not finite and non-negative."""
+    _real("tol", tol, "non-negative")
     reps = []
     for w in map(as_filter, filters):
         if not any(_same_filter(w, r, tol) for r in reps):

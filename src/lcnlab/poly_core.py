@@ -21,9 +21,11 @@ realization, signal length and fold of a 1-D layer; ``_tensor_windows`` is
 its stride-one D-dimensional counterpart.  ``_interior_stride`` is the one
 rule for whether root counts describe an architecture's function space.
 Each input rule has one owner: ``_integer`` for a count, seed or worker count
-(an integer, at least a bound), ``_require_finite`` for an array without NaN
-or infinite entries and ``_require_filter_size`` for a filter's size against
-an architecture.
+(an integer, at least a bound), ``_integers`` for a tuple of them, ``_real`` for
+a step, tolerance or span (a finite real number, positive or non-negative),
+``_require_finite`` for an array without NaN or infinite entries, and
+``_require_filter_size`` and ``_sized_filter`` for a filter's size against an
+architecture or a solver.
 Every test of whether two filters are the same goes through ``_same_filter``
 (the same shape, and max-norm distance within tol times the larger max-norm,
 floored at one), and every nearest-reference lookup through ``_nearest``.
@@ -66,11 +68,11 @@ class Architecture:
     strides: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        ks = _integers("ks", self.ks)
-        if not ks or any(k < 1 for k in ks):
-            raise ValueError(f"filter sizes must be positive integers, got {self.ks}")
-        strides = (1,) * len(ks) if self.strides is None else _integers("strides", self.strides)
-        if len(strides) != len(ks) or any(s < 1 for s in strides):
+        ks = _integers("ks", self.ks, 1)
+        if not ks:
+            raise ValueError(f"an architecture needs at least one layer, got ks={self.ks!r}")
+        strides = (1,) * len(ks) if self.strides is None else _integers("strides", self.strides, 1)
+        if len(strides) != len(ks):
             raise ValueError(f"bad strides {self.strides} for filter sizes {ks}")
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "strides", strides)
@@ -131,13 +133,16 @@ class Architecture:
         return [rng.standard_normal(k) for k in self.ks]
 
 
-def _integers(name, values) -> tuple:
+def _integers(name, values, least=None) -> tuple:
     """``values`` as a tuple of ints; ValueError naming ``name`` for a non-integer
-    entry, such as a float, which ``int`` would truncate."""
+    entry, which ``int`` would truncate, and, from ``_integer``, for one below ``least``."""
     try:
-        return tuple(operator.index(v) for v in values)
+        out = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{name} must be integers, got {values!r}") from None
+    if least is not None and out and min(out) < least:
+        _integer(name, min(out), least)
+    return out
 
 
 def _integer(name, value, least=None) -> int:
@@ -151,6 +156,17 @@ def _integer(name, value, least=None) -> int:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ValueError(f"{name} must be {bound}, got {value!r}")
     return n
+
+
+def _real(name, value, bound):
+    """``value``; ValueError naming ``name`` unless it is a finite real number, above
+    zero for ``bound`` "positive" and not below zero for "non-negative"."""
+    try:  # a non-number fails isfinite: cheaper than an isinstance test on every call
+        if math.isfinite(value) and (value > 0 or value == 0 and bound == "non-negative"):
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def _require_finite(x: np.ndarray, name=None) -> list:
@@ -168,6 +184,16 @@ def _require_filter_size(name, size, arch) -> None:
     """ValueError naming ``name`` unless ``size`` is ``arch``'s end-to-end filter size."""
     if size != arch.filter_size:
         raise ValueError(f"{name} has size {size} but {arch.ks} composes to {arch.filter_size}")
+
+
+def _sized_filter(u, size, solver) -> np.ndarray:
+    """``u`` as a finite filter; ValueError naming ``solver`` unless it has ``size``
+    entries, and ``_require_finite``'s for a non-finite one."""
+    u = as_filter(u)
+    if len(u) != size:
+        raise ValueError(f"the {solver} works on filters of size {size}, got size {len(u)}")
+    _require_finite(u)
+    return u
 
 
 def _interior_stride(arch: Architecture) -> bool:
@@ -362,12 +388,6 @@ def _solve(a, b) -> np.ndarray:
         _exit_errstate(token)
 
 
-def _require_tol(tol):
-    """ValueError unless ``tol`` is a finite, non-negative tolerance."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-
-
 def _same_filter(a, b, tol: float) -> bool:
     """max|a - b| <= tol * max(||a||_inf, ||b||_inf, 1) for 1-D float arrays; filters
     of different shapes are never the same.  Decided on float lists: a NaN entry
@@ -434,8 +454,8 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
     is m*stride ... m*stride + k - 1, mod d when ``cyclic``.  ``n_out``
     defaults to the exact fit, (d - k)/stride + 1 or, cyclic, d/stride.
     Raises ValueError for a stride that is not an integer of at least one, a
-    cyclic filter longer than d, an inexact fit, a negative ``n_out`` and an
-    overrun."""
+    cyclic filter longer than d, an inexact fit, an ``n_out`` that is not a
+    non-negative integer and an overrun."""
     stride = _integer("stride", stride, 1)
     if cyclic and k > d:
         raise ValueError(f"filter size {k} exceeds cyclic dimension {d}")
@@ -444,9 +464,7 @@ def _placements(k: int, stride: int, d: int, n_out: int = None,
         if num < 0 or num % stride:
             raise ValueError(f"length {d} does not fit filter size {k} at stride {stride}")
         n_out = num // stride if cyclic else num // stride + 1
-    elif n_out < 0:
-        raise ValueError(f"placement count must be nonnegative, got {n_out}")
-    elif not cyclic and n_out > 0 and (n_out - 1) * stride + k > d:
+    elif _integer("placement count", n_out, 0) and not cyclic and (n_out - 1) * stride + k > d:
         raise ValueError(f"placement {n_out - 1} overruns dimension {d} (k={k}, stride={stride})")
     idx = stride * np.arange(n_out)[:, None] + np.arange(k)
     return idx % d if cyclic else idx
@@ -526,9 +544,10 @@ def materialize_conv_tensor(w: np.ndarray, in_shape) -> np.ndarray:
     """Dense tensor of the linear map: T[i..., j...] = w[j - i] (stride one).
 
     Output shape is out_shape + in_shape where out_shape = in_shape - k + 1.
+    Raises ValueError for an input shape of non-integers or one that does not fit.
     """
     w = np.asarray(w, dtype=float)
-    in_shape = tuple(int(d) for d in in_shape)
+    in_shape = _integers("input shape", in_shape)
     out_shape, windows = _tensor_windows(w.shape, in_shape)
     T = np.zeros(out_shape + in_shape)
     for i, window in windows:

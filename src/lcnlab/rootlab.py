@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly_core import (_QUIET, _enter_errstate, _exit_errstate, _integer, _integers,
-                        _require_finite, _require_tol, as_filter, toeplitz_matrix)
+from .poly_core import (_QUIET, _enter_errstate, _exit_errstate, _integer, _integers, _real,
+                        _require_finite, as_filter, toeplitz_matrix)
 
 #: Default relative tolerance for "is real" / "are equal" root decisions.
 ROOT_TOL = 1e-4
@@ -89,8 +89,8 @@ class ProjRoot:
 
     def is_real(self, tol: float = ROOT_TOL) -> bool:
         """Whether the imaginary part is within ``tol`` of the modulus (infinity is
-        real).  Raises ValueError for a negative or non-finite ``tol``."""
-        _require_tol(tol)
+        real).  Raises ValueError for a ``tol`` that is not finite and non-negative."""
+        _real("tol", tol, "non-negative")
         if self.infinite:
             return True
         return abs(self.value.imag) <= tol * _modulus(self.value)
@@ -381,8 +381,8 @@ def _linkage(items, same) -> list:
 
 def cluster_roots(roots, tol: float = ROOT_TOL) -> list:
     """Single-linkage clusters under the relative same-root predicate.  Raises
-    ValueError for a negative or non-finite ``tol``."""
-    _require_tol(tol)
+    ValueError for a ``tol`` that is not finite and non-negative."""
+    _real("tol", tol, "non-negative")
     return [[roots[i] for i in group]
             for group in _linkage(roots, lambda a, b: _same_root(a, b, tol))]
 
@@ -414,10 +414,8 @@ class Rrmp:
     gamma: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", tuple(sorted(_integers("multiplicities", self.rho))))
-        object.__setattr__(self, "gamma", tuple(sorted(_integers("multiplicities", self.gamma))))
-        if any(m < 1 for m in self.rho) or any(m < 1 for m in self.gamma):
-            raise ValueError(f"multiplicities must be positive: {self}")
+        object.__setattr__(self, "rho", tuple(sorted(_integers("multiplicities", self.rho, 1))))
+        object.__setattr__(self, "gamma", tuple(sorted(_integers("multiplicities", self.gamma, 1))))
 
     @property
     def degree(self) -> int:
@@ -885,8 +883,9 @@ def real_type_splits(lam) -> list:
     example yields the patterns ``112|0`` (all roots real) and ``2|1`` (the
     two simple roots fused into a conjugate pair): a part value v of count c
     gives j pairs and c - 2j real roots of multiplicity v, for each j <= c // 2.
+    Raises ValueError for a part that is not an integer of at least one.
     """
-    counts = sorted(collections.Counter(_partition(lam, sum(lam))).items())
+    counts = sorted(collections.Counter(_integers("partition parts", lam, 1)).items())
     splits = [Rrmp(rho=[v for (v, c), j in zip(counts, js) for _ in range(c - 2 * j)],
                    gamma=[v for (v, _), j in zip(counts, js) for _ in range(j)])
               for js in itertools.product(*(range(c // 2 + 1) for _, c in counts))]
@@ -895,11 +894,9 @@ def real_type_splits(lam) -> list:
 
 def _partition(lam, degree: int) -> tuple:
     """The parts of ``lam``, a partition of ``degree``, as a descending tuple of
-    ints.  Raises ValueError for a part that is not an integer or not positive,
+    ints.  Raises ValueError for a part that is not an integer of at least one,
     and for parts that do not sum to ``degree``."""
-    lam = tuple(sorted(_integers("partition parts", lam), reverse=True))
-    if any(p <= 0 for p in lam):
-        raise ValueError("partition parts must be positive")
+    lam = tuple(sorted(_integers("partition parts", lam, 1), reverse=True))
     if sum(lam) != degree:
         raise ValueError(f"partition {lam} does not sum to the polynomial degree {degree}")
     return lam

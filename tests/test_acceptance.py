@@ -389,31 +389,26 @@ def test_pinned_local_minimum_coordinates():
     assert np.max(np.abs(sm.chart - reference)) <= 1e-8
 
 
-def _count_parameters() -> dict:
-    """``tools/answer_digest.py``'s table of counts, seeds and worker counts, whose
-    ``bad_input`` family digests the same calls."""
+def _bad_inputs() -> list:
+    """``tools/answer_digest.py``'s table of checked parameters and their bad values,
+    whose ``bad_input`` family digests the same calls."""
     path = Path(__file__).resolve().parents[1] / "tools" / "answer_digest.py"
     spec = importlib.util.spec_from_file_location("answer_digest", path)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    return digest.count_parameters()
+    return digest.bad_inputs()
 
 
-_COUNTS = _count_parameters()
+_BAD_INPUTS = _bad_inputs()
 
 
-@pytest.mark.parametrize("value", [1.5, "2", "below"])
-@pytest.mark.parametrize("entry", sorted(_COUNTS))
-def test_counts_seeds_and_workers_raise_value_errors_naming_the_parameter(entry, value,
-                                                                          monkeypatch):
-    # before any descent run; a float seed or worker count once escaped as a TypeError
+@pytest.mark.parametrize("call, value, message", [row[1:] for row in _BAD_INPUTS],
+                         ids=[f"{entry}-{value!r}" for entry, _, value, _ in _BAD_INPUTS])
+def test_checked_parameters_raise_value_errors_naming_the_parameter(call, value, message,
+                                                                    monkeypatch):
+    # before any descent run; a float seed or worker count once escaped as a TypeError,
+    # a string step or tolerance as one, and a float input shape was truncated
     monkeypatch.setattr("lcnlab.optim.gd_train", lambda *job: pytest.fail("a run started"))
-    call, name, least = _COUNTS[entry]
-    if value == "below":
-        bound = "non-negative" if least == 0 else f"at least {least}"
-        value, message = least - 1, f"{name} must be {bound}, got {least - 1}"
-    else:
-        message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError) as err:
         call(value)
     assert str(err.value) == message

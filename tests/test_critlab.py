@@ -15,7 +15,6 @@ from lcnlab.critlab import (
     CritPoint,
     StratumReport,
     _attainable_strata,
-    _expand_stratum_point,
     _inertia,
     _rank_one_points,
     caustic_value,
@@ -35,8 +34,8 @@ from lcnlab.optim import (QuadraticObjective, _descent_kernel, _gradient_source,
                           count_distinct_filters, loss_and_gradient)
 from lcnlab.poly_core import (Architecture, _compile, _complements, _Emitter, _list_source,
                               _nearest, _product, _same_filter, end_to_end)
-from lcnlab.rootlab import (INFINITY, ProjRoot, Rrmp, _partitions, all_rrmps, classify_rrmp_pooled,
-                            is_compatible)
+from lcnlab.rootlab import (INFINITY, ProjRoot, Rrmp, _partitions, _root_factors, all_rrmps,
+                            classify_rrmp_pooled, is_compatible)
 
 from test_poly_core import random_arch
 
@@ -708,20 +707,29 @@ def test_crit_on_stratum_kinds_do_not_depend_on_the_target_scale(metric, row):
     assert matched > 20
 
 
-def test_expand_stratum_point_rebuilds_rational_critical_point():
+def _stratum_point(pattern, roots, sigma):
+    """sigma times the product of the root factors: the real roots first, with the
+    multiplicities of ``pattern.rho``, then one root per conjugate pair."""
+    n_real = len(pattern.rho)
+    linear, quadratic = _root_factors(list(zip(roots[:n_real], pattern.rho)),
+                                      list(zip(roots[n_real:], pattern.gamma)))
+    return _product([np.array([sigma])] + linear + quadratic)
+
+
+def test_root_factors_rebuild_a_rational_critical_point():
     # (1/5)(x+y)^2 (x^2+7xy+y^2) has the double root -1 and two simple real
     # roots; its coefficient vector is one of the catalogued critical points.
     r1 = (-7.0 + np.sqrt(45.0)) / 2.0
     r2 = (-7.0 - np.sqrt(45.0)) / 2.0
     pattern = Rrmp(rho=(1, 1, 2), gamma=())
-    w = _expand_stratum_point(
+    w = _stratum_point(
         pattern, [ProjRoot(complex(r1)), ProjRoot(complex(r2)), ProjRoot(complex(-1.0))], 0.2
     )
     assert np.allclose(w, [0.2, 1.8, 3.2, 1.8, 0.2], atol=1e-12)
 
 
-def test_expand_stratum_point_with_infinite_root():
-    w = _expand_stratum_point(Rrmp(rho=(2,), gamma=(1,)), [INFINITY, ProjRoot(1j * np.sqrt(0.4))], 5.0)
+def test_root_factors_rebuild_a_point_with_an_infinite_root():
+    w = _stratum_point(Rrmp(rho=(2,), gamma=(1,)), [INFINITY, ProjRoot(1j * np.sqrt(0.4))], 5.0)
     assert np.allclose(w, [0.0, 0.0, 5.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -778,8 +786,8 @@ def test_crit_on_stratum_rejects_bad_partition():
 
 @pytest.mark.parametrize("lam, message", [
     ((2.5, 1.5), "partition parts must be integers, got (2.5, 1.5)"),
-    ((3, 0), "partition parts must be positive"),
-    ((4, -1), "partition parts must be positive"),
+    ((3, 0), "partition parts must be at least 1, got 0"),
+    ((4, -1), "partition parts must be at least 1, got -1"),
     ((1, 2, 2), "partition (2, 2, 1) does not sum to the polynomial degree 3"),
 ], ids=["not-integer", "zero-part", "negative-part", "wrong-sum"])
 @pytest.mark.parametrize("partition_of_3", [
@@ -979,6 +987,13 @@ def test_cone_lambda_polynomial_weighted_gram_divisibility():
 def test_cone_lambda_polynomial_rejects_bad_shape():
     with pytest.raises(ValueError):
         cone_lambda_polynomial(np.eye(4), np.ones(4))
+    # a NaN entry of v made every returned array NaN
+    for v, message in (([1.0, 2.0, 3.0, 4.0], "the cone solver works on filters of size 3, "
+                                              "got size 4"),
+                       ([math.nan, 1.0, 1.0], r"filter \[nan  1\.  1\.\] has non-finite entries "
+                                              r"at positions \[0\]")):
+        with pytest.raises(ValueError, match=message):
+            cone_lambda_polynomial(np.eye(3), v)
 
 
 def _assert_critical_on_cone(points, u):
@@ -1101,6 +1116,11 @@ def test_caustic_value_signs():
     assert caustic_value(np.array([0.5, 0.10, 0.5])) < 0
     assert caustic_value(np.array([0.5, 0.35, 0.5])) > 0
     assert caustic_value(np.array([0.5, 0.60, 0.5])) > 0
+    # a fourth entry failed to unpack, and a NaN one came back as the value
+    with pytest.raises(ValueError, match="the cone solver works on filters of size 3, got size 4"):
+        caustic_value([1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"has non-finite entries at positions \[1\]"):
+        caustic_value([1.0, math.nan, 3.0])
 
 
 def test_ed_degree_tables():
@@ -1123,7 +1143,7 @@ def test_ed_degree_errors():
     # a plain ValueError, as real_type_splits raises, not the missing closed
     # form that analyze-arch reports as a null bound
     for lam in ((2, 0, 2), (3, 2, -1), (0,)):
-        with pytest.raises(ValueError, match="positive") as err:
+        with pytest.raises(ValueError, match="partition parts must be at least 1") as err:
             ed_degree(lam, sum(lam))
         assert not isinstance(err.value, critlab._NoClosedForm)
     with pytest.raises(ValueError, match="partition parts must be integers") as err:
@@ -1217,9 +1237,9 @@ def test_real_type_splits_are_the_all_rrmps_patterns_of_the_partition():
     (Rrmp(rho=(1,), gamma=(1, 2)), [ProjRoot(complex(-2.0)), ProjRoot(0.3 + 0.4j),
                                     ProjRoot(-1.0 + 1.5j)], (4, 3, 3)),
 ], ids=["infinity", "conjugate-pairs"])
-def test_expand_stratum_point_round_trips_through_factor_into(pattern, roots, ks):
+def test_a_stratum_point_round_trips_through_factor_into(pattern, roots, ks):
     arch = Architecture(ks)
-    w = _expand_stratum_point(pattern, roots, 1.5)
+    w = _stratum_point(pattern, roots, 1.5)
     assert len(w) == arch.filter_size
     theta = factor_into(w, arch)
     prod, _ = end_to_end(theta, arch)

@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, the modules
 import each other along a fixed, acyclic layering, every module-level
-function or class is exported or used somewhere in src/, tests/ or bench/, every
-public one is exported, listed in ``cli.__all__`` or used in src/, and every
-method or property of such a class is reached as an attribute there.
+function or class is exported, listed in ``cli.__all__`` or used in src/, and
+every method or property of such a class is reached as an attribute in src/,
+tests/ or bench/.
 
 No linter ships with the project, so this parses each module of the package
 with the standard ``ast`` module.  ``__init__`` is exempt from the unused
@@ -118,17 +118,15 @@ def _references(tree, skip=()):
     return out
 
 
-def unreferenced_definitions(modules: dict[str, str], others: list[str],
-                             exported: set[str]) -> list[str]:
+def unreferenced_definitions(modules: dict[str, str], exported: set[str]) -> list[str]:
     """``module.name`` for each module-level function or class of ``modules``
-    that is not in ``exported`` and that no source (``others`` and the
-    modules themselves) refers to outside the definition's own lines."""
+    that is not in ``exported`` and that no module refers to outside the
+    definition's own lines."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     whole = {name: _references(tree) for name, tree in trees.items()}
-    outside = [_references(ast.parse(source)) for source in others]
     dead = []
     for name, tree in trees.items():
-        used = set().union(*outside, *(refs for other, refs in whole.items() if other != name))
+        used = set().union(*(refs for other, refs in whole.items() if other != name))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
@@ -140,30 +138,30 @@ def unreferenced_definitions(modules: dict[str, str], others: list[str],
 
 def test_finds_an_unreferenced_definition():
     modules = {"m": ("def used():\n    return 1\n\n\ndef dead(n):\n    return dead(n - 1)\n\n\n"
-                     "@staticmethod\ndef decorated():\n    pass\n\n\nclass Exported:\n    pass\n")}
-    others = ["from m import used\n\nused()\n"]
-    assert unreferenced_definitions(modules, others, {"Exported"}) == ["m.dead", "m.decorated"]
+                     "@staticmethod\ndef decorated():\n    pass\n\n\nclass Exported:\n    pass\n"),
+               "n": "from m import used\n\nused()\n"}
+    assert unreferenced_definitions(modules, {"Exported"}) == ["m.dead", "m.decorated"]
 
 
-def _exported():
+def _unused_in_src() -> list[str]:
+    """The module-level definitions that src/ neither uses nor offers: the package
+    exports the paper's objects, and ``cli.__all__`` lists the command line's entry
+    points."""
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {alias.asname or alias.name for node in ast.walk(init)
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    surface = {alias.asname or alias.name for node in ast.walk(init)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return unreferenced_definitions({p.stem: p.read_text() for p in MODULES},
+                                    surface | set(cli.__all__))
 
 
 def test_every_module_level_definition_is_used():
-    modules = {p.stem: p.read_text() for p in MODULES}
-    others = [p.read_text() for p in SOURCES if p.parent != PACKAGE]
-    assert unreferenced_definitions(modules, others, _exported()) == []
+    # a private function that only tests call is dead code the tests keep alive
+    assert [name for name in _unused_in_src() if name.split(".")[1].startswith("_")] == []
 
 
 def test_every_public_name_is_exported_or_used_in_src():
-    # a public name that only tests call is a second surface to keep: the package
-    # exports the paper's objects, and cli.__all__ lists the command line's entry points
-    modules = {p.stem: p.read_text() for p in MODULES}
-    surface = _exported() | set(cli.__all__)
-    assert [name for name in unreferenced_definitions(modules, [], surface)
-            if not name.split(".")[1].startswith("_")] == []
+    # a public name that only tests call is a second surface to keep
+    assert [name for name in _unused_in_src() if not name.split(".")[1].startswith("_")] == []
 
 
 def _attributes(tree, skip=()):
@@ -311,49 +309,72 @@ def test_only_poly_core_imports_numpys_private_modules():
 
 
 def _is_integer_call(node) -> bool:
-    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_integer"
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_integer",
+                                                                               "_integers")
 
 
 def integer_comparisons(source: str) -> list:
     """The innermost enclosing function of each bound check, an order comparison (<, <=,
     >, >=), of an ``_integer(...)`` call or of a name that the same function assigns one
-    to, in source order."""
+    to, an ``_integers(...)`` tuple or an entry of one, in source order."""
     nodes = _innermost(source)
     held = {(function, target.id) for function, node in nodes
-            if isinstance(node, ast.Assign) and _is_integer_call(node.value)
+            if isinstance(node, ast.Assign) and any(map(_is_integer_call, ast.walk(node.value)))
             for target in node.targets if isinstance(target, ast.Name)}
+    held |= {(function, node.target.id) for function, node in nodes
+             if isinstance(node, ast.comprehension) and isinstance(node.target, ast.Name)
+             and (_is_integer_call(node.iter) or getattr(node.iter, "id", None)
+                  and (function, node.iter.id) in held)}
     return [function for function, node in nodes if isinstance(node, ast.Compare)
             and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops)
             and any(_is_integer_call(x) or isinstance(x, ast.Name) and (function, x.id) in held
                     for x in [node.left, *node.comparators])]
 
 
+def error_messages(source: str, words) -> list:
+    """The innermost enclosing function of each ``ValueError(...)`` whose message holds
+    one of ``words``, each once."""
+    return list(dict.fromkeys(
+        function for function, node in _innermost(source) if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "ValueError"
+        and any(isinstance(c, ast.Constant) and any(w in str(c.value) for w in words)
+                for c in ast.walk(node))))
+
+
 def non_finite_checks(source: str) -> list:
     """The module-level functions whose name says "finite", and the innermost enclosing
-    function of each raise whose message says "non-finite", each once."""
+    function of each error whose message says "non-finite", each once."""
     names = [node.name for node in ast.parse(source).body
              if isinstance(node, ast.FunctionDef) and "finite" in node.name]
-    names += [function for function, node in _innermost(source) if isinstance(node, ast.Raise)
-              and any(isinstance(c, ast.Constant) and "non-finite" in str(c.value)
-                      for c in ast.walk(node))]
-    return list(dict.fromkeys(names))
+    return list(dict.fromkeys(names + error_messages(source, ["non-finite"])))
 
 
-def test_finds_integer_comparisons_and_non_finite_checks():
+BOUNDS = ["must be positive", "non-negative", "nonnegative", "finite and"]
+
+
+def test_finds_integer_comparisons_and_error_messages():
     source = ("def a(n):\n    if _integer('n', n) < 1:\n        raise ValueError('n')\n\n"
               "def b(n, k):\n    n = _integer('n', n)\n    k = int(k)\n    return n > 2 and k > 2\n\n"
               "def c(n):\n    n = _integer('n', n, 1)\n    return range(n) if n == 1 else n\n\n"
               "def _finite(v):\n    return v\n\n"
               "class R:\n    def finite(self):\n        return self\n\n"
-              "def d(v):\n    if v != v:\n        raise ValueError(f'{v} has non-finite entries')\n")
-    assert integer_comparisons(source) == ["a", "b"]
+              "def d(v):\n    if v != v:\n        raise ValueError(f'{v} has non-finite entries')\n\n"
+              "def e(ks):\n    ks = tuple(sorted(_integers('ks', ks)))\n"
+              "    return any(k < 1 for k in ks) or [s for s in _integers('s', ks) if s >= 2]\n\n"
+              "def f(x):\n    error = ValueError(f'x must be finite and positive, got {x}')\n"
+              "    if x <= 0:\n        raise error\n    raise ValueError('x must be positive')\n")
+    assert integer_comparisons(source) == ["a", "b", "e", "e"]
     assert non_finite_checks(source) == ["_finite", "d"]
+    assert error_messages(source, BOUNDS) == ["f"]
 
 
-def test_poly_core_alone_holds_the_count_and_non_finite_rules():
-    # landscape_grid keeps the grid's upper bound of 512 beside its lower one
+def test_poly_core_alone_holds_the_count_bound_and_non_finite_rules():
+    # landscape_grid keeps the grid's upper bound of 512 beside its lower one, and
+    # _integer, which _integers calls for its bound, words that bound outside its ValueError
     sources = {p.stem: p.read_text() for p in MODULES}
     assert {name: sites for name, source in sources.items()
             if (sites := integer_comparisons(source))} == {"cli": ["landscape_grid"]}
+    assert {name: sites for name, source in sources.items()
+            if (sites := error_messages(source, BOUNDS))} == {"poly_core": ["_real"]}
     assert {name: sites for name, source in sources.items()
             if (sites := non_finite_checks(source))} == {"poly_core": ["_require_finite"]}

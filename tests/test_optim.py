@@ -72,7 +72,7 @@ def test_tau_circulant_wraps():
     (lambda M: tau(M, k=5, n_out=2, circulant=True), "exceeds"),
     (lambda M: QuadraticObjective.from_data(M, np.ones((4, 4)), Architecture((3, 3)),
                                             circulant=True), "exceeds"),
-    (lambda M: tau(M, k=3, n_out=-1), "nonnegative"),
+    (lambda M: tau(M, k=3, n_out=-1), "placement count must be non-negative, got -1"),
 ], ids=["stride-0", "stride-minus-1", "cyclic-k-over-d", "cyclic-from-data-k-over-d",
         "negative-n-out"])
 def test_bad_placements_raise(call, message):

@@ -34,9 +34,9 @@ half of them from layers that share roots, the zero filter and a NaN one, and
 them with roots shared between layers, some with roots at 0 and infinity, plus
 a zero layer and a NaN one, then a nonzero, a zero and a NaN size-one layer on
 (2, 1), (1, 3) and (2, 1, 2), and ``bad_input``: the error, or else the answer,
-of each entry point given a count, seed or worker count of 1.5, "2" and one
-below its least value, then of objectives, gaps and filters with a NaN or
-infinite entry and of a filter or objective whose size does not fit.
+of each entry point given each bad value of ``bad_inputs``, then of objectives,
+gaps and filters with a NaN or infinite entry and of a filter or objective
+whose size does not fit.
 """
 
 from __future__ import annotations
@@ -77,53 +77,104 @@ def _label(rrmp):
     return None if rrmp is None else rrmp.label
 
 
-def count_parameters() -> dict:
-    """Each count, seed and worker count that the entry points check, by name:
-    ``(call, parameter, least)``, where ``call(v)`` passes ``v`` to the parameter
-    named ``parameter`` in the error message, whose least value is ``least``."""
+def bad_inputs() -> list:
+    """Each parameter that an entry point checks, with each bad value it is given:
+    ``(entry, call, value, message)``, where ``call(value)`` passes ``value`` to
+    the parameter and must raise ValueError with ``message``.  A count, seed or
+    worker count gets 1.5, "2" and one below its least value, a tuple of integers
+    the same values as 1-tuples (the last only if it has a least value, and its
+    error names the entry), and a real-valued parameter "0.1", None, NaN and
+    -1.0."""
     import numpy as np
     import lcnlab
     from lcnlab import Architecture, QuadraticObjective, TrainConfig
     from lcnlab.cli import landscape_grid, run_case_study
 
+    def integer(name, least):
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        return [(v, f"{name} must be an integer, got {v!r}") for v in (1.5, "2")] + [
+            (least - 1, f"{name} must be {bound}, got {least - 1}")]
+
+    def integers(name, least=None):
+        bad = [((v,), f"{name} must be integers, got {(v,)!r}") for v in (1.5, "2")]
+        if least is not None:
+            bad.append(((least - 1,), f"{name} must be at least {least}, got {least - 1}"))
+        return bad
+
+    def real(name, bound):
+        return [(v, f"{name} must be finite and {bound}, got {v!r}")
+                for v in ("0.1", None, math.nan, -1.0)]
+
     arch, cubic = Architecture((2, 2)), QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0])
     plane = tuple([np.ones(2), np.ones(2)] for _ in range(3))
-    return {
-        "min_input_size": (lambda v: arch.min_input_size(v), "output length", 1),
-        "TrainConfig": (lambda v: TrainConfig(max_steps=v), "max_steps", 0),
+    square = QuadraticObjective.euclidean([1.0, 0.0, 2.0])
+    root = lcnlab.ProjRoot.finite(1.0)
+    table = {
+        "min_input_size": (lambda v: arch.min_input_size(v), integer("output length", 1)),
+        "TrainConfig": (lambda v: TrainConfig(max_steps=v), integer("max_steps", 0)),
         "pattern-n_datasets": (lambda v: lcnlab.run_pattern_experiment(arch, n_datasets=v),
-                               "n_datasets", 1),
+                               integer("n_datasets", 1)),
         "pattern-n_samples": (lambda v: lcnlab.run_pattern_experiment(arch, 1, n_samples=v),
-                              "n_samples", 3),
-        "pattern-seed": (lambda v: lcnlab.run_pattern_experiment(arch, 1, seed=v), "seed", 0),
+                              integer("n_samples", 3)),
+        "pattern-seed": (lambda v: lcnlab.run_pattern_experiment(arch, 1, seed=v),
+                         integer("seed", 0)),
         "pattern-workers": (lambda v: lcnlab.run_pattern_experiment(arch, 1, workers=v),
-                            "workers", 1),
+                            integer("workers", 1)),
         "distinct-n_targets": (lambda v: lcnlab.run_distinct_experiment(arch, n_targets=v),
-                               "n_targets", 1),
+                               integer("n_targets", 1)),
         "distinct-n_inits": (lambda v: lcnlab.run_distinct_experiment(arch, 1, n_inits=v),
-                             "n_inits", 1),
+                             integer("n_inits", 1)),
         "distinct-seed": (lambda v: lcnlab.run_distinct_experiment(arch, 1, 2, seed=v),
-                          "seed", 0),
+                          integer("seed", 0)),
         "distinct-workers": (lambda v: lcnlab.run_distinct_experiment(arch, 1, 2, workers=v),
-                             "workers", 1),
+                             integer("workers", 1)),
         "crit_on_stratum-n_starts": (lambda v: lcnlab.crit_on_stratum(cubic, (2, 1), n_starts=v),
-                                     "n_starts", 1),
+                                     integer("n_starts", 1)),
         "crit_on_stratum-seed": (lambda v: lcnlab.crit_on_stratum(cubic, (2, 1), seed=v),
-                                 "seed", 0),
+                                 integer("seed", 0)),
         "spurious-n_starts": (lambda v: lcnlab.find_spurious_minimum(cubic.target, n_starts=v),
-                              "n_starts", 1),
+                              integer("n_starts", 1)),
         "spurious-seed": (lambda v: lcnlab.find_spurious_minimum(cubic.target, seed=v),
-                          "seed", 0),
-        "case-study-runs": (lambda v: run_case_study(runs=v), "runs", 1),
-        "case-study-seed": (lambda v: run_case_study(seed=v), "seed", 0),
+                          integer("seed", 0)),
+        "case-study-runs": (lambda v: run_case_study(runs=v), integer("runs", 1)),
+        "case-study-seed": (lambda v: run_case_study(seed=v), integer("seed", 0)),
         "case-study-workers": (lambda v: run_case_study(runs=1, starts=1, workers=v),
-                               "workers", 1),
+                               integer("workers", 1)),
         "integrate_flow": (lambda v: lcnlab.integrate_flow([np.ones(2)], lambda t: t, 0.1, v),
-                           "n_steps", 0),
-        "all_rrmps": (lambda v: lcnlab.all_rrmps(v), "degree", 0),
-        "landscape_grid": (lambda v: landscape_grid(
-            arch, QuadraticObjective.euclidean([1.0, 0.0, 2.0]), plane, n=v), "grid size", 2),
+                           integer("n_steps", 0)),
+        "all_rrmps": (lambda v: lcnlab.all_rrmps(v), integer("degree", 0)),
+        "landscape_grid": (lambda v: landscape_grid(arch, square, plane, n=v),
+                           integer("grid size", 2)),
+        "bombieri_weights": (lcnlab.bombieri_weights, integer("k", 1)),
+        "scale_sign_patterns": (lcnlab.scale_sign_patterns, integer("depth", 1)),
+        "tau-k": (lambda v: lcnlab.tau(np.eye(4), v, 2), integer("k", 1)),
+        "tau-n_out": (lambda v: lcnlab.tau(np.eye(4), 2, v), integer("placement count", 0)),
+        "Architecture-ks": (Architecture, integers("ks", 1)),
+        "Architecture-strides": (lambda v: Architecture((2,), v), integers("strides", 1)),
+        "Rrmp-rho": (lcnlab.Rrmp, integers("multiplicities", 1)),
+        "Rrmp-gamma": (lambda v: lcnlab.Rrmp((), v), integers("multiplicities", 1)),
+        "real_type_splits": (lcnlab.real_type_splits, integers("partition parts", 1)),
+        "materialize_conv_tensor": (lambda v: lcnlab.materialize_conv_tensor(np.ones(2), v),
+                                    integers("input shape")),
+        "is_real": (root.is_real, real("tol", "non-negative")),
+        "cluster_roots": (lambda v: lcnlab.cluster_roots([root, root], v),
+                          real("tol", "non-negative")),
+        "count_distinct_filters": (lambda v: lcnlab.count_distinct_filters([np.ones(2)], v),
+                                   real("tol", "non-negative")),
+        "match_critical_point": (lambda v: lcnlab.match_critical_point(np.ones(3), [], v),
+                                 real("tol", "non-negative")),
+        "TrainConfig-step": (lambda v: TrainConfig(step=v), real("step", "positive")),
+        "TrainConfig-grad_sq_tol": (lambda v: TrainConfig(grad_sq_tol=v),
+                                    real("grad_sq_tol", "non-negative")),
+        "TrainConfig-diverge_loss": (lambda v: TrainConfig(diverge_loss=v),
+                                     real("diverge_loss", "positive")),
+        "integrate_flow-step": (lambda v: lcnlab.integrate_flow([np.ones(2)], lambda t: t, v, 1),
+                                real("step", "positive")),
+        "landscape_grid-span": (lambda v: landscape_grid(arch, square, plane, span=v),
+                                real("span", "positive")),
     }
+    return [(entry, call, value, message) for entry, (call, bad) in table.items()
+            for value, message in bad]
 
 
 def families() -> dict:
@@ -308,8 +359,7 @@ def families() -> dict:
                   for x in (rng.standard_normal(), 0.0, math.nan)]
     out["mu_rank"] = [_answer(lcnlab.mu_rank, theta, arch) for theta, arch in cases]
 
-    out["bad_input"] = [_answer(call, v) for call, _, least in count_parameters().values()
-                        for v in (1.5, "2", least - 1)]
+    out["bad_input"] = [_answer(call, value) for _, call, value, _ in bad_inputs()]
     arch, cubic = Architecture((2, 2)), QuadraticObjective.euclidean([1.0, 0.5, -2.0, 1.0])
     nan = math.nan
     out["bad_input"] += [_answer(call) for call in (  # non-finite vectors and filter sizes
